@@ -13,85 +13,72 @@ class EmptinessError(Exception):
     pass
 
 
-REACHABILITY = "reachability-attractor"
-SAFETY = "safety-fixpoint"
-GENERIC = "generic-occurrence"
-
 DEFAULT_ORACLE_GUARD = 20
 
 
 class GameSolution:
-    """Solution of the choice game on an automaton: the winning region, a chosen
-    coalition action per winning state, and the solver that produced it.
+    """Solution of the choice game on an automaton: the winning region and a
+    chosen coalition action per winning state.
 
-    For the reachability solver the choice is defined on winning states that
-    still carry obligations; for the safety solver on every winning state.
+    For until the choice is defined on winning states that still carry
+    obligations; for weak until on every winning state.
     """
 
-    def __init__(self, kind, winning, choice, targets=frozenset()):
-        self.kind = kind
+    def __init__(self, winning, choice):
         self.winning = frozenset(winning)
         self.choice = dict(choice)
-        self.targets = frozenset(targets)
 
     def wins(self, state):
         return state in self.winning
 
 
-def check_until_nonempty(automaton):
-    """Least-fixpoint attractor to the discharged states: the automaton accepts
-    some tree iff the initial state can force every path into an obligation-free
-    state without ever touching the failure state."""
-    if automaton.kind != UNTIL:
-        raise EmptinessError("expected an until automaton, got %s" % automaton.kind)
-    targets = set(automaton.targets())
-    attractor = set(targets)
+def _attractor(automaton, target, coalition):
+    """The attractor to target for one side, swept in state order until stable.
+
+    On the coalition side a state joins when some action keeps all its
+    successors inside the region; on the environment side when no action keeps
+    all of them outside. Returns the region and, per state, the first action
+    that does so: taken when the state joins (coalition) or at the last sweep
+    (environment), so environment choices avoid the final region.
+    """
+    region = set(target)
     choice = {}
     changed = True
     while changed:
         changed = False
         for state in automaton.states:
-            if state in attractor or state.is_bot:
+            if state in region:
                 continue
-            for c_a in automaton.alphabet:
-                successors = automaton.delta[(state, c_a)]
-                if BOT in successors:
-                    continue
-                if all(t in attractor for t in successors):
-                    attractor.add(state)
-                    choice[state] = c_a
-                    changed = True
-                    break
-    solution = GameSolution(REACHABILITY, attractor, choice, targets)
-    return automaton.init in attractor, solution
+            keep = next((c_a for c_a in automaton.alphabet
+                         if all((t in region) == coalition
+                                for t in automaton.delta[(state, c_a)])), None)
+            if keep is not None:
+                choice[state] = keep
+            if (keep is not None) == coalition:
+                region.add(state)
+                changed = True
+    return region, choice
+
+
+def check_until_nonempty(automaton):
+    """Coalition attractor to the discharged states: the automaton accepts some
+    tree iff the initial state can force every path into an obligation-free
+    state. The failure state only leads to itself, so it never joins."""
+    if automaton.kind != UNTIL:
+        raise EmptinessError("expected an until automaton, got %s" % automaton.kind)
+    winning, choice = _attractor(automaton, automaton.targets(), coalition=True)
+    return automaton.init in winning, GameSolution(winning, choice)
 
 
 def check_weak_nonempty(automaton):
-    """Greatest-fixpoint safety region avoiding the failure state: the automaton
-    accepts some tree iff the initial state can keep every path away from it."""
+    """Complement of the environment attractor to the failure state: the
+    automaton accepts some tree iff the initial state can keep every path away
+    from it."""
     if automaton.kind != WEAK_UNTIL:
         raise EmptinessError("expected a weak-until automaton, got %s" % automaton.kind)
-    safe = {s for s in automaton.states if not s.is_bot}
-    changed = True
-    while changed:
-        changed = False
-        for state in list(safe):
-            keeps = any(
-                BOT not in automaton.delta[(state, c_a)]
-                and all(t in safe for t in automaton.delta[(state, c_a)])
-                for c_a in automaton.alphabet)
-            if not keeps:
-                safe.discard(state)
-                changed = True
-    choice = {}
-    for state in safe:
-        for c_a in automaton.alphabet:
-            successors = automaton.delta[(state, c_a)]
-            if BOT not in successors and all(t in safe for t in successors):
-                choice[state] = c_a
-                break
-    solution = GameSolution(SAFETY, safe, choice)
-    return automaton.init in safe, solution
+    losing, choice = _attractor(automaton, [BOT], coalition=False)
+    winning = set(automaton.states) - losing
+    return automaton.init in winning, GameSolution(winning, {s: choice[s] for s in winning})
 
 
 def until_accept(automaton):
@@ -171,8 +158,6 @@ def extract_witness_strategy(solution, automaton, hat):
     queue = deque([(automaton.init, (z0,))])
     while queue:
         state, history = queue.popleft()
-        if automaton.kind == UNTIL and automaton.is_target(state):
-            continue
         if state not in solution.choice:
             continue
         c_a = solution.choice[state]

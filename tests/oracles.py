@@ -207,13 +207,15 @@ def states_where(arena, predicate):
     return {q for q in arena.states if predicate(q)}
 
 
-def replay_until(arena, coalition, strategy, holds1, holds2, depth, budget=200000):
+def replay_until(arena, coalition, strategy, holds1, holds2, depth, budget=200000,
+                 weak=False):
     """Execute a strategy against every opponent resolution and check the until
     objective on each play.
 
     holds1/holds2 are predicates on state ids. A play fails when it reaches a
     state where neither predicate holds, or runs for depth steps without
-    discharging holds2. Returns the list of failing (state, history) pairs;
+    discharging holds2; with weak, such a long play is won instead (the weak
+    until objective). Returns the list of failing (state, history) pairs;
     empty means the strategy wins everywhere within the bound.
     """
     failures = []
@@ -234,7 +236,8 @@ def replay_until(arena, coalition, strategy, holds1, holds2, depth, budget=20000
             failures.append((q, history))
             continue
         if len(history) > depth:
-            failures.append((q, history))
+            if not weak:
+                failures.append((q, history))
             continue
         c_a = strategy.action(history)
         for c in arena.extensions(coalition, c_a):

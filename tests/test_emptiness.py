@@ -16,6 +16,7 @@ from atldk import (
     generic_occurrence_emptiness,
     load_alicebob,
     load_arena,
+    model_check,
     split,
     until_accept,
     weak_accept,
@@ -176,6 +177,76 @@ class TestCorpusGame:
         assert strategy.action(deal) == ("i", "i")
 
 
+def choice_game_violations(automaton, nonempty, solution):
+    """What is wrong with a solution, checked by following its choices.
+
+    Until: every path that follows the choices from a winning non-target state
+    reaches a target without repeating a state and never meets the failure
+    state. Weak until: the failure state is never winning, every winning state
+    has a choice, and every chosen action keeps all successors winning.
+    """
+    problems = []
+    if nonempty != solution.wins(automaton.init):
+        problems.append("verdict disagrees with the winning region at init")
+    if automaton.kind == "until":
+        def every_choice_path_hits_target(state, on_path):
+            if automaton.is_target(state):
+                return True
+            if state.is_bot or state in on_path or state not in solution.choice:
+                return False
+            c_a = solution.choice[state]
+            return all(every_choice_path_hits_target(t, on_path | {state})
+                       for t in automaton.delta[(state, c_a)])
+
+        for state in solution.winning:
+            if not every_choice_path_hits_target(state, frozenset()):
+                problems.append("choice path from %s misses the targets"
+                                % automaton.pretty(state))
+    else:
+        if solution.wins(BOT):
+            problems.append("the failure state is winning")
+        for state in solution.winning:
+            if state not in solution.choice:
+                problems.append("winning %s has no choice" % automaton.pretty(state))
+            elif not all(solution.wins(t)
+                         for t in automaton.delta[(state, solution.choice[state])]):
+                problems.append("choice at %s leaves the winning region"
+                                % automaton.pretty(state))
+    return problems
+
+
+def choice_game_violations_on_every_kset(g, rng):
+    """Solve both goal kinds on every kset of g and collect the violations."""
+    coalition = random_coalition(rng)
+    props = sorted(g.props)
+    p1, p2 = rng.choice(props), rng.choice(props)
+    hat = split(g, coalition)
+    found = []
+    for s in hat.ksets:
+        for build, decide in ((build_until_automaton, check_until_nonempty),
+                              (build_weak_until_automaton, check_weak_nonempty)):
+            automaton = build(hat, coalition, p1, p2, s)
+            problems = choice_game_violations(automaton, *decide(automaton))
+            found.extend((automaton.kind, sorted(s), p) for p in problems)
+    return found
+
+
+class TestChoiceGames:
+    def test_choices_win_on_every_kset(self):
+        for seed in range(500):
+            rng = random.Random(seed)
+            g = random_arena(rng, max_states=5)
+            if g.props:
+                assert choice_game_violations_on_every_kset(g, rng) == [], seed
+
+    def test_weak_choice_revised_after_a_later_state_loses(self):
+        # On kset {q2} the weak-until sweep first records a choice whose
+        # successor only joins the losing region in a later sweep.
+        rng = random.Random(1573)
+        g = random_arena(rng, max_states=8)
+        assert choice_game_violations_on_every_kset(g, rng) == []
+
+
 class TestGenericOracle:
     def test_never_accepting_family(self):
         arena = one_agent_arena()
@@ -272,4 +343,27 @@ class TestExtractedWitnesses:
             holds1=lambda q: p1 in g.labels[q],
             holds2=lambda q: p2 in g.labels[q],
             depth=2 * len(automaton))
+        assert failures == []
+
+
+class TestWeakWitnessReplay:
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3")
+    def test_weak_until_witness_survives_replay(self):
+        # The witness map only covers histories of length <= 2 here; longer
+        # plays fall back to the default action and lose at length 4.
+        rng = random.Random(473)
+        g = random_arena(rng, max_states=5)
+        coalition = random_coalition(rng)
+        props = sorted(g.props)
+        p1, p2 = rng.choice(props), rng.choice(props)
+        text = "<%s>(%s W %s)" % (",".join(coalition), p1, p2)
+        verdict = model_check(g, text)
+        if text != "<a1,a2>(p W q)" or not verdict.holds:
+            pytest.fail("seed 473 no longer draws a positive <a1,a2>(p W q)")
+        level = verdict.table.levels[-1]
+        failures = replay_until(
+            g, coalition, verdict.witness(),
+            holds1=lambda q: p1 in g.labels[q],
+            holds2=lambda q: p2 in g.labels[q],
+            depth=4 * len(level.hat.arena.states) + 6, weak=True)
         assert failures == []
