@@ -30,6 +30,7 @@ class Arena:
         self.hidden = frozenset(hidden)
         self.transitions = {key: frozenset(targets) for key, targets in transitions.items()}
         self._state_index = {q: i for i, q in enumerate(self.states)}
+        self._coalitions = {}
         self._validate()
 
     def _validate(self):
@@ -82,19 +83,29 @@ class Arena:
         """All joint actions, in the canonical per-agent order."""
         return itertools.product(*(self.actions[a] for a in self.agents))
 
+    def _coalition_view(self, coalition):
+        """(members in agent order, props they observe), memoized per coalition.
+
+        Only validated coalitions are stored, so unknown members raise on
+        every call.
+        """
+        key = frozenset(coalition)
+        view = self._coalitions.get(key)
+        if view is None:
+            unknown = key - set(self.agents)
+            if unknown:
+                raise ArenaError("unknown coalition members %s" % sorted(unknown))
+            members = tuple(a for a in self.agents if a in key)
+            props = frozenset().union(*(self.observes[a] for a in members))
+            view = self._coalitions[key] = (members, props)
+        return view
+
     def coalition_tuple(self, coalition):
         """Canonical ordering of a coalition: arena agent order."""
-        members = set(coalition)
-        unknown = members - set(self.agents)
-        if unknown:
-            raise ArenaError("unknown coalition members %s" % sorted(unknown))
-        return tuple(a for a in self.agents if a in members)
+        return self._coalition_view(coalition)[0]
 
     def coalition_props(self, coalition):
-        members = self.coalition_tuple(coalition)
-        if not members:
-            return frozenset()
-        return frozenset().union(*(self.observes[a] for a in members))
+        return self._coalition_view(coalition)[1]
 
     def coalition_actions(self, coalition):
         """All coalition action tuples, aligned with coalition_tuple order."""
@@ -120,7 +131,7 @@ class Arena:
         """The coalition's observation of a state: its label restricted to visible props."""
         if q not in self._state_index:
             raise ArenaError("unknown state %s" % q)
-        return self.labels[q] & self.coalition_props(coalition)
+        return self.labels[q] & self._coalition_view(coalition)[1]
 
     def out(self, source, coalition, c_a, z):
         """Successors of the source set under c_a whose coalition observation is exactly z.

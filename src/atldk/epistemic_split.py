@@ -54,6 +54,8 @@ class HatArena:
         self.base = base
         self.kset = kset
         self.ksets = frozenset(kset.values())
+        # Goal-automaton transitions per (p1, p2), filled by strategy_automata.
+        self._goal_tables = {}
 
     def hat_states(self):
         return self.arena.states

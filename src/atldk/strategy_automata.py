@@ -1,5 +1,7 @@
 """Goal tree automata over a refined arena: obligation tracking for until and
-weak-until coalition goals, one automaton per knowledge set."""
+weak-until coalition goals. Each automaton state is expanded once per refined
+arena and goal pair; the automaton of a knowledge set is the part of that
+shared transition table reachable from the set's initial state."""
 
 from __future__ import annotations
 
@@ -99,7 +101,13 @@ def build_weak_until_automaton(hat, coalition, p1, p2, source_kset):
 
 
 def _build(kind, hat, coalition, p1, p2, source_kset):
-    """Shared construction; until and weak-until differ only in acceptance."""
+    """Shared construction; until and weak-until differ only in acceptance.
+
+    A state's transitions do not depend on the kset the exploration started
+    from, so they are kept on the hat per (p1, p2) and each state is expanded
+    once however many ksets reach it. The automaton is the part of that table
+    reachable from the kset's initial state, in breadth-first order.
+    """
     if frozenset(coalition) != hat.coalition:
         raise AutomatonError("coalition mismatch: refined arena was built for {%s}"
                              % ",".join(sorted(hat.coalition)))
@@ -127,6 +135,29 @@ def _build(kind, hat, coalition, p1, p2, source_kset):
         init = check_pair(AutomatonState(s - discharged, s))
 
     alphabet = g.coalition_actions(coalition)
+
+    def expand(state):
+        """(successors, observed classes) for each coalition action in turn."""
+        row = []
+        for c_a in alphabet:
+            failed = state.is_bot or any(
+                not (g.labels[t] & goal)
+                for r in state.pending
+                for c in g.extensions(coalition, c_a)
+                for t in g.succ(r, c))
+            if failed:
+                row.append(((BOT,), ()))
+                continue
+            pending_out = g.outcome_classes(state.pending, coalition, c_a)
+            kset_out = enumerate_observation_classes(hat, state.kset, c_a)
+            pairs = []
+            for z, r2 in kset_out:
+                r1 = pending_out.get(z, frozenset()) - discharged
+                pairs.append((z, check_pair(AutomatonState(r1, r2))))
+            row.append((tuple(t for _, t in pairs), tuple(pairs)))
+        return row
+
+    table = hat._goal_tables.setdefault((p1, p2), {})
     states = []
     seen = set()
     delta = {}
@@ -136,28 +167,10 @@ def _build(kind, hat, coalition, p1, p2, source_kset):
     while queue:
         state = queue.popleft()
         states.append(state)
-        for c_a in alphabet:
-            if state.is_bot:
-                successors = (BOT,)
-                class_list = ()
-            else:
-                failed = any(
-                    not (g.labels[t] & goal)
-                    for r in state.pending
-                    for c in g.extensions(coalition, c_a)
-                    for t in g.succ(r, c))
-                if failed:
-                    successors = (BOT,)
-                    class_list = ()
-                else:
-                    pending_out = g.outcome_classes(state.pending, coalition, c_a)
-                    kset_out = enumerate_observation_classes(hat, state.kset, c_a)
-                    pairs = []
-                    for z, r2 in kset_out:
-                        r1 = pending_out.get(z, frozenset()) - discharged
-                        pairs.append((z, check_pair(AutomatonState(r1, r2))))
-                    successors = tuple(t for _, t in pairs)
-                    class_list = tuple(pairs)
+        row = table.get(state)
+        if row is None:
+            row = table[state] = expand(state)
+        for c_a, (successors, class_list) in zip(alphabet, row):
             delta[(state, c_a)] = successors
             classes[(state, c_a)] = class_list
             for t in successors:

@@ -196,6 +196,29 @@ class TestCoalitions:
         assert "x_b" not in corpus.coalition_props(["Alice"])
         assert corpus.coalition_props([]) == frozenset()
 
+    def test_memoized_views_never_go_stale(self):
+        arena = load_alicebob()
+        spellings = (["Bob", "Alice"], ("Alice", "Bob"), frozenset(AB), ["Bob", "Alice"])
+        for coalition in spellings:
+            assert arena.coalition_tuple(coalition) == ("Alice", "Bob")
+            assert arena.coalition_props(coalition) == arena.observes["Alice"] | arena.observes["Bob"]
+            assert arena.obs(coalition, "q4") == frozenset({"y_a", "x_b", "valid"})
+        for coalition in (["Alice"], ("Alice",), frozenset({"Alice"}), ["Alice"]):
+            assert arena.coalition_tuple(coalition) == ("Alice",)
+            assert arena.coalition_props(coalition) == arena.observes["Alice"]
+            assert arena.obs(coalition, "q4") == frozenset({"y_a", "valid"})
+        for _ in range(2):
+            with pytest.raises(ArenaError):
+                arena.coalition_tuple(["Alice", "Eve"])
+            with pytest.raises(ArenaError):
+                arena.coalition_props(("Eve",))
+            with pytest.raises(ArenaError):
+                arena.obs(frozenset({"Eve"}), "q4")
+        seen = arena.with_prop("seen", ["q4"], hidden=False)
+        assert "seen" in seen.coalition_props(["Alice"])
+        assert seen.obs(["Alice"], "q4") == frozenset({"y_a", "valid", "seen"})
+        assert "seen" not in arena.coalition_props(["Alice"])
+
     def test_extensions_fix_only_the_coalition(self, corpus):
         exts = list(corpus.extensions(["Alice"], ("i",)))
         assert len(exts) == 5

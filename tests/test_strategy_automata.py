@@ -194,6 +194,37 @@ class TestInvariants:
                 assert set(successors) <= universe
 
 
+class TestSharedTable:
+    def test_views_equal_fresh_builds(self):
+        """Automata built on one hat, whose transition table every kset
+        shares, equal automata built alone on a fresh split."""
+        builders = (build_until_automaton, build_weak_until_automaton)
+        for seed in range(300):
+            rng = random.Random(seed)
+            g = random_arena(rng, max_states=5)
+            if not g.props:
+                continue
+            coalition = random_coalition(rng)
+            props = sorted(g.props)
+            p1, p2 = rng.choice(props), rng.choice(props)
+            shared = split(g, coalition)
+            ksets = sorted(shared.ksets, key=g.sorted_states)
+            # Goal pairs sharing p1 or p2 on one hat: their tables stay apart.
+            pairs = sorted({(p1, q) for q in props} | {(q, p2) for q in props})
+            views = [(build, s, goals, build(shared, coalition, *goals, s))
+                     for goals in pairs
+                     for s in ksets for build in builders]
+            for build, s, goals, view in views:
+                fresh = build(split(g, coalition), coalition, *goals, s)
+                case = (seed, goals, sorted(s))
+                assert view.states == fresh.states, case
+                assert view.init == fresh.init, case
+                assert view.delta == fresh.delta, case
+                assert view.classes == fresh.classes, case
+                assert set(view.delta) == {
+                    (q, c_a) for q in view.states for c_a in view.alphabet}
+
+
 class TestObservationClasses:
     def test_deterministic_order(self, goal_hat):
         classes = enumerate_observation_classes(goal_hat, frozenset({"q1", "q2", "q3"}), ("i", "i"))
