@@ -16,7 +16,6 @@ from .arena import (
     Run,
     Strategy,
     load_arena,
-    obs_equiv,
 )
 from .checker import (
     DEFAULT_STATE_CAP,
@@ -44,12 +43,9 @@ from .emptiness import (
 )
 from .epistemic_split import (
     HatArena,
-    HatState,
     SplitLimitExceeded,
     label_knowledge,
     label_next,
-    lift_run,
-    project_run,
     split,
 )
 from .formula import (
@@ -73,11 +69,11 @@ from .strategy_automata import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Arena", "ArenaError", "Run", "Strategy", "SINK_ID", "load_arena", "obs_equiv",
+    "Arena", "ArenaError", "Run", "Strategy", "SINK_ID", "load_arena",
     "Formula", "FormulaError", "ParseError", "parse_formula", "desugar",
     "enumerate_subformulas",
-    "HatArena", "HatState", "SplitLimitExceeded", "split",
-    "label_knowledge", "label_next", "lift_run", "project_run",
+    "HatArena", "SplitLimitExceeded", "split",
+    "label_knowledge", "label_next",
     "AutomatonError", "AutomatonState", "BOT", "TreeAutomaton",
     "build_until_automaton", "build_weak_until_automaton", "to_dot",
     "EmptinessError", "GameSolution", "DEFAULT_ORACLE_GUARD",

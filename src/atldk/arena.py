@@ -42,6 +42,8 @@ class Arena:
             raise ArenaError("duplicate agent names")
         if len(self._state_index) != len(self.states):
             raise ArenaError("duplicate state ids")
+        if len(set(self.initial)) != len(self.initial):
+            raise ArenaError("duplicate initial state ids")
         for a in self.agents:
             if not self.actions[a]:
                 raise ArenaError("agent %s has no actions" % a)
@@ -133,20 +135,6 @@ class Arena:
             raise ArenaError("unknown state %s" % q)
         return self.labels[q] & self._coalition_view(coalition)[1]
 
-    def out(self, source, coalition, c_a, z):
-        """Successors of the source set under c_a whose coalition observation is exactly z.
-
-        Props visible to the coalition but outside z must be false at the successor.
-        """
-        z = frozenset(z)
-        result = set()
-        for c in self.extensions(coalition, c_a):
-            for s in source:
-                for t in self.succ(s, c):
-                    if self.obs(coalition, t) == z:
-                        result.add(t)
-        return frozenset(result)
-
     def outcome_classes(self, source, coalition, c_a):
         """Group all successors of the source set under extensions of c_a by
         their coalition observation. Returns {observation: successor set}."""
@@ -213,6 +201,17 @@ def _require(condition, message):
         raise ArenaError(message)
 
 
+def _list(value, field, *where):
+    """The value of a list field; a string would otherwise be read as its characters.
+
+    The field name is formatted with where only on failure: this runs once per
+    state and transition.
+    """
+    if not isinstance(value, list):
+        raise ArenaError("%s must be a list" % (field % where))
+    return value
+
+
 def load_arena(document, allow_reserved=False):
     """Build a validated Arena from a document (dict, JSON text, or file path).
 
@@ -246,9 +245,9 @@ def load_arena(document, allow_reserved=False):
         _require(isinstance(entry["actions"], list) and entry["actions"],
                  "agent %s needs a nonempty action list" % name)
         actions[name] = list(entry["actions"])
-        observes[name] = set(entry.get("observes", []))
+        observes[name] = set(_list(entry.get("observes", []), "'observes' of agent %s", name))
 
-    hidden = set(document.get("hidden_props", []))
+    hidden = set(_list(document.get("hidden_props", []), "'hidden_props'"))
     visible = set().union(*observes.values()) if observes else set()
     overlap = hidden & visible
     _require(not overlap, "props both hidden and observed: %s" % sorted(overlap))
@@ -259,18 +258,18 @@ def load_arena(document, allow_reserved=False):
 
     states = []
     labels = {}
-    for entry in document["states"]:
+    for entry in _list(document["states"], "'states'"):
         _require(isinstance(entry, dict) and "id" in entry, "each state needs an id")
         q = entry["id"]
         _require(q not in labels, "duplicate state id %s" % q)
         states.append(q)
-        labels[q] = set(entry.get("labels", []))
+        labels[q] = set(_list(entry.get("labels", []), "'labels' of state %s", q))
 
-    initial = list(document["initial"])
+    initial = _list(document["initial"], "'initial'")
     _require(initial, "initial state list is empty")
 
     transitions = {}
-    for entry in document["transitions"]:
+    for entry in _list(document["transitions"], "'transitions'"):
         _require(isinstance(entry, dict) and "from" in entry and "actions" in entry
                  and "to" in entry, "each transition needs from, actions, to")
         q = entry["from"]
@@ -279,8 +278,8 @@ def load_arena(document, allow_reserved=False):
         _require(set(action_map) == set(agents),
                  "transition from %s must assign an action to every agent" % q)
         c = tuple(action_map[a] for a in agents)
-        key = (q, c)
-        transitions.setdefault(key, set()).update(entry["to"])
+        targets = _list(entry["to"], "'to' of a transition from %s", q)
+        transitions.setdefault((q, c), set()).update(targets)
 
     if document.get("complete_with_sink", False):
         _require(SINK_ID not in labels, "state id %r is reserved for the sink" % SINK_ID)
@@ -340,20 +339,6 @@ class Run:
             if q2 not in arena.succ(q, c):
                 return False
         return True
-
-
-def obs_equiv(arena, coalition, run1, run2):
-    """Observational equivalence: equal length, equal coalition-projected actions
-    at every step, equal coalition observations at every position."""
-    if len(run1) != len(run2):
-        return False
-    for c1, c2 in zip(run1.actions, run2.actions):
-        if arena.restrict_action(coalition, c1) != arena.restrict_action(coalition, c2):
-            return False
-    for q1, q2 in zip(run1.states, run2.states):
-        if arena.obs(coalition, q1) != arena.obs(coalition, q2):
-            return False
-    return True
 
 
 class Strategy:

@@ -5,32 +5,11 @@ from __future__ import annotations
 
 from collections import deque
 
-from .arena import Arena, ArenaError, Run
+from .arena import Arena, ArenaError
 
 
 class SplitLimitExceeded(ArenaError):
     """Raised when a refinement would materialize more states than allowed."""
-
-
-class HatState:
-    """A refined state: a base state paired with its knowledge set."""
-
-    __slots__ = ("base", "kset")
-
-    def __init__(self, base, kset):
-        self.base = base
-        self.kset = frozenset(kset)
-        if base not in self.kset:
-            raise ArenaError("hat state %s not a member of its kset" % base)
-
-    def __eq__(self, other):
-        return isinstance(other, HatState) and self.base == other.base and self.kset == other.kset
-
-    def __hash__(self):
-        return hash((self.base, self.kset))
-
-    def __repr__(self):
-        return "HatState(%s, {%s})" % (self.base, ",".join(sorted(self.kset)))
 
 
 def hat_id(arena, base, kset):
@@ -57,17 +36,6 @@ class HatArena:
         # Goal-automaton transitions per (p1, p2), filled by strategy_automata.
         self._goal_tables = {}
 
-    def hat_states(self):
-        return self.arena.states
-
-    def states_with_kset(self, s):
-        s = frozenset(s)
-        return [h for h in self.arena.states if self.kset[h] == s]
-
-    def same_kset(self, h1, h2):
-        """The knowledge-set equivalence on refined states."""
-        return self.kset[h1] == self.kset[h2]
-
     def require_kset(self, s):
         s = frozenset(s)
         if s not in self.ksets:
@@ -78,98 +46,58 @@ class HatArena:
 def split(g, coalition, limit=None):
     """Build the refined arena for a coalition, materializing reachable states only.
 
-    The initial refined states pair each initial state with the initial states
-    it cannot be told apart from; knowledge sets then evolve deterministically
-    per coalition action and observed label. A limit aborts the construction
-    once more refined states than that would be materialized.
+    A refined state is a pair (base state, kset). The initial refined states
+    pair each initial state with the initial states it cannot be told apart
+    from; knowledge sets then evolve deterministically per coalition action
+    and observed label. A limit aborts the construction once more refined
+    states than that would be materialized.
     """
-    members = g.coalition_tuple(coalition)
-    initial_hats = []
-    for q0 in g.initial:
-        z0 = g.obs(coalition, q0)
-        s0 = frozenset(s for s in g.initial if g.obs(coalition, s) == z0)
-        initial_hats.append(HatState(q0, s0))
-
     ids = {}
     base = {}
     kset = {}
     states = []
     labels = {}
+    frontier = deque()
 
-    def intern(h):
-        if h in ids:
-            return ids[h]
+    def intern(q, s):
+        """The id of the refined state (q, s), materializing it on first sight."""
+        hid = ids.get((q, s))
+        if hid is not None:
+            return hid
+        if q not in s:
+            raise ArenaError("hat state %s not a member of its kset" % q)
         if limit is not None and len(states) >= limit:
             raise SplitLimitExceeded(
                 "state cap exceeded: refinement for {%s} needs more than %d states"
                 % (",".join(sorted(coalition)), limit))
-        hid = hat_id(g, h.base, h.kset)
-        ids[h] = hid
-        base[hid] = h.base
-        kset[hid] = h.kset
+        hid = ids[(q, s)] = hat_id(g, q, s)
+        base[hid] = q
+        kset[hid] = s
         states.append(hid)
-        labels[hid] = g.labels[h.base]
+        labels[hid] = g.labels[q]
+        frontier.append(hid)
         return hid
 
-    frontier = deque()
-    for h in initial_hats:
-        if h not in ids:
-            intern(h)
-            frontier.append(h)
-    initial_ids = [ids[h] for h in initial_hats]
+    initial_ids = []
+    for q0 in g.initial:
+        z0 = g.obs(coalition, q0)
+        s0 = frozenset(s for s in g.initial if g.obs(coalition, s) == z0)
+        initial_ids.append(intern(q0, s0))
 
     transitions = {}
     joint = list(g.joint_actions())
     while frontier:
-        h = frontier.popleft()
-        hid = ids[h]
+        hid = frontier.popleft()
+        q, s = base[hid], kset[hid]
         for c in joint:
             c_a = g.restrict_action(coalition, c)
-            classes = g.outcome_classes(h.kset, coalition, c_a)
-            targets = set()
-            for q2 in g.sorted_states(g.succ(h.base, c)):
-                h2 = HatState(q2, classes[g.obs(coalition, q2)])
-                if h2 not in ids:
-                    intern(h2)
-                    frontier.append(h2)
-                targets.add(ids[h2])
-            transitions[(hid, c)] = targets
+            classes = g.outcome_classes(s, coalition, c_a)
+            transitions[(hid, c)] = {intern(q2, classes[g.obs(coalition, q2)])
+                                     for q2 in g.sorted_states(g.succ(q, c))}
 
     arena = Arena(g.agents, g.actions, states, labels, initial_ids,
                   g.observes, g.hidden, transitions)
     return HatArena(arena, g, coalition, base, kset)
-
-
-def lift_run(g, hat, run):
-    """The unique refined run matching an initialized run of the source arena."""
-    if not run.is_initialized(g):
-        raise ArenaError("run does not start in an initial state")
-    if not run.is_valid(g):
-        raise ArenaError("run does not follow the transition relation")
-    start = None
-    for hid in hat.arena.initial:
-        if hat.base[hid] == run.states[0]:
-            start = hid
-            break
-    if start is None:
-        raise ArenaError("no initial refined state for %s" % run.states[0])
-    states = [start]
-    for c, q2 in zip(run.actions, run.states[1:]):
-        current = states[-1]
-        target = None
-        for hid in hat.arena.succ(current, c):
-            if hat.base[hid] == q2:
-                target = hid
-                break
-        if target is None:
-            raise ArenaError("run step %s -%r-> %s does not lift" % (current, c, q2))
-        states.append(target)
-    return Run(states, run.actions)
-
-
-def project_run(hat, run):
-    """Drop the knowledge sets from a refined run."""
-    return Run([hat.base[hid] for hid in run.states], run.actions)
 
 
 def label_knowledge(hat, prop):

@@ -6,6 +6,7 @@ shared transition table reachable from the set's initial state."""
 from __future__ import annotations
 
 from collections import deque
+from operator import itemgetter
 
 from .arena import ArenaError
 
@@ -14,29 +15,27 @@ class AutomatonError(Exception):
     pass
 
 
-class AutomatonState:
+class AutomatonState(tuple):
     """Either the absorbing failure state or an obligation pair (pending, kset).
 
     pending holds the states whose histories have not yet discharged the goal;
-    kset is the knowledge set those histories could be in.
+    kset is the knowledge set those histories could be in. A state is the
+    tuple (pending, kset) of frozensets, BOT is (None, None), and hashing and
+    equality are the tuple's own.
     """
 
-    __slots__ = ("pending", "kset")
+    __slots__ = ()
 
-    def __init__(self, pending, kset):
-        self.pending = frozenset(pending) if pending is not None else None
-        self.kset = frozenset(kset) if kset is not None else None
+    def __new__(cls, pending, kset):
+        return tuple.__new__(cls, (frozenset(pending) if pending is not None else None,
+                                   frozenset(kset) if kset is not None else None))
+
+    pending = property(itemgetter(0))
+    kset = property(itemgetter(1))
 
     @property
     def is_bot(self):
-        return self.kset is None
-
-    def __eq__(self, other):
-        return (isinstance(other, AutomatonState)
-                and self.pending == other.pending and self.kset == other.kset)
-
-    def __hash__(self):
-        return hash((self.pending, self.kset))
+        return self[1] is None
 
     def __repr__(self):
         return "AutomatonState(%s)" % self.pretty()
@@ -138,17 +137,14 @@ def _build(kind, hat, coalition, p1, p2, source_kset):
 
     def expand(state):
         """(successors, observed classes) for each coalition action in turn."""
+        if state.is_bot:
+            return [((BOT,), ())] * len(alphabet)
         row = []
         for c_a in alphabet:
-            failed = state.is_bot or any(
-                not (g.labels[t] & goal)
-                for r in state.pending
-                for c in g.extensions(coalition, c_a)
-                for t in g.succ(r, c))
-            if failed:
+            pending_out = g.outcome_classes(state.pending, coalition, c_a)
+            if any(not (g.labels[t] & goal) for r1 in pending_out.values() for t in r1):
                 row.append(((BOT,), ()))
                 continue
-            pending_out = g.outcome_classes(state.pending, coalition, c_a)
             kset_out = enumerate_observation_classes(hat, state.kset, c_a)
             pairs = []
             for z, r2 in kset_out:

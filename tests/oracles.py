@@ -11,7 +11,7 @@ public Arena interface.
 
 import itertools
 
-from atldk import load_arena
+from atldk import ArenaError, Run, load_arena
 
 AGENTS = ("a1", "a2")
 PROP_POOL = ("p", "q", "r")
@@ -97,8 +97,6 @@ def initialized_runs(arena, depth):
 
     Exhaustive, so only call this on very small arenas.
     """
-    from atldk import Run
-
     frontier = [Run([q]) for q in arena.initial]
     runs = list(frontier)
     for _ in range(depth):
@@ -117,6 +115,35 @@ def obs_signature(arena, coalition, run):
     acts = tuple(arena.restrict_action(coalition, c) for c in run.actions)
     views = tuple(arena.obs(coalition, q) for q in run.states)
     return (acts, views)
+
+
+def obs_equiv(arena, coalition, run1, run2):
+    """Observational equivalence: equal length, equal coalition-projected actions
+    at every step, equal coalition observations at every position."""
+    if len(run1) != len(run2):
+        return False
+    for c1, c2 in zip(run1.actions, run2.actions):
+        if arena.restrict_action(coalition, c1) != arena.restrict_action(coalition, c2):
+            return False
+    for q1, q2 in zip(run1.states, run2.states):
+        if arena.obs(coalition, q1) != arena.obs(coalition, q2):
+            return False
+    return True
+
+
+def out(arena, source, coalition, c_a, z):
+    """Successors of the source set under c_a whose coalition observation is exactly z.
+
+    Props visible to the coalition but outside z must be false at the successor.
+    """
+    z = frozenset(z)
+    result = set()
+    for c in arena.extensions(coalition, c_a):
+        for s in source:
+            for t in arena.succ(s, c):
+                if arena.obs(coalition, t) == z:
+                    result.add(t)
+    return frozenset(result)
 
 
 def equivalence_classes(arena, coalition, runs):
@@ -274,14 +301,55 @@ def resplit_isomorphism_failures(first, second):
             if got != want or len(got) != len(g2.succ(h, c)):
                 problems.append("transition mismatch at (%s, %r)" % (h, c))
     for h in g2.states:
-        want = frozenset(first.states_with_kset(first.kset[base[h]]))
+        want = frozenset(states_with_kset(first, first.kset[base[h]]))
         if second.kset[h] != want:
             problems.append("knowledge set at %s is not the class of %s" % (h, base[h]))
     return problems
 
 
+def states_with_kset(hat, s):
+    """The refined states whose knowledge set is s."""
+    s = frozenset(s)
+    return [h for h in hat.arena.states if hat.kset[h] == s]
+
+
+def same_kset(hat, h1, h2):
+    """The knowledge-set equivalence on refined states."""
+    return hat.kset[h1] == hat.kset[h2]
+
+
+def lift_run(g, hat, run):
+    """The unique refined run matching an initialized run of the source arena."""
+    if not run.is_initialized(g):
+        raise ArenaError("run does not start in an initial state")
+    if not run.is_valid(g):
+        raise ArenaError("run does not follow the transition relation")
+    start = None
+    for hid in hat.arena.initial:
+        if hat.base[hid] == run.states[0]:
+            start = hid
+            break
+    if start is None:
+        raise ArenaError("no initial refined state for %s" % run.states[0])
+    states = [start]
+    for c, q2 in zip(run.actions, run.states[1:]):
+        current = states[-1]
+        target = None
+        for hid in hat.arena.succ(current, c):
+            if hat.base[hid] == q2:
+                target = hid
+                break
+        if target is None:
+            raise ArenaError("run step %s -%r-> %s does not lift" % (current, c, q2))
+        states.append(target)
+    return Run(states, run.actions)
+
+
+def project_run(hat, run):
+    """Drop the knowledge sets from a refined run."""
+    return Run([hat.base[hid] for hid in run.states], run.actions)
+
+
 def hat_state_of(g, hat, run):
     """The refined state a source run ends in."""
-    from atldk import lift_run
-
     return lift_run(g, hat, run).states[-1]

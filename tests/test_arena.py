@@ -6,8 +6,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from atldk import Arena, ArenaError, Run, SINK_ID, Strategy, load_arena, load_alicebob, obs_equiv
-from oracles import random_arena, random_arena_document
+from atldk import Arena, ArenaError, Run, SINK_ID, Strategy, load_arena, load_alicebob
+from oracles import obs_equiv, out, random_arena, random_arena_document
 
 AB = ["Alice", "Bob"]
 
@@ -180,6 +180,68 @@ class TestLoadErrors:
         with pytest.raises(ArenaError):
             load_arena(doc)
 
+    def test_duplicate_initial(self):
+        with pytest.raises(ArenaError, match="duplicate initial"):
+            load_arena(tiny_document(initial=["s0", "s0"]))
+        g = load_arena(tiny_document())
+        with pytest.raises(ArenaError, match="duplicate initial"):
+            Arena(g.agents, g.actions, g.states, g.labels, ["s1", "s0", "s1"],
+                  g.observes, g.hidden, g.transitions)
+
+
+def one_letter_document():
+    """An arena whose state ids and props are single letters, so a string in a
+    list field would spell valid members one character at a time."""
+    return {
+        "agents": [{"name": "x", "actions": ["go"], "observes": ["p", "q"]}],
+        "hidden_props": ["r"],
+        "states": [{"id": "a", "labels": ["p", "r"]}, {"id": "b", "labels": []}],
+        "initial": ["a"],
+        "transitions": [
+            {"from": "a", "actions": {"x": "go"}, "to": ["a", "b"]},
+            {"from": "b", "actions": {"x": "go"}, "to": ["b"]},
+        ],
+    }
+
+
+class TestListFields:
+    """Every list field must be a JSON list, never a string read letter by letter."""
+
+    def test_the_document_loads_with_lists(self):
+        g = load_arena(one_letter_document())
+        assert g.succ("a", ("go",)) == frozenset({"a", "b"})
+        assert g.labels["a"] == frozenset({"p", "r"})
+
+    def test_to_must_be_a_list(self):
+        doc = one_letter_document()
+        doc["transitions"][0]["to"] = "ab"
+        with pytest.raises(ArenaError, match="'to'"):
+            load_arena(doc)
+        doc = tiny_document()
+        doc["transitions"][0]["to"] = "s1"
+        with pytest.raises(ArenaError, match="'to' of a transition from s0"):
+            load_arena(doc)
+
+    def test_initial_must_be_a_list(self):
+        with pytest.raises(ArenaError, match="'initial'"):
+            load_arena(dict(one_letter_document(), initial="a"))
+
+    def test_observes_must_be_a_list(self):
+        doc = one_letter_document()
+        doc["agents"][0]["observes"] = "pq"
+        with pytest.raises(ArenaError, match="'observes' of agent x"):
+            load_arena(doc)
+
+    def test_hidden_props_must_be_a_list(self):
+        with pytest.raises(ArenaError, match="'hidden_props'"):
+            load_arena(dict(one_letter_document(), hidden_props="r"))
+
+    def test_labels_must_be_a_list(self):
+        doc = one_letter_document()
+        doc["states"][0]["labels"] = "pr"
+        with pytest.raises(ArenaError, match="'labels' of state a"):
+            load_arena(doc)
+
 
 class TestCoalitions:
     def test_coalition_tuple_uses_agent_order(self, corpus):
@@ -254,22 +316,22 @@ class TestObservations:
 
 class TestOut:
     def test_out_golden_initial_step(self, corpus):
-        assert corpus.out({"q0"}, AB, ("g", "g"), {"valid"}) == frozenset({"q1", "q2", "q3"})
-        assert corpus.out({"q0"}, AB, ("g", "g"), set()) == frozenset()
+        assert out(corpus, {"q0"}, AB, ("g", "g"), {"valid"}) == frozenset({"q1", "q2", "q3"})
+        assert out(corpus, {"q0"}, AB, ("g", "g"), set()) == frozenset()
 
     def test_out_splits_by_exact_observation(self, corpus):
         source = {"q1", "q2", "q3"}
-        assert corpus.out(source, AB, ("i", "i"), {"y_a", "x_b", "valid"}) == frozenset({"q4"})
-        assert corpus.out(source, AB, ("i", "i"), {"x_a", "x_b", "valid"}) == frozenset({"q5"})
-        assert corpus.out(source, AB, ("i", "i"), {"x_a", "y_b", "valid"}) == frozenset({"q6"})
+        assert out(corpus, source, AB, ("i", "i"), {"y_a", "x_b", "valid"}) == frozenset({"q4"})
+        assert out(corpus, source, AB, ("i", "i"), {"x_a", "x_b", "valid"}) == frozenset({"q5"})
+        assert out(corpus, source, AB, ("i", "i"), {"x_a", "y_b", "valid"}) == frozenset({"q6"})
 
     def test_single_agent_view_merges_states(self, corpus):
         source = {"q1", "q2", "q3"}
-        merged = corpus.out(source, ["Alice"], ("i",), {"x_a", "valid"})
+        merged = out(corpus, source, ["Alice"], ("i",), {"x_a", "valid"})
         assert merged == frozenset({"q5", "q6"})
 
     def test_out_includes_opponent_deviations(self, corpus):
-        hit_sink = corpus.out({"q1"}, ["Alice"], ("i",), set())
+        hit_sink = out(corpus, {"q1"}, ["Alice"], ("i",), set())
         assert hit_sink == frozenset({SINK_ID})
 
     @settings(max_examples=60, deadline=None)
@@ -285,7 +347,7 @@ class TestOut:
                       for s in source for t in g.succ(s, c)}
         assert frozenset().union(*classes.values()) == everything if classes else not everything
         for z, members in classes.items():
-            assert members == g.out(source, coalition, c_a, z)
+            assert members == out(g, source, coalition, c_a, z)
             assert all(g.obs(coalition, t) == z for t in members)
         for z in classes:
             others = everything - classes[z]

@@ -10,10 +10,8 @@ from atldk import (
     SplitLimitExceeded,
     label_knowledge,
     label_next,
-    lift_run,
     load_alicebob,
     load_arena,
-    project_run,
     split,
 )
 from oracles import (
@@ -21,11 +19,15 @@ from oracles import (
     hat_state_of,
     initialized_runs,
     knowledge_oracle,
+    lift_run,
     next_oracle,
     obs_signature,
+    project_run,
     random_arena,
     random_coalition,
     resplit_isomorphism_failures,
+    same_kset,
+    states_with_kset,
 )
 
 AB = ["Alice", "Bob"]
@@ -273,12 +275,12 @@ class TestResplit:
 class TestHatArenaHelpers:
     def test_states_with_kset(self, corpus_hat):
         shared = frozenset({"q1", "q2", "q3"})
-        assert sorted(corpus_hat.states_with_kset(shared)) == [
+        assert sorted(states_with_kset(corpus_hat, shared)) == [
             "q1@{q1,q2,q3}", "q2@{q1,q2,q3}", "q3@{q1,q2,q3}"]
 
     def test_same_kset(self, corpus_hat):
-        assert corpus_hat.same_kset("q1@{q1,q2,q3}", "q2@{q1,q2,q3}")
-        assert not corpus_hat.same_kset("q1@{q1,q2,q3}", "q4@{q4}")
+        assert same_kset(corpus_hat, "q1@{q1,q2,q3}", "q2@{q1,q2,q3}")
+        assert not same_kset(corpus_hat, "q1@{q1,q2,q3}", "q4@{q4}")
 
     def test_require_kset(self, corpus_hat):
         from atldk import ArenaError

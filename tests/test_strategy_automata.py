@@ -225,6 +225,47 @@ class TestSharedTable:
                     (q, c_a) for q in view.states for c_a in view.alphabet}
 
 
+class TestAutomatonStateValue:
+    def test_spellings_are_one_value(self):
+        spellings = [
+            AutomatonState(["q2", "q1"], ["q1", "q2", "q3"]),
+            AutomatonState({"q1", "q2"}, {"q3", "q2", "q1"}),
+            AutomatonState(frozenset({"q1", "q2"}), frozenset({"q1", "q2", "q3"})),
+        ]
+        for first in spellings:
+            table = {first: "found"}
+            for second in spellings:
+                assert first == second
+                assert hash(first) == hash(second)
+                assert table[second] == "found"
+            assert first.pending == frozenset({"q1", "q2"})
+            assert first.kset == frozenset({"q1", "q2", "q3"})
+        assert len(set(spellings)) == 1
+        assert AutomatonState(["q1"], ["q1", "q2"]) != AutomatonState(["q2"], ["q1", "q2"])
+        assert AutomatonState(["q1"], ["q1", "q2"]) != AutomatonState(["q1"], ["q1"])
+
+    def test_bot_is_not_the_empty_pair(self):
+        empty = AutomatonState((), ())
+        assert BOT == AutomatonState(None, None)
+        assert BOT != empty and hash(BOT) != hash(empty)
+        assert len({BOT, empty}) == 2
+        assert BOT.is_bot
+        assert not empty.is_bot
+        assert not pair({"q1"}, {"q1"}).is_bot
+        assert BOT.pending is None and BOT.kset is None
+
+    def test_pretty_and_repr_pinned(self, corpus_automaton):
+        state = corpus_automaton.states[1]
+        assert state == pair({"q1", "q2", "q3"}, {"q1", "q2", "q3"})
+        assert state.pretty() == "({q1,q2,q3},{q1,q2,q3})"
+        assert repr(state) == "AutomatonState(({q1,q2,q3},{q1,q2,q3}))"
+        assert corpus_automaton.pretty(corpus_automaton.states[10]) == "({},{q12})"
+        assert repr(BOT) == "AutomatonState(bot)" and BOT.pretty() == "bot"
+        split_order = pair({"q10", "q9"}, {"q9", "q10", "q12"})
+        assert split_order.pretty() == "({q10,q9},{q10,q12,q9})"
+        assert corpus_automaton.pretty(split_order) == "({q9,q10},{q9,q10,q12})"
+
+
 class TestObservationClasses:
     def test_deterministic_order(self, goal_hat):
         classes = enumerate_observation_classes(goal_hat, frozenset({"q1", "q2", "q3"}), ("i", "i"))
