@@ -13,7 +13,6 @@ from .arena import (
     SINK_ID,
     Arena,
     ArenaError,
-    Run,
     Strategy,
     load_arena,
 )
@@ -69,7 +68,7 @@ from .strategy_automata import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Arena", "ArenaError", "Run", "Strategy", "SINK_ID", "load_arena",
+    "Arena", "ArenaError", "Strategy", "SINK_ID", "load_arena",
     "Formula", "FormulaError", "ParseError", "parse_formula", "desugar",
     "enumerate_subformulas",
     "HatArena", "SplitLimitExceeded", "split",

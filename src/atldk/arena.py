@@ -1,15 +1,31 @@
-"""Game arenas: states, labeled transitions, observations, runs, and strategies."""
+"""Game arenas: states, labeled transitions, observations, and strategies."""
 
 from __future__ import annotations
 
 import itertools
 import json
+from types import MappingProxyType
 
 from .formula import FRESH_MARK
 
 
 class ArenaError(Exception):
     pass
+
+
+class _CoalitionView:
+    """One coalition's compiled view of an arena: members in agent order, the
+    props they observe, each state's observation, the members' positions in a
+    joint action, and the memo of Arena.outcome_classes."""
+
+    __slots__ = ("members", "props", "observation", "positions", "outcomes")
+
+    def __init__(self, arena, coalition):
+        self.members = tuple(a for a in arena.agents if a in coalition)
+        self.props = frozenset().union(*(arena.observes[a] for a in self.members))
+        self.observation = {q: label & self.props for q, label in arena.labels.items()}
+        self.positions = tuple(i for i, a in enumerate(arena.agents) if a in coalition)
+        self.outcomes = {}
 
 
 class Arena:
@@ -57,8 +73,18 @@ class Arena:
             extra = label - allowed
             if extra:
                 raise ArenaError("state %s labeled with undeclared props %s" % (q, sorted(extra)))
+        # Keys are unique (a dict), so once every key is a valid pair the count
+        # proves the relation serial; the checks one by one name a failure.
+        known = frozenset(self.states)
+        joint = frozenset(self.joint_actions())
+        counted = len(self.transitions) == len(self.states) * len(joint)
         for (q, c), targets in self.transitions.items():
-            if q not in self._state_index:
+            if q in known and c in joint and targets and targets <= known:
+                continue
+            # A key that passes every check below without being a joint
+            # action (a string, say) does not count towards seriality.
+            counted = False
+            if q not in known:
                 raise ArenaError("transition from unknown state %s" % q)
             if len(c) != len(self.agents):
                 raise ArenaError("joint action %r has wrong arity" % (c,))
@@ -68,13 +94,15 @@ class Arena:
             if not targets:
                 raise ArenaError("empty successor set for state %s" % q)
             for t in targets:
-                if t not in self._state_index:
+                if t not in known:
                     raise ArenaError("transition to unknown state %s" % t)
-        for q in self.states:
-            for c in self.joint_actions():
-                if (q, c) not in self.transitions:
-                    raise ArenaError(
-                        "non-serial transition relation: state %s has no successor under %r" % (q, c))
+        if not counted:
+            for q in self.states:
+                for c in self.joint_actions():
+                    if (q, c) not in self.transitions:
+                        raise ArenaError(
+                            "non-serial transition relation: state %s has no successor under %r"
+                            % (q, c))
 
     @property
     def props(self):
@@ -86,7 +114,7 @@ class Arena:
         return itertools.product(*(self.actions[a] for a in self.agents))
 
     def _coalition_view(self, coalition):
-        """(members in agent order, props they observe), memoized per coalition.
+        """The coalition's compiled view of this arena, built on first use.
 
         Only validated coalitions are stored, so unknown members raise on
         every call.
@@ -97,17 +125,15 @@ class Arena:
             unknown = key - set(self.agents)
             if unknown:
                 raise ArenaError("unknown coalition members %s" % sorted(unknown))
-            members = tuple(a for a in self.agents if a in key)
-            props = frozenset().union(*(self.observes[a] for a in members))
-            view = self._coalitions[key] = (members, props)
+            view = self._coalitions[key] = _CoalitionView(self, key)
         return view
 
     def coalition_tuple(self, coalition):
         """Canonical ordering of a coalition: arena agent order."""
-        return self._coalition_view(coalition)[0]
+        return self._coalition_view(coalition).members
 
     def coalition_props(self, coalition):
-        return self._coalition_view(coalition)[1]
+        return self._coalition_view(coalition).props
 
     def coalition_actions(self, coalition):
         """All coalition action tuples, aligned with coalition_tuple order."""
@@ -123,27 +149,36 @@ class Arena:
 
     def restrict_action(self, coalition, c):
         """Project a joint action onto the coalition."""
-        members = set(self.coalition_tuple(coalition))
-        return tuple(act for a, act in zip(self.agents, c) if a in members)
+        return tuple([c[i] for i in self._coalition_view(coalition).positions])
 
     def succ(self, q, c):
         return self.transitions[(q, tuple(c))]
 
     def obs(self, coalition, q):
         """The coalition's observation of a state: its label restricted to visible props."""
-        if q not in self._state_index:
+        z = self._coalition_view(coalition).observation.get(q)
+        if z is None:
             raise ArenaError("unknown state %s" % q)
-        return self.labels[q] & self._coalition_view(coalition)[1]
+        return z
 
     def outcome_classes(self, source, coalition, c_a):
         """Group all successors of the source set under extensions of c_a by
-        their coalition observation. Returns {observation: successor set}."""
-        classes = {}
-        for c in self.extensions(coalition, c_a):
-            for s in source:
-                for t in self.succ(s, c):
-                    classes.setdefault(self.obs(coalition, t), set()).add(t)
-        return {z: frozenset(members) for z, members in classes.items()}
+        their coalition observation. Returns a read-only {observation: successor
+        set}, computed once per (source, c_a) and coalition."""
+        view = self._coalition_view(coalition)
+        source = frozenset(source)
+        key = (source, tuple(c_a))
+        classes = view.outcomes.get(key)
+        if classes is None:
+            grouped = {}
+            observation = view.observation
+            for c in self.extensions(coalition, c_a):
+                for s in source:
+                    for t in self.transitions[(s, c)]:
+                        grouped.setdefault(observation[t], set()).add(t)
+            classes = view.outcomes[key] = MappingProxyType(
+                {z: frozenset(members) for z, members in grouped.items()})
+        return classes
 
     def state_sort_key(self, q):
         return self._state_index[q]
@@ -212,6 +247,26 @@ def _list(value, field, *where):
     return value
 
 
+def _name(value, field, *where):
+    """The value of a name field, rejected when a JSON list or object."""
+    try:
+        hash(value)
+    except TypeError:
+        raise ArenaError("%s must be a name, not %s %r"
+                         % (field % where, type(value).__name__, value)) from None
+    return value
+
+
+def _names(value, field, *where):
+    """The entries of a list field of names, as a set."""
+    try:
+        return set(_list(value, field, *where))
+    except TypeError:
+        for entry in value:
+            _name(entry, "an entry of " + field, *where)
+        raise
+
+
 def load_arena(document, allow_reserved=False):
     """Build a validated Arena from a document (dict, JSON text, or file path).
 
@@ -239,15 +294,16 @@ def load_arena(document, allow_reserved=False):
     for entry in document["agents"]:
         _require(isinstance(entry, dict) and "name" in entry and "actions" in entry,
                  "each agent needs a name and actions")
-        name = entry["name"]
+        name = _name(entry["name"], "'name' of an agent")
         _require(name not in actions, "duplicate agent %s" % name)
         agents.append(name)
         _require(isinstance(entry["actions"], list) and entry["actions"],
                  "agent %s needs a nonempty action list" % name)
+        _names(entry["actions"], "'actions' of agent %s", name)
         actions[name] = list(entry["actions"])
-        observes[name] = set(_list(entry.get("observes", []), "'observes' of agent %s", name))
+        observes[name] = _names(entry.get("observes", []), "'observes' of agent %s", name)
 
-    hidden = set(_list(document.get("hidden_props", []), "'hidden_props'"))
+    hidden = _names(document.get("hidden_props", []), "'hidden_props'")
     visible = set().union(*observes.values()) if observes else set()
     overlap = hidden & visible
     _require(not overlap, "props both hidden and observed: %s" % sorted(overlap))
@@ -260,12 +316,13 @@ def load_arena(document, allow_reserved=False):
     labels = {}
     for entry in _list(document["states"], "'states'"):
         _require(isinstance(entry, dict) and "id" in entry, "each state needs an id")
-        q = entry["id"]
+        q = _name(entry["id"], "'id' of a state")
         _require(q not in labels, "duplicate state id %s" % q)
         states.append(q)
-        labels[q] = set(_list(entry.get("labels", []), "'labels' of state %s", q))
+        labels[q] = _names(entry.get("labels", []), "'labels' of state %s", q)
 
     initial = _list(document["initial"], "'initial'")
+    _names(initial, "'initial'")
     _require(initial, "initial state list is empty")
 
     transitions = {}
@@ -279,7 +336,15 @@ def load_arena(document, allow_reserved=False):
                  "transition from %s must assign an action to every agent" % q)
         c = tuple(action_map[a] for a in agents)
         targets = _list(entry["to"], "'to' of a transition from %s", q)
-        transitions.setdefault((q, c), set()).update(targets)
+        try:
+            transitions.setdefault((q, c), set()).update(targets)
+        except TypeError:
+            # Named only on failure: this runs once per transition.
+            _name(q, "'from' of a transition")
+            for a in agents:
+                _name(action_map[a], "the action of agent %s in a transition from %s", a, q)
+            _names(targets, "'to' of a transition from %s", q)
+            raise
 
     if document.get("complete_with_sink", False):
         _require(SINK_ID not in labels, "state id %r is reserved for the sink" % SINK_ID)
@@ -292,53 +357,6 @@ def load_arena(document, allow_reserved=False):
                     transitions[(q, c)] = {SINK_ID}
 
     return Arena(agents, actions, states, labels, initial, observes, hidden, transitions)
-
-
-class Run:
-    """A finite run: states r[0..n] connected by joint actions a[0..n-1]."""
-
-    def __init__(self, states, actions=()):
-        self.states = tuple(states)
-        self.actions = tuple(tuple(a) for a in actions)
-        if not self.states:
-            raise ArenaError("a run needs at least one state")
-        if len(self.actions) != len(self.states) - 1:
-            raise ArenaError("run has %d actions for %d states"
-                             % (len(self.actions), len(self.states)))
-
-    def __len__(self):
-        """Number of transitions."""
-        return len(self.actions)
-
-    def __eq__(self, other):
-        return (isinstance(other, Run) and self.states == other.states
-                and self.actions == other.actions)
-
-    def __hash__(self):
-        return hash((self.states, self.actions))
-
-    def __repr__(self):
-        parts = [self.states[0]]
-        for act, q in zip(self.actions, self.states[1:]):
-            parts.append("-%s->" % (act,))
-            parts.append(q)
-        return "Run(%s)" % " ".join(str(p) for p in parts)
-
-    @property
-    def last(self):
-        return self.states[-1]
-
-    def extend(self, action, state):
-        return Run(self.states + (state,), self.actions + (tuple(action),))
-
-    def is_initialized(self, arena):
-        return self.states[0] in arena.initial
-
-    def is_valid(self, arena):
-        for q, c, q2 in zip(self.states, self.actions, self.states[1:]):
-            if q2 not in arena.succ(q, c):
-                return False
-        return True
 
 
 class Strategy:

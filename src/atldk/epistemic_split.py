@@ -78,22 +78,27 @@ def split(g, coalition, limit=None):
         frontier.append(hid)
         return hid
 
+    observation = {q: g.obs(coalition, q) for q in g.states}
     initial_ids = []
     for q0 in g.initial:
-        z0 = g.obs(coalition, q0)
-        s0 = frozenset(s for s in g.initial if g.obs(coalition, s) == z0)
+        z0 = observation[q0]
+        s0 = frozenset(s for s in g.initial if observation[s] == z0)
         initial_ids.append(intern(q0, s0))
 
+    # Per base state: each joint action, its coalition part and the successors
+    # in arena order (the order refined states are interned in).
+    moves = [(c, g.restrict_action(coalition, c)) for c in g.joint_actions()]
+    rows = {}
     transitions = {}
-    joint = list(g.joint_actions())
     while frontier:
         hid = frontier.popleft()
         q, s = base[hid], kset[hid]
-        for c in joint:
-            c_a = g.restrict_action(coalition, c)
+        row = rows.get(q)
+        if row is None:
+            row = rows[q] = [(c, c_a, g.sorted_states(g.transitions[(q, c)])) for c, c_a in moves]
+        for c, c_a, successors in row:
             classes = g.outcome_classes(s, coalition, c_a)
-            transitions[(hid, c)] = {intern(q2, classes[g.obs(coalition, q2)])
-                                     for q2 in g.sorted_states(g.succ(q, c))}
+            transitions[(hid, c)] = {intern(q2, classes[observation[q2]]) for q2 in successors}
 
     arena = Arena(g.agents, g.actions, states, labels, initial_ids,
                   g.observes, g.hidden, transitions)

@@ -11,7 +11,55 @@ public Arena interface.
 
 import itertools
 
-from atldk import ArenaError, Run, load_arena
+from atldk import ArenaError, load_arena
+
+
+class Run:
+    """A finite run: states r[0..n] connected by joint actions a[0..n-1]."""
+
+    def __init__(self, states, actions=()):
+        self.states = tuple(states)
+        self.actions = tuple(tuple(a) for a in actions)
+        if not self.states:
+            raise ArenaError("a run needs at least one state")
+        if len(self.actions) != len(self.states) - 1:
+            raise ArenaError("run has %d actions for %d states"
+                             % (len(self.actions), len(self.states)))
+
+    def __len__(self):
+        """Number of transitions."""
+        return len(self.actions)
+
+    def __eq__(self, other):
+        return (isinstance(other, Run) and self.states == other.states
+                and self.actions == other.actions)
+
+    def __hash__(self):
+        return hash((self.states, self.actions))
+
+    def __repr__(self):
+        parts = [self.states[0]]
+        for act, q in zip(self.actions, self.states[1:]):
+            parts.append("-%s->" % (act,))
+            parts.append(q)
+        return "Run(%s)" % " ".join(str(p) for p in parts)
+
+    @property
+    def last(self):
+        return self.states[-1]
+
+    def extend(self, action, state):
+        return Run(self.states + (state,), self.actions + (tuple(action),))
+
+    def is_initialized(self, arena):
+        return self.states[0] in arena.initial
+
+    def is_valid(self, arena):
+        for q, c, q2 in zip(self.states, self.actions, self.states[1:]):
+            if q2 not in arena.succ(q, c):
+                return False
+        return True
+
 
 AGENTS = ("a1", "a2")
 PROP_POOL = ("p", "q", "r")

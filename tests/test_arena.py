@@ -1,13 +1,14 @@
 """Arena loading, validation, outcome partitioning, runs, and strategies."""
 
+import itertools
 import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from atldk import Arena, ArenaError, Run, SINK_ID, Strategy, load_arena, load_alicebob
-from oracles import obs_equiv, out, random_arena, random_arena_document
+from atldk import Arena, ArenaError, SINK_ID, Strategy, load_arena, load_alicebob
+from oracles import Run, obs_equiv, out, random_arena, random_arena_document
 
 AB = ["Alice", "Bob"]
 
@@ -243,6 +244,145 @@ class TestListFields:
             load_arena(doc)
 
 
+
+class TestUnhashableNames:
+    """A JSON list or object where a name belongs is an ArenaError naming the
+    field, never a TypeError from the set or dict it would be put in."""
+
+    def test_state_id(self):
+        doc = tiny_document()
+        doc["states"][1]["id"] = ["s1"]
+        with pytest.raises(ArenaError, match="'id' of a state must be a name, not list"):
+            load_arena(doc)
+
+    def test_initial_entry(self):
+        with pytest.raises(ArenaError, match="an entry of 'initial' must be a name, not list"):
+            load_arena(tiny_document(initial=[["s0"]]))
+
+    def test_observes_entry(self):
+        doc = tiny_document()
+        doc["agents"][0]["observes"] = [["p"]]
+        with pytest.raises(ArenaError, match="'observes' of agent a1 must be a name, not list"):
+            load_arena(doc)
+
+    def test_hidden_props_entry(self):
+        with pytest.raises(ArenaError, match="'hidden_props' must be a name, not dict"):
+            load_arena(tiny_document(hidden_props=[{"h": 1}]))
+
+    def test_labels_entry(self):
+        doc = tiny_document()
+        doc["states"][0]["labels"] = [["p"]]
+        with pytest.raises(ArenaError, match="'labels' of state s0 must be a name, not list"):
+            load_arena(doc)
+
+    def test_transition_from(self):
+        doc = tiny_document()
+        doc["transitions"][2]["from"] = ["s1"]
+        with pytest.raises(ArenaError, match="'from' of a transition must be a name, not list"):
+            load_arena(doc)
+
+    def test_transition_to_entry(self):
+        doc = tiny_document()
+        doc["transitions"][2]["to"] = ["s1", ["s0"]]
+        with pytest.raises(ArenaError,
+                           match="'to' of a transition from s1 must be a name, not list"):
+            load_arena(doc)
+
+    def test_action_names(self):
+        doc = tiny_document()
+        doc["agents"][0]["actions"] = ["a", ["b"]]
+        with pytest.raises(ArenaError, match="'actions' of agent a1 must be a name, not list"):
+            load_arena(doc)
+        doc = tiny_document()
+        doc["transitions"][1]["actions"]["a1"] = ["b"]
+        with pytest.raises(ArenaError, match="the action of agent a1 in a transition from s0"):
+            load_arena(doc)
+
+    def test_agent_name(self):
+        doc = tiny_document()
+        doc["agents"][1]["name"] = ["a2"]
+        with pytest.raises(ArenaError, match="'name' of an agent must be a name, not list"):
+            load_arena(doc)
+
+
+def arena_parts(**overrides):
+    """Arena constructor arguments for the tiny document, one of them replaced."""
+    g = load_arena(tiny_document())
+    parts = dict(agents=g.agents, actions=g.actions, states=g.states, labels=g.labels,
+                 initial=g.initial, observes=g.observes, hidden=g.hidden,
+                 transitions=dict(g.transitions))
+    parts.update(overrides)
+    return parts
+
+
+class TestValidationMessages:
+    """Every transition check of Arena validation, reached through the constructor."""
+
+    @staticmethod
+    def rejected(message, **overrides):
+        with pytest.raises(ArenaError) as raised:
+            Arena(**arena_parts(**overrides))
+        assert str(raised.value) == message
+
+    @staticmethod
+    def transitions(*changes):
+        table = arena_parts()["transitions"]
+        for key, targets in changes:
+            if targets is None:
+                del table[key]
+            else:
+                table[key] = targets
+        return table
+
+    def test_the_parts_build_an_arena(self):
+        assert Arena(**arena_parts()).transitions == load_arena(tiny_document()).transitions
+
+    def test_wrong_arity(self):
+        self.rejected("joint action ('a',) has wrong arity",
+                      transitions=self.transitions((("s0", ("a",)), {"s0"})))
+
+    def test_unknown_action(self):
+        self.rejected("unknown action z for agent a2",
+                      transitions=self.transitions((("s0", ("a", "z")), {"s0"})))
+
+    def test_transition_from_unknown_state(self):
+        self.rejected("transition from unknown state s9",
+                      transitions=self.transitions((("s9", ("a", "a")), {"s0"})))
+
+    def test_transition_to_unknown_state(self):
+        self.rejected("transition to unknown state s9",
+                      transitions=self.transitions((("s1", ("b", "a")), {"s0", "s9"})))
+
+    def test_empty_successor_set(self):
+        self.rejected("empty successor set for state s1",
+                      transitions=self.transitions((("s1", ("a", "a")), set())))
+
+    def test_non_serial(self):
+        self.rejected("non-serial transition relation: state s1 has no successor under ('b', 'a')",
+                      transitions=self.transitions((("s1", ("b", "a")), None)))
+
+    def test_invalid_key_in_place_of_a_missing_one(self):
+        # The number of keys is right, but one of them is not a valid pair.
+        self.rejected("unknown action z for agent a2",
+                      transitions=self.transitions((("s1", ("b", "a")), None),
+                                                   (("s1", ("b", "z")), {"s0"})))
+
+    def test_sequence_key_in_place_of_a_missing_one(self):
+        # "ba" passes the checks one by one but is not the joint action ("b", "a").
+        self.rejected("non-serial transition relation: state s1 has no successor under ('b', 'a')",
+                      transitions=self.transitions((("s1", ("b", "a")), None),
+                                                   (("s1", "ba"), {"s0"})))
+
+    def test_first_faulty_transition_names_the_error(self):
+        self.rejected("transition to unknown state s8",
+                      transitions=self.transitions((("s0", ("a", "a")), {"s8"}),
+                                                   (("s9", ("a", "a")), {"s0"})))
+
+    def test_undeclared_label_prop(self):
+        labels = dict(arena_parts()["labels"], s1=frozenset({"h", "mystery"}))
+        self.rejected("state s1 labeled with undeclared props ['mystery']", labels=labels)
+
+
 class TestCoalitions:
     def test_coalition_tuple_uses_agent_order(self, corpus):
         assert corpus.coalition_tuple(["Bob", "Alice"]) == ("Alice", "Bob")
@@ -352,6 +492,77 @@ class TestOut:
         for z in classes:
             others = everything - classes[z]
             assert all(g.obs(coalition, t) != z for t in others)
+
+
+
+def grouped_from_scratch(g, source, coalition, c_a):
+    """outcome_classes recomputed from the arena's raw fields, sharing no code or
+    memo with Arena."""
+    props = frozenset().union(*(g.observes[a] for a in coalition))
+    grouped = {}
+    for c in g.joint_actions():
+        if tuple(act for a, act in zip(g.agents, c) if a in coalition) != tuple(c_a):
+            continue
+        for s in source:
+            for t in g.transitions[(s, c)]:
+                grouped.setdefault(g.labels[t] & props, set()).add(t)
+    return {z: frozenset(members) for z, members in grouped.items()}
+
+
+def rebuilt(g):
+    """A newly constructed Arena with the same fields, so with empty memos."""
+    return Arena(g.agents, g.actions, g.states, g.labels, g.initial,
+                 g.observes, g.hidden, g.transitions)
+
+
+COALITIONS = (["a1"], ["a2"], ["a1", "a2"], [])
+
+
+class TestCompiledView:
+    def test_memoized_outcome_classes_equal_fresh_ones(self):
+        for seed in range(40):
+            g = random_arena(random.Random(seed))
+            sources = [frozenset(c) for r in range(1, len(g.states) + 1)
+                       for c in itertools.combinations(g.states, r)]
+            for coalition in COALITIONS:
+                for _ in range(2):
+                    for source in sources:
+                        for c_a in g.coalition_actions(coalition):
+                            memoized = g.outcome_classes(source, coalition, c_a)
+                            fresh = rebuilt(g).outcome_classes(source, coalition, c_a)
+                            assert memoized == fresh
+                            assert memoized == grouped_from_scratch(g, source, coalition, c_a)
+
+    def test_source_spellings_agree(self, corpus):
+        source = ["q1", "q2", "q3"]
+        for coalition in (["Alice"], AB):
+            c_a = corpus.coalition_actions(coalition)[-1]
+            first = corpus.outcome_classes(source, coalition, c_a)
+            assert first
+            for spelling in (set(source), frozenset(source), source[::-1]):
+                assert corpus.outcome_classes(spelling, coalition, list(c_a)) == first
+
+    def test_returned_mappings_are_read_only(self, corpus):
+        classes = corpus.outcome_classes({"q0"}, AB, ("g", "g"))
+        z = next(iter(classes))
+        with pytest.raises(TypeError):
+            classes[z] = frozenset()
+        with pytest.raises(TypeError):
+            del classes[z]
+        assert all(isinstance(members, frozenset) for members in classes.values())
+        assert corpus.outcome_classes({"q0"}, AB, ("g", "g")) == {
+            frozenset({"valid"}): frozenset({"q1", "q2", "q3"})}
+
+    def test_obs_and_restrict_action_follow_the_definitions(self):
+        for seed in range(40):
+            g = random_arena(random.Random(seed))
+            for coalition in COALITIONS:
+                props = frozenset().union(*(g.observes[a] for a in coalition))
+                for q in g.states:
+                    assert g.obs(coalition, q) == g.labels[q] & props
+                for c in g.joint_actions():
+                    assert g.restrict_action(coalition, c) == tuple(
+                        act for a, act in zip(g.agents, c) if a in coalition)
 
 
 class TestWithProp:

@@ -82,6 +82,15 @@ class TestCheck:
         result = invoke(runner, ["check", "--arena", "no_such.json", "--formula", "true"])
         assert result.exit_code == 2
 
+    def test_unhashable_arena_field_exits_two(self, runner, arena_path, tmp_path):
+        doc = json.loads(Path(arena_path).read_text())
+        doc["agents"][0]["observes"] = [["valid"]]
+        path = tmp_path / "arena.json"
+        path.write_text(json.dumps(doc))
+        result = invoke(runner, ["check", "--arena", str(path), "--formula", "valid"])
+        assert result.exit_code == 2
+        assert "'observes' of agent Alice must be a name" in result.stderr
+
     def test_state_cap(self, runner, arena_path):
         result = invoke(runner, ["check", "--arena", arena_path,
                                  "--formula", EXAMPLE, "--state-cap", "3"])

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from atldk import (
-    Run,
     SplitLimitExceeded,
     label_knowledge,
     label_next,
@@ -15,6 +14,7 @@ from atldk import (
     split,
 )
 from oracles import (
+    Run,
     equivalence_classes,
     hat_state_of,
     initialized_runs,
