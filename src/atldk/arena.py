@@ -267,6 +267,24 @@ def _names(value, field, *where):
         raise
 
 
+def _string(value, field, *where):
+    """The value of a field that must be a JSON string: a state id or a prop."""
+    if not isinstance(value, str):
+        _name(value, field, *where)
+        raise ArenaError("%s must be a string, not %s %r"
+                         % (field % where, type(value).__name__, value))
+    return value
+
+
+def _strings(value, field, *where):
+    """The entries of a list field of props, as a set of strings."""
+    entries = _names(value, field, *where)
+    for entry in entries:
+        if not isinstance(entry, str):
+            _string(entry, "an entry of " + field, *where)
+    return entries
+
+
 def load_arena(document, allow_reserved=False):
     """Build a validated Arena from a document (dict, JSON text, or file path).
 
@@ -301,9 +319,9 @@ def load_arena(document, allow_reserved=False):
                  "agent %s needs a nonempty action list" % name)
         _names(entry["actions"], "'actions' of agent %s", name)
         actions[name] = list(entry["actions"])
-        observes[name] = _names(entry.get("observes", []), "'observes' of agent %s", name)
+        observes[name] = _strings(entry.get("observes", []), "'observes' of agent %s", name)
 
-    hidden = _names(document.get("hidden_props", []), "'hidden_props'")
+    hidden = _strings(document.get("hidden_props", []), "'hidden_props'")
     visible = set().union(*observes.values()) if observes else set()
     overlap = hidden & visible
     _require(not overlap, "props both hidden and observed: %s" % sorted(overlap))
@@ -316,10 +334,10 @@ def load_arena(document, allow_reserved=False):
     labels = {}
     for entry in _list(document["states"], "'states'"):
         _require(isinstance(entry, dict) and "id" in entry, "each state needs an id")
-        q = _name(entry["id"], "'id' of a state")
+        q = _string(entry["id"], "'id' of a state")
         _require(q not in labels, "duplicate state id %s" % q)
         states.append(q)
-        labels[q] = _names(entry.get("labels", []), "'labels' of state %s", q)
+        labels[q] = _strings(entry.get("labels", []), "'labels' of state %s", q)
 
     initial = _list(document["initial"], "'initial'")
     _names(initial, "'initial'")

@@ -66,11 +66,6 @@ class LabelingTable:
         self.base = base
         self.levels = []
 
-    def arena_at(self, k):
-        if k == 0:
-            return self.base
-        return self.levels[k - 1].arena
-
     def __iter__(self):
         return iter(self.levels)
 
@@ -239,7 +234,7 @@ def model_check(arena, f, state_cap=DEFAULT_STATE_CAP):
         level.k = entry.index
         table.levels.append(level)
         current = level.arena
-    top_prop = enumeration.top.prop
+    top_prop = enumeration[-1].prop
     initial = [(q, top_prop in current.labels[q]) for q in current.initial]
     holds = all(v for _, v in initial)
     return Verdict(holds, formula_text, table, initial, time.monotonic() - started)

@@ -138,9 +138,8 @@ def label_next(hat, coalition, prop):
         if s not in per_kset:
             per_kset[s] = any(
                 all(prop in g.labels[t]
-                    for c in g.extensions(coalition, c_a)
-                    for r in s
-                    for t in g.succ(r, c))
+                    for targets in g.outcome_classes(s, coalition, c_a).values()
+                    for t in targets)
                 for c_a in actions)
         result[hid] = per_kset[s]
     return result

@@ -27,13 +27,26 @@ def _coalition_str(coalition):
 
 
 class Formula:
-    """Base class for all formula nodes. Nodes are immutable and compare structurally."""
+    """Base class for all formula nodes. Nodes are immutable and compare structurally.
 
-    def key(self):
-        raise NotImplementedError
+    Every node is a tag, a head (an atom's name or a coalition; empty for the
+    other nodes) and its children; key() and _rebuild() derive from those.
+    """
+
+    tag = None
+
+    def _head(self):
+        return ()
 
     def children(self):
         return ()
+
+    def key(self):
+        return (self.tag,) + self._head() + tuple(c.key() for c in self.children())
+
+    def _rebuild(self, children):
+        """The same connective, with the same head, over new children."""
+        return type(self)(*self._head(), *children)
 
     def __eq__(self, other):
         return isinstance(other, Formula) and self.key() == other.key()
@@ -53,40 +66,38 @@ class Formula:
 
 
 class Atom(Formula):
+    tag = "atom"
+
     def __init__(self, name):
         if not name:
             raise FormulaError("empty atom name")
         self.name = name
 
-    def key(self):
-        return ("atom", self.name)
+    def _head(self):
+        return (self.name,)
 
     def _print(self, level):
         return self.name
 
 
-class TrueConst(Formula):
-    def key(self):
-        return ("true",)
-
+class _Constant(Formula):
     def _print(self, level):
-        return "true"
+        return self.tag
 
 
-class FalseConst(Formula):
-    def key(self):
-        return ("false",)
+class TrueConst(_Constant):
+    tag = "true"
 
-    def _print(self, level):
-        return "false"
+
+class FalseConst(_Constant):
+    tag = "false"
 
 
 class Not(Formula):
+    tag = "not"
+
     def __init__(self, operand):
         self.operand = operand
-
-    def key(self):
-        return ("not", self.operand.key())
 
     def children(self):
         return (self.operand,)
@@ -95,103 +106,52 @@ class Not(Formula):
         return "!" + self.operand._print(3)
 
 
-class And(Formula):
+class _Infix(Formula):
+    """A propositional connective between two operands. It is parenthesized
+    inside a tighter context; sides are the levels its operands print at."""
+
     def __init__(self, left, right):
         self.left = left
         self.right = right
-
-    def key(self):
-        return ("and", self.left.key(), self.right.key())
 
     def children(self):
         return (self.left, self.right)
 
     def _print(self, level):
-        text = "%s & %s" % (self.left._print(2), self.right._print(3))
-        return "(" + text + ")" if level > 2 else text
+        text = "%s %s %s" % (self.left._print(self.sides[0]), self.op,
+                             self.right._print(self.sides[1]))
+        return "(" + text + ")" if level > self.precedence else text
 
 
-class Or(Formula):
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
-
-    def key(self):
-        return ("or", self.left.key(), self.right.key())
-
-    def children(self):
-        return (self.left, self.right)
-
-    def _print(self, level):
-        text = "%s | %s" % (self.left._print(1), self.right._print(2))
-        return "(" + text + ")" if level > 1 else text
+class And(_Infix):
+    op, tag, precedence, sides = "&", "and", 2, (2, 3)
 
 
-class Implies(Formula):
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
+class Or(_Infix):
+    op, tag, precedence, sides = "|", "or", 1, (1, 2)
 
-    def key(self):
-        return ("implies", self.left.key(), self.right.key())
 
-    def children(self):
-        return (self.left, self.right)
-
-    def _print(self, level):
-        # -> is right associative; parenthesize a left operand that is itself an implication.
-        text = "%s -> %s" % (self.left._print(1), self.right._print(0))
-        return "(" + text + ")" if level > 0 else text
+class Implies(_Infix):
+    # -> is right associative; parenthesize a left operand that is itself an implication.
+    op, tag, precedence, sides = "->", "implies", 0, (1, 0)
 
 
 class _Coalitional(Formula):
-    """Shared shape for nodes carrying a coalition."""
+    """A modal node: a coalition prefix over one or two operands."""
+
+    bracket = "<%s>"
 
     def __init__(self, coalition):
         self.coalition = _coalition(coalition)
 
-
-class Know(_Coalitional):
-    def __init__(self, coalition, operand):
-        super().__init__(coalition)
-        self.operand = operand
-
-    def key(self):
-        return ("know", self.coalition, self.operand.key())
-
-    def children(self):
-        return (self.operand,)
-
-    def _print(self, level):
-        return "K{%s} %s" % (_coalition_str(self.coalition), self.operand._print(3))
-
-
-class Possible(_Coalitional):
-    def __init__(self, coalition, operand):
-        super().__init__(coalition)
-        self.operand = operand
-
-    def key(self):
-        return ("possible", self.coalition, self.operand.key())
-
-    def children(self):
-        return (self.operand,)
-
-    def _print(self, level):
-        return "P{%s} %s" % (_coalition_str(self.coalition), self.operand._print(3))
+    def _head(self):
+        return (self.coalition,)
 
 
 class _Unary(_Coalitional):
-    op = None
-    tag = None
-    bracket = "<%s>"
-
     def __init__(self, coalition, operand):
         super().__init__(coalition)
         self.operand = operand
-
-    def key(self):
-        return (self.tag, self.coalition, self.operand.key())
 
     def children(self):
         return (self.operand,)
@@ -202,17 +162,10 @@ class _Unary(_Coalitional):
 
 
 class _Binary(_Coalitional):
-    op = None
-    tag = None
-    bracket = "<%s>"
-
     def __init__(self, coalition, left, right):
         super().__init__(coalition)
         self.left = left
         self.right = right
-
-    def key(self):
-        return (self.tag, self.coalition, self.left.key(), self.right.key())
 
     def children(self):
         return (self.left, self.right)
@@ -220,6 +173,14 @@ class _Binary(_Coalitional):
     def _print(self, level):
         head = self.bracket % _coalition_str(self.coalition)
         return "%s(%s %s %s)" % (head, self.left._print(0), self.op, self.right._print(0))
+
+
+class Know(_Unary):
+    op, tag, bracket = "", "know", "K{%s}"
+
+
+class Possible(_Unary):
+    op, tag, bracket = "", "possible", "P{%s}"
 
 
 class Next(_Unary):
@@ -267,9 +228,16 @@ CORE_KINDS = (Atom, TrueConst, FalseConst, Not, And, Next, Until, WeakUntil, Kno
 
 def is_core(f):
     """True when the tree uses only primitive connectives."""
-    if not isinstance(f, CORE_KINDS):
-        return False
-    return all(is_core(c) for c in f.children())
+    return all(isinstance(node, CORE_KINDS) for node in _nodes(f))
+
+
+def _nodes(f):
+    """Every node of the tree, a shared subtree once per occurrence."""
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.children())
 
 
 # ---------------------------------------------------------------------------
@@ -455,41 +423,26 @@ def parse_formula(text):
 
 def desugar(f):
     """Rewrite to the core fragment: atoms, true, false, !, &, <A>X, <A>U, <A>W, K."""
-    if isinstance(f, (Atom, TrueConst, FalseConst)):
-        return f
-    if isinstance(f, Not):
-        return Not(desugar(f.operand))
-    if isinstance(f, And):
-        return And(desugar(f.left), desugar(f.right))
+    if isinstance(f, CORE_KINDS):
+        return f._rebuild([desugar(c) for c in f.children()])
     if isinstance(f, Or):
         return Not(And(Not(desugar(f.left)), Not(desugar(f.right))))
     if isinstance(f, Implies):
         return Not(And(desugar(f.left), Not(desugar(f.right))))
-    if isinstance(f, Know):
-        return Know(f.coalition, desugar(f.operand))
     if isinstance(f, Possible):
         return Not(Know(f.coalition, Not(desugar(f.operand))))
-    if isinstance(f, Next):
-        return Next(f.coalition, desugar(f.operand))
-    if isinstance(f, Until):
-        return Until(f.coalition, desugar(f.left), desugar(f.right))
-    if isinstance(f, WeakUntil):
-        return WeakUntil(f.coalition, desugar(f.left), desugar(f.right))
     if isinstance(f, Eventually):
         return Until(f.coalition, TrueConst(), desugar(f.operand))
     if isinstance(f, Globally):
         return WeakUntil(f.coalition, desugar(f.operand), FalseConst())
     if isinstance(f, DualNext):
         return Not(Next(f.coalition, Not(desugar(f.operand))))
-    if isinstance(f, DualUntil):
-        # [A](l U r) = !<A>(!r W (!r & !l))
+    if isinstance(f, (DualUntil, DualWeakUntil)):
+        # [A](l U r) = !<A>(!r W (!r & !l)), and [A](l W r) = !<A>(!r U (!r & !l)).
+        goal = WeakUntil if isinstance(f, DualUntil) else Until
         left = desugar(f.left)
         right = desugar(f.right)
-        return Not(WeakUntil(f.coalition, Not(right), And(Not(right), Not(left))))
-    if isinstance(f, DualWeakUntil):
-        left = desugar(f.left)
-        right = desugar(f.right)
-        return Not(Until(f.coalition, Not(right), And(Not(right), Not(left))))
+        return Not(goal(f.coalition, Not(right), And(Not(right), Not(left))))
     if isinstance(f, DualEventually):
         return desugar(DualUntil(f.coalition, TrueConst(), f.operand))
     if isinstance(f, DualGlobally):
@@ -521,28 +474,9 @@ class SubformulaEntry:
         return "SubformulaEntry(%d, %s, chi=%s)" % (self.index, self.formula, self.chi)
 
 
-class SubformulaList:
-    """Postorder, deduplicated enumeration phi_1..phi_n of a core formula."""
-
-    def __init__(self, entries):
-        self.entries = entries
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    @property
-    def top(self):
-        return self.entries[-1]
-
-
 def enumerate_subformulas(f):
-    """Enumerate subformulas of a core formula in postorder, each occurring once.
+    """Enumerate subformulas of a core formula in postorder, each occurring once,
+    as a list of SubformulaEntry.
 
     chi_k is phi_k with every proper subformula replaced by its fresh atom, so each
     chi_k is a single connective over atoms and contains at most one modality.
@@ -558,64 +492,26 @@ def enumerate_subformulas(f):
         child_props = [walk(c) for c in node.children()]
         k = len(entries) + 1
         prop = fresh_prop(k)
-        chi = _substitute(node, child_props)
+        chi = node._rebuild([Atom(p) for p in child_props])
         entry = SubformulaEntry(k, node, prop, chi)
         entries.append(entry)
         seen[node] = prop
         return prop
 
     walk(f)
-    return SubformulaList(entries)
-
-
-def _substitute(node, child_props):
-    atoms = [Atom(p) for p in child_props]
-    if isinstance(node, (Atom, TrueConst, FalseConst)):
-        return node
-    if isinstance(node, Not):
-        return Not(atoms[0])
-    if isinstance(node, And):
-        return And(atoms[0], atoms[1])
-    if isinstance(node, Know):
-        return Know(node.coalition, atoms[0])
-    if isinstance(node, Next):
-        return Next(node.coalition, atoms[0])
-    if isinstance(node, Until):
-        return Until(node.coalition, atoms[0], atoms[1])
-    if isinstance(node, WeakUntil):
-        return WeakUntil(node.coalition, atoms[0], atoms[1])
-    raise FormulaError("unexpected core node %s" % type(node).__name__)
+    return entries
 
 
 def count_modalities(f):
     """Number of modal connectives (K and coalition operators) in the tree."""
-    own = 1 if isinstance(f, (Know, Possible, _Unary, _Binary)) else 0
-    return own + sum(count_modalities(c) for c in f.children())
+    return sum(1 for node in _nodes(f) if isinstance(node, _Coalitional))
 
 
 def atom_names(f):
     """All atom names occurring in the tree."""
-    names = set()
-
-    def walk(node):
-        if isinstance(node, Atom):
-            names.add(node.name)
-        for c in node.children():
-            walk(c)
-
-    walk(f)
-    return names
+    return {node.name for node in _nodes(f) if isinstance(node, Atom)}
 
 
 def coalitions(f):
     """All coalitions occurring in the tree."""
-    found = set()
-
-    def walk(node):
-        if isinstance(node, (Know, Possible, _Unary, _Binary)):
-            found.add(node.coalition)
-        for c in node.children():
-            walk(c)
-
-    walk(f)
-    return found
+    return {node.coalition for node in _nodes(f) if isinstance(node, _Coalitional)}

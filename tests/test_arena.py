@@ -305,6 +305,45 @@ class TestUnhashableNames:
             load_arena(doc)
 
 
+class TestStringNames:
+    """State ids and props must be JSON strings; a number there is an ArenaError
+    naming the field. Agent and action names may be any JSON scalar."""
+
+    def test_state_id(self):
+        doc = tiny_document()
+        doc["states"][0]["id"] = 0
+        with pytest.raises(ArenaError, match="'id' of a state must be a string, not int 0"):
+            load_arena(doc)
+
+    def test_observes_entry(self):
+        doc = tiny_document()
+        doc["agents"][0]["observes"] = ["p", 0]
+        with pytest.raises(ArenaError,
+                           match="an entry of 'observes' of agent a1 must be a string, not int"):
+            load_arena(doc)
+
+    def test_hidden_props_entry(self):
+        with pytest.raises(ArenaError,
+                           match="an entry of 'hidden_props' must be a string, not float"):
+            load_arena(tiny_document(hidden_props=["h", 1.5]))
+
+    def test_labels_entry(self):
+        doc = tiny_document()
+        doc["states"][1]["labels"] = ["h", True]
+        with pytest.raises(ArenaError,
+                           match="an entry of 'labels' of state s1 must be a string, not bool"):
+            load_arena(doc)
+
+    def test_numeric_action_names_stay_accepted(self):
+        doc = tiny_document()
+        doc["agents"][0]["actions"] = [0, 1]
+        for entry, action in zip(doc["transitions"], [0, 1, 0, 1]):
+            entry["actions"]["a1"] = action
+        g = load_arena(doc)
+        assert g.actions["a1"] == (0, 1)
+        assert g.succ("s0", (1, "a")) == frozenset({"s1"})
+
+
 def arena_parts(**overrides):
     """Arena constructor arguments for the tiny document, one of them replaced."""
     g = load_arena(tiny_document())

@@ -91,6 +91,15 @@ class TestCheck:
         assert result.exit_code == 2
         assert "'observes' of agent Alice must be a name" in result.stderr
 
+    def test_numeric_state_id_exits_two(self, runner, arena_path, tmp_path):
+        doc = json.loads(Path(arena_path).read_text())
+        doc["states"][0]["id"] = 0
+        path = tmp_path / "arena.json"
+        path.write_text(json.dumps(doc))
+        result = invoke(runner, ["check", "--arena", str(path), "--formula", "valid"])
+        assert result.exit_code == 2
+        assert "'id' of a state must be a string, not int 0" in result.stderr
+
     def test_state_cap(self, runner, arena_path):
         result = invoke(runner, ["check", "--arena", arena_path,
                                  "--formula", EXAMPLE, "--state-cap", "3"])

@@ -144,6 +144,49 @@ class TestPrinting:
     def test_coalition_printed_sorted(self):
         assert str(parse_formula("<Bob,Alice>X p")) == "<Alice,Bob>X p"
 
+    P, Q, R = fm.Atom("p"), fm.Atom("q"), fm.Atom("r")
+    GOLDEN = [
+        (fm.Atom("valid"), "valid"),
+        (fm.TrueConst(), "true"),
+        (fm.FalseConst(), "false"),
+        (fm.Not(P), "!p"),
+        (fm.And(P, Q), "p & q"),
+        (fm.Or(P, Q), "p | q"),
+        (fm.Implies(P, Q), "p -> q"),
+        (fm.Know(["a"], P), "K{a} p"),
+        (fm.Possible(["a"], P), "P{a} p"),
+        (fm.Next(["a"], P), "<a>X p"),
+        (fm.Eventually(["a"], P), "<a>F p"),
+        (fm.Globally(["a"], P), "<a>G p"),
+        (fm.Until(["a"], P, Q), "<a>(p U q)"),
+        (fm.WeakUntil(["a"], P, Q), "<a>(p W q)"),
+        (fm.DualNext(["a"], P), "[a]X p"),
+        (fm.DualEventually(["a"], P), "[a]F p"),
+        (fm.DualGlobally(["a"], P), "[a]G p"),
+        (fm.DualUntil(["a"], P, Q), "[a](p U q)"),
+        (fm.DualWeakUntil(["a"], P, Q), "[a](p W q)"),
+        # -> nests to the right, so a left operand needs parentheses.
+        (fm.Implies(fm.Implies(P, Q), R), "(p -> q) -> r"),
+        (fm.Implies(P, fm.Implies(Q, R)), "p -> q -> r"),
+        (fm.And(fm.Or(P, Q), R), "(p | q) & r"),
+        (fm.And(P, fm.Or(Q, R)), "p & (q | r)"),
+        (fm.Or(fm.And(P, Q), R), "p & q | r"),
+        (fm.And(P, fm.And(Q, R)), "p & (q & r)"),
+        (fm.Not(fm.And(P, Q)), "!(p & q)"),
+        (fm.Not(fm.Implies(P, Q)), "!(p -> q)"),
+        (fm.Know(["a"], fm.And(P, Q)), "K{a} (p & q)"),
+        (fm.Until(["a"], fm.Implies(P, Q), fm.Or(Q, R)), "<a>(p -> q U q | r)"),
+        (fm.Know(["b", "Alice", "a"], P), "K{Alice,a,b} p"),
+        (fm.Possible(["b", "Alice", "a"], P), "P{Alice,a,b} p"),
+        (fm.Next(["b", "Alice", "a"], P), "<Alice,a,b>X p"),
+        (fm.DualNext(["b", "Alice", "a"], P), "[Alice,a,b]X p"),
+    ]
+
+    @pytest.mark.parametrize("f,text", GOLDEN, ids=[text for _, text in GOLDEN])
+    def test_golden(self, f, text):
+        assert str(f) == text
+        assert parse_formula(text) == f
+
 
 names = st.sampled_from(["p", "q", "valid", "r_2", "X", "U", "K"])
 coalitions = st.lists(st.sampled_from(["a", "b", "Alice"]),
@@ -250,24 +293,24 @@ class TestEnumeration:
         assert [e.formula for e in entries] == [
             fm.Atom("p"), fm.Atom("q"), parse_formula("<a>(p U q)")]
         assert [e.prop for e in entries] == ["p#1", "p#2", "p#3"]
-        assert entries.top.chi == fm.Until(["a"], fm.Atom("p#1"), fm.Atom("p#2"))
+        assert entries[-1].chi == fm.Until(["a"], fm.Atom("p#1"), fm.Atom("p#2"))
 
     def test_knowledge_over_next(self):
         entries = enumerate_subformulas(parse_formula("K{a} <a>X p"))
         assert len(entries) == 3
-        assert entries.top.chi == fm.Know(["a"], fm.Atom("p#2"))
+        assert entries[-1].chi == fm.Know(["a"], fm.Atom("p#2"))
         assert entries[1].chi == fm.Next(["a"], fm.Atom("p#1"))
 
     def test_duplicate_subformulas_enumerated_once(self):
         entries = enumerate_subformulas(desugar(parse_formula("!p & !p")))
         assert len(entries) == 3
-        assert entries.top.chi == fm.And(fm.Atom("p#2"), fm.Atom("p#2"))
+        assert entries[-1].chi == fm.And(fm.Atom("p#2"), fm.Atom("p#2"))
 
     def test_atoms_get_entries(self):
         entries = enumerate_subformulas(fm.Atom("p"))
         assert len(entries) == 1
-        assert entries.top.chi == fm.Atom("p")
-        assert entries.top.prop == "p#1"
+        assert entries[-1].chi == fm.Atom("p")
+        assert entries[-1].prop == "p#1"
 
     def test_rejects_sugared_input(self):
         with pytest.raises(FormulaError):
@@ -279,7 +322,7 @@ class TestEnumeration:
         for entry in entries:
             for child in entry.formula.children():
                 assert position[child] < entry.index
-        assert entries.top.formula == desugar(parse_formula("K{a}(p & <b>X q)"))
+        assert entries[-1].formula == desugar(parse_formula("K{a}(p & <b>X q)"))
 
     @settings(max_examples=200, deadline=None)
     @given(formulas)
