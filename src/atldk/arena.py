@@ -268,7 +268,8 @@ def _names(value, field, *where):
 
 
 def _string(value, field, *where):
-    """The value of a field that must be a JSON string: a state id or a prop."""
+    """The value of a field that must be a JSON string: a state id, a prop, or
+    an agent name (the key of a transition's actions object)."""
     if not isinstance(value, str):
         _name(value, field, *where)
         raise ArenaError("%s must be a string, not %s %r"
@@ -312,7 +313,7 @@ def load_arena(document, allow_reserved=False):
     for entry in document["agents"]:
         _require(isinstance(entry, dict) and "name" in entry and "actions" in entry,
                  "each agent needs a name and actions")
-        name = _name(entry["name"], "'name' of an agent")
+        name = _string(entry["name"], "'name' of an agent")
         _require(name not in actions, "duplicate agent %s" % name)
         agents.append(name)
         _require(isinstance(entry["actions"], list) and entry["actions"],

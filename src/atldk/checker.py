@@ -4,12 +4,13 @@ prop for one subformula, and read the verdict off the final initial states."""
 from __future__ import annotations
 
 import time
+from collections.abc import Mapping
 
 from . import formula as fm
-from .arena import Strategy
 from .emptiness import check_until_nonempty, check_weak_nonempty, extract_witness_strategy
 from .epistemic_split import SplitLimitExceeded, label_knowledge, label_next, split
-from .strategy_automata import build_until_automaton, build_weak_until_automaton
+from .strategy_automata import (UNTIL, WEAK_UNTIL, build_until_automaton,
+                                build_weak_until_automaton, level_automaton)
 
 DEFAULT_STATE_CAP = 10 ** 6
 
@@ -33,7 +34,11 @@ class StateCapExceeded(CheckerError):
 
 class LabelLevel:
     """One step of the arena sequence: the arena after labeling, the truth map
-    for the fresh prop, the labeling case, and provenance to the previous level."""
+    for the fresh prop, the labeling case, and provenance to the previous level.
+
+    Modal levels keep the refined arena; until and weak-until levels also keep
+    each kset's goal automaton and a read-only map from kset to its solution,
+    solved on first access."""
 
     def __init__(self, k, chi, prop, case, arena, labels, provenance,
                  hat=None, coalition=None, automata=None, solutions=None, elapsed=0.0):
@@ -57,6 +62,32 @@ class LabelLevel:
     def stats(self):
         return {"k": self.k, "case": self.case,
                 "states": len(self.arena.states), "labeled": self.labeled_count}
+
+
+class _KsetSolutions(Mapping):
+    """Read-only (nonempty, GameSolution) per kset of an until or weak-until
+    level. A kset's own automaton is solved on first access; the level's
+    labels come from one solve of the whole level, which agrees with it."""
+
+    def __init__(self, automata, decide):
+        self._automata = automata
+        self._decide = decide
+        self._solved = {}
+
+    def __getitem__(self, s):
+        solved = self._solved.get(s)
+        if solved is None:
+            solved = self._solved[s] = self._decide(self._automata[s])
+        return solved
+
+    def __contains__(self, s):
+        return s in self._automata
+
+    def __iter__(self):
+        return iter(self._automata)
+
+    def __len__(self):
+        return len(self._automata)
 
 
 class LabelingTable:
@@ -93,7 +124,10 @@ class Verdict:
 
     def witness(self):
         """Strategy for the outermost positive until or weak-until level, merged
-        over the initial knowledge sets; None when no such level is positive."""
+        over the initial knowledge sets; None when no such level is positive.
+
+        One strategy is extracted per distinct initial kset, in first-seen
+        order, and the later ones are merged into the first one's map."""
         for level in reversed(self.table.levels):
             if level.case not in (CASE_UNTIL, CASE_WEAK_UNTIL):
                 continue
@@ -101,16 +135,15 @@ class Verdict:
             initial_ids = hat.arena.initial
             if not all(level.labels[hid] for hid in initial_ids):
                 return None
-            merged = {}
-            members = hat.source.coalition_tuple(hat.coalition)
-            default = None
-            for hid in initial_ids:
-                s = hat.kset[hid]
+            strategy = None
+            for s in dict.fromkeys(hat.kset[hid] for hid in initial_ids):
                 nonempty, solution = level.solutions[s]
-                strategy = extract_witness_strategy(solution, level.automata[s], hat)
-                merged.update(strategy.mapping)
-                default = strategy.default
-            return Strategy(members, merged, default)
+                extracted = extract_witness_strategy(solution, level.automata[s], hat)
+                if strategy is None:
+                    strategy = extracted
+                else:
+                    strategy.mapping.update(extracted.mapping)
+            return strategy
         return None
 
 
@@ -186,19 +219,15 @@ def label_step(arena, chi, prop, state_cap=DEFAULT_STATE_CAP):
         p1 = _operand_atom(chi.left, chi)
         p2 = _operand_atom(chi.right, chi)
         if isinstance(chi, fm.Until):
-            case = CASE_UNTIL
+            case, kind = CASE_UNTIL, UNTIL
             build, decide = build_until_automaton, check_until_nonempty
         else:
-            case = CASE_WEAK_UNTIL
+            case, kind = CASE_WEAK_UNTIL, WEAK_UNTIL
             build, decide = build_weak_until_automaton, check_weak_nonempty
-        per_kset = {}
-        for s in hat.ksets:
-            automaton = build(hat, coalition, p1, p2, s)
-            nonempty, solution = decide(automaton)
-            automata[s] = automaton
-            solutions[s] = (nonempty, solution)
-            per_kset[s] = nonempty
-        labels = {hid: per_kset[hat.kset[hid]] for hid in hat.arena.states}
+        automata = {s: build(hat, coalition, p1, p2, s) for s in hat.ksets}
+        winning = decide(level_automaton(kind, hat, p1, p2))[1].winning
+        labels = {hid: automata[hat.kset[hid]].init in winning for hid in hat.arena.states}
+        solutions = _KsetSolutions(automata, decide)
 
     new_arena = hat.arena.with_prop(prop, [hid for hid in hat.arena.states if labels[hid]])
     return LabelLevel(0, chi, prop, case, new_arena, labels, hat.base,

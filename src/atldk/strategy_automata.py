@@ -1,11 +1,12 @@
 """Goal tree automata over a refined arena: obligation tracking for until and
 weak-until coalition goals. Each automaton state is expanded once per refined
 arena and goal pair; the automaton of a knowledge set is the part of that
-shared transition table reachable from the set's initial state."""
+shared transition table reachable from the set's initial state, and the
+automaton of a whole level is the table itself."""
 
 from __future__ import annotations
 
-from collections import deque
+from functools import cached_property
 from operator import itemgetter
 
 from .arena import ArenaError
@@ -55,9 +56,15 @@ WEAK_UNTIL = "weak-until"
 
 class TreeAutomaton:
     """A goal automaton: states, coalition-action alphabet, total transition
-    function, the initial state, and an occurrence acceptance kind."""
+    function, the initial state, and an occurrence acceptance kind.
 
-    def __init__(self, kind, hat, source_kset, p1, p2, init, states, alphabet, delta, classes):
+    rows maps each state to its row of the hat's shared goal table: the
+    state's delta and classes entries, one per coalition action, and its
+    distinct successors. delta and classes gather the rows of this
+    automaton's own states on first access.
+    """
+
+    def __init__(self, kind, hat, source_kset, p1, p2, init, states, alphabet, rows):
         self.kind = kind
         self.hat = hat
         self.source_kset = source_kset
@@ -66,8 +73,17 @@ class TreeAutomaton:
         self.init = init
         self.states = tuple(states)
         self.alphabet = tuple(alphabet)
-        self.delta = delta
-        self.classes = classes
+        self._rows = rows
+
+    @cached_property
+    def delta(self):
+        return {key: successors for state in self.states
+                for key, successors in self._rows[state][0].items()}
+
+    @cached_property
+    def classes(self):
+        return {key: class_list for state in self.states
+                for key, class_list in self._rows[state][1].items()}
 
     def __len__(self):
         return len(self.states)
@@ -136,45 +152,52 @@ def _build(kind, hat, coalition, p1, p2, source_kset):
     alphabet = g.coalition_actions(coalition)
 
     def expand(state):
-        """(successors, observed classes) for each coalition action in turn."""
+        """The state's row: its delta and classes entries, one per coalition
+        action, and its distinct successors in first-seen order."""
         if state.is_bot:
-            return [((BOT,), ())] * len(alphabet)
-        row = []
+            return ({(BOT, c_a): (BOT,) for c_a in alphabet},
+                    {(BOT, c_a): () for c_a in alphabet}, (BOT,))
+        delta = {}
+        classes = {}
         for c_a in alphabet:
+            key = (state, c_a)
             pending_out = g.outcome_classes(state.pending, coalition, c_a)
             if any(not (g.labels[t] & goal) for r1 in pending_out.values() for t in r1):
-                row.append(((BOT,), ()))
+                delta[key], classes[key] = (BOT,), ()
                 continue
-            kset_out = enumerate_observation_classes(hat, state.kset, c_a)
-            pairs = []
-            for z, r2 in kset_out:
-                r1 = pending_out.get(z, frozenset()) - discharged
-                pairs.append((z, check_pair(AutomatonState(r1, r2))))
-            row.append((tuple(t for _, t in pairs), tuple(pairs)))
-        return row
+            pairs = tuple(
+                (z, check_pair(AutomatonState(pending_out.get(z, frozenset()) - discharged, r2)))
+                for z, r2 in enumerate_observation_classes(hat, state.kset, c_a))
+            delta[key] = tuple(t for _, t in pairs)
+            classes[key] = pairs
+        successors = dict.fromkeys(t for targets in delta.values() for t in targets)
+        return delta, classes, tuple(successors)
 
     table = hat._goal_tables.setdefault((p1, p2), {})
-    states = []
-    seen = set()
-    delta = {}
-    classes = {}
-    queue = deque([init])
-    seen.add(init)
-    while queue:
-        state = queue.popleft()
-        states.append(state)
+    states = [init]
+    seen = {init}
+    for state in states:
         row = table.get(state)
         if row is None:
             row = table[state] = expand(state)
-        for c_a, (successors, class_list) in zip(alphabet, row):
-            delta[(state, c_a)] = successors
-            classes[(state, c_a)] = class_list
-            for t in successors:
-                if t not in seen:
-                    seen.add(t)
-                    queue.append(t)
+        for t in row[2]:
+            if t not in seen:
+                seen.add(t)
+                states.append(t)
+    return TreeAutomaton(kind, hat, s, p1, p2, init, states, alphabet, table)
 
-    return TreeAutomaton(kind, hat, s, p1, p2, init, states, alphabet, delta, classes)
+
+def level_automaton(kind, hat, p1, p2):
+    """The automaton over every row of the hat's goal table for (p1, p2), in
+    the order they were expanded, with no initial state or source kset.
+
+    The table is closed under successors, and so is every kset's automaton
+    in it, so a state wins in a kset's automaton iff it wins here: one solve
+    of this game decides every kset built so far.
+    """
+    table = hat._goal_tables.get((p1, p2), {})
+    alphabet = hat.source.coalition_actions(hat.coalition)
+    return TreeAutomaton(kind, hat, None, p1, p2, None, table, alphabet, table)
 
 
 def to_dot(automaton, annotation=None):

@@ -306,8 +306,8 @@ class TestUnhashableNames:
 
 
 class TestStringNames:
-    """State ids and props must be JSON strings; a number there is an ArenaError
-    naming the field. Agent and action names may be any JSON scalar."""
+    """State ids, props and agent names must be JSON strings; a number there is
+    an ArenaError naming the field. Action names may be any JSON scalar."""
 
     def test_state_id(self):
         doc = tiny_document()
@@ -332,6 +332,12 @@ class TestStringNames:
         doc["states"][1]["labels"] = ["h", True]
         with pytest.raises(ArenaError,
                            match="an entry of 'labels' of state s1 must be a string, not bool"):
+            load_arena(doc)
+
+    def test_agent_name(self):
+        doc = tiny_document()
+        doc["agents"][1]["name"] = 7
+        with pytest.raises(ArenaError, match="'name' of an agent must be a string, not int 7"):
             load_arena(doc)
 
     def test_numeric_action_names_stay_accepted(self):

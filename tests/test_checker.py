@@ -19,6 +19,8 @@ from atldk import (
     model_check,
     split,
 )
+from atldk.emptiness import check_until_nonempty, check_weak_nonempty
+from atldk.strategy_automata import level_automaton
 from oracles import initialized_runs, knowledge_oracle, random_arena, random_coalition
 
 AB = ["Alice", "Bob"]
@@ -244,6 +246,48 @@ class TestLevelCoherence:
             s = level.hat.kset[hid]
             per_kset.setdefault(s, set()).add(level.labels[hid])
         assert all(len(values) == 1 for values in per_kset.values())
+
+
+def goal_levels(seeds=range(150)):
+    """(seed, level, level-wide winning region) for until and weak-until levels
+    over seeded small arenas."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        g = random_arena(rng, max_states=5)
+        if not g.props:
+            continue
+        coalition = random_coalition(rng)
+        props = sorted(g.props)
+        p1, p2 = rng.choice(props), rng.choice(props)
+        for node, kind, decide in ((fm.Until, "until", check_until_nonempty),
+                                   (fm.WeakUntil, "weak-until", check_weak_nonempty)):
+            level = label_step(g, node(coalition, fm.Atom(p1), fm.Atom(p2)), "p#1")
+            game = level_automaton(kind, level.hat, p1, p2)
+            yield (seed, kind), level, decide(game)[1].winning
+
+
+class TestOneSolvePerLevel:
+    """Labels come from one solve of the level's whole goal table; the per-kset
+    solutions, solved on first access, must agree with them."""
+
+    def test_each_kset_solution_agrees_with_the_level_labels(self):
+        for case, level, _ in goal_levels():
+            for hid in level.arena.states:
+                assert level.solutions[level.hat.kset[hid]][0] == level.labels[hid], case
+
+    def test_view_regions_are_the_level_region_on_their_states(self):
+        for case, level, winning in goal_levels():
+            for s, automaton in level.automata.items():
+                assert level.solutions[s][1].winning == winning & set(automaton.states), case
+
+    def test_solutions_are_a_read_only_mapping_over_the_ksets(self):
+        for case, level, _ in goal_levels(range(20)):
+            assert set(level.solutions) == set(level.hat.ksets), case
+            assert len(level.solutions) == len(level.hat.ksets), case
+            s = next(iter(level.hat.ksets))
+            assert s in level.solutions
+            with pytest.raises(TypeError):
+                level.solutions[s] = (True, None)
 
 
 class TestVerdict:

@@ -100,6 +100,15 @@ class TestCheck:
         assert result.exit_code == 2
         assert "'id' of a state must be a string, not int 0" in result.stderr
 
+    def test_numeric_agent_name_exits_two(self, runner, arena_path, tmp_path):
+        doc = json.loads(Path(arena_path).read_text())
+        doc["agents"][1]["name"] = 7
+        path = tmp_path / "arena.json"
+        path.write_text(json.dumps(doc))
+        result = invoke(runner, ["check", "--arena", str(path), "--formula", "valid"])
+        assert result.exit_code == 2
+        assert "'name' of an agent must be a string, not int 7" in result.stderr
+
     def test_state_cap(self, runner, arena_path):
         result = invoke(runner, ["check", "--arena", arena_path,
                                  "--formula", EXAMPLE, "--state-cap", "3"])

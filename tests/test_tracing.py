@@ -1,11 +1,16 @@
-"""The benchmark tracer still finds and wraps the checker's layers.
+"""The benchmark tracer still finds and wraps the checker's layers, and its
+counts still match the baseline that `benchmarks/run.py --trace 1` checks.
 
 benchmarks/tracing.py replaces functions of atldk.checker, atldk.formula and
 Arena by name; a rename there would break `benchmarks/run.py --trace 1`.
 """
 
 import importlib
+import importlib.util
+import signal
 from pathlib import Path
+
+import pytest
 
 import atldk.arena
 import atldk.checker
@@ -23,12 +28,31 @@ WRAPPED = [
     (atldk.formula, name) for name in ("parse_formula", "desugar", "enumerate_subformulas")
 ]
 
+GOAL_CASES = ("until", "weak-until")
 
-def test_traced_check_counts_every_layer_and_uninstalls(monkeypatch):
+
+@pytest.fixture
+def benchmarks(monkeypatch):
+    """The benchmark's tracing and run modules, imported as the script does."""
     monkeypatch.syspath_prepend(str(BENCHMARKS))
     tracing = importlib.import_module("tracing")
+    spec = importlib.util.spec_from_file_location("benchmark_run", BENCHMARKS / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return tracing, run
+
+
+@pytest.fixture
+def tracer(benchmarks):
+    tracer = benchmarks[0].Tracer()
+    tracer.install()
+    yield tracer
+    tracer.uninstall()
+
+
+def test_traced_check_counts_every_layer_and_uninstalls(benchmarks):
     originals = [getattr(owner, name) for owner, name in WRAPPED]
-    tracer = tracing.Tracer()
+    tracer = benchmarks[0].Tracer()
     tracer.install()
     try:
         assert all(getattr(owner, name) is not original
@@ -42,3 +66,26 @@ def test_traced_check_counts_every_layer_and_uninstalls(monkeypatch):
         assert totals[metric] > 0, metric
     assert all(getattr(owner, name) is original
                for (owner, name), original in zip(WRAPPED, originals))
+
+
+@pytest.mark.parametrize("text", ["<Bob>F <Alice>X s", "<Alice,Bob>(valid W (c & s))",
+                                  "<Alice>G <Alice,Bob>(valid U (c & s))"])
+def test_one_solve_per_goal_level(tracer, text):
+    verdict = model_check(load_alicebob(), text)
+    totals = tracer.take()
+    goal_levels = sum(1 for level in verdict.table if level.case in GOAL_CASES)
+    assert goal_levels > 0
+    assert totals["emptiness.calls"] == goal_levels
+    assert totals["strategy_automata.calls"] == sum(
+        len(level.hat.ksets) for level in verdict.table if level.case in GOAL_CASES)
+
+
+def test_traced_counts_match_the_benchmark_baseline(benchmarks, tracer):
+    run = benchmarks[1]
+    assert run.BASELINE_FORMULA == "<a1>F <a2>X p3"
+    assert set(run.BASELINE) == {8, 12}
+    previous = signal.signal(signal.SIGALRM, run._on_alarm)
+    try:
+        assert run.baseline_problems(tracer) == []
+    finally:
+        signal.signal(signal.SIGALRM, previous)
