@@ -365,7 +365,10 @@ def load_arena(document, allow_reserved=False):
             _names(targets, "'to' of a transition from %s", q)
             raise
 
-    if document.get("complete_with_sink", False):
+    complete = document.get("complete_with_sink", False)
+    _require(isinstance(complete, bool), "'complete_with_sink' must be true or false, not %s %r"
+             % (type(complete).__name__, complete))
+    if complete:
         _require(SINK_ID not in labels, "state id %r is reserved for the sink" % SINK_ID)
         states.append(SINK_ID)
         labels[SINK_ID] = set()

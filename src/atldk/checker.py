@@ -4,7 +4,6 @@ prop for one subformula, and read the verdict off the final initial states."""
 from __future__ import annotations
 
 import time
-from collections.abc import Mapping
 
 from . import formula as fm
 from .emptiness import check_until_nonempty, check_weak_nonempty, extract_witness_strategy
@@ -18,10 +17,8 @@ CASE_ATOM = "atom"
 CASE_BOOLEAN = "boolean"
 CASE_KNOWLEDGE = "knowledge"
 CASE_NEXT = "next"
-CASE_UNTIL = "until"
-CASE_WEAK_UNTIL = "weak-until"
 
-MODAL_CASES = (CASE_KNOWLEDGE, CASE_NEXT, CASE_UNTIL, CASE_WEAK_UNTIL)
+MODAL_CASES = (CASE_KNOWLEDGE, CASE_NEXT, UNTIL, WEAK_UNTIL)
 
 
 class CheckerError(Exception):
@@ -37,11 +34,11 @@ class LabelLevel:
     for the fresh prop, the labeling case, and provenance to the previous level.
 
     Modal levels keep the refined arena; until and weak-until levels also keep
-    each kset's goal automaton and a read-only map from kset to its solution,
-    solved on first access."""
+    each kset's goal automaton and the one solution of the level's goal game,
+    whose region and choices serve every kset."""
 
     def __init__(self, k, chi, prop, case, arena, labels, provenance,
-                 hat=None, coalition=None, automata=None, solutions=None, elapsed=0.0):
+                 hat=None, coalition=None, automata=None, solution=None, elapsed=0.0):
         self.k = k
         self.chi = chi
         self.prop = prop
@@ -52,7 +49,7 @@ class LabelLevel:
         self.hat = hat
         self.coalition = coalition
         self.automata = automata or {}
-        self.solutions = solutions or {}
+        self.solution = solution
         self.elapsed = elapsed
 
     @property
@@ -62,32 +59,6 @@ class LabelLevel:
     def stats(self):
         return {"k": self.k, "case": self.case,
                 "states": len(self.arena.states), "labeled": self.labeled_count}
-
-
-class _KsetSolutions(Mapping):
-    """Read-only (nonempty, GameSolution) per kset of an until or weak-until
-    level. A kset's own automaton is solved on first access; the level's
-    labels come from one solve of the whole level, which agrees with it."""
-
-    def __init__(self, automata, decide):
-        self._automata = automata
-        self._decide = decide
-        self._solved = {}
-
-    def __getitem__(self, s):
-        solved = self._solved.get(s)
-        if solved is None:
-            solved = self._solved[s] = self._decide(self._automata[s])
-        return solved
-
-    def __contains__(self, s):
-        return s in self._automata
-
-    def __iter__(self):
-        return iter(self._automata)
-
-    def __len__(self):
-        return len(self._automata)
 
 
 class LabelingTable:
@@ -129,7 +100,7 @@ class Verdict:
         One strategy is extracted per distinct initial kset, in first-seen
         order, and the later ones are merged into the first one's map."""
         for level in reversed(self.table.levels):
-            if level.case not in (CASE_UNTIL, CASE_WEAK_UNTIL):
+            if level.case not in (UNTIL, WEAK_UNTIL):
                 continue
             hat = level.hat
             initial_ids = hat.arena.initial
@@ -137,8 +108,7 @@ class Verdict:
                 return None
             strategy = None
             for s in dict.fromkeys(hat.kset[hid] for hid in initial_ids):
-                nonempty, solution = level.solutions[s]
-                extracted = extract_witness_strategy(solution, level.automata[s], hat)
+                extracted = extract_witness_strategy(level.solution, level.automata[s], hat)
                 if strategy is None:
                     strategy = extracted
                 else:
@@ -208,7 +178,7 @@ def label_step(arena, chi, prop, state_cap=DEFAULT_STATE_CAP):
         raise StateCapExceeded(str(exc)) from exc
 
     automata = {}
-    solutions = {}
+    solution = None
     if isinstance(chi, fm.Know):
         case = CASE_KNOWLEDGE
         labels = label_knowledge(hat, _operand_atom(chi.operand, chi))
@@ -219,19 +189,17 @@ def label_step(arena, chi, prop, state_cap=DEFAULT_STATE_CAP):
         p1 = _operand_atom(chi.left, chi)
         p2 = _operand_atom(chi.right, chi)
         if isinstance(chi, fm.Until):
-            case, kind = CASE_UNTIL, UNTIL
-            build, decide = build_until_automaton, check_until_nonempty
+            case, build, decide = UNTIL, build_until_automaton, check_until_nonempty
         else:
-            case, kind = CASE_WEAK_UNTIL, WEAK_UNTIL
-            build, decide = build_weak_until_automaton, check_weak_nonempty
+            case, build, decide = WEAK_UNTIL, build_weak_until_automaton, check_weak_nonempty
         automata = {s: build(hat, coalition, p1, p2, s) for s in hat.ksets}
-        winning = decide(level_automaton(kind, hat, p1, p2))[1].winning
-        labels = {hid: automata[hat.kset[hid]].init in winning for hid in hat.arena.states}
-        solutions = _KsetSolutions(automata, decide)
+        solution = decide(level_automaton(case, hat, p1, p2))[1]
+        labels = {hid: automata[hat.kset[hid]].init in solution.winning
+                  for hid in hat.arena.states}
 
     new_arena = hat.arena.with_prop(prop, [hid for hid in hat.arena.states if labels[hid]])
     return LabelLevel(0, chi, prop, case, new_arena, labels, hat.base,
-                      hat=hat, coalition=coalition, automata=automata, solutions=solutions,
+                      hat=hat, coalition=coalition, automata=automata, solution=solution,
                       elapsed=time.monotonic() - started)
 
 
@@ -299,13 +267,10 @@ def explain(verdict, state_id):
             chain.append(entry)
             current = level.provenance[current]
         state_id_base = current
-        if top_level.case in (CASE_UNTIL, CASE_WEAK_UNTIL) and chain[0]["labeled"]:
+        if top_level.case in (UNTIL, WEAK_UNTIL) and chain[0]["labeled"]:
             hat = top_level.hat
-            s = hat.kset[chain[0]["state"]]
-            nonempty, solution = top_level.solutions[s]
-            if nonempty:
-                strategy = extract_witness_strategy(solution, top_level.automata[s], hat)
-                witness = strategy.to_document()
+            automaton = top_level.automata[hat.kset[chain[0]["state"]]]
+            witness = extract_witness_strategy(top_level.solution, automaton, hat).to_document()
         state_id = state_id_base
     record = {
         "state": state_id,

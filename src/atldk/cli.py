@@ -12,8 +12,6 @@ import click
 from . import __version__
 from .arena import ArenaError, load_arena
 from .checker import (
-    CASE_UNTIL,
-    CASE_WEAK_UNTIL,
     DEFAULT_STATE_CAP,
     CheckerError,
     explain as explain_state,
@@ -32,6 +30,7 @@ from .epistemic_split import split as split_arena
 from .formula import FormulaError, parse_formula
 from .strategy_automata import (
     UNTIL,
+    WEAK_UNTIL,
     AutomatonError,
     build_until_automaton,
     build_weak_until_automaton,
@@ -218,8 +217,8 @@ def split_command(arena_path, coalition_text, fmt, state_cap, out_path):
               help="Arena document (JSON).")
 @click.option("--coalition", "coalition_text", required=True,
               help="Comma-separated coalition members.")
-@click.option("--kind", type=click.Choice([CASE_UNTIL, CASE_WEAK_UNTIL]),
-              default=CASE_UNTIL, show_default=True, help="Goal automaton kind.")
+@click.option("--kind", type=click.Choice([UNTIL, WEAK_UNTIL]),
+              default=UNTIL, show_default=True, help="Goal automaton kind.")
 @click.option("--p1", required=True, help="Maintenance prop of the goal.")
 @click.option("--p2", required=True, help="Target prop of the goal.")
 @click.option("--kset", "kset_text", default=None,
@@ -242,7 +241,7 @@ def automaton(arena_path, coalition_text, kind, p1, p2, kset_text, fmt, state_ca
             source = hat.kset[hat.arena.initial[0]]
         else:
             source = hat.require_kset(_parse_members(kset_text))
-        if kind == CASE_UNTIL:
+        if kind == UNTIL:
             built = build_until_automaton(hat, members, p1, p2, source)
             nonempty, solution = check_until_nonempty(built)
         else:
@@ -325,7 +324,7 @@ def _automaton_summary(built, nonempty, solution):
               default=None, help="Read the formula from a file; wins over --formula.")
 @click.option("--seed", type=int, default=None,
               help="Random-batch mode: seed for generated arenas.")
-@click.option("--batch", type=int, default=25, show_default=True,
+@click.option("--batch", type=click.IntRange(min=1), default=25, show_default=True,
               help="Random-batch mode: number of generated arenas.")
 @click.option("--format", "fmt", type=click.Choice([FORMAT_HUMAN, FORMAT_JSON]),
               default=FORMAT_HUMAN, show_default=True, help="Output format.")
@@ -382,12 +381,12 @@ def _generic_verdict(built, guard):
 def _verdict_comparisons(verdict, guard):
     records = []
     for level in verdict.table:
-        if level.case not in (CASE_UNTIL, CASE_WEAK_UNTIL):
+        if level.case not in (UNTIL, WEAK_UNTIL):
             continue
         order = level.hat.source.sorted_states
         for s in sorted(level.automata, key=lambda kset: (len(kset), order(kset))):
             built = level.automata[s]
-            solver = level.solutions[s][0]
+            solver = built.init in level.solution.winning
             generic = _generic_verdict(built, guard)
             records.append({
                 "level": level.k,
@@ -412,8 +411,8 @@ def _batch_comparisons(rng, batch, state_cap, guard):
         order = g.sorted_states
         for s in sorted(hat.ksets, key=lambda kset: (len(kset), order(kset))):
             for kind, build, decide in (
-                    (CASE_UNTIL, build_until_automaton, check_until_nonempty),
-                    (CASE_WEAK_UNTIL, build_weak_until_automaton, check_weak_nonempty)):
+                    (UNTIL, build_until_automaton, check_until_nonempty),
+                    (WEAK_UNTIL, build_weak_until_automaton, check_weak_nonempty)):
                 built = build(hat, members, p1, p2, s)
                 solver = decide(built)[0]
                 generic = _generic_verdict(built, guard)

@@ -71,6 +71,9 @@ def split(g, coalition, limit=None):
                 "state cap exceeded: refinement for {%s} needs more than %d states"
                 % (",".join(sorted(coalition)), limit))
         hid = ids[(q, s)] = hat_id(g, q, s)
+        if hid in base:
+            raise ArenaError("refined state id %r names two knowledge sets, %s and %s"
+                             % (hid, g.sorted_states(kset[hid]), g.sorted_states(s)))
         base[hid] = q
         kset[hid] = s
         states.append(hid)

@@ -140,6 +140,24 @@ def random_coalition(rng):
     return rng.choice((["a1"], ["a2"], ["a1", "a2"]))
 
 
+def comma_id_document():
+    """A valid arena whose state ids contain ',': from the initial kset {x,y},
+    agent A's two actions reach the ksets {q,a,"b,c"} and {q,"a,b",c}, whose
+    members join to the same text."""
+    loops = ("q", "a", "b,c", "a,b", "c")
+    moves = [("x", "m", ["q", "a", "b,c"]), ("x", "n", ["q", "a,b", "c"]),
+             ("y", "m", ["q"]), ("y", "n", ["q"])]
+    moves += [(s, act, [s]) for s in loops for act in ("m", "n")]
+    return {
+        "agents": [{"name": "A", "actions": ["m", "n"], "observes": ["o"]}],
+        "states": [{"id": s} for s in loops]
+        + [{"id": "x", "labels": ["o"]}, {"id": "y", "labels": ["o"]}],
+        "initial": ["x", "y"],
+        "transitions": [{"from": q, "actions": {"A": act}, "to": to}
+                        for q, act, to in moves],
+    }
+
+
 def initialized_runs(arena, depth):
     """Every initialized valid run with at most the given number of steps.
 

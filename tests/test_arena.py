@@ -155,6 +155,13 @@ class TestLoadErrors:
         g = load_arena(doc)
         assert g.succ("s1", ("b", "a")) == frozenset({SINK_ID})
 
+    def test_sink_flag_must_be_a_boolean(self):
+        doc = tiny_document()
+        doc["transitions"].pop()
+        doc["complete_with_sink"] = "false"
+        with pytest.raises(ArenaError, match="'complete_with_sink' must be true or false"):
+            load_arena(doc)
+
     def test_prop_both_hidden_and_observed(self):
         doc = tiny_document()
         doc["hidden_props"] = ["p"]

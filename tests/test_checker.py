@@ -20,7 +20,6 @@ from atldk import (
     split,
 )
 from atldk.emptiness import check_until_nonempty, check_weak_nonempty
-from atldk.strategy_automata import level_automaton
 from oracles import initialized_runs, knowledge_oracle, random_arena, random_coalition
 
 AB = ["Alice", "Bob"]
@@ -249,8 +248,9 @@ class TestLevelCoherence:
 
 
 def goal_levels(seeds=range(150)):
-    """(seed, level, level-wide winning region) for until and weak-until levels
-    over seeded small arenas."""
+    """(case, level, own) for until and weak-until levels over seeded small
+    arenas, where own maps each kset to its own view's (nonempty, solution):
+    the reference that the level's one solution must agree with."""
     for seed in seeds:
         rng = random.Random(seed)
         g = random_arena(rng, max_states=5)
@@ -262,32 +262,58 @@ def goal_levels(seeds=range(150)):
         for node, kind, decide in ((fm.Until, "until", check_until_nonempty),
                                    (fm.WeakUntil, "weak-until", check_weak_nonempty)):
             level = label_step(g, node(coalition, fm.Atom(p1), fm.Atom(p2)), "p#1")
-            game = level_automaton(kind, level.hat, p1, p2)
-            yield (seed, kind), level, decide(game)[1].winning
+            own = {s: decide(automaton) for s, automaton in level.automata.items()}
+            yield (seed, kind), level, own
+
+
+def reaches_a_target(automaton, choice, state, verdicts):
+    """Every path from state that follows choice reaches a target, without
+    visiting BOT or repeating a state. verdicts memoizes per state; a state
+    met again while its own verdict is pending lies on a cycle and reads
+    False."""
+    if state not in verdicts:
+        verdicts[state] = False
+        verdicts[state] = automaton.is_target(state) or (state in choice and all(
+            reaches_a_target(automaton, choice, t, verdicts)
+            for t in automaton.delta[(state, choice[state])]))
+    return verdicts[state]
 
 
 class TestOneSolvePerLevel:
-    """Labels come from one solve of the level's whole goal table; the per-kset
-    solutions, solved on first access, must agree with them."""
+    """Labels, witnesses and explanations come from one solve of the level's
+    whole goal table; each kset's own solve is the reference they must agree
+    with."""
 
     def test_each_kset_solution_agrees_with_the_level_labels(self):
-        for case, level, _ in goal_levels():
+        for case, level, own in goal_levels():
             for hid in level.arena.states:
-                assert level.solutions[level.hat.kset[hid]][0] == level.labels[hid], case
+                assert own[level.hat.kset[hid]][0] == level.labels[hid], case
 
     def test_view_regions_are_the_level_region_on_their_states(self):
-        for case, level, winning in goal_levels():
+        for case, level, own in goal_levels():
             for s, automaton in level.automata.items():
-                assert level.solutions[s][1].winning == winning & set(automaton.states), case
+                assert own[s][1].winning == level.solution.winning & set(automaton.states), case
 
-    def test_solutions_are_a_read_only_mapping_over_the_ksets(self):
-        for case, level, _ in goal_levels(range(20)):
-            assert set(level.solutions) == set(level.hat.ksets), case
-            assert len(level.solutions) == len(level.hat.ksets), case
-            s = next(iter(level.hat.ksets))
-            assert s in level.solutions
-            with pytest.raises(TypeError):
-                level.solutions[s] = (True, None)
+    def test_weak_until_choices_are_the_kset_choices(self):
+        for case, level, own in goal_levels():
+            if level.case != "weak-until":
+                continue
+            for s, automaton in level.automata.items():
+                states = set(automaton.states)
+                level_choice = {state: c_a for state, c_a in level.solution.choice.items()
+                                if state in states}
+                assert level_choice == own[s][1].choice, case
+
+    def test_until_choices_reach_a_target_on_every_view(self):
+        for case, level, _ in goal_levels():
+            if level.case != "until":
+                continue
+            for automaton in level.automata.values():
+                verdicts = {}
+                for state in automaton.states:
+                    if state in level.solution.winning:
+                        assert reaches_a_target(automaton, level.solution.choice, state,
+                                                verdicts), case
 
 
 class TestVerdict:

@@ -12,7 +12,7 @@ from click.testing import CliRunner
 import atldk
 from atldk import Strategy, alicebob_path, load_arena
 from atldk.cli import main
-from oracles import replay_until
+from oracles import comma_id_document, replay_until
 
 EXAMPLE = "<Alice,Bob>(valid U (c & s))"
 
@@ -108,6 +108,22 @@ class TestCheck:
         result = invoke(runner, ["check", "--arena", str(path), "--formula", "valid"])
         assert result.exit_code == 2
         assert "'name' of an agent must be a string, not int 7" in result.stderr
+
+    def test_string_sink_flag_exits_two(self, runner, arena_path, tmp_path):
+        doc = json.loads(Path(arena_path).read_text())
+        doc["complete_with_sink"] = "false"
+        path = tmp_path / "arena.json"
+        path.write_text(json.dumps(doc))
+        result = invoke(runner, ["check", "--arena", str(path), "--formula", "valid"])
+        assert result.exit_code == 2
+        assert "'complete_with_sink' must be true or false, not str 'false'" in result.stderr
+
+    def test_colliding_refined_ids_exit_two(self, runner, tmp_path):
+        path = tmp_path / "arena.json"
+        path.write_text(json.dumps(comma_id_document()))
+        result = invoke(runner, ["check", "--arena", str(path), "--formula", "K{A} o"])
+        assert result.exit_code == 2
+        assert "refined state id 'q@{q,a,b,c}' names two knowledge sets" in result.stderr
 
     def test_state_cap(self, runner, arena_path):
         result = invoke(runner, ["check", "--arena", arena_path,
@@ -291,6 +307,12 @@ class TestOracle:
         result = invoke(runner, ["oracle"])
         assert result.exit_code == 2
         assert "--seed" in result.stderr
+
+    @pytest.mark.parametrize("batch", ["0", "-2"])
+    def test_batch_must_be_positive(self, runner, batch):
+        result = invoke(runner, ["oracle", "--seed", "0", "--batch", batch])
+        assert result.exit_code == 2
+        assert "--batch" in result.stderr
 
     def test_guard_error_surfaces(self, runner, arena_path):
         result = invoke(runner, ["oracle", "--arena", arena_path,

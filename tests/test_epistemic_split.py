@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from atldk import (
+    ArenaError,
     SplitLimitExceeded,
     label_knowledge,
     label_next,
@@ -15,6 +16,7 @@ from atldk import (
 )
 from oracles import (
     Run,
+    comma_id_document,
     equivalence_classes,
     hat_state_of,
     initialized_runs,
@@ -84,6 +86,12 @@ class TestCorpusSplit:
         with pytest.raises(SplitLimitExceeded):
             split(corpus, AB, limit=5)
         split(corpus, AB, limit=16)
+
+    def test_colliding_refined_ids_are_rejected(self):
+        g = load_arena(comma_id_document())
+        with pytest.raises(ArenaError, match=r"refined state id 'q@\{q,a,b,c\}' names two "
+                           r"knowledge sets, \['q', 'a', 'b,c'\] and \['q', 'a,b', 'c'\]"):
+            split(g, ["A"])
 
 
 class TestInitialGrouping:

@@ -15,7 +15,7 @@ import pytest
 import atldk.arena
 import atldk.checker
 import atldk.formula
-from atldk import load_alicebob, model_check
+from atldk import explain, load_alicebob, model_check
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -78,6 +78,22 @@ def test_one_solve_per_goal_level(tracer, text):
     assert totals["emptiness.calls"] == goal_levels
     assert totals["strategy_automata.calls"] == sum(
         len(level.hat.ksets) for level in verdict.table if level.case in GOAL_CASES)
+
+
+@pytest.mark.parametrize("text", ["<Alice,Bob>(valid U (c & s))", "<Alice,Bob>(valid W (c & s))",
+                                  "<Alice>(valid W c)",
+                                  "<Alice,Bob>F <Alice,Bob>(valid U (c & s))"])
+def test_witnesses_and_explanations_read_the_level_solution(tracer, text):
+    verdict = model_check(load_alicebob(), text)
+    verdict.witness()
+    for level in verdict.table:
+        if level.case in GOAL_CASES:
+            for hid in level.arena.states:
+                explain(verdict, hid)
+    totals = tracer.take()
+    assert totals["emptiness.witness_map_entries"] > 0
+    assert totals["emptiness.calls"] == sum(
+        1 for level in verdict.table if level.case in GOAL_CASES)
 
 
 def test_traced_counts_match_the_benchmark_baseline(benchmarks, tracer):
