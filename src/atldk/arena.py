@@ -14,16 +14,17 @@ class ArenaError(Exception):
 
 
 class _CoalitionView:
-    """One coalition's compiled view of an arena: members in agent order, the
-    props they observe, each state's observation, the members' positions in a
-    joint action, and the memo of Arena.outcome_classes."""
+    """One coalition's compiled view of an arena: members in agent order, each
+    state's observation (its label restricted to the props the members
+    observe), the members' positions in a joint action, and the memo of
+    Arena.outcome_classes."""
 
-    __slots__ = ("members", "props", "observation", "positions", "outcomes")
+    __slots__ = ("members", "observation", "positions", "outcomes")
 
     def __init__(self, arena, coalition):
         self.members = tuple(a for a in arena.agents if a in coalition)
-        self.props = frozenset().union(*(arena.observes[a] for a in self.members))
-        self.observation = {q: label & self.props for q, label in arena.labels.items()}
+        props = frozenset().union(*(arena.observes[a] for a in self.members))
+        self.observation = {q: label & props for q, label in arena.labels.items()}
         self.positions = tuple(i for i, a in enumerate(arena.agents) if a in coalition)
         self.outcomes = {}
 
@@ -132,9 +133,6 @@ class Arena:
         """Canonical ordering of a coalition: arena agent order."""
         return self._coalition_view(coalition).members
 
-    def coalition_props(self, coalition):
-        return self._coalition_view(coalition).props
-
     def coalition_actions(self, coalition):
         """All coalition action tuples, aligned with coalition_tuple order."""
         members = self.coalition_tuple(coalition)
@@ -186,21 +184,16 @@ class Arena:
     def sorted_states(self, states):
         return sorted(states, key=self.state_sort_key)
 
-    def with_prop(self, prop, true_states, hidden=True):
-        """A copy of the arena with one more prop, labeling exactly the given states."""
+    def with_prop(self, prop, true_states):
+        """A copy of the arena with one more hidden prop, labeling exactly the
+        given states."""
         if prop in self.props:
             raise ArenaError("prop %s already declared" % prop)
         true_states = set(true_states)
         labels = {q: (self.labels[q] | {prop}) if q in true_states else self.labels[q]
                   for q in self.states}
-        if hidden:
-            observes = self.observes
-            hidden_props = self.hidden | {prop}
-        else:
-            observes = {a: self.observes[a] | {prop} for a in self.agents}
-            hidden_props = self.hidden
         return Arena(self.agents, self.actions, self.states, labels, self.initial,
-                     observes, hidden_props, self.transitions)
+                     self.observes, self.hidden | {prop}, self.transitions)
 
     def to_document(self):
         """Serialize back to the arena document schema."""

@@ -49,53 +49,108 @@ EXIT_DIVERGENCE = 3
 _ERRORS = (ArenaError, FormulaError, AutomatonError, EmptinessError, CheckerError,
            OSError, ValueError)
 
-
-def _fail(message):
-    click.echo("error: %s" % message, err=True)
-    sys.exit(EXIT_ERROR)
+# Per goal kind: the automaton builder, its emptiness solver, and the acceptance
+# condition the generic occurrence oracle decides.
+_GOALS = {
+    UNTIL: (build_until_automaton, check_until_nonempty, until_accept),
+    WEAK_UNTIL: (build_weak_until_automaton, check_weak_nonempty, weak_accept),
+}
 
 
 def _note(message):
     click.echo(message, err=True)
 
 
-def _read_formula(text, path):
-    if path is not None:
-        with open(path) as handle:
-            text = handle.read()
-    if text is None or not text.strip():
-        raise FormulaError("a formula is required (--formula or --formula-file)")
-    return parse_formula(text)
-
-
 def _parse_members(text):
-    members = [m.strip() for m in text.split(",") if m.strip()]
+    """Members from a comma-separated list or, when the text starts with '[', a
+    JSON array of strings (the form `split --format json` prints ksets in)."""
+    if not text.lstrip().startswith("["):
+        members = [m.strip() for m in text.split(",") if m.strip()]
+    else:
+        try:
+            members = json.loads(text)
+        except ValueError:
+            members = None
+        if not (isinstance(members, list) and all(isinstance(m, str) for m in members)):
+            raise ArenaError("not a JSON array of strings: %s" % text)
     if not members:
         raise ArenaError("empty coalition")
     return members
 
 
-def _write_text(path, text):
-    with open(path, "w") as handle:
-        handle.write(text if text.endswith("\n") else text + "\n")
-
-
-def _write_json(path, doc):
-    _write_text(path, json.dumps(doc, indent=2))
-
-
 def _emit(text, out):
+    """Print the text, or write it to the file `out` ending in a newline."""
     if out is None:
         click.echo(text.rstrip("\n"))
     else:
-        _write_text(out, text)
+        with open(out, "w") as handle:
+            handle.write(text if text.endswith("\n") else text + "\n")
 
 
-def _action_map(members, action):
-    return {a: act for a, act in zip(members, action)}
+def _format_action(action_map):
+    return ", ".join("%s=%s" % (a, act) for a, act in action_map.items())
 
 
-@click.group()
+def _sorted_ksets(hat, ksets):
+    order = hat.source.sorted_states
+    return sorted(ksets, key=lambda kset: (len(kset), order(kset)))
+
+
+def _verdict(arena_path, formula_text, formula_file, state_cap):
+    """Check the formula, read from its file when one is given, in the arena."""
+    g = load_arena(arena_path)
+    if formula_file is not None:
+        with open(formula_file) as handle:
+            formula_text = handle.read()
+    if formula_text is None or not formula_text.strip():
+        raise FormulaError("a formula is required (--formula or --formula-file)")
+    return model_check(g, parse_formula(formula_text), state_cap=state_cap)
+
+
+def _split(arena_path, coalition_text, state_cap):
+    g = load_arena(arena_path)
+    return split_arena(g, _parse_members(coalition_text), limit=state_cap)
+
+
+class _Group(click.Group):
+    """A command group whose commands report every expected failure as
+    `error: ...` on stderr and exit code 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except _ERRORS as exc:
+            click.echo("error: %s" % exc, err=True)
+            sys.exit(EXIT_ERROR)
+
+
+def _arena_option(help="Arena document (JSON).", **attrs):
+    return click.option("--arena", "arena_path", help=help,
+                        type=click.Path(exists=True, dir_okay=False), **attrs)
+
+
+def _formula_options(command):
+    """--formula and --formula-file, in that order."""
+    command = click.option(
+        "--formula-file", type=click.Path(exists=True, dir_okay=False), default=None,
+        help="Read the formula from a file; wins over --formula.")(command)
+    return click.option("--formula", "formula_text", default=None,
+                        help="Formula text (shell quoted).")(command)
+
+
+def _format_option(choices=(FORMAT_HUMAN, FORMAT_JSON)):
+    return click.option("--format", "fmt", type=click.Choice(choices), default=FORMAT_HUMAN,
+                        show_default=True, help="Output format.")
+
+
+_state_cap_option = click.option(
+    "--state-cap", type=int, default=DEFAULT_STATE_CAP, show_default=True,
+    help="Abort when a refinement would exceed this many states.")
+_coalition_option = click.option("--coalition", "coalition_text", required=True,
+                                  help="Comma-separated coalition members.")
+
+
+@click.group(cls=_Group)
 @click.version_option(__version__, prog_name="atldk")
 def main():
     """Model checking of coalition strategies under imperfect information with
@@ -103,17 +158,10 @@ def main():
 
 
 @main.command()
-@click.option("--arena", "arena_path", required=True,
-              type=click.Path(exists=True, dir_okay=False),
-              help="Arena document (JSON).")
-@click.option("--formula", "formula_text", default=None,
-              help="Formula text (shell quoted).")
-@click.option("--formula-file", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="Read the formula from a file; wins over --formula.")
-@click.option("--format", "fmt", type=click.Choice([FORMAT_HUMAN, FORMAT_JSON]),
-              default=FORMAT_HUMAN, show_default=True, help="Output format.")
-@click.option("--state-cap", type=int, default=DEFAULT_STATE_CAP, show_default=True,
-              help="Abort when a refinement would exceed this many states.")
+@_arena_option(required=True)
+@_formula_options
+@_format_option()
+@_state_cap_option
 @click.option("--witness", "witness_path", type=click.Path(dir_okay=False), default=None,
               help="Write the witness strategy of the outermost until or weak-until "
                    "level here when it is positive.")
@@ -124,30 +172,25 @@ def check(arena_path, formula_text, formula_file, fmt, state_cap, witness_path, 
 
     Exits 0 when the formula holds, 1 when it does not, 2 on errors.
     """
-    try:
-        g = load_arena(arena_path)
-        f = _read_formula(formula_text, formula_file)
-        verdict = model_check(g, f, state_cap=state_cap)
-        if dump_dir is not None:
-            os.makedirs(dump_dir, exist_ok=True)
-            g.dump(os.path.join(dump_dir, "level_0.json"))
-            for level in verdict.table:
-                level.arena.dump(os.path.join(dump_dir, "level_%d.json" % level.k))
-            _note("arena levels written to %s" % dump_dir)
-        if witness_path is not None:
-            strategy = verdict.witness()
-            if strategy is None:
-                _note("no witness: no positive outermost until or weak-until level")
-            else:
-                _write_json(witness_path, strategy.to_document())
-                _note("witness written to %s" % witness_path)
-        if fmt == FORMAT_JSON:
-            click.echo(json.dumps(verdict.to_document(), indent=2))
+    verdict = _verdict(arena_path, formula_text, formula_file, state_cap)
+    if dump_dir is not None:
+        os.makedirs(dump_dir, exist_ok=True)
+        verdict.table.base.dump(os.path.join(dump_dir, "level_0.json"))
+        for level in verdict.table:
+            level.arena.dump(os.path.join(dump_dir, "level_%d.json" % level.k))
+        _note("arena levels written to %s" % dump_dir)
+    if witness_path is not None:
+        strategy = verdict.witness()
+        if strategy is None:
+            _note("no witness: no positive outermost until or weak-until level")
         else:
-            _print_verdict(verdict)
-        sys.exit(EXIT_HOLDS if verdict.holds else EXIT_NOT_HOLDS)
-    except _ERRORS as exc:
-        _fail(exc)
+            _emit(json.dumps(strategy.to_document(), indent=2), witness_path)
+            _note("witness written to %s" % witness_path)
+    if fmt == FORMAT_JSON:
+        click.echo(json.dumps(verdict.to_document(), indent=2))
+    else:
+        _print_verdict(verdict)
+    sys.exit(EXIT_HOLDS if verdict.holds else EXIT_NOT_HOLDS)
 
 
 def _print_verdict(verdict):
@@ -164,59 +207,44 @@ def _print_verdict(verdict):
 
 
 @main.command("split")
-@click.option("--arena", "arena_path", required=True,
-              type=click.Path(exists=True, dir_okay=False),
-              help="Arena document (JSON).")
-@click.option("--coalition", "coalition_text", required=True,
-              help="Comma-separated coalition members.")
-@click.option("--format", "fmt", type=click.Choice([FORMAT_HUMAN, FORMAT_JSON]),
-              default=FORMAT_HUMAN, show_default=True, help="Output format.")
-@click.option("--state-cap", type=int, default=DEFAULT_STATE_CAP, show_default=True,
-              help="Abort when the refinement would exceed this many states.")
+@_arena_option(required=True)
+@_coalition_option
+@_format_option()
+@_state_cap_option
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
               help="Write the refined arena document here.")
 def split_command(arena_path, coalition_text, fmt, state_cap, out_path):
     """Refine an arena by a coalition's pooled observations and report its
     knowledge sets."""
-    try:
-        g = load_arena(arena_path)
-        members = _parse_members(coalition_text)
-        hat = split_arena(g, members, limit=state_cap)
-        ksets = sorted((g.sorted_states(s) for s in hat.ksets),
-                       key=lambda members_: (len(members_), members_))
-        doc = hat.arena.to_document()
-        if out_path is not None:
-            _write_json(out_path, doc)
-            _note("refined arena written to %s" % out_path)
-        if fmt == FORMAT_JSON:
-            click.echo(json.dumps({
-                "coalition": sorted(hat.coalition),
-                "states": len(hat.arena.states),
-                "ksets": ksets,
-                "arena": doc,
-            }, indent=2))
+    hat = _split(arena_path, coalition_text, state_cap)
+    ksets = [hat.source.sorted_states(s) for s in _sorted_ksets(hat, hat.ksets)]
+    doc = hat.arena.to_document()
+    if out_path is not None:
+        _emit(json.dumps(doc, indent=2), out_path)
+        _note("refined arena written to %s" % out_path)
+    if fmt == FORMAT_JSON:
+        click.echo(json.dumps({
+            "coalition": sorted(hat.coalition),
+            "states": len(hat.arena.states),
+            "ksets": ksets,
+            "arena": doc,
+        }, indent=2))
+    else:
+        click.echo("coalition: {%s}" % ",".join(sorted(hat.coalition)))
+        click.echo("refined states: %d" % len(hat.arena.states))
+        click.echo("knowledge sets: %d" % len(ksets))
+        nontrivial = [s for s in ksets if len(s) > 1]
+        if nontrivial:
+            click.echo("non-singleton knowledge sets:")
+            for s in nontrivial:
+                click.echo("  {%s}" % ",".join(s))
         else:
-            click.echo("coalition: {%s}" % ",".join(sorted(hat.coalition)))
-            click.echo("refined states: %d" % len(hat.arena.states))
-            click.echo("knowledge sets: %d" % len(ksets))
-            nontrivial = [s for s in ksets if len(s) > 1]
-            if nontrivial:
-                click.echo("non-singleton knowledge sets:")
-                for s in nontrivial:
-                    click.echo("  {%s}" % ",".join(s))
-            else:
-                click.echo("non-singleton knowledge sets: none")
-        sys.exit(EXIT_HOLDS)
-    except _ERRORS as exc:
-        _fail(exc)
+            click.echo("non-singleton knowledge sets: none")
 
 
 @main.command()
-@click.option("--arena", "arena_path", required=True,
-              type=click.Path(exists=True, dir_okay=False),
-              help="Arena document (JSON).")
-@click.option("--coalition", "coalition_text", required=True,
-              help="Comma-separated coalition members.")
+@_arena_option(required=True)
+@_coalition_option
 @click.option("--kind", type=click.Choice([UNTIL, WEAK_UNTIL]),
               default=UNTIL, show_default=True, help="Goal automaton kind.")
 @click.option("--p1", required=True, help="Maintenance prop of the goal.")
@@ -224,51 +252,38 @@ def split_command(arena_path, coalition_text, fmt, state_cap, out_path):
 @click.option("--kset", "kset_text", default=None,
               help="Comma-separated knowledge set; defaults to the knowledge set "
                    "of the first initial refined state.")
-@click.option("--format", "fmt",
-              type=click.Choice([FORMAT_HUMAN, FORMAT_JSON, FORMAT_DOT]),
-              default=FORMAT_HUMAN, show_default=True, help="Output format.")
-@click.option("--state-cap", type=int, default=DEFAULT_STATE_CAP, show_default=True,
-              help="Abort when the refinement would exceed this many states.")
+@_format_option((FORMAT_HUMAN, FORMAT_JSON, FORMAT_DOT))
+@_state_cap_option
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
               help="Write the output here instead of stdout.")
 def automaton(arena_path, coalition_text, kind, p1, p2, kset_text, fmt, state_cap, out_path):
     """Build the goal automaton for one knowledge set and report its emptiness."""
-    try:
-        g = load_arena(arena_path)
-        members = _parse_members(coalition_text)
-        hat = split_arena(g, members, limit=state_cap)
-        if kset_text is None:
-            source = hat.kset[hat.arena.initial[0]]
-        else:
-            source = hat.require_kset(_parse_members(kset_text))
-        if kind == UNTIL:
-            built = build_until_automaton(hat, members, p1, p2, source)
-            nonempty, solution = check_until_nonempty(built)
-        else:
-            built = build_weak_until_automaton(hat, members, p1, p2, source)
-            nonempty, solution = check_weak_nonempty(built)
-        language = "nonempty" if nonempty else "EMPTY"
-        if fmt == FORMAT_DOT:
-            _emit(to_dot(built, annotation="language %s" % language), out_path)
-        elif fmt == FORMAT_JSON:
-            _emit(json.dumps(_automaton_document(built, nonempty), indent=2), out_path)
-        else:
-            _emit("\n".join(_automaton_summary(built, nonempty, solution)), out_path)
-        sys.exit(EXIT_HOLDS)
-    except _ERRORS as exc:
-        _fail(exc)
+    hat = _split(arena_path, coalition_text, state_cap)
+    if kset_text is None:
+        source = hat.kset[hat.arena.initial[0]]
+    else:
+        source = hat.require_kset(_parse_members(kset_text))
+    build, decide, _ = _GOALS[kind]
+    built = build(hat, hat.members, p1, p2, source)
+    nonempty, solution = decide(built)
+    language = "nonempty" if nonempty else "EMPTY"
+    if fmt == FORMAT_DOT:
+        _emit(to_dot(built, annotation="language %s" % language), out_path)
+    elif fmt == FORMAT_JSON:
+        _emit(json.dumps(_automaton_document(built, nonempty), indent=2), out_path)
+    else:
+        _emit("\n".join(_automaton_summary(built, nonempty, solution)), out_path)
 
 
 def _automaton_document(built, nonempty):
     hat = built.hat
     order = hat.source.sorted_states
-    members = hat.members
     transitions = []
     for state in built.states:
         for c_a in built.alphabet:
             entry = {
                 "from": built.pretty(state),
-                "action": _action_map(members, c_a),
+                "action": dict(zip(hat.members, c_a)),
                 "to": [built.pretty(t) for t in built.delta[(state, c_a)]],
             }
             classes = built.classes[(state, c_a)]
@@ -307,29 +322,21 @@ def _automaton_summary(built, nonempty, solution):
         lines.append("winning choices:")
         for state in built.states:
             if state in solution.choice:
-                action = _action_map(hat.members, solution.choice[state])
-                lines.append("  %s: %s"
-                             % (built.pretty(state),
-                                ", ".join("%s=%s" % (a, act) for a, act in action.items())))
+                action = dict(zip(hat.members, solution.choice[state]))
+                lines.append("  %s: %s" % (built.pretty(state), _format_action(action)))
     return lines
 
 
 @main.command()
-@click.option("--arena", "arena_path", default=None,
-              type=click.Path(exists=True, dir_okay=False),
-              help="Arena document (JSON); requires --formula or --formula-file.")
-@click.option("--formula", "formula_text", default=None,
-              help="Formula text (shell quoted).")
-@click.option("--formula-file", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="Read the formula from a file; wins over --formula.")
+@_arena_option(default=None,
+               help="Arena document (JSON); requires --formula or --formula-file.")
+@_formula_options
 @click.option("--seed", type=int, default=None,
               help="Random-batch mode: seed for generated arenas.")
 @click.option("--batch", type=click.IntRange(min=1), default=25, show_default=True,
               help="Random-batch mode: number of generated arenas.")
-@click.option("--format", "fmt", type=click.Choice([FORMAT_HUMAN, FORMAT_JSON]),
-              default=FORMAT_HUMAN, show_default=True, help="Output format.")
-@click.option("--state-cap", type=int, default=DEFAULT_STATE_CAP, show_default=True,
-              help="Abort when a refinement would exceed this many states.")
+@_format_option()
+@_state_cap_option
 @click.option("--oracle-guard", type=int, default=DEFAULT_ORACLE_GUARD, show_default=True,
               help="Refuse to run the generic oracle on automata larger than this.")
 def oracle(arena_path, formula_text, formula_file, seed, batch, fmt, state_cap,
@@ -340,62 +347,51 @@ def oracle(arena_path, formula_text, formula_file, seed, batch, fmt, state_cap,
     built; with --seed, sweeps a batch of small random arenas. Exits 0 on
     agreement, 3 on divergence.
     """
-    try:
-        if arena_path is None and seed is None:
-            raise CheckerError("oracle mode needs --arena with a formula, or --seed")
-        if arena_path is not None:
-            g = load_arena(arena_path)
-            f = _read_formula(formula_text, formula_file)
-            verdict = model_check(g, f, state_cap=state_cap)
-            records = _verdict_comparisons(verdict, oracle_guard)
-        else:
-            records = _batch_comparisons(random.Random(seed), batch, state_cap,
-                                         oracle_guard)
-        divergences = sum(1 for r in records if not r["agree"])
-        if fmt == FORMAT_JSON:
-            click.echo(json.dumps({
-                "comparisons": records,
-                "divergences": divergences,
-            }, indent=2))
-        else:
-            if not records:
-                click.echo("no goal automata to compare")
-            for r in records:
-                where = ("arena %d" % r["arena"]) if "arena" in r else ("level %d" % r["level"])
-                click.echo("%s %s kset={%s}: solver=%s oracle=%s %s"
-                           % (where, r["case"], ",".join(r["kset"]),
-                              "nonempty" if r["solver"] else "empty",
-                              "nonempty" if r["oracle"] else "empty",
-                              "ok" if r["agree"] else "DIVERGENCE"))
-            click.echo("comparisons: %d, divergences: %d" % (len(records), divergences))
-        sys.exit(EXIT_DIVERGENCE if divergences else EXIT_HOLDS)
-    except _ERRORS as exc:
-        _fail(exc)
+    if arena_path is None and seed is None:
+        raise CheckerError("oracle mode needs --arena with a formula, or --seed")
+    if arena_path is not None:
+        verdict = _verdict(arena_path, formula_text, formula_file, state_cap)
+        records = _verdict_comparisons(verdict, oracle_guard)
+    else:
+        records = _batch_comparisons(random.Random(seed), batch, state_cap, oracle_guard)
+    divergences = sum(1 for r in records if not r["agree"])
+    if fmt == FORMAT_JSON:
+        click.echo(json.dumps({
+            "comparisons": records,
+            "divergences": divergences,
+        }, indent=2))
+    else:
+        if not records:
+            click.echo("no goal automata to compare")
+        for r in records:
+            where = ("arena %d" % r["arena"]) if "arena" in r else ("level %d" % r["level"])
+            click.echo("%s %s kset={%s}: solver=%s oracle=%s %s"
+                       % (where, r["case"], ",".join(r["kset"]),
+                          "nonempty" if r["solver"] else "empty",
+                          "nonempty" if r["oracle"] else "empty",
+                          "ok" if r["agree"] else "DIVERGENCE"))
+        click.echo("comparisons: %d, divergences: %d" % (len(records), divergences))
+    sys.exit(EXIT_DIVERGENCE if divergences else EXIT_HOLDS)
 
 
-def _generic_verdict(built, guard):
-    accept = until_accept(built) if built.kind == UNTIL else weak_accept(built)
-    return generic_occurrence_emptiness(built, accept, guard=guard)
+def _comparison(where, built, solver, guard):
+    """One oracle record: the solver's emptiness verdict on a goal automaton
+    against the generic occurrence oracle's; `where` names its level or arena."""
+    accept = _GOALS[built.kind][2](built)
+    generic = generic_occurrence_emptiness(built, accept, guard=guard)
+    return {**where, "case": built.kind,
+            "kset": built.hat.source.sorted_states(built.source_kset),
+            "solver": solver, "oracle": generic, "agree": solver == generic}
 
 
 def _verdict_comparisons(verdict, guard):
     records = []
     for level in verdict.table:
-        if level.case not in (UNTIL, WEAK_UNTIL):
-            continue
-        order = level.hat.source.sorted_states
-        for s in sorted(level.automata, key=lambda kset: (len(kset), order(kset))):
-            built = level.automata[s]
-            solver = built.init in level.solution.winning
-            generic = _generic_verdict(built, guard)
-            records.append({
-                "level": level.k,
-                "case": level.case,
-                "kset": order(s),
-                "solver": solver,
-                "oracle": generic,
-                "agree": solver == generic,
-            })
+        if level.case in _GOALS:
+            for s in _sorted_ksets(level.hat, level.automata):
+                built = level.automata[s]
+                records.append(_comparison({"level": level.k}, built,
+                                           built.init in level.solution.winning, guard))
     return records
 
 
@@ -408,22 +404,10 @@ def _batch_comparisons(rng, batch, state_cap, guard):
         p1 = rng.choice(props)
         p2 = rng.choice(props)
         hat = split_arena(g, members, limit=state_cap)
-        order = g.sorted_states
-        for s in sorted(hat.ksets, key=lambda kset: (len(kset), order(kset))):
-            for kind, build, decide in (
-                    (UNTIL, build_until_automaton, check_until_nonempty),
-                    (WEAK_UNTIL, build_weak_until_automaton, check_weak_nonempty)):
+        for s in _sorted_ksets(hat, hat.ksets):
+            for build, decide, _ in _GOALS.values():
                 built = build(hat, members, p1, p2, s)
-                solver = decide(built)[0]
-                generic = _generic_verdict(built, guard)
-                records.append({
-                    "arena": index,
-                    "case": kind,
-                    "kset": order(s),
-                    "solver": solver,
-                    "oracle": generic,
-                    "agree": solver == generic,
-                })
+                records.append(_comparison({"arena": index}, built, decide(built)[0], guard))
     return records
 
 
@@ -459,33 +443,21 @@ def _random_arena_document(rng):
 
 
 @main.command()
-@click.option("--arena", "arena_path", required=True,
-              type=click.Path(exists=True, dir_okay=False),
-              help="Arena document (JSON).")
-@click.option("--formula", "formula_text", default=None,
-              help="Formula text (shell quoted).")
-@click.option("--formula-file", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="Read the formula from a file; wins over --formula.")
+@_arena_option(required=True)
+@_formula_options
 @click.option("--state", "state_id", required=True,
               help="State id at any level of the labeling sequence.")
-@click.option("--format", "fmt", type=click.Choice([FORMAT_HUMAN, FORMAT_JSON]),
-              default=FORMAT_HUMAN, show_default=True, help="Output format.")
-@click.option("--state-cap", type=int, default=DEFAULT_STATE_CAP, show_default=True,
-              help="Abort when a refinement would exceed this many states.")
+@_format_option()
+@_state_cap_option
 def explain(arena_path, formula_text, formula_file, state_id, fmt, state_cap):
     """Trace the labels of one state through the labeling sequence."""
-    try:
-        g = load_arena(arena_path)
-        f = _read_formula(formula_text, formula_file)
-        verdict = model_check(g, f, state_cap=state_cap)
-        record = explain_state(verdict, state_id)
-        if fmt == FORMAT_JSON:
-            click.echo(json.dumps(record, indent=2))
-        else:
-            _print_explanation(record)
-        sys.exit(EXIT_HOLDS if verdict.holds else EXIT_NOT_HOLDS)
-    except _ERRORS as exc:
-        _fail(exc)
+    verdict = _verdict(arena_path, formula_text, formula_file, state_cap)
+    record = explain_state(verdict, state_id)
+    if fmt == FORMAT_JSON:
+        click.echo(json.dumps(record, indent=2))
+    else:
+        _print_explanation(record)
+    sys.exit(EXIT_HOLDS if verdict.holds else EXIT_NOT_HOLDS)
 
 
 def _print_explanation(record):
@@ -508,10 +480,6 @@ def _print_explanation(record):
         for entry in witness["map"]:
             history = " . ".join("{%s}" % ",".join(z) for z in entry["history"])
             click.echo("  %s -> %s" % (history, _format_action(entry["action"])))
-
-
-def _format_action(action_map):
-    return ", ".join("%s=%s" % (a, act) for a, act in action_map.items())
 
 
 if __name__ == "__main__":

@@ -28,9 +28,6 @@ class GameSolution:
         self.winning = frozenset(winning)
         self.choice = dict(choice)
 
-    def wins(self, state):
-        return state in self.winning
-
 
 def _attractor(automaton, target, coalition):
     """The attractor to target for one side, swept in state order until stable.
@@ -146,7 +143,7 @@ def extract_witness_strategy(solution, automaton, hat):
     recording one entry per observation history up to depth |states|; histories
     beyond the map, or past a discharged state, fall back to the default action.
     """
-    if not solution.wins(automaton.init):
+    if automaton.init not in solution.winning:
         raise EmptinessError("solution does not witness nonemptiness")
     g = hat.source
     members = g.coalition_tuple(hat.coalition)

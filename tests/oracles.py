@@ -183,6 +183,12 @@ def obs_signature(arena, coalition, run):
     return (acts, views)
 
 
+def coalition_props(arena, coalition):
+    """The props some coalition member observes; unknown members raise
+    ArenaError."""
+    return frozenset().union(*(arena.observes[a] for a in arena.coalition_tuple(coalition)))
+
+
 def obs_equiv(arena, coalition, run1, run2):
     """Observational equivalence: equal length, equal coalition-projected actions
     at every step, equal coalition observations at every position."""

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from atldk import Arena, ArenaError, SINK_ID, Strategy, load_arena, load_alicebob
-from oracles import Run, obs_equiv, out, random_arena, random_arena_document
+from oracles import (Run, coalition_props, obs_equiv, out, random_arena,
+                     random_arena_document)
 
 AB = ["Alice", "Bob"]
 
@@ -446,32 +447,36 @@ class TestCoalitions:
             corpus.coalition_tuple(["Alice", "Eve"])
 
     def test_coalition_props(self, corpus):
-        assert "x_a" in corpus.coalition_props(["Alice"])
-        assert "x_b" not in corpus.coalition_props(["Alice"])
-        assert corpus.coalition_props([]) == frozenset()
+        assert "x_a" in coalition_props(corpus, ["Alice"])
+        assert "x_b" not in coalition_props(corpus, ["Alice"])
+        assert coalition_props(corpus, []) == frozenset()
 
     def test_memoized_views_never_go_stale(self):
         arena = load_alicebob()
         spellings = (["Bob", "Alice"], ("Alice", "Bob"), frozenset(AB), ["Bob", "Alice"])
         for coalition in spellings:
             assert arena.coalition_tuple(coalition) == ("Alice", "Bob")
-            assert arena.coalition_props(coalition) == arena.observes["Alice"] | arena.observes["Bob"]
+            assert coalition_props(arena, coalition) == arena.observes["Alice"] | arena.observes["Bob"]
             assert arena.obs(coalition, "q4") == frozenset({"y_a", "x_b", "valid"})
         for coalition in (["Alice"], ("Alice",), frozenset({"Alice"}), ["Alice"]):
             assert arena.coalition_tuple(coalition) == ("Alice",)
-            assert arena.coalition_props(coalition) == arena.observes["Alice"]
+            assert coalition_props(arena, coalition) == arena.observes["Alice"]
             assert arena.obs(coalition, "q4") == frozenset({"y_a", "valid"})
         for _ in range(2):
             with pytest.raises(ArenaError):
                 arena.coalition_tuple(["Alice", "Eve"])
             with pytest.raises(ArenaError):
-                arena.coalition_props(("Eve",))
+                coalition_props(arena, ("Eve",))
             with pytest.raises(ArenaError):
                 arena.obs(frozenset({"Eve"}), "q4")
-        seen = arena.with_prop("seen", ["q4"], hidden=False)
-        assert "seen" in seen.coalition_props(["Alice"])
+        seen = Arena(arena.agents, arena.actions, arena.states,
+                     {q: arena.labels[q] | ({"seen"} if q == "q4" else set())
+                      for q in arena.states},
+                     arena.initial, {a: arena.observes[a] | {"seen"} for a in arena.agents},
+                     arena.hidden, arena.transitions)
+        assert "seen" in coalition_props(seen, ["Alice"])
         assert seen.obs(["Alice"], "q4") == frozenset({"y_a", "valid", "seen"})
-        assert "seen" not in arena.coalition_props(["Alice"])
+        assert arena.obs(["Alice"], "q4") == frozenset({"y_a", "valid"})
 
     def test_extensions_fix_only_the_coalition(self, corpus):
         exts = list(corpus.extensions(["Alice"], ("i",)))
@@ -624,10 +629,6 @@ class TestWithProp:
         assert all("goal" not in extended.labels[q] for q in extended.states if q != "q12")
         assert "goal" in extended.hidden
         assert extended.obs(AB, "q12") == corpus.obs(AB, "q12")
-
-    def test_adds_observed_prop(self, corpus):
-        extended = corpus.with_prop("goal", ["q12"], hidden=False)
-        assert "goal" in extended.obs(AB, "q12")
 
     def test_rejects_existing_prop(self, corpus):
         with pytest.raises(ArenaError):

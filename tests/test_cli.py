@@ -282,6 +282,56 @@ class TestAutomaton:
         assert "kind: weak-until" in result.output
 
 
+def comma_kset_document():
+    """States a and "b,c", both initial and unobserved: one kset {a, "b,c"}."""
+    return {
+        "agents": [{"name": "A", "actions": ["m"], "observes": []}],
+        "hidden_props": ["p"],
+        "states": [{"id": "a", "labels": ["p"]}, {"id": "b,c"}],
+        "initial": ["a", "b,c"],
+        "transitions": [{"from": q, "actions": {"A": "m"}, "to": [q]}
+                        for q in ("a", "b,c")],
+    }
+
+
+class TestJsonArrayMembers:
+    @pytest.fixture()
+    def comma_arena(self, tmp_path):
+        path = tmp_path / "arena.json"
+        path.write_text(json.dumps(comma_kset_document()))
+        return str(path)
+
+    def automaton(self, runner, comma_arena, kset):
+        return invoke(runner, ["automaton", "--arena", comma_arena, "--coalition", "A",
+                               "--p1", "p", "--p2", "p", "--kset", kset,
+                               "--format", "json"])
+
+    def test_split_json_kset_selects_it(self, runner, comma_arena):
+        split = invoke(runner, ["split", "--arena", comma_arena, "--coalition", "A",
+                                "--format", "json"])
+        assert json.loads(split.output)["ksets"] == [["a", "b,c"]]
+        result = self.automaton(runner, comma_arena, '["a","b,c"]')
+        assert result.exit_code == 0
+        assert json.loads(result.output)["kset"] == ["a", "b,c"]
+
+    def test_comma_list_splits_the_member_id(self, runner, comma_arena):
+        result = self.automaton(runner, comma_arena, "a,b,c")
+        assert result.exit_code == 2
+        assert "unknown kset {a,b,c}" in result.stderr
+
+    @pytest.mark.parametrize("text", ['["a","b,c"', '["a", 1]', '[{"a": "b,c"}]'])
+    def test_malformed_array_exits_two(self, runner, comma_arena, text):
+        result = self.automaton(runner, comma_arena, text)
+        assert result.exit_code == 2
+        assert "not a JSON array of strings" in result.stderr
+
+    def test_json_array_coalition(self, runner, arena_path):
+        result = invoke(runner, ["split", "--arena", arena_path,
+                                 "--coalition", '["Alice", "Bob"]'])
+        assert result.exit_code == 0
+        assert "coalition: {Alice,Bob}" in result.output
+
+
 class TestOracle:
     def test_arena_mode_agrees(self, runner, arena_path):
         result = invoke(runner, ["oracle", "--arena", arena_path,

@@ -155,7 +155,7 @@ class TestCorpusGame:
         from atldk import AutomatonState
         q13 = AutomatonState(frozenset({"q13"}), frozenset({"q13"}))
         assert q13 in automaton.states
-        assert not solution.wins(q13)
+        assert q13 not in solution.winning
 
     def test_witness_replays_cleanly_against_all_resolutions(self, setup):
         arena, hat, automaton = setup
@@ -186,7 +186,7 @@ def choice_game_violations(automaton, nonempty, solution):
     has a choice, and every chosen action keeps all successors winning.
     """
     problems = []
-    if nonempty != solution.wins(automaton.init):
+    if nonempty != (automaton.init in solution.winning):
         problems.append("verdict disagrees with the winning region at init")
     if automaton.kind == "until":
         def every_choice_path_hits_target(state, on_path):
@@ -203,12 +203,12 @@ def choice_game_violations(automaton, nonempty, solution):
                 problems.append("choice path from %s misses the targets"
                                 % automaton.pretty(state))
     else:
-        if solution.wins(BOT):
+        if BOT in solution.winning:
             problems.append("the failure state is winning")
         for state in solution.winning:
             if state not in solution.choice:
                 problems.append("winning %s has no choice" % automaton.pretty(state))
-            elif not all(solution.wins(t)
+            elif not all(t in solution.winning
                          for t in automaton.delta[(state, solution.choice[state])]):
                 problems.append("choice at %s leaves the winning region"
                                 % automaton.pretty(state))
