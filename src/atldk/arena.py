@@ -376,12 +376,12 @@ def load_arena(document, allow_reserved=False):
 
 class Strategy:
     """A finite observation-based strategy: a map from coalition observation
-    histories to coalition actions, with a default for unmapped histories."""
+    histories (tuples of frozensets) to coalition actions (tuples in coalition
+    order), kept as given, not copied, with a default for unmapped histories."""
 
     def __init__(self, coalition_members, mapping, default):
         self.coalition = tuple(coalition_members)
-        self.mapping = {tuple(frozenset(z) for z in history): tuple(action)
-                        for history, action in mapping.items()}
+        self.mapping = mapping
         self.default = tuple(default)
 
     def action(self, history):

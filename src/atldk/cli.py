@@ -61,7 +61,7 @@ def _note(message):
     click.echo(message, err=True)
 
 
-def _parse_members(text):
+def _parse_members(text, what="coalition"):
     """Members from a comma-separated list or, when the text starts with '[', a
     JSON array of strings (the form `split --format json` prints ksets in)."""
     if not text.lstrip().startswith("["):
@@ -74,7 +74,7 @@ def _parse_members(text):
         if not (isinstance(members, list) and all(isinstance(m, str) for m in members)):
             raise ArenaError("not a JSON array of strings: %s" % text)
     if not members:
-        raise ArenaError("empty coalition")
+        raise ArenaError("empty %s" % what)
     return members
 
 
@@ -262,7 +262,7 @@ def automaton(arena_path, coalition_text, kind, p1, p2, kset_text, fmt, state_ca
     if kset_text is None:
         source = hat.kset[hat.arena.initial[0]]
     else:
-        source = hat.require_kset(_parse_members(kset_text))
+        source = hat.require_kset(_parse_members(kset_text, "knowledge set"))
     build, decide, _ = _GOALS[kind]
     built = build(hat, hat.members, p1, p2, source)
     nonempty, solution = decide(built)

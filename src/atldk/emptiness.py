@@ -3,8 +3,6 @@ oracle, and witness strategy extraction from winning regions."""
 
 from __future__ import annotations
 
-from collections import deque
-
 from .arena import Strategy
 from .strategy_automata import BOT, UNTIL, WEAK_UNTIL
 
@@ -139,9 +137,9 @@ def generic_occurrence_emptiness(automaton, accept, guard=DEFAULT_ORACLE_GUARD):
 def extract_witness_strategy(solution, automaton, hat):
     """Turn a winning region into a finite observation-based strategy.
 
-    Replays the automaton from its initial state along the chosen actions,
-    recording one entry per observation history up to depth |states|; histories
-    beyond the map, or past a discharged state, fall back to the default action.
+    Replays the automaton from its initial state along the chosen actions level
+    by level, recording one entry per observation history up to depth |states|;
+    histories beyond the map, or past a discharged state, fall back to the default.
     """
     if automaton.init not in solution.winning:
         raise EmptinessError("solution does not witness nonemptiness")
@@ -152,15 +150,17 @@ def extract_witness_strategy(solution, automaton, hat):
     depth_cap = len(automaton.states)
     default = automaton.alphabet[0]
     mapping = {}
-    queue = deque([(automaton.init, (z0,))])
-    while queue:
-        state, history = queue.popleft()
-        if state not in solution.choice:
-            continue
-        c_a = solution.choice[state]
-        mapping[history] = c_a
-        if len(history) >= depth_cap:
-            continue
-        for z, target in automaton.classes[(state, c_a)]:
-            queue.append((target, history + (z,)))
+    states, histories = [automaton.init], [(z0,)]
+    for depth in range(1, depth_cap + 1):
+        next_states, next_histories = [], []
+        for state, history in zip(states, histories):
+            c_a = solution.choice.get(state)
+            if c_a is None:
+                continue
+            mapping[history] = c_a
+            if depth < depth_cap:
+                for z, target in automaton.classes[(state, c_a)]:
+                    next_states.append(target)
+                    next_histories.append(history + (z,))
+        states, histories = next_states, next_histories
     return Strategy(members, mapping, default)

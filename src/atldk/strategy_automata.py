@@ -1,8 +1,8 @@
 """Goal tree automata over a refined arena: obligation tracking for until and
 weak-until coalition goals. Each automaton state is expanded once per refined
 arena and goal pair; the automaton of a knowledge set is the part of that
-shared transition table reachable from the set's initial state, and the
-automaton of a whole level is the table itself."""
+shared transition table reachable from the set's initial state, walked on
+first read, and the automaton of a whole level is all of it."""
 
 from __future__ import annotations
 
@@ -58,22 +58,22 @@ class TreeAutomaton:
     """A goal automaton: states, coalition-action alphabet, total transition
     function, the initial state, and an occurrence acceptance kind.
 
-    rows maps each state to its row of the hat's shared goal table: the
-    state's delta and classes entries, one per coalition action, and its
-    distinct successors. delta and classes gather the rows of this
-    automaton's own states on first access.
-    """
+    rows is the hat's goal table for (p1, p2). On first read, states lists the
+    table breadth-first from starts (init, or every kset's initial state), and
+    delta and classes gather those states' rows."""
 
-    def __init__(self, kind, hat, source_kset, p1, p2, init, states, alphabet, rows):
+    def __init__(self, kind, rows, source_kset, init, starts=None):
         self.kind = kind
-        self.hat = hat
+        self.hat, self.p1, self.p2 = rows.hat, rows.p1, rows.p2
         self.source_kset = source_kset
-        self.p1 = p1
-        self.p2 = p2
         self.init = init
-        self.states = tuple(states)
-        self.alphabet = tuple(alphabet)
+        self.alphabet = tuple(rows.alphabet)
         self._rows = rows
+        self._starts = (init,) if starts is None else starts
+
+    @cached_property
+    def states(self):
+        return tuple(_walk(self._rows, self._starts))
 
     @cached_property
     def delta(self):
@@ -117,87 +117,102 @@ def build_weak_until_automaton(hat, coalition, p1, p2, source_kset):
 
 def _build(kind, hat, coalition, p1, p2, source_kset):
     """Shared construction; until and weak-until differ only in acceptance.
-
-    A state's transitions do not depend on the kset the exploration started
-    from, so they are kept on the hat per (p1, p2) and each state is expanded
-    once however many ksets reach it. The automaton is the part of that table
-    reachable from the kset's initial state, in breadth-first order.
-    """
+    Only the initial state is computed here: the automaton is the part of the
+    hat's goal table for (p1, p2) reachable from it, listed on first read."""
     if frozenset(coalition) != hat.coalition:
         raise AutomatonError("coalition mismatch: refined arena was built for {%s}"
                              % ",".join(sorted(hat.coalition)))
-    g = hat.source
     for p in (p1, p2):
-        if p not in g.props:
+        if p not in hat.source.props:
             raise AutomatonError("unknown goal prop %s" % p)
     s = hat.require_kset(source_kset)
-    goal = frozenset((p1, p2))
-    discharged = frozenset(q for q in g.states if p2 in g.labels[q])
+    table = _GoalTable.of(hat, p1, p2)
+    return TreeAutomaton(kind, table, s, table.initial(s))
 
-    def check_pair(state):
+
+class _GoalTable(dict):
+    """A hat's goal table for (p1, p2): each state's row, expanded on first
+    lookup. A row does not depend on the kset a walk started from, so every
+    kset and both acceptance kinds share the table."""
+
+    @classmethod
+    def of(cls, hat, p1, p2):
+        if (p1, p2) not in hat._goal_tables:
+            hat._goal_tables[(p1, p2)] = cls(hat, p1, p2)
+        return hat._goal_tables[(p1, p2)]
+
+    def __init__(self, hat, p1, p2):
+        super().__init__()
+        self.hat, self.p1, self.p2 = hat, p1, p2
+        g = hat.source
+        self.goal = frozenset((p1, p2))
+        self.discharged = frozenset(q for q in g.states if p2 in g.labels[q])
+        self.alphabet = g.coalition_actions(hat.coalition)
+
+    def pair(self, pending, kset):
+        g, state = self.hat.source, AutomatonState(pending - self.discharged, kset)
         if not state.pending <= state.kset:
             raise AutomatonError("pending obligations escape the kset in %s" % state.pretty())
-        if len({g.obs(coalition, q) for q in state.kset}) > 1:
+        if len({g.obs(self.hat.coalition, q) for q in state.kset}) > 1:
             raise AutomatonError("observationally incoherent kset in %s" % state.pretty())
         for r in state.pending:
-            if p1 not in g.labels[r] or p2 in g.labels[r]:
+            if self.p1 not in g.labels[r] or self.p2 in g.labels[r]:
                 raise AutomatonError("untyped pending state %s in %s" % (r, state.pretty()))
         return state
 
-    if any(not (g.labels[q] & goal) for q in s):
-        init = BOT
-    else:
-        init = check_pair(AutomatonState(s - discharged, s))
+    def initial(self, s):
+        goal_everywhere = all(self.hat.source.labels[q] & self.goal for q in s)
+        return self.pair(s, s) if goal_everywhere else BOT
 
-    alphabet = g.coalition_actions(coalition)
-
-    def expand(state):
-        """The state's row: its delta and classes entries, one per coalition
-        action, and its distinct successors in first-seen order."""
-        if state.is_bot:
-            return ({(BOT, c_a): (BOT,) for c_a in alphabet},
-                    {(BOT, c_a): () for c_a in alphabet}, (BOT,))
-        delta = {}
-        classes = {}
-        for c_a in alphabet:
+    def __missing__(self, state):
+        """Expand the state's row: its delta and classes entries, one per
+        coalition action, and its distinct successors in first-seen order."""
+        hat, g, goal = self.hat, self.hat.source, self.goal
+        delta, classes = {}, {}
+        for c_a in self.alphabet:
             key = (state, c_a)
-            pending_out = g.outcome_classes(state.pending, coalition, c_a)
+            if state.is_bot:
+                delta[key], classes[key] = (BOT,), ()
+                continue
+            pending_out = g.outcome_classes(state.pending, hat.coalition, c_a)
             if any(not (g.labels[t] & goal) for r1 in pending_out.values() for t in r1):
                 delta[key], classes[key] = (BOT,), ()
                 continue
-            pairs = tuple(
-                (z, check_pair(AutomatonState(pending_out.get(z, frozenset()) - discharged, r2)))
-                for z, r2 in enumerate_observation_classes(hat, state.kset, c_a))
+            pairs = tuple((z, self.pair(pending_out.get(z, frozenset()), r2))
+                          for z, r2 in enumerate_observation_classes(hat, state.kset, c_a))
             delta[key] = tuple(t for _, t in pairs)
             classes[key] = pairs
         successors = dict.fromkeys(t for targets in delta.values() for t in targets)
-        return delta, classes, tuple(successors)
+        row = self[state] = (delta, classes, tuple(successors))
+        return row
 
-    table = hat._goal_tables.setdefault((p1, p2), {})
-    states = [init]
-    seen = {init}
-    for state in states:
-        row = table.get(state)
-        if row is None:
-            row = table[state] = expand(state)
-        for t in row[2]:
-            if t not in seen:
-                seen.add(t)
-                states.append(t)
-    return TreeAutomaton(kind, hat, s, p1, p2, init, states, alphabet, table)
+
+def _walk(table, inits):
+    """The states reachable from each init in turn, breadth-first with one seen
+    set. The table is closed under successors, so a new state is reached only
+    through new ones: rows are added in the order separate walks would add them."""
+    order = []
+    seen = set()
+    for init in inits:
+        if init in seen:
+            continue
+        seen.add(init)
+        frontier = [init]
+        for state in frontier:
+            for t in table[state][2]:
+                if t not in seen:
+                    seen.add(t)
+                    frontier.append(t)
+        order += frontier
+    return order
 
 
 def level_automaton(kind, hat, p1, p2):
-    """The automaton over every row of the hat's goal table for (p1, p2), in
-    the order they were expanded, with no initial state or source kset.
-
-    The table is closed under successors, and so is every kset's automaton
-    in it, so a state wins in a kset's automaton iff it wins here: one solve
-    of this game decides every kset built so far.
-    """
-    table = hat._goal_tables.get((p1, p2), {})
-    alphabet = hat.source.coalition_actions(hat.coalition)
-    return TreeAutomaton(kind, hat, None, p1, p2, None, table, alphabet, table)
+    """The automaton over the states reachable from every kset's initial state,
+    kset by kset in hat.ksets order, with no init or source kset. Each kset's
+    automaton is closed in it, so one solve decides every kset."""
+    table = _GoalTable.of(hat, p1, p2)
+    return TreeAutomaton(kind, table, None, None, [table.initial(s) for s in hat.ksets])
 
 
 def to_dot(automaton, annotation=None):

@@ -10,6 +10,7 @@ public Arena interface.
 """
 
 import itertools
+from collections import deque
 
 from atldk import ArenaError, load_arena
 
@@ -343,6 +344,30 @@ def replay_until(arena, coalition, strategy, holds1, holds2, depth, budget=20000
             for t in arena.succ(q, c):
                 frontier.append((t, history + (arena.obs(coalition, t),)))
     return failures
+
+
+def history_witness_map(solution, automaton, hat):
+    """The witness map of extract_witness_strategy, built the way it first
+    was: one queue of (state, history) pairs, popped breadth-first, one entry
+    per observation history up to depth |states|, in the order the queue
+    meets them. Histories through a state without a choice get no entry and
+    are not extended."""
+    g = hat.source
+    z0 = g.obs(hat.coalition, next(iter(automaton.source_kset)))
+    depth_cap = len(automaton.states)
+    mapping = {}
+    queue = deque([(automaton.init, (z0,))])
+    while queue:
+        state, history = queue.popleft()
+        if state not in solution.choice:
+            continue
+        c_a = solution.choice[state]
+        mapping[history] = c_a
+        if len(history) >= depth_cap:
+            continue
+        for z, target in automaton.classes[(state, c_a)]:
+            queue.append((target, history + (z,)))
+    return mapping
 
 
 def resplit_isomorphism_failures(first, second):

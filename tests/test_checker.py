@@ -20,6 +20,8 @@ from atldk import (
     split,
 )
 from atldk.emptiness import check_until_nonempty, check_weak_nonempty
+from atldk.strategy_automata import (build_until_automaton, build_weak_until_automaton,
+                                     level_automaton)
 from oracles import initialized_runs, knowledge_oracle, random_arena, random_coalition
 
 AB = ["Alice", "Bob"]
@@ -314,6 +316,64 @@ class TestOneSolvePerLevel:
                     if state in level.solution.winning:
                         assert reaches_a_target(automaton, level.solution.choice, state,
                                                 verdicts), case
+
+
+def lazy_verdicts():
+    """(case, verdict) for the bundled example and nested until, weak-until and
+    G goals over a seeded batch of small random arenas."""
+    yield "alicebob", model_check(load_alicebob(), EXAMPLE)
+    for seed in range(120):
+        rng = random.Random(seed)
+        g = random_arena(rng, max_states=5)
+        if not g.props:
+            continue
+        c = ",".join(random_coalition(rng))
+        p1, p2 = rng.choice(sorted(g.props)), rng.choice(sorted(g.props))
+        for text in ("<%s>F <%s>X %s" % (c, c, p1), "<%s>(%s W %s)" % (c, p1, p2),
+                     "<%s>G (%s | <%s>(%s U %s))" % (c, p2, c, p1, p2)):
+            yield (seed, text), model_check(g, text)
+
+
+def goal_levels_of(verdict):
+    for level in verdict.table:
+        if level.case in ("until", "weak-until"):
+            build = (build_until_automaton if level.case == "until"
+                     else build_weak_until_automaton)
+            yield level, build, level.chi.left.name, level.chi.right.name
+
+
+class TestLazyViews:
+    """model_check builds each kset's goal automaton as an unwalked view; the
+    level's one walk fills the goal table in the order eager per-kset walks
+    would, so forcing a view later lists the same states."""
+
+    def test_only_read_views_are_walked(self):
+        for case, verdict in lazy_verdicts():
+            levels = list(goal_levels_of(verdict))
+            assert all("states" not in view.__dict__
+                       for level, *_ in levels for view in level.automata.values()), case
+            verdict.witness()
+            for level, *_ in levels:
+                initial = {level.hat.kset[hid] for hid in level.hat.arena.initial}
+                for s, view in level.automata.items():
+                    assert s in initial or "states" not in view.__dict__, case
+
+    def test_forced_views_equal_eager_walks(self):
+        for case, verdict in lazy_verdicts():
+            for level, build, p1, p2 in goal_levels_of(verdict):
+                fresh = split(level.hat.source, level.coalition)
+                for s, view in level.automata.items():
+                    eager = build(fresh, level.coalition, p1, p2, s).states
+                    assert view.states == eager, case
+
+    def test_level_walk_keeps_the_eager_row_order(self):
+        for case, verdict in lazy_verdicts():
+            for level, build, p1, p2 in goal_levels_of(verdict):
+                fresh = split(level.hat.source, level.coalition)
+                for s in fresh.ksets:
+                    build(fresh, level.coalition, p1, p2, s).states
+                rows = tuple(fresh._goal_tables[(p1, p2)])
+                assert level_automaton(level.case, level.hat, p1, p2).states == rows, case
 
 
 class TestVerdict:

@@ -214,6 +214,7 @@ class TestSplit:
     def test_empty_coalition_rejected(self, runner, arena_path):
         result = invoke(runner, ["split", "--arena", arena_path, "--coalition", " , "])
         assert result.exit_code == 2
+        assert result.stderr == "error: empty coalition\n"
 
 
 class TestAutomaton:
@@ -248,6 +249,15 @@ class TestAutomaton:
                                  "--p1", "valid", "--p2", "c",
                                  "--kset", "q1,q2"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("text", [" , ", "[]"])
+    def test_empty_kset_names_the_knowledge_set(self, runner, arena_path, text):
+        result = invoke(runner, ["automaton", "--arena", arena_path,
+                                 "--coalition", "Alice,Bob",
+                                 "--p1", "valid", "--p2", "c",
+                                 "--kset", text])
+        assert result.exit_code == 2
+        assert result.stderr == "error: empty knowledge set\n"
 
     def test_json_document(self, runner, arena_path):
         result = invoke(runner, ["automaton", "--arena", arena_path,

@@ -21,7 +21,7 @@ from atldk import (
     until_accept,
     weak_accept,
 )
-from oracles import random_arena, random_coalition, replay_until
+from oracles import history_witness_map, random_arena, random_coalition, replay_until
 
 AB = ["Alice", "Bob"]
 
@@ -367,3 +367,41 @@ class TestWeakWitnessReplay:
             holds2=lambda q: p2 in g.labels[q],
             depth=4 * len(level.hat.arena.states) + 6, weak=True)
         assert failures == []
+
+
+def acceptance_batches():
+    """The arenas of the acceptance batches: the first 200 seeded random
+    arenas that carry a prop, and 100 fully observable ones."""
+    seed = count = 0
+    while count < 200:
+        g = random_arena(random.Random(seed))
+        if g.props:
+            count += 1
+            yield seed, g
+        seed += 1
+    for seed in range(100):
+        yield 60000 + seed, random_arena(random.Random(60000 + seed),
+                                         full_obs=True, unique_labels=True)
+
+
+class TestWitnessMap:
+    def test_map_equals_the_queue_walk(self):
+        """Keys, actions and insertion order equal the (state, history)
+        queue walk, for every positive kset of until and weak-until levels."""
+        compared = {"U": 0, "W": 0}
+        for seed, g in acceptance_batches():
+            rng = random.Random(80000 + seed)
+            coalition = random_coalition(rng)
+            props = sorted(g.props)
+            p1, p2 = rng.choice(props), rng.choice(props)
+            for op in ("U", "W"):
+                text = "<%s>(%s %s %s)" % (",".join(coalition), p1, op, p2)
+                level = model_check(g, text).table.levels[-1]
+                for automaton in level.automata.values():
+                    if automaton.init not in level.solution.winning:
+                        continue
+                    extracted = extract_witness_strategy(level.solution, automaton, level.hat)
+                    expected = history_witness_map(level.solution, automaton, level.hat)
+                    assert list(extracted.mapping.items()) == list(expected.items()), (seed, text)
+                    compared[op] += 1
+        assert min(compared.values()) >= 300, compared
