@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 from types import MappingProxyType
@@ -186,14 +187,27 @@ class Arena:
 
     def with_prop(self, prop, true_states):
         """A copy of the arena with one more hidden prop, labeling exactly the
-        given states."""
+        given states. The copy shares this arena's validated states, actions,
+        observations and transitions, and compiles its own coalition views."""
+        if not isinstance(prop, str):
+            raise ArenaError("prop must be a string, not %s %r" % (type(prop).__name__, prop))
         if prop in self.props:
             raise ArenaError("prop %s already declared" % prop)
-        true_states = set(true_states)
-        labels = {q: (self.labels[q] | {prop}) if q in true_states else self.labels[q]
-                  for q in self.states}
-        return Arena(self.agents, self.actions, self.states, labels, self.initial,
-                     self.observes, self.hidden | {prop}, self.transitions)
+        try:
+            true_states = frozenset(true_states)
+        except TypeError:
+            raise ArenaError("states to label with %s must be state ids, not %r"
+                             % (prop, true_states)) from None
+        unknown = true_states.difference(self._state_index)
+        if unknown:
+            raise ArenaError("cannot label unknown states %s with %s"
+                             % (sorted(unknown, key=str), prop))
+        derived = copy.copy(self)
+        derived.labels = {q: label | {prop} if q in true_states else label
+                          for q, label in self.labels.items()}
+        derived.hidden = self.hidden | {prop}
+        derived._coalitions = {}
+        return derived
 
     def to_document(self):
         """Serialize back to the arena document schema."""

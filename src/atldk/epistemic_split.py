@@ -64,8 +64,6 @@ def split(g, coalition, limit=None):
         hid = ids.get((q, s))
         if hid is not None:
             return hid
-        if q not in s:
-            raise ArenaError("hat state %s not a member of its kset" % q)
         if limit is not None and len(states) >= limit:
             raise SplitLimitExceeded(
                 "state cap exceeded: refinement for {%s} needs more than %d states"

@@ -9,8 +9,6 @@ from __future__ import annotations
 from functools import cached_property
 from operator import itemgetter
 
-from .arena import ArenaError
-
 
 class AutomatonError(Exception):
     pass
@@ -99,14 +97,6 @@ class TreeAutomaton:
         return state.pretty(self.hat.source.sorted_states)
 
 
-def enumerate_observation_classes(hat, r2, c_a):
-    """The observation classes occurring among successors of r2 under extensions
-    of c_a, with their outcome sets, in a deterministic order."""
-    g = hat.source
-    classes = g.outcome_classes(r2, hat.coalition, c_a)
-    return sorted(classes.items(), key=lambda item: sorted(item[0]))
-
-
 def build_until_automaton(hat, coalition, p1, p2, source_kset):
     return _build(UNTIL, hat, coalition, p1, p2, source_kset)
 
@@ -149,37 +139,31 @@ class _GoalTable(dict):
         self.discharged = frozenset(q for q in g.states if p2 in g.labels[q])
         self.alphabet = g.coalition_actions(hat.coalition)
 
-    def pair(self, pending, kset):
-        g, state = self.hat.source, AutomatonState(pending - self.discharged, kset)
-        if not state.pending <= state.kset:
-            raise AutomatonError("pending obligations escape the kset in %s" % state.pretty())
-        if len({g.obs(self.hat.coalition, q) for q in state.kset}) > 1:
-            raise AutomatonError("observationally incoherent kset in %s" % state.pretty())
-        for r in state.pending:
-            if self.p1 not in g.labels[r] or self.p2 in g.labels[r]:
-                raise AutomatonError("untyped pending state %s in %s" % (r, state.pretty()))
-        return state
-
     def initial(self, s):
         goal_everywhere = all(self.hat.source.labels[q] & self.goal for q in s)
-        return self.pair(s, s) if goal_everywhere else BOT
+        return AutomatonState(s - self.discharged, s) if goal_everywhere else BOT
 
     def __missing__(self, state):
         """Expand the state's row: its delta and classes entries, one per
-        coalition action, and its distinct successors in first-seen order."""
+        coalition action, and its distinct successors in first-seen order.
+        A successor's kset is one observation class of the outcomes and its
+        pending set the part of that class that pending states reach, less the
+        discharged ones: coherent and typed by construction (checked by
+        tests/oracles.py construction_failures)."""
         hat, g, goal = self.hat, self.hat.source, self.goal
         delta, classes = {}, {}
         for c_a in self.alphabet:
             key = (state, c_a)
-            if state.is_bot:
+            pending_out = None if state.is_bot else g.outcome_classes(
+                state.pending, hat.coalition, c_a)
+            if pending_out is None or any(not (g.labels[t] & goal)
+                                          for r1 in pending_out.values() for t in r1):
                 delta[key], classes[key] = (BOT,), ()
                 continue
-            pending_out = g.outcome_classes(state.pending, hat.coalition, c_a)
-            if any(not (g.labels[t] & goal) for r1 in pending_out.values() for t in r1):
-                delta[key], classes[key] = (BOT,), ()
-                continue
-            pairs = tuple((z, self.pair(pending_out.get(z, frozenset()), r2))
-                          for z, r2 in enumerate_observation_classes(hat, state.kset, c_a))
+            outcomes = g.outcome_classes(state.kset, hat.coalition, c_a)
+            pairs = tuple(
+                (z, AutomatonState(pending_out.get(z, frozenset()) - self.discharged, r2))
+                for z, r2 in sorted(outcomes.items(), key=lambda item: sorted(item[0])))
             delta[key] = tuple(t for _, t in pairs)
             classes[key] = pairs
         successors = dict.fromkeys(t for targets in delta.values() for t in targets)

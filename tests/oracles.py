@@ -6,7 +6,8 @@ knowledge and one-step ability, classical perfect-information fixpoints for
 coalition objectives, a replay harness that executes extracted strategies
 against every opponent resolution, and an isomorphism check for repeated
 refinement. Keep these independent of the engine internals; they only use the
-public Arena interface.
+public Arena interface, except construction_failures, which inspects the
+refined arena and goal tables the engine built.
 """
 
 import itertools
@@ -401,6 +402,43 @@ def resplit_isomorphism_failures(first, second):
         want = frozenset(states_with_kset(first, first.kset[base[h]]))
         if second.kset[h] != want:
             problems.append("knowledge set at %s is not the class of %s" % (h, base[h]))
+    return problems
+
+
+def construction_failures(hat):
+    """Invariants that the knowledge split and the goal tables keep by
+    construction, which the checker does not re-check as it runs.
+
+    Every refined state's base lies in its kset, and every kset is one
+    coalition observation. Every state of the hat's goal tables, expanded or
+    met as a successor, has its pending set inside its kset, a kset that is
+    one coalition observation, and pending states labeled p1 and not p2.
+    Returns one line per violation; empty means all hold."""
+    g, coalition = hat.source, hat.coalition
+    problems = []
+
+    def incoherent(s):
+        return len({g.obs(coalition, q) for q in s}) != 1
+
+    for h in hat.arena.states:
+        if hat.base[h] not in hat.kset[h]:
+            problems.append("refined state %s lies outside its kset" % h)
+        if incoherent(hat.kset[h]):
+            problems.append("refined state %s has an incoherent kset" % h)
+    for (p1, p2), table in hat._goal_tables.items():
+        seen = set()
+        for state, (_, _, successors) in table.items():
+            for s in (state,) + successors:
+                if s in seen or s.is_bot:
+                    continue
+                seen.add(s)
+                where = "goal table (%s, %s) state %s" % (p1, p2, s.pretty())
+                if not s.pending <= s.kset:
+                    problems.append("%s: pending escapes the kset" % where)
+                if incoherent(s.kset):
+                    problems.append("%s: incoherent kset" % where)
+                if any(p1 not in g.labels[r] or p2 in g.labels[r] for r in s.pending):
+                    problems.append("%s: a pending state lacks p1 or holds p2" % where)
     return problems
 
 

@@ -1,4 +1,5 @@
-"""Acceptance gate: eight criteria, one printed verdict line each.
+"""Acceptance gate: eight criteria, one printed verdict line each, and a check
+of the invariants the construction keeps on the same batches.
 
 Run `pytest tests/test_acceptance.py -s` to see the lines. Every criterion
 prints PASS or FAIL (also when it aborts early) and then asserts.
@@ -25,6 +26,7 @@ from oracles import (
     atl_next,
     atl_until,
     atl_weak_until,
+    construction_failures,
     random_arena,
     replay_until,
     states_where,
@@ -309,3 +311,21 @@ def test_criterion_8_desugaring_identities(batch):
         _report(8, ok, "all eight abbreviation identities agree label-for-label on "
                        "%d comparisons (%d divergences)" % (compared, len(divergences)))
     assert ok, divergences[:5]
+
+
+def test_construction_invariants(batch, full_obs_batch):
+    """Every refined state and goal-table row that model_check builds for the
+    batches keeps the invariants the checker does not re-check as it runs."""
+    problems = []
+    rows = 0
+    for index, (seed, g) in enumerate(batch + full_obs_batch):
+        rng = random.Random(100000 + index)
+        c = ",".join(_coalition_for(rng))
+        props = sorted(g.props)
+        p1, p2 = rng.choice(props), rng.choice(props)
+        text = "K{%s} %s & <%s>G (%s | <%s>(%s U %s))" % (c, p1, c, p2, c, p1, p2)
+        for level in model_check(g, text).table:
+            if level.hat is not None:
+                rows += sum(map(len, level.hat._goal_tables.values()))
+                problems += [(seed, text, line) for line in construction_failures(level.hat)]
+    assert rows > 1000 and not problems, problems[:5]

@@ -634,6 +634,38 @@ class TestWithProp:
         with pytest.raises(ArenaError):
             corpus.with_prop("valid", ["q0"])
 
+    def test_rejects_unknown_states(self, corpus):
+        with pytest.raises(ArenaError, match=r"unknown states \['nope'\]"):
+            corpus.with_prop("goal", ["q12", "nope"])
+        with pytest.raises(ArenaError, match=r"must be state ids, not \[\['q12'\]\]"):
+            corpus.with_prop("goal", [["q12"]])
+
+    def test_rejects_a_prop_that_is_not_a_string(self, corpus):
+        with pytest.raises(ArenaError, match=r"prop must be a string, not list \['x'\]"):
+            corpus.with_prop(["x"], [])
+
+    def test_equals_the_arena_built_and_validated_from_its_parts(self):
+        for seed in range(40):
+            rng = random.Random(seed)
+            g = random_arena(rng)
+            # Fill the source's memo, so that the copy's must start empty.
+            g.outcome_classes(g.states, ["a1"], g.coalition_actions(["a1"])[0])
+            true_states = rng.sample(g.states, rng.randint(0, len(g.states)))
+            derived = g.with_prop("new", true_states)
+            assert derived._coalitions == {} and derived._coalitions is not g._coalitions
+            labels = {q: set(g.labels[q]) | ({"new"} if q in true_states else set())
+                      for q in g.states}
+            fresh = Arena(g.agents, g.actions, g.states, labels, g.initial,
+                          g.observes, set(g.hidden) | {"new"}, g.transitions)
+            assert derived.to_document() == fresh.to_document(), seed
+            for coalition in COALITIONS:
+                for q in g.states:
+                    assert derived.obs(coalition, q) == fresh.obs(coalition, q), seed
+                for c_a in g.coalition_actions(coalition):
+                    for source in [(q,) for q in g.states] + [g.states]:
+                        assert (derived.outcome_classes(source, coalition, c_a)
+                                == fresh.outcome_classes(source, coalition, c_a)), seed
+
 
 class TestRuns:
     def test_valid_initialized_run(self, corpus):

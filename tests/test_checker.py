@@ -22,7 +22,8 @@ from atldk import (
 from atldk.emptiness import check_until_nonempty, check_weak_nonempty
 from atldk.strategy_automata import (build_until_automaton, build_weak_until_automaton,
                                      level_automaton)
-from oracles import initialized_runs, knowledge_oracle, random_arena, random_coalition
+from oracles import (construction_failures, initialized_runs, knowledge_oracle, random_arena,
+                     random_coalition)
 
 AB = ["Alice", "Bob"]
 EXAMPLE = "<Alice,Bob>(valid U (c & s))"
@@ -374,6 +375,17 @@ class TestLazyViews:
                     build(fresh, level.coalition, p1, p2, s).states
                 rows = tuple(fresh._goal_tables[(p1, p2)])
                 assert level_automaton(level.case, level.hat, p1, p2).states == rows, case
+
+
+class TestConstructionInvariants:
+    def test_hold_on_every_refined_state_and_goal_table_row(self):
+        rows = 0
+        for case, verdict in lazy_verdicts():
+            for level in verdict.table:
+                if level.hat is not None:
+                    rows += sum(map(len, level.hat._goal_tables.values()))
+                    assert construction_failures(level.hat) == [], case
+        assert rows > 1000
 
 
 class TestVerdict:

@@ -15,7 +15,6 @@ from atldk import (
     split,
     to_dot,
 )
-from atldk.strategy_automata import enumerate_observation_classes
 from oracles import random_arena, random_coalition
 
 AB = ["Alice", "Bob"]
@@ -267,11 +266,12 @@ class TestAutomatonStateValue:
 
 
 class TestObservationClasses:
-    def test_deterministic_order(self, goal_hat):
-        classes = enumerate_observation_classes(goal_hat, frozenset({"q1", "q2", "q3"}), ("i", "i"))
+    def test_deterministic_order(self, corpus_automaton):
+        state = pair({"q1", "q2", "q3"}, {"q1", "q2", "q3"})
+        classes = corpus_automaton.classes[(state, ("i", "i"))]
         keys = [sorted(z) for z, _ in classes]
         assert keys == sorted(keys)
-        merged = frozenset().union(*(members for _, members in classes))
+        merged = frozenset().union(*(target.kset for _, target in classes))
         assert merged == frozenset({"q4", "q5", "q6"})
 
 

@@ -96,6 +96,19 @@ def test_witnesses_and_explanations_read_the_level_solution(tracer, text):
         1 for level in verdict.table if level.case in GOAL_CASES)
 
 
+def test_derived_arenas_keep_the_traced_counts(tracer):
+    """The tracer counts one with_prop per level and follows each derived arena
+    back to the coalition it was refined for, so the second {Alice} split counts
+    as a same-coalition re-split."""
+    verdict = model_check(load_alicebob(), "K{Alice} valid & <Alice>X c")
+    totals = tracer.take()
+    assert len(verdict.table.levels) == 5
+    assert totals["arena.with_prop_calls"] == 5
+    assert totals["arena.with_prop_states"] == 80
+    assert totals["epistemic_split.calls"] == 2
+    assert totals["epistemic_split.resplit_same_coalition"] == 1
+
+
 def test_traced_counts_match_the_benchmark_baseline(benchmarks, tracer):
     run = benchmarks[1]
     assert run.BASELINE_FORMULA == "<a1>F <a2>X p3"
