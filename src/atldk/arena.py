@@ -17,17 +17,44 @@ class ArenaError(Exception):
 class _CoalitionView:
     """One coalition's compiled view of an arena: members in agent order, each
     state's observation (its label restricted to the props the members
-    observe), the members' positions in a joint action, and the memo of
-    Arena.outcome_classes."""
+    observe), every joint move with its coalition part in joint-action order,
+    the coalition actions in members' product order with their extensions,
+    and the memo of outcome classes. The engine reads it unchecked."""
 
-    __slots__ = ("members", "observation", "positions", "outcomes")
+    __slots__ = ("members", "observation", "moves", "extensions", "actions",
+                 "_transitions", "_outcomes")
 
     def __init__(self, arena, coalition):
         self.members = tuple(a for a in arena.agents if a in coalition)
         props = frozenset().union(*(arena.observes[a] for a in self.members))
         self.observation = {q: label & props for q, label in arena.labels.items()}
-        self.positions = tuple(i for i, a in enumerate(arena.agents) if a in coalition)
-        self.outcomes = {}
+        positions = [i for i, a in enumerate(arena.agents) if a in coalition]
+        self.moves = tuple((c, tuple([c[i] for i in positions])) for c in arena.joint_actions())
+        # First sight in joint-action order is the members' product order.
+        self.extensions = {}
+        for c, c_a in self.moves:
+            self.extensions.setdefault(c_a, []).append(c)
+        self.actions = tuple(self.extensions)
+        self._transitions = arena.transitions
+        self._outcomes = {}
+
+    def classes(self, source, c_a):
+        """All successors of the source frozenset under extensions of the
+        coalition action c_a, grouped by observation: {observation: successor
+        set} in observation order (by sorted members), built once per (source,
+        c_a)."""
+        key = (source, c_a)
+        classes = self._outcomes.get(key)
+        if classes is None:
+            grouped = {}
+            observation, transitions = self.observation, self._transitions
+            for c in self.extensions[c_a]:
+                for s in source:
+                    for t in transitions[(s, c)]:
+                        grouped.setdefault(observation[t], set()).add(t)
+            classes = self._outcomes[key] = {
+                z: frozenset(grouped[z]) for z in sorted(grouped, key=sorted)}
+        return classes
 
 
 class Arena:
@@ -47,6 +74,7 @@ class Arena:
         self.observes = {a: frozenset(observes[a]) for a in self.agents}
         self.hidden = frozenset(hidden)
         self.transitions = {key: frozenset(targets) for key, targets in transitions.items()}
+        self.props = frozenset().union(*self.observes.values()) | self.hidden
         self._state_index = {q: i for i, q in enumerate(self.states)}
         self._coalitions = {}
         self._validate()
@@ -106,11 +134,6 @@ class Arena:
                             "non-serial transition relation: state %s has no successor under %r"
                             % (q, c))
 
-    @property
-    def props(self):
-        visible = frozenset().union(*self.observes.values()) if self.observes else frozenset()
-        return visible | self.hidden
-
     def joint_actions(self):
         """All joint actions, in the canonical per-agent order."""
         return itertools.product(*(self.actions[a] for a in self.agents))
@@ -130,26 +153,6 @@ class Arena:
             view = self._coalitions[key] = _CoalitionView(self, key)
         return view
 
-    def coalition_tuple(self, coalition):
-        """Canonical ordering of a coalition: arena agent order."""
-        return self._coalition_view(coalition).members
-
-    def coalition_actions(self, coalition):
-        """All coalition action tuples, aligned with coalition_tuple order."""
-        members = self.coalition_tuple(coalition)
-        return list(itertools.product(*(self.actions[a] for a in members)))
-
-    def extensions(self, coalition, c_a):
-        """All joint actions agreeing with the coalition action c_a on the coalition."""
-        members = self.coalition_tuple(coalition)
-        assignment = dict(zip(members, c_a))
-        pools = [(assignment[a],) if a in assignment else self.actions[a] for a in self.agents]
-        return itertools.product(*pools)
-
-    def restrict_action(self, coalition, c):
-        """Project a joint action onto the coalition."""
-        return tuple([c[i] for i in self._coalition_view(coalition).positions])
-
     def succ(self, q, c):
         return self.transitions[(q, tuple(c))]
 
@@ -161,23 +164,20 @@ class Arena:
         return z
 
     def outcome_classes(self, source, coalition, c_a):
-        """Group all successors of the source set under extensions of c_a by
-        their coalition observation. Returns a read-only {observation: successor
-        set}, computed once per (source, c_a) and coalition."""
+        """Group all successors of the source set under extensions of the
+        coalition action c_a by their coalition observation. Returns a read-only
+        {observation: successor set} in observation order, computed once per
+        (source, c_a) and coalition."""
         view = self._coalition_view(coalition)
+        c_a = tuple(c_a)
+        if c_a not in view.extensions:
+            raise ArenaError("%r is not an action of coalition {%s}"
+                             % (c_a, ",".join(view.members)))
         source = frozenset(source)
-        key = (source, tuple(c_a))
-        classes = view.outcomes.get(key)
-        if classes is None:
-            grouped = {}
-            observation = view.observation
-            for c in self.extensions(coalition, c_a):
-                for s in source:
-                    for t in self.transitions[(s, c)]:
-                        grouped.setdefault(observation[t], set()).add(t)
-            classes = view.outcomes[key] = MappingProxyType(
-                {z: frozenset(members) for z, members in grouped.items()})
-        return classes
+        unknown = source.difference(self._state_index)
+        if unknown:
+            raise ArenaError("unknown states %s" % sorted(unknown, key=str))
+        return MappingProxyType(view.classes(source, c_a))
 
     def state_sort_key(self, q):
         return self._state_index[q]
@@ -206,6 +206,7 @@ class Arena:
         derived.labels = {q: label | {prop} if q in true_states else label
                           for q, label in self.labels.items()}
         derived.hidden = self.hidden | {prop}
+        derived.props = self.props | {prop}
         derived._coalitions = {}
         return derived
 

@@ -264,7 +264,7 @@ def automaton(arena_path, coalition_text, kind, p1, p2, kset_text, fmt, state_ca
     else:
         source = hat.require_kset(_parse_members(kset_text, "knowledge set"))
     build, decide, _ = _GOALS[kind]
-    built = build(hat, hat.members, p1, p2, source)
+    built = build(hat, hat.coalition, p1, p2, source)
     nonempty, solution = decide(built)
     language = "nonempty" if nonempty else "EMPTY"
     if fmt == FORMAT_DOT:
@@ -283,7 +283,7 @@ def _automaton_document(built, nonempty):
         for c_a in built.alphabet:
             entry = {
                 "from": built.pretty(state),
-                "action": dict(zip(hat.members, c_a)),
+                "action": dict(zip(hat.view.members, c_a)),
                 "to": [built.pretty(t) for t in built.delta[(state, c_a)]],
             }
             classes = built.classes[(state, c_a)]
@@ -322,7 +322,7 @@ def _automaton_summary(built, nonempty, solution):
         lines.append("winning choices:")
         for state in built.states:
             if state in solution.choice:
-                action = dict(zip(hat.members, solution.choice[state]))
+                action = dict(zip(hat.view.members, solution.choice[state]))
                 lines.append("  %s: %s" % (built.pretty(state), _format_action(action)))
     return lines
 

@@ -143,10 +143,7 @@ def extract_witness_strategy(solution, automaton, hat):
     """
     if automaton.init not in solution.winning:
         raise EmptinessError("solution does not witness nonemptiness")
-    g = hat.source
-    members = g.coalition_tuple(hat.coalition)
-    any_member = next(iter(automaton.source_kset))
-    z0 = g.obs(hat.coalition, any_member)
+    z0 = hat.view.observation[next(iter(automaton.source_kset))]
     depth_cap = len(automaton.states)
     default = automaton.alphabet[0]
     mapping = {}
@@ -163,4 +160,4 @@ def extract_witness_strategy(solution, automaton, hat):
                     next_states.append(target)
                     next_histories.append(history + (z,))
         states, histories = next_states, next_histories
-    return Strategy(members, mapping, default)
+    return Strategy(hat.view.members, mapping, default)

@@ -22,14 +22,16 @@ class HatArena:
     """The refined arena for one coalition, with provenance back to its source.
 
     The refined system is itself a valid Arena (same agents, actions, and
-    observability); state ids encode the base state and its kset.
+    observability); state ids encode the base state and its kset. view is the
+    coalition's compiled view of the source, which split and the goal tables
+    read.
     """
 
-    def __init__(self, arena, source, coalition, base, kset):
+    def __init__(self, arena, source, view, base, kset):
         self.arena = arena
         self.source = source
-        self.coalition = frozenset(coalition)
-        self.members = source.coalition_tuple(coalition)
+        self.view = view
+        self.coalition = frozenset(view.members)
         self.base = base
         self.kset = kset
         self.ksets = frozenset(kset.values())
@@ -79,7 +81,8 @@ def split(g, coalition, limit=None):
         frontier.append(hid)
         return hid
 
-    observation = {q: g.obs(coalition, q) for q in g.states}
+    view = g._coalition_view(coalition)
+    observation = view.observation
     initial_ids = []
     for q0 in g.initial:
         z0 = observation[q0]
@@ -88,7 +91,6 @@ def split(g, coalition, limit=None):
 
     # Per base state: each joint action, its coalition part and the successors
     # in arena order (the order refined states are interned in).
-    moves = [(c, g.restrict_action(coalition, c)) for c in g.joint_actions()]
     rows = {}
     transitions = {}
     while frontier:
@@ -96,14 +98,15 @@ def split(g, coalition, limit=None):
         q, s = base[hid], kset[hid]
         row = rows.get(q)
         if row is None:
-            row = rows[q] = [(c, c_a, g.sorted_states(g.transitions[(q, c)])) for c, c_a in moves]
+            row = rows[q] = [(c, c_a, g.sorted_states(g.transitions[(q, c)]))
+                             for c, c_a in view.moves]
         for c, c_a, successors in row:
-            classes = g.outcome_classes(s, coalition, c_a)
+            classes = view.classes(s, c_a)
             transitions[(hid, c)] = {intern(q2, classes[observation[q2]]) for q2 in successors}
 
     arena = Arena(g.agents, g.actions, states, labels, initial_ids,
                   g.observes, g.hidden, transitions)
-    return HatArena(arena, g, coalition, base, kset)
+    return HatArena(arena, g, view, base, kset)
 
 
 def label_knowledge(hat, prop):
@@ -130,17 +133,15 @@ def label_next(hat, coalition, prop):
                          % ",".join(sorted(hat.coalition)))
     if prop not in hat.source.props:
         raise ArenaError("unknown prop %s" % prop)
-    g = hat.source
-    actions = g.coalition_actions(coalition)
+    labels, view = hat.source.labels, hat.view
     per_kset = {}
     result = {}
     for hid in hat.arena.states:
         s = hat.kset[hid]
         if s not in per_kset:
             per_kset[s] = any(
-                all(prop in g.labels[t]
-                    for targets in g.outcome_classes(s, coalition, c_a).values()
+                all(prop in labels[t] for targets in view.classes(s, c_a).values()
                     for t in targets)
-                for c_a in actions)
+                for c_a in view.actions)
         result[hid] = per_kset[s]
     return result

@@ -137,7 +137,7 @@ class _GoalTable(dict):
         g = hat.source
         self.goal = frozenset((p1, p2))
         self.discharged = frozenset(q for q in g.states if p2 in g.labels[q])
-        self.alphabet = g.coalition_actions(hat.coalition)
+        self.alphabet = hat.view.actions
 
     def initial(self, s):
         goal_everywhere = all(self.hat.source.labels[q] & self.goal for q in s)
@@ -150,20 +150,18 @@ class _GoalTable(dict):
         pending set the part of that class that pending states reach, less the
         discharged ones: coherent and typed by construction (checked by
         tests/oracles.py construction_failures)."""
-        hat, g, goal = self.hat, self.hat.source, self.goal
+        view, labels, goal = self.hat.view, self.hat.source.labels, self.goal
         delta, classes = {}, {}
         for c_a in self.alphabet:
             key = (state, c_a)
-            pending_out = None if state.is_bot else g.outcome_classes(
-                state.pending, hat.coalition, c_a)
-            if pending_out is None or any(not (g.labels[t] & goal)
+            pending_out = None if state.is_bot else view.classes(state.pending, c_a)
+            if pending_out is None or any(not (labels[t] & goal)
                                           for r1 in pending_out.values() for t in r1):
                 delta[key], classes[key] = (BOT,), ()
                 continue
-            outcomes = g.outcome_classes(state.kset, hat.coalition, c_a)
             pairs = tuple(
                 (z, AutomatonState(pending_out.get(z, frozenset()) - self.discharged, r2))
-                for z, r2 in sorted(outcomes.items(), key=lambda item: sorted(item[0])))
+                for z, r2 in view.classes(state.kset, c_a).items())
             delta[key] = tuple(t for _, t in pairs)
             classes[key] = pairs
         successors = dict.fromkeys(t for targets in delta.values() for t in targets)

@@ -178,9 +178,37 @@ def initialized_runs(arena, depth):
     return runs
 
 
+def coalition_tuple(arena, coalition):
+    """A coalition's members in arena agent order; unknown members raise
+    ArenaError."""
+    unknown = set(coalition) - set(arena.agents)
+    if unknown:
+        raise ArenaError("unknown coalition members %s" % sorted(unknown))
+    return tuple(a for a in arena.agents if a in coalition)
+
+
+def coalition_actions(arena, coalition):
+    """Every coalition action, a tuple aligned with coalition_tuple order."""
+    members = coalition_tuple(arena, coalition)
+    return list(itertools.product(*(arena.actions[a] for a in members)))
+
+
+def extensions(arena, coalition, c_a):
+    """Every joint action agreeing with the coalition action c_a on the coalition."""
+    assignment = dict(zip(coalition_tuple(arena, coalition), c_a))
+    pools = [(assignment[a],) if a in assignment else arena.actions[a] for a in arena.agents]
+    return itertools.product(*pools)
+
+
+def restrict_action(arena, coalition, c):
+    """A joint action's coalition part."""
+    members = coalition_tuple(arena, coalition)
+    return tuple(act for a, act in zip(arena.agents, c) if a in members)
+
+
 def obs_signature(arena, coalition, run):
     """What the coalition sees of a run: projected actions and observations."""
-    acts = tuple(arena.restrict_action(coalition, c) for c in run.actions)
+    acts = tuple(restrict_action(arena, coalition, c) for c in run.actions)
     views = tuple(arena.obs(coalition, q) for q in run.states)
     return (acts, views)
 
@@ -188,7 +216,7 @@ def obs_signature(arena, coalition, run):
 def coalition_props(arena, coalition):
     """The props some coalition member observes; unknown members raise
     ArenaError."""
-    return frozenset().union(*(arena.observes[a] for a in arena.coalition_tuple(coalition)))
+    return frozenset().union(*(arena.observes[a] for a in coalition_tuple(arena, coalition)))
 
 
 def obs_equiv(arena, coalition, run1, run2):
@@ -197,7 +225,7 @@ def obs_equiv(arena, coalition, run1, run2):
     if len(run1) != len(run2):
         return False
     for c1, c2 in zip(run1.actions, run2.actions):
-        if arena.restrict_action(coalition, c1) != arena.restrict_action(coalition, c2):
+        if restrict_action(arena, coalition, c1) != restrict_action(arena, coalition, c2):
             return False
     for q1, q2 in zip(run1.states, run2.states):
         if arena.obs(coalition, q1) != arena.obs(coalition, q2):
@@ -212,7 +240,7 @@ def out(arena, source, coalition, c_a, z):
     """
     z = frozenset(z)
     result = set()
-    for c in arena.extensions(coalition, c_a):
+    for c in extensions(arena, coalition, c_a):
         for s in source:
             for t in arena.succ(s, c):
                 if arena.obs(coalition, t) == z:
@@ -248,10 +276,10 @@ def next_oracle(arena, coalition, prop, runs):
     result = {}
     for signature, group in classes.items():
         value = False
-        for c_a in arena.coalition_actions(coalition):
+        for c_a in coalition_actions(arena, coalition):
             if all(prop in arena.labels[t]
                    for run in group
-                   for c in arena.extensions(coalition, c_a)
+                   for c in extensions(arena, coalition, c_a)
                    for t in arena.succ(run.last, c)):
                 value = True
                 break
@@ -266,9 +294,9 @@ def pre(arena, coalition, target):
     target = set(target)
     result = set()
     for q in arena.states:
-        for c_a in arena.coalition_actions(coalition):
+        for c_a in coalition_actions(arena, coalition):
             if all(t in target
-                   for c in arena.extensions(coalition, c_a)
+                   for c in extensions(arena, coalition, c_a)
                    for t in arena.succ(q, c)):
                 result.add(q)
                 break
@@ -341,7 +369,7 @@ def replay_until(arena, coalition, strategy, holds1, holds2, depth, budget=20000
                 failures.append((q, history))
             continue
         c_a = strategy.action(history)
-        for c in arena.extensions(coalition, c_a):
+        for c in extensions(arena, coalition, c_a):
             for t in arena.succ(q, c):
                 frontier.append((t, history + (arena.obs(coalition, t),)))
     return failures

@@ -7,9 +7,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from atldk import Arena, ArenaError, SINK_ID, Strategy, load_arena, load_alicebob
-from oracles import (Run, coalition_props, obs_equiv, out, random_arena,
-                     random_arena_document)
+from atldk import Arena, ArenaError, SINK_ID, Strategy, load_arena, load_alicebob, split
+from oracles import (Run, coalition_actions, coalition_props, coalition_tuple, extensions,
+                     obs_equiv, out, random_arena, random_arena_document, restrict_action)
 
 AB = ["Alice", "Bob"]
 
@@ -438,13 +438,19 @@ class TestValidationMessages:
 
 class TestCoalitions:
     def test_coalition_tuple_uses_agent_order(self, corpus):
-        assert corpus.coalition_tuple(["Bob", "Alice"]) == ("Alice", "Bob")
-        assert corpus.coalition_tuple({"Bob"}) == ("Bob",)
-        assert corpus.coalition_tuple([]) == ()
+        for coalition, members in ((["Bob", "Alice"], ("Alice", "Bob")),
+                                   ({"Bob"}, ("Bob",)), ([], ())):
+            assert split(corpus, coalition).view.members == members
+            assert coalition_tuple(corpus, coalition) == members
 
     def test_unknown_member_rejected(self, corpus):
-        with pytest.raises(ArenaError):
-            corpus.coalition_tuple(["Alice", "Eve"])
+        calls = (lambda: split(corpus, ["Alice", "Eve"]),
+                 lambda: corpus.obs(["Alice", "Eve"], "q0"),
+                 lambda: corpus.outcome_classes({"q0"}, ["Alice", "Eve"], ("g", "g")),
+                 lambda: coalition_tuple(corpus, ["Alice", "Eve"]))
+        for call in calls:
+            with pytest.raises(ArenaError, match=r"unknown coalition members \['Eve'\]"):
+                call()
 
     def test_coalition_props(self, corpus):
         assert "x_a" in coalition_props(corpus, ["Alice"])
@@ -455,16 +461,16 @@ class TestCoalitions:
         arena = load_alicebob()
         spellings = (["Bob", "Alice"], ("Alice", "Bob"), frozenset(AB), ["Bob", "Alice"])
         for coalition in spellings:
-            assert arena.coalition_tuple(coalition) == ("Alice", "Bob")
+            assert split(arena, coalition).view.members == ("Alice", "Bob")
             assert coalition_props(arena, coalition) == arena.observes["Alice"] | arena.observes["Bob"]
             assert arena.obs(coalition, "q4") == frozenset({"y_a", "x_b", "valid"})
         for coalition in (["Alice"], ("Alice",), frozenset({"Alice"}), ["Alice"]):
-            assert arena.coalition_tuple(coalition) == ("Alice",)
+            assert split(arena, coalition).view.members == ("Alice",)
             assert coalition_props(arena, coalition) == arena.observes["Alice"]
             assert arena.obs(coalition, "q4") == frozenset({"y_a", "valid"})
         for _ in range(2):
             with pytest.raises(ArenaError):
-                arena.coalition_tuple(["Alice", "Eve"])
+                split(arena, ["Alice", "Eve"])
             with pytest.raises(ArenaError):
                 coalition_props(arena, ("Eve",))
             with pytest.raises(ArenaError):
@@ -479,19 +485,22 @@ class TestCoalitions:
         assert arena.obs(["Alice"], "q4") == frozenset({"y_a", "valid"})
 
     def test_extensions_fix_only_the_coalition(self, corpus):
-        exts = list(corpus.extensions(["Alice"], ("i",)))
+        exts = split(corpus, ["Alice"]).view.extensions[("i",)]
         assert len(exts) == 5
         assert all(c[0] == "i" for c in exts)
         assert {c[1] for c in exts} == set(corpus.actions["Bob"])
-        assert list(corpus.extensions(AB, ("g", "g"))) == [("g", "g")]
+        assert split(corpus, AB).view.extensions[("g", "g")] == [("g", "g")]
 
     def test_empty_coalition_extensions_are_all_joint_actions(self, corpus):
-        assert set(corpus.extensions([], ())) == set(corpus.joint_actions())
+        view = split(corpus, []).view
+        assert view.actions == ((),)
+        assert view.extensions[()] == list(corpus.joint_actions())
 
     def test_restrict_action(self, corpus):
-        assert corpus.restrict_action(["Bob"], ("g", "e")) == ("e",)
-        assert corpus.restrict_action(AB, ("g", "e")) == ("g", "e")
-        assert corpus.restrict_action([], ("g", "e")) == ()
+        assert dict(split(corpus, ["Bob"]).view.moves)[("g", "e")] == ("e",)
+        assert dict(split(corpus, AB).view.moves)[("g", "e")] == ("g", "e")
+        assert dict(split(corpus, []).view.moves)[("g", "e")] == ()
+        assert restrict_action(corpus, ["Bob"], ("g", "e")) == ("e",)
 
 
 class TestObservations:
@@ -538,9 +547,9 @@ class TestOut:
         g = random_arena(rng)
         coalition = data.draw(st.sampled_from((["a1"], ["a2"], ["a1", "a2"])))
         source = data.draw(st.sets(st.sampled_from(sorted(g.states)), min_size=1))
-        c_a = data.draw(st.sampled_from(g.coalition_actions(coalition)))
+        c_a = data.draw(st.sampled_from(coalition_actions(g, coalition)))
         classes = g.outcome_classes(source, coalition, c_a)
-        everything = {t for c in g.extensions(coalition, c_a)
+        everything = {t for c in extensions(g, coalition, c_a)
                       for s in source for t in g.succ(s, c)}
         assert frozenset().union(*classes.values()) == everything if classes else not everything
         for z, members in classes.items():
@@ -584,7 +593,7 @@ class TestCompiledView:
             for coalition in COALITIONS:
                 for _ in range(2):
                     for source in sources:
-                        for c_a in g.coalition_actions(coalition):
+                        for c_a in coalition_actions(g, coalition):
                             memoized = g.outcome_classes(source, coalition, c_a)
                             fresh = rebuilt(g).outcome_classes(source, coalition, c_a)
                             assert memoized == fresh
@@ -593,7 +602,7 @@ class TestCompiledView:
     def test_source_spellings_agree(self, corpus):
         source = ["q1", "q2", "q3"]
         for coalition in (["Alice"], AB):
-            c_a = corpus.coalition_actions(coalition)[-1]
+            c_a = coalition_actions(corpus, coalition)[-1]
             first = corpus.outcome_classes(source, coalition, c_a)
             assert first
             for spelling in (set(source), frozenset(source), source[::-1]):
@@ -610,16 +619,42 @@ class TestCompiledView:
         assert corpus.outcome_classes({"q0"}, AB, ("g", "g")) == {
             frozenset({"valid"}): frozenset({"q1", "q2", "q3"})}
 
-    def test_obs_and_restrict_action_follow_the_definitions(self):
+    def test_classes_come_in_observation_order(self):
         for seed in range(40):
             g = random_arena(random.Random(seed))
             for coalition in COALITIONS:
+                for c_a in coalition_actions(g, coalition):
+                    for source in [(q,) for q in g.states] + [g.states]:
+                        classes = g.outcome_classes(source, coalition, c_a)
+                        assert list(classes) == sorted(classes, key=sorted), seed
+
+    def test_obs_and_restrict_action_follow_the_definitions(self):
+        """Observations, joint moves with their coalition part, and coalition
+        actions in the members' product order (until choices depend on it),
+        each with its extensions, against the oracle helpers."""
+        for seed in range(40):
+            g = random_arena(random.Random(seed))
+            for coalition in COALITIONS + (["a2", "a1"],):
+                view = split(g, coalition).view
                 props = frozenset().union(*(g.observes[a] for a in coalition))
                 for q in g.states:
-                    assert g.obs(coalition, q) == g.labels[q] & props
-                for c in g.joint_actions():
-                    assert g.restrict_action(coalition, c) == tuple(
-                        act for a, act in zip(g.agents, c) if a in coalition)
+                    assert g.obs(coalition, q) == view.observation[q] == g.labels[q] & props
+                members = coalition_tuple(g, coalition)
+                assert view.members == members
+                assert view.moves == tuple((c, restrict_action(g, coalition, c))
+                                           for c in g.joint_actions())
+                assert view.actions == tuple(itertools.product(*(g.actions[a] for a in members)))
+                assert list(view.actions) == coalition_actions(g, coalition)
+                for c_a in view.actions:
+                    assert view.extensions[c_a] == list(extensions(g, coalition, c_a))
+
+    def test_classes_reject_what_is_not_an_action_or_a_state(self, corpus):
+        for c_a in (("g", "g"), ("x",), ()):
+            with pytest.raises(ArenaError, match=r"is not an action of coalition \{Alice\}"):
+                corpus.outcome_classes({"q0"}, ["Alice"], c_a)
+        with pytest.raises(ArenaError, match=r"unknown states \['q99'\]"):
+            corpus.outcome_classes({"q0", "q99"}, ["Alice"], ("g",))
+        assert corpus.outcome_classes({"q0"}, ["Alice"], ("g",))
 
 
 class TestWithProp:
@@ -649,7 +684,7 @@ class TestWithProp:
             rng = random.Random(seed)
             g = random_arena(rng)
             # Fill the source's memo, so that the copy's must start empty.
-            g.outcome_classes(g.states, ["a1"], g.coalition_actions(["a1"])[0])
+            g.outcome_classes(g.states, ["a1"], coalition_actions(g, ["a1"])[0])
             true_states = rng.sample(g.states, rng.randint(0, len(g.states)))
             derived = g.with_prop("new", true_states)
             assert derived._coalitions == {} and derived._coalitions is not g._coalitions
@@ -658,10 +693,11 @@ class TestWithProp:
             fresh = Arena(g.agents, g.actions, g.states, labels, g.initial,
                           g.observes, set(g.hidden) | {"new"}, g.transitions)
             assert derived.to_document() == fresh.to_document(), seed
+            assert derived.props == fresh.props == g.props | {"new"}, seed
             for coalition in COALITIONS:
                 for q in g.states:
                     assert derived.obs(coalition, q) == fresh.obs(coalition, q), seed
-                for c_a in g.coalition_actions(coalition):
+                for c_a in coalition_actions(g, coalition):
                     for source in [(q,) for q in g.states] + [g.states]:
                         assert (derived.outcome_classes(source, coalition, c_a)
                                 == fresh.outcome_classes(source, coalition, c_a)), seed

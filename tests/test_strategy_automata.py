@@ -15,7 +15,7 @@ from atldk import (
     split,
     to_dot,
 )
-from oracles import random_arena, random_coalition
+from oracles import coalition_actions, extensions, random_arena, random_coalition
 
 AB = ["Alice", "Bob"]
 
@@ -104,7 +104,7 @@ class TestTransitionRules:
     def test_alphabet_and_first_state(self, corpus_automaton):
         assert corpus_automaton.states[0] == corpus_automaton.init
         assert set(corpus_automaton.alphabet) == {
-            c for c in corpus_automaton.hat.source.coalition_actions(AB)}
+            c for c in coalition_actions(corpus_automaton.hat.source, AB)}
 
     def test_weak_until_shares_the_transition_structure(self, goal_hat):
         until = build_until_automaton(goal_hat, AB, "valid", "goal", {"q0"})
@@ -166,11 +166,11 @@ class TestInvariants:
                     assert automaton.delta[(state, c_a)] == (BOT,)
                     continue
                 all_kset_successors = {
-                    t for c in g.extensions(coalition, c_a)
+                    t for c in extensions(g, coalition, c_a)
                     for r in state.kset for t in g.succ(r, c)}
                 assert frozenset().union(*(t.kset for _, t in class_list)) == all_kset_successors
                 all_pending_successors = {
-                    t for c in g.extensions(coalition, c_a)
+                    t for c in extensions(g, coalition, c_a)
                     for r in state.pending for t in g.succ(r, c)}
                 relabeled = frozenset().union(*(t.pending for _, t in class_list))
                 assert relabeled == all_pending_successors - discharged
