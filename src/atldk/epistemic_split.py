@@ -34,7 +34,9 @@ class HatArena:
         self.coalition = frozenset(view.members)
         self.base = base
         self.kset = kset
-        self.ksets = frozenset(kset.values())
+        # In split's discovery order, which the goal-table rows and until
+        # choices follow; a set's order would change with the hash seed.
+        self.ksets = dict.fromkeys(kset.values()).keys()
         # Goal-automaton transitions per (p1, p2), filled by strategy_automata.
         self._goal_tables = {}
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ from click.testing import CliRunner
 import atldk
 from atldk import Strategy, alicebob_path, load_arena
 from atldk.cli import main
-from oracles import comma_id_document, replay_until
+from oracles import comma_id_document, random_arena_document, replay_until
 
 EXAMPLE = "<Alice,Bob>(valid U (c & s))"
 
@@ -465,3 +466,24 @@ class TestEntryPoint:
         assert completed.returncode == 0
         assert "0.1.0" in completed.stdout
         assert completed.stdout.split()[-1] == project_table()["version"]
+
+
+class TestHashSeed:
+    def test_witness_bytes_do_not_depend_on_the_hash_seed(self, tmp_path, monkeypatch):
+        """Until choices follow split's discovery order of the knowledge sets,
+        so two interpreters with different hash seeds write the same witness
+        (this arena's was one of two documents under hash seeds 0 and 1 while
+        the knowledge sets were walked in set order)."""
+        arena = tmp_path / "arena.json"
+        document = random_arena_document(random.Random(106), max_states=6, min_states=4)
+        arena.write_text(json.dumps(document))
+        written = []
+        for seed in ("0", "1"):
+            monkeypatch.setenv("PYTHONHASHSEED", seed)
+            witness = tmp_path / ("witness-%s.json" % seed)
+            completed = run_console_script(
+                "atldk", ["check", "--arena", str(arena), "--formula", "<a2>(p U r)",
+                          "--witness", str(witness)], timeout=120)
+            assert completed.returncode == 0, completed.stderr
+            written.append(witness.read_bytes())
+        assert written[0] == written[1]
