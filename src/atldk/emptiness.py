@@ -72,8 +72,9 @@ def check_weak_nonempty(automaton):
     if automaton.kind != WEAK_UNTIL:
         raise EmptinessError("expected a weak-until automaton, got %s" % automaton.kind)
     losing, choice = _attractor(automaton, [BOT], coalition=False)
-    winning = set(automaton.states) - losing
-    return automaton.init in winning, GameSolution(winning, {s: choice[s] for s in winning})
+    winning = [s for s in automaton.states if s not in losing]
+    solution = GameSolution(winning, {s: choice[s] for s in winning})
+    return automaton.init in solution.winning, solution
 
 
 def until_accept(automaton):

@@ -21,6 +21,7 @@ from atldk import (
     until_accept,
     weak_accept,
 )
+from atldk.strategy_automata import WEAK_UNTIL, level_automaton
 from oracles import history_witness_map, random_arena, random_coalition, replay_until
 
 AB = ["Alice", "Bob"]
@@ -245,6 +246,19 @@ class TestChoiceGames:
         rng = random.Random(1573)
         g = random_arena(rng, max_states=8)
         assert choice_game_violations_on_every_kset(g, rng) == []
+
+    def test_weak_until_choices_follow_the_state_order(self):
+        for seed in range(60):
+            rng = random.Random(seed)
+            g = random_arena(rng, max_states=5)
+            if not g.props:
+                continue
+            coalition = random_coalition(rng)
+            props = sorted(g.props)
+            hat = split(g, coalition)
+            automaton = level_automaton(WEAK_UNTIL, hat, rng.choice(props), rng.choice(props))
+            choice = check_weak_nonempty(automaton)[1].choice
+            assert list(choice) == [s for s in automaton.states if s in choice], seed
 
 
 class TestGenericOracle:
