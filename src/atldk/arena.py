@@ -22,12 +22,14 @@ class _CoalitionView:
     and the memo of outcome classes. The engine reads it unchecked."""
 
     __slots__ = ("members", "observation", "moves", "extensions", "actions",
-                 "_transitions", "_outcomes")
+                 "_rank", "_transitions", "_outcomes")
 
     def __init__(self, arena, coalition):
         self.members = tuple(a for a in arena.agents if a in coalition)
         props = frozenset().union(*(arena.observes[a] for a in self.members))
         self.observation = {q: label & props for q, label in arena.labels.items()}
+        order = sorted(set(self.observation.values()), key=sorted)
+        self._rank = {z: i for i, z in enumerate(order)}
         positions = [i for i, a in enumerate(arena.agents) if a in coalition]
         self.moves = tuple((c, tuple([c[i] for i in positions])) for c in arena.joint_actions())
         # First sight in joint-action order is the members' product order.
@@ -41,8 +43,8 @@ class _CoalitionView:
     def classes(self, source, c_a):
         """All successors of the source frozenset under extensions of the
         coalition action c_a, grouped by observation: {observation: successor
-        set} in observation order (by sorted members), built once per (source,
-        c_a)."""
+        set}, observations ordered by their sorted props, built once per
+        (source, c_a)."""
         key = (source, c_a)
         classes = self._outcomes.get(key)
         if classes is None:
@@ -53,7 +55,7 @@ class _CoalitionView:
                     for t in transitions[(s, c)]:
                         grouped.setdefault(observation[t], set()).add(t)
             classes = self._outcomes[key] = {
-                z: frozenset(grouped[z]) for z in sorted(grouped, key=sorted)}
+                z: frozenset(grouped[z]) for z in sorted(grouped, key=self._rank.__getitem__)}
         return classes
 
 

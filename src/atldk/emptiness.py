@@ -73,8 +73,7 @@ def check_weak_nonempty(automaton):
         raise EmptinessError("expected a weak-until automaton, got %s" % automaton.kind)
     losing, choice = _attractor(automaton, [BOT], coalition=False)
     winning = [s for s in automaton.states if s not in losing]
-    solution = GameSolution(winning, {s: choice[s] for s in winning})
-    return automaton.init in solution.winning, solution
+    return automaton.init in winning, GameSolution(winning, {s: choice[s] for s in winning})
 
 
 def until_accept(automaton):

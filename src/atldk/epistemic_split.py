@@ -19,12 +19,11 @@ def hat_id(arena, base, kset):
 
 
 class HatArena:
-    """The refined arena for one coalition, with provenance back to its source.
+    """The refined arena for one coalition, with provenance back to its source
+    and the source's compiled view for the coalition.
 
     The refined system is itself a valid Arena (same agents, actions, and
-    observability); state ids encode the base state and its kset. view is the
-    coalition's compiled view of the source, which split and the goal tables
-    read.
+    observability); state ids encode the base state and its kset.
     """
 
     def __init__(self, arena, source, view, base, kset):
@@ -34,8 +33,7 @@ class HatArena:
         self.coalition = frozenset(view.members)
         self.base = base
         self.kset = kset
-        # In split's discovery order, which the goal-table rows and until
-        # choices follow; a set's order would change with the hash seed.
+        # Discovery order, which goal-table rows and until choices follow.
         self.ksets = dict.fromkeys(kset.values()).keys()
         # Goal-automaton transitions per (p1, p2), filled by strategy_automata.
         self._goal_tables = {}

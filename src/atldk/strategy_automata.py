@@ -65,7 +65,7 @@ class TreeAutomaton:
         self.hat, self.p1, self.p2 = rows.hat, rows.p1, rows.p2
         self.source_kset = source_kset
         self.init = init
-        self.alphabet = tuple(rows.alphabet)
+        self.alphabet = self.hat.view.actions
         self._rows = rows
         self._starts = (init,) if starts is None else starts
 
@@ -137,7 +137,6 @@ class _GoalTable(dict):
         g = hat.source
         self.goal = frozenset((p1, p2))
         self.discharged = frozenset(q for q in g.states if p2 in g.labels[q])
-        self.alphabet = hat.view.actions
 
     def initial(self, s):
         goal_everywhere = all(self.hat.source.labels[q] & self.goal for q in s)
@@ -152,7 +151,7 @@ class _GoalTable(dict):
         tests/oracles.py construction_failures)."""
         view, labels, goal = self.hat.view, self.hat.source.labels, self.goal
         delta, classes = {}, {}
-        for c_a in self.alphabet:
+        for c_a in view.actions:
             key = (state, c_a)
             pending_out = None if state.is_bot else view.classes(state.pending, c_a)
             if pending_out is None or any(not (labels[t] & goal)
