@@ -79,6 +79,8 @@ class Arena:
         self.props = frozenset().union(*self.observes.values()) | self.hidden
         self._state_index = {q: i for i, q in enumerate(self.states)}
         self._coalitions = {}
+        # The HatArena this arena is the refined arena of, set by split.
+        self._refinement = None
         self._validate()
 
     def _validate(self):
@@ -190,7 +192,9 @@ class Arena:
     def with_prop(self, prop, true_states):
         """A copy of the arena with one more hidden prop, labeling exactly the
         given states. The copy shares this arena's validated states, actions,
-        observations and transitions, and compiles its own coalition views."""
+        observations and transitions, and compiles its own coalition views. It
+        keeps the link to the refinement this arena came from: a hidden prop
+        changes no coalition's observations."""
         if not isinstance(prop, str):
             raise ArenaError("prop must be a string, not %s %r" % (type(prop).__name__, prop))
         if prop in self.props:

@@ -122,6 +122,12 @@ class _Group(click.Group):
         except _ERRORS as exc:
             click.echo("error: %s" % exc, err=True)
             sys.exit(EXIT_ERROR)
+        except MemoryError:
+            # Exit 1 would read as "does not hold". Witness maps grow with the
+            # number of observation histories, so --witness meets this first.
+            click.echo("error: out of memory (an arena, formula or witness too large "
+                       "for the memory available)", err=True)
+            sys.exit(EXIT_ERROR)
 
 
 def _arena_option(help="Arena document (JSON).", **attrs):

@@ -3,8 +3,6 @@ and label knowledge and one-step coalition ability directly on the result."""
 
 from __future__ import annotations
 
-from collections import deque
-
 from .arena import Arena, ArenaError
 
 
@@ -45,6 +43,14 @@ class HatArena:
         return s
 
 
+def _states_per_kset(first):
+    """Per kset of a refinement, the set of its refined states that carry it."""
+    members = {}
+    for hid, s in first.kset.items():
+        members.setdefault(s, []).append(hid)
+    return {s: frozenset(hids) for s, hids in members.items()}
+
+
 def split(g, coalition, limit=None):
     """Build the refined arena for a coalition, materializing reachable states only.
 
@@ -53,13 +59,18 @@ def split(g, coalition, limit=None):
     from; knowledge sets then evolve deterministically per coalition action
     and observed label. A limit aborts the construction once more refined
     states than that would be materialized.
+
+    When g is itself a refinement by the same coalition, maybe with props
+    added since by with_prop, refining again adds no knowledge: the result is
+    g under new names, each state h paired with the states that share its
+    kset, in g's state order, and is built as that relabeling without
+    computing outcome classes.
     """
     ids = {}
     base = {}
     kset = {}
     states = []
     labels = {}
-    frontier = deque()
 
     def intern(q, s):
         """The id of the refined state (q, s), materializing it on first sight."""
@@ -78,35 +89,45 @@ def split(g, coalition, limit=None):
         kset[hid] = s
         states.append(hid)
         labels[hid] = g.labels[q]
-        frontier.append(hid)
         return hid
 
     view = g._coalition_view(coalition)
-    observation = view.observation
-    initial_ids = []
-    for q0 in g.initial:
-        z0 = observation[q0]
-        s0 = frozenset(s for s in g.initial if observation[s] == z0)
-        initial_ids.append(intern(q0, s0))
+    first = g._refinement
+    if first is not None and first.coalition == frozenset(view.members):
+        # The walk below would intern the same states in g's own order.
+        lift = _states_per_kset(first)
+        hids = {h: intern(h, lift[s]) for h, s in first.kset.items()}
+        initial_ids = [hids[h] for h in g.initial]
+        transitions = {(hids[h], c): frozenset(map(hids.__getitem__, targets))
+                       for (h, c), targets in g.transitions.items()}
+    else:
+        observation = view.observation
+        initial_ids = []
+        for q0 in g.initial:
+            z0 = observation[q0]
+            s0 = frozenset(s for s in g.initial if observation[s] == z0)
+            initial_ids.append(intern(q0, s0))
 
-    # Per base state: each joint action, its coalition part and the successors
-    # in arena order (the order refined states are interned in).
-    rows = {}
-    transitions = {}
-    while frontier:
-        hid = frontier.popleft()
-        q, s = base[hid], kset[hid]
-        row = rows.get(q)
-        if row is None:
-            row = rows[q] = [(c, c_a, g.sorted_states(g.transitions[(q, c)]))
-                             for c, c_a in view.moves]
-        for c, c_a, successors in row:
-            classes = view.classes(s, c_a)
-            transitions[(hid, c)] = {intern(q2, classes[observation[q2]]) for q2 in successors}
+        # Per base state: each joint action, its coalition part and the
+        # successors in arena order (the order refined states are interned in).
+        rows = {}
+        transitions = {}
+        # Breadth first: the walk reaches the states interned as it goes.
+        for hid in states:
+            q, s = base[hid], kset[hid]
+            row = rows.get(q)
+            if row is None:
+                row = rows[q] = [(c, c_a, g.sorted_states(g.transitions[(q, c)]))
+                                 for c, c_a in view.moves]
+            for c, c_a, successors in row:
+                classes = view.classes(s, c_a)
+                transitions[(hid, c)] = {intern(q2, classes[observation[q2]])
+                                         for q2 in successors}
 
     arena = Arena(g.agents, g.actions, states, labels, initial_ids,
                   g.observes, g.hidden, transitions)
-    return HatArena(arena, g, view, base, kset)
+    hat = arena._refinement = HatArena(arena, g, view, base, kset)
+    return hat
 
 
 def label_knowledge(hat, prop):

@@ -165,6 +165,19 @@ class TestCheck:
         assert not path.exists()
         assert "no witness" in result.stderr
 
+    def test_out_of_memory_is_an_error_not_a_verdict(self, runner, arena_path, tmp_path,
+                                                      monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+        monkeypatch.setattr("atldk.checker.extract_witness_strategy", exhausted)
+        path = tmp_path / "witness.json"
+        result = invoke(runner, ["check", "--arena", arena_path,
+                                 "--formula", EXAMPLE, "--witness", str(path)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: out of memory")
+        assert "Traceback" not in result.stderr
+        assert not path.exists()
+
     def test_dump_arenas_round_trip(self, runner, arena_path, tmp_path):
         dump = tmp_path / "levels"
         result = invoke(runner, ["check", "--arena", arena_path,

@@ -264,10 +264,60 @@ class TestNextLabels:
             assert labels[hat_state_of(g, hat, run)] == expected[run], (run, prop)
 
 
+def refinement_fields(hat):
+    """Everything split builds, with the orders it builds in."""
+    g = hat.arena
+    return (g.states, g.initial, g.labels, g.transitions, hat.base, hat.kset, list(hat.ksets))
+
+
+def loaded_copy(arena):
+    """The same arena, loaded from its document: it carries no link to the
+    refinement it came from, so split takes the full construction."""
+    return load_arena(arena.to_document())
+
+
+def resplit_input(seed):
+    """A random arena's refinement, with one more hidden prop on random states."""
+    rng = random.Random(seed)
+    coalition = random_coalition(rng)
+    first = split(random_arena(rng), coalition)
+    states = [h for h in first.arena.states if rng.random() < 0.5]
+    return coalition, first.arena.with_prop("extra", states)
+
+
 class TestResplit:
     def test_corpus_resplit_adds_nothing(self, corpus_hat):
         again = split(corpus_hat.arena, AB)
         assert resplit_isomorphism_failures(corpus_hat, again) == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_same_coalition_resplit_equals_the_full_construction(self, seed):
+        coalition, mid = resplit_input(seed)
+        fast = split(mid, coalition)
+        assert not fast.view._outcomes
+        assert refinement_fields(fast) == refinement_fields(split(loaded_copy(mid), coalition))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_state_cap_on_a_resplit(self, seed):
+        coalition, mid = resplit_input(seed)
+        cap = len(mid.states) - 1
+        with pytest.raises(SplitLimitExceeded) as fast:
+            split(mid, coalition, limit=cap)
+        with pytest.raises(SplitLimitExceeded) as full:
+            split(loaded_copy(mid), coalition, limit=cap)
+        assert str(fast.value) == str(full.value)
+        assert len(split(mid, coalition, limit=cap + 1).arena.states) == len(mid.states)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_another_coalition_takes_the_full_construction(self, seed):
+        coalition, mid = resplit_input(seed)
+        for other in (["a1"], ["a2"], ["a1", "a2"]):
+            if other != coalition:
+                assert refinement_fields(split(mid, other)) == refinement_fields(
+                    split(loaded_copy(mid), other))
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10 ** 6))
