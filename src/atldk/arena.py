@@ -14,23 +14,33 @@ class ArenaError(Exception):
     pass
 
 
+def _members(arena, coalition):
+    """The coalition's members in agent order; unknown members are rejected."""
+    coalition = frozenset(coalition)
+    unknown = coalition.difference(arena.agents)
+    if unknown:
+        raise ArenaError("unknown coalition members %s" % sorted(unknown))
+    return tuple(a for a in arena.agents if a in coalition)
+
+
 class _CoalitionView:
     """One coalition's compiled view of an arena: members in agent order, each
     state's observation (its label restricted to the props the members
     observe), every joint move with its coalition part in joint-action order,
     the coalition actions in members' product order with their extensions,
-    and the memo of outcome classes. The engine reads it unchecked."""
+    and the memo of outcome classes. Compiling it rejects unknown members; the
+    engine reads it unchecked."""
 
     __slots__ = ("members", "observation", "moves", "extensions", "actions",
                  "_rank", "_transitions", "_outcomes")
 
     def __init__(self, arena, coalition):
-        self.members = tuple(a for a in arena.agents if a in coalition)
+        self.members = _members(arena, coalition)
         props = frozenset().union(*(arena.observes[a] for a in self.members))
         self.observation = {q: label & props for q, label in arena.labels.items()}
         order = sorted(set(self.observation.values()), key=sorted)
         self._rank = {z: i for i, z in enumerate(order)}
-        positions = [i for i, a in enumerate(arena.agents) if a in coalition]
+        positions = [i for i, a in enumerate(arena.agents) if a in self.members]
         self.moves = tuple((c, tuple([c[i] for i in positions])) for c in arena.joint_actions())
         # First sight in joint-action order is the members' product order.
         self.extensions = {}
@@ -78,7 +88,6 @@ class Arena:
         self.transitions = {key: frozenset(targets) for key, targets in transitions.items()}
         self.props = frozenset().union(*self.observes.values()) | self.hidden
         self._state_index = {q: i for i, q in enumerate(self.states)}
-        self._coalitions = {}
         # The HatArena this arena is the refined arena of, set by split.
         self._refinement = None
         self._validate()
@@ -142,37 +151,23 @@ class Arena:
         """All joint actions, in the canonical per-agent order."""
         return itertools.product(*(self.actions[a] for a in self.agents))
 
-    def _coalition_view(self, coalition):
-        """The coalition's compiled view of this arena, built on first use.
-
-        Only validated coalitions are stored, so unknown members raise on
-        every call.
-        """
-        key = frozenset(coalition)
-        view = self._coalitions.get(key)
-        if view is None:
-            unknown = key - set(self.agents)
-            if unknown:
-                raise ArenaError("unknown coalition members %s" % sorted(unknown))
-            view = self._coalitions[key] = _CoalitionView(self, key)
-        return view
-
     def succ(self, q, c):
         return self.transitions[(q, tuple(c))]
 
     def obs(self, coalition, q):
         """The coalition's observation of a state: its label restricted to visible props."""
-        z = self._coalition_view(coalition).observation.get(q)
-        if z is None:
+        members = _members(self, coalition)
+        label = self.labels.get(q)
+        if label is None:
             raise ArenaError("unknown state %s" % q)
-        return z
+        return label & frozenset().union(*(self.observes[a] for a in members))
 
     def outcome_classes(self, source, coalition, c_a):
         """Group all successors of the source set under extensions of the
         coalition action c_a by their coalition observation. Returns a read-only
-        {observation: successor set} in observation order, computed once per
-        (source, c_a) and coalition."""
-        view = self._coalition_view(coalition)
+        {observation: successor set} in observation order, read from a view
+        compiled for this call."""
+        view = _CoalitionView(self, coalition)
         c_a = tuple(c_a)
         if c_a not in view.extensions:
             raise ArenaError("%r is not an action of coalition {%s}"
@@ -192,9 +187,8 @@ class Arena:
     def with_prop(self, prop, true_states):
         """A copy of the arena with one more hidden prop, labeling exactly the
         given states. The copy shares this arena's validated states, actions,
-        observations and transitions, and compiles its own coalition views. It
-        keeps the link to the refinement this arena came from: a hidden prop
-        changes no coalition's observations."""
+        observations and transitions. It keeps the link to the refinement this
+        arena came from: a hidden prop changes no coalition's observations."""
         if not isinstance(prop, str):
             raise ArenaError("prop must be a string, not %s %r" % (type(prop).__name__, prop))
         if prop in self.props:
@@ -213,7 +207,6 @@ class Arena:
                           for q, label in self.labels.items()}
         derived.hidden = self.hidden | {prop}
         derived.props = self.props | {prop}
-        derived._coalitions = {}
         return derived
 
     def to_document(self):
@@ -231,7 +224,8 @@ class Arena:
                  "to": self.sorted_states(targets)}
                 for (q, c), targets in sorted(
                     self.transitions.items(),
-                    key=lambda item: (self._state_index[item[0][0]], item[0][1]))
+                    key=lambda item: (self._state_index[item[0][0]],
+                                      [(type(act).__name__, act) for act in item[0][1]]))
             ],
         }
         return doc

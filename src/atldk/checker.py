@@ -30,31 +30,29 @@ class StateCapExceeded(CheckerError):
 
 
 class LabelLevel:
-    """One step of the arena sequence: the arena after labeling, the truth map
-    for the fresh prop, the labeling case, and provenance to the previous level.
+    """One step of the arena sequence: the arena after labeling, whose labels
+    hold the truth of the fresh prop, and the labeling case.
 
-    Modal levels keep the refined arena; until and weak-until levels also keep
+    Modal levels keep the refined arena, which holds the coalition and the
+    provenance to the previous level; until and weak-until levels also keep
     each kset's goal automaton and the one solution of the level's goal game,
     whose region and choices serve every kset."""
 
-    def __init__(self, k, chi, prop, case, arena, labels, provenance,
-                 hat=None, coalition=None, automata=None, solution=None, elapsed=0.0):
+    def __init__(self, k, chi, prop, case, arena,
+                 hat=None, automata=None, solution=None, elapsed=0.0):
         self.k = k
         self.chi = chi
         self.prop = prop
         self.case = case
         self.arena = arena
-        self.labels = labels
-        self.provenance = provenance
         self.hat = hat
-        self.coalition = coalition
         self.automata = automata or {}
         self.solution = solution
         self.elapsed = elapsed
 
     @property
     def labeled_count(self):
-        return sum(1 for v in self.labels.values() if v)
+        return sum(1 for label in self.arena.labels.values() if self.prop in label)
 
     def stats(self):
         return {"k": self.k, "case": self.case,
@@ -102,13 +100,12 @@ class Verdict:
         for level in reversed(self.table.levels):
             if level.case not in (UNTIL, WEAK_UNTIL):
                 continue
-            hat = level.hat
-            initial_ids = hat.arena.initial
-            if not all(level.labels[hid] for hid in initial_ids):
+            initial_ids = level.arena.initial
+            if not all(level.prop in level.arena.labels[hid] for hid in initial_ids):
                 return None
             strategy = None
-            for s in dict.fromkeys(hat.kset[hid] for hid in initial_ids):
-                extracted = extract_witness_strategy(level.solution, level.automata[s], hat)
+            for s in dict.fromkeys(level.hat.kset[hid] for hid in initial_ids):
+                extracted = extract_witness_strategy(level.solution, level.automata[s])
                 if strategy is None:
                     strategy = extracted
                 else:
@@ -162,18 +159,15 @@ def label_step(arena, chi, prop, state_cap=DEFAULT_STATE_CAP):
 
     if modal_count == 0:
         case = CASE_ATOM if _is_atom_case(chi) else CASE_BOOLEAN
-        labels = {q: _eval_boolean(chi, arena.labels[q]) for q in arena.states}
-        new_arena = arena.with_prop(prop, [q for q in arena.states if labels[q]])
-        provenance = {q: q for q in arena.states}
-        return LabelLevel(0, chi, prop, case, new_arena, labels, provenance,
-                          elapsed=time.monotonic() - started)
+        new_arena = arena.with_prop(
+            prop, [q for q in arena.states if _eval_boolean(chi, arena.labels[q])])
+        return LabelLevel(0, chi, prop, case, new_arena, elapsed=time.monotonic() - started)
 
     if not isinstance(chi, (fm.Know, fm.Next, fm.Until, fm.WeakUntil)):
         raise CheckerError("the modality in %s must be outermost" % chi)
 
-    coalition = chi.coalition
     try:
-        hat = split(arena, coalition, limit=state_cap)
+        hat = split(arena, chi.coalition, limit=state_cap)
     except SplitLimitExceeded as exc:
         raise StateCapExceeded(str(exc)) from exc
 
@@ -184,7 +178,7 @@ def label_step(arena, chi, prop, state_cap=DEFAULT_STATE_CAP):
         labels = label_knowledge(hat, _operand_atom(chi.operand, chi))
     elif isinstance(chi, fm.Next):
         case = CASE_NEXT
-        labels = label_next(hat, coalition, _operand_atom(chi.operand, chi))
+        labels = label_next(hat, _operand_atom(chi.operand, chi))
     else:
         p1 = _operand_atom(chi.left, chi)
         p2 = _operand_atom(chi.right, chi)
@@ -192,15 +186,14 @@ def label_step(arena, chi, prop, state_cap=DEFAULT_STATE_CAP):
             case, build, decide = UNTIL, build_until_automaton, check_until_nonempty
         else:
             case, build, decide = WEAK_UNTIL, build_weak_until_automaton, check_weak_nonempty
-        automata = {s: build(hat, coalition, p1, p2, s) for s in hat.ksets}
+        automata = {s: build(hat, p1, p2, s) for s in hat.ksets}
         solution = decide(level_automaton(case, hat, p1, p2))[1]
         labels = {hid: automata[hat.kset[hid]].init in solution.winning
                   for hid in hat.arena.states}
 
     new_arena = hat.arena.with_prop(prop, [hid for hid in hat.arena.states if labels[hid]])
-    return LabelLevel(0, chi, prop, case, new_arena, labels, hat.base,
-                      hat=hat, coalition=coalition, automata=automata, solution=solution,
-                      elapsed=time.monotonic() - started)
+    return LabelLevel(0, chi, prop, case, new_arena, hat=hat, automata=automata,
+                      solution=solution, elapsed=time.monotonic() - started)
 
 
 def bind_formula(arena, f):
@@ -260,18 +253,16 @@ def explain(verdict, state_id):
                 "state": current,
                 "case": level.case,
                 "prop": level.prop,
-                "labeled": level.labels[current],
+                "labeled": level.prop in level.arena.labels[current],
             }
             if level.case in MODAL_CASES:
                 entry["kset"] = level.hat.source.sorted_states(level.hat.kset[current])
+                current = level.hat.base[current]
             chain.append(entry)
-            current = level.provenance[current]
-        state_id_base = current
         if top_level.case in (UNTIL, WEAK_UNTIL) and chain[0]["labeled"]:
-            hat = top_level.hat
-            automaton = top_level.automata[hat.kset[chain[0]["state"]]]
-            witness = extract_witness_strategy(top_level.solution, automaton, hat).to_document()
-        state_id = state_id_base
+            automaton = top_level.automata[top_level.hat.kset[chain[0]["state"]]]
+            witness = extract_witness_strategy(top_level.solution, automaton).to_document()
+        state_id = current
     record = {
         "state": state_id,
         "base_labels": sorted(table.base.labels[state_id]),

@@ -270,7 +270,7 @@ def automaton(arena_path, coalition_text, kind, p1, p2, kset_text, fmt, state_ca
     else:
         source = hat.require_kset(_parse_members(kset_text, "knowledge set"))
     build, decide, _ = _GOALS[kind]
-    built = build(hat, hat.coalition, p1, p2, source)
+    built = build(hat, p1, p2, source)
     nonempty, solution = decide(built)
     language = "nonempty" if nonempty else "EMPTY"
     if fmt == FORMAT_DOT:
@@ -412,7 +412,7 @@ def _batch_comparisons(rng, batch, state_cap, guard):
         hat = split_arena(g, members, limit=state_cap)
         for s in _sorted_ksets(hat, hat.ksets):
             for build, decide, _ in _GOALS.values():
-                built = build(hat, members, p1, p2, s)
+                built = build(hat, p1, p2, s)
                 records.append(_comparison({"arena": index}, built, decide(built)[0], guard))
     return records
 

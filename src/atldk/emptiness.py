@@ -134,8 +134,8 @@ def generic_occurrence_emptiness(automaton, accept, guard=DEFAULT_ORACLE_GUARD):
     return solve(start)[automaton.init]
 
 
-def extract_witness_strategy(solution, automaton, hat):
-    """Turn a winning region into a finite observation-based strategy.
+def extract_witness_strategy(solution, automaton):
+    """Turn a winning region into a finite observation-based strategy for its coalition.
 
     Replays the automaton from its initial state along the chosen actions level
     by level, recording one entry per observation history up to depth |states|;
@@ -143,7 +143,8 @@ def extract_witness_strategy(solution, automaton, hat):
     """
     if automaton.init not in solution.winning:
         raise EmptinessError("solution does not witness nonemptiness")
-    z0 = hat.view.observation[next(iter(automaton.source_kset))]
+    view = automaton.hat.view
+    z0 = view.observation[next(iter(automaton.source_kset))]
     depth_cap = len(automaton.states)
     default = automaton.alphabet[0]
     mapping = {}
@@ -160,4 +161,4 @@ def extract_witness_strategy(solution, automaton, hat):
                     next_states.append(target)
                     next_histories.append(history + (z,))
         states, histories = next_states, next_histories
-    return Strategy(hat.view.members, mapping, default)
+    return Strategy(view.members, mapping, default)

@@ -3,7 +3,7 @@ and label knowledge and one-step coalition ability directly on the result."""
 
 from __future__ import annotations
 
-from .arena import Arena, ArenaError
+from .arena import Arena, ArenaError, _CoalitionView
 
 
 class SplitLimitExceeded(ArenaError):
@@ -91,7 +91,7 @@ def split(g, coalition, limit=None):
         labels[hid] = g.labels[q]
         return hid
 
-    view = g._coalition_view(coalition)
+    view = _CoalitionView(g, coalition)
     first = g._refinement
     if first is not None and first.coalition == frozenset(view.members):
         # The walk below would intern the same states in g's own order.
@@ -130,39 +130,29 @@ def split(g, coalition, limit=None):
     return hat
 
 
+def _per_kset(hat, holds):
+    """{refined state: holds(its kset)}, deciding each kset once."""
+    per_kset = {s: holds(s) for s in hat.ksets}
+    return {hid: per_kset[hat.kset[hid]] for hid in hat.arena.states}
+
+
 def label_knowledge(hat, prop):
     """Which refined states satisfy distributed knowledge of a prop: those whose
     entire kset carries it."""
     if prop not in hat.source.props:
         raise ArenaError("unknown prop %s" % prop)
-    per_kset = {}
-    result = {}
-    for hid in hat.arena.states:
-        s = hat.kset[hid]
-        if s not in per_kset:
-            per_kset[s] = all(prop in hat.source.labels[q] for q in s)
-        result[hid] = per_kset[s]
-    return result
+    labels = hat.source.labels
+    return _per_kset(hat, lambda s: all(prop in labels[q] for q in s))
 
 
-def label_next(hat, coalition, prop):
+def label_next(hat, prop):
     """Which refined states satisfy one-step coalition ability for a prop: some
     coalition action forces prop at every successor of every kset member, however
     the other agents act."""
-    if frozenset(coalition) != hat.coalition:
-        raise ArenaError("coalition mismatch: refined arena was built for {%s}"
-                         % ",".join(sorted(hat.coalition)))
     if prop not in hat.source.props:
         raise ArenaError("unknown prop %s" % prop)
-    labels, view = hat.source.labels, hat.view
-    per_kset = {}
-    result = {}
-    for hid in hat.arena.states:
-        s = hat.kset[hid]
-        if s not in per_kset:
-            per_kset[s] = any(
-                all(prop in labels[t] for targets in view.classes(s, c_a).values()
-                    for t in targets)
-                for c_a in view.actions)
-        result[hid] = per_kset[s]
-    return result
+    labels, transitions, view = hat.source.labels, hat.source.transitions, hat.view
+    return _per_kset(hat, lambda s: any(
+        all(prop in labels[t] for c in view.extensions[c_a] for q in s
+            for t in transitions[(q, c)])
+        for c_a in view.actions))

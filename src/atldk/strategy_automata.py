@@ -97,21 +97,19 @@ class TreeAutomaton:
         return state.pretty(self.hat.source.sorted_states)
 
 
-def build_until_automaton(hat, coalition, p1, p2, source_kset):
-    return _build(UNTIL, hat, coalition, p1, p2, source_kset)
+def build_until_automaton(hat, p1, p2, source_kset):
+    return _build(UNTIL, hat, p1, p2, source_kset)
 
 
-def build_weak_until_automaton(hat, coalition, p1, p2, source_kset):
-    return _build(WEAK_UNTIL, hat, coalition, p1, p2, source_kset)
+def build_weak_until_automaton(hat, p1, p2, source_kset):
+    return _build(WEAK_UNTIL, hat, p1, p2, source_kset)
 
 
-def _build(kind, hat, coalition, p1, p2, source_kset):
+def _build(kind, hat, p1, p2, source_kset):
     """Shared construction; until and weak-until differ only in acceptance.
-    Only the initial state is computed here: the automaton is the part of the
-    hat's goal table for (p1, p2) reachable from it, listed on first read."""
-    if frozenset(coalition) != hat.coalition:
-        raise AutomatonError("coalition mismatch: refined arena was built for {%s}"
-                             % ",".join(sorted(hat.coalition)))
+    The coalition is the hat's. Only the initial state is computed here: the
+    automaton is the part of the hat's goal table for (p1, p2) reachable from
+    it, listed on first read."""
     for p in (p1, p2):
         if p not in hat.source.props:
             raise AutomatonError("unknown goal prop %s" % p)
@@ -219,7 +217,7 @@ def to_dot(automaton, annotation=None):
             lines.append("  init -> %s;" % names[state])
     for state in automaton.states:
         for c_a in automaton.alphabet:
-            act = ",".join(c_a) if c_a else "-"
+            act = ",".join(map(str, c_a)) if c_a else "-"
             class_list = automaton.classes[(state, c_a)]
             if class_list:
                 for z, t in class_list:

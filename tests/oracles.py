@@ -332,6 +332,12 @@ def atl_weak_until(arena, coalition, hold, goal):
         z = nxt
 
 
+def level_truth(level):
+    """A labeling level's truth map: each state of its arena to whether the
+    level's fresh prop labels it."""
+    return {q: level.prop in level.arena.labels[q] for q in level.arena.states}
+
+
 def states_where(arena, predicate):
     return {q for q in arena.states if predicate(q)}
 

@@ -27,6 +27,7 @@ from oracles import (
     atl_until,
     atl_weak_until,
     construction_failures,
+    level_truth,
     random_arena,
     replay_until,
     states_where,
@@ -144,7 +145,7 @@ def test_criterion_4_oracle_equivalence(batch):
                 for build, decide, accept in (
                         (build_until_automaton, check_until_nonempty, until_accept),
                         (build_weak_until_automaton, check_weak_nonempty, weak_accept)):
-                    automaton = build(hat, coalition, p1, p2, s)
+                    automaton = build(hat, p1, p2, s)
                     fast = decide(automaton)[0]
                     slow = generic_occurrence_emptiness(
                         automaton, accept(automaton), guard=10 ** 9)
@@ -185,9 +186,9 @@ def test_criterion_5_knowledge_uniformity(batch):
                         continue
                     levels_checked += 1
                     per_kset = {}
+                    truth = level_truth(level)
                     for hid in level.arena.states:
-                        per_kset.setdefault(level.hat.kset[hid], set()).add(
-                            level.labels[hid])
+                        per_kset.setdefault(level.hat.kset[hid], set()).add(truth[hid])
                     if any(len(values) != 1 for values in per_kset.values()):
                         violations.append((seed, text, level.k))
         ok = levels_checked > 0 and not violations
@@ -222,9 +223,10 @@ def test_criterion_6_perfect_information_agreement(full_obs_batch):
                 if verdict.holds != expected_holds:
                     divergences.append((seed, text, "verdict"))
                     continue
+                truth = level_truth(level)
                 for hid in level.arena.states:
                     base = level.hat.base[hid]
-                    if level.labels[hid] != (base in winning):
+                    if truth[hid] != (base in winning):
                         divergences.append((seed, text, base))
                         break
         ok = (len(full_obs_batch) >= 100 and compared == 3 * len(full_obs_batch)
@@ -297,8 +299,8 @@ def test_criterion_8_desugaring_identities(batch):
                 if lv.holds != rv.holds:
                     divergences.append((seed, left, "verdict"))
                     continue
-                left_labels = lv.table.levels[-1].labels
-                right_labels = rv.table.levels[-1].labels
+                left_labels = level_truth(lv.table.levels[-1])
+                right_labels = level_truth(rv.table.levels[-1])
                 if set(left_labels) != set(right_labels):
                     divergences.append((seed, left, "state spaces differ"))
                     continue

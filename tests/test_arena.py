@@ -443,6 +443,11 @@ class TestCoalitions:
             assert split(corpus, coalition).view.members == members
             assert coalition_tuple(corpus, coalition) == members
 
+    def test_each_split_compiles_its_own_view(self, corpus):
+        first, second = split(corpus, AB), split(corpus, AB)
+        assert first.view is not second.view
+        assert first.view.members == second.view.members == ("Alice", "Bob")
+
     def test_unknown_member_rejected(self, corpus):
         calls = (lambda: split(corpus, ["Alice", "Eve"]),
                  lambda: corpus.obs(["Alice", "Eve"], "q0"),
@@ -583,6 +588,10 @@ def rebuilt(g):
 
 COALITIONS = (["a1"], ["a2"], ["a1", "a2"], [])
 
+# An arena's own fields: no coalition view, memo or outcome class among them.
+ARENA_FIELDS = {"agents", "actions", "states", "labels", "initial", "observes", "hidden",
+                "transitions", "props", "_state_index", "_refinement"}
+
 
 class TestCompiledView:
     def test_memoized_outcome_classes_equal_fresh_ones(self):
@@ -683,11 +692,11 @@ class TestWithProp:
         for seed in range(40):
             rng = random.Random(seed)
             g = random_arena(rng)
-            # Fill the source's memo, so that the copy's must start empty.
+            # Reading outcome classes leaves no view behind for the copy to carry.
             g.outcome_classes(g.states, ["a1"], coalition_actions(g, ["a1"])[0])
             true_states = rng.sample(g.states, rng.randint(0, len(g.states)))
             derived = g.with_prop("new", true_states)
-            assert derived._coalitions == {} and derived._coalitions is not g._coalitions
+            assert set(vars(derived)) == set(vars(g)) == ARENA_FIELDS
             labels = {q: set(g.labels[q]) | ({"new"} if q in true_states else set())
                       for q in g.states}
             fresh = Arena(g.agents, g.actions, g.states, labels, g.initial,

@@ -22,8 +22,8 @@ from atldk import (
 from atldk.emptiness import check_until_nonempty, check_weak_nonempty
 from atldk.strategy_automata import (build_until_automaton, build_weak_until_automaton,
                                      level_automaton)
-from oracles import (construction_failures, initialized_runs, knowledge_oracle, random_arena,
-                     random_coalition)
+from oracles import (construction_failures, initialized_runs, knowledge_oracle, level_truth,
+                     random_arena, random_coalition)
 
 AB = ["Alice", "Bob"]
 EXAMPLE = "<Alice,Bob>(valid U (c & s))"
@@ -44,10 +44,10 @@ class TestLabelStep:
         level = label_step(corpus, fm.Atom("valid"), "p#1")
         assert level.case == "atom"
         assert level.labeled_count == 15
-        assert not level.labels["sink"]
+        assert "p#1" not in level.arena.labels["sink"]
         assert "p#1" in level.arena.labels["q0"]
         assert "p#1" in level.arena.hidden
-        assert level.provenance["q0"] == "q0"
+        assert level.hat is None
         assert level.arena.states == corpus.states
 
     def test_constants_are_atom_cases(self, corpus):
@@ -65,15 +65,16 @@ class TestLabelStep:
         level = label_step(corpus, chi, "p#1")
         assert level.case == "knowledge"
         assert "q1@{q1,q2,q3}" in level.arena.states
-        assert level.labels["q1@{q1,q2,q3}"]
-        assert level.provenance["q1@{q1,q2,q3}"] == "q1"
+        assert "p#1" in level.arena.labels["q1@{q1,q2,q3}"]
+        assert level.hat.base["q1@{q1,q2,q3}"] == "q1"
+        assert level.hat.coalition == frozenset(AB)
 
     def test_next_case(self, corpus):
         chi = fm.Next(AB, fm.Atom("valid"))
         level = label_step(corpus, chi, "p#1")
         assert level.case == "next"
-        assert level.labels["q0@{q0}"]
-        assert not level.labels["sink@{sink}"]
+        assert "p#1" in level.arena.labels["q0@{q0}"]
+        assert "p#1" not in level.arena.labels["sink@{sink}"]
 
     def test_until_case_records_solutions(self, corpus):
         chi = fm.Until(AB, fm.Atom("valid"), fm.Atom("c"))
@@ -81,13 +82,13 @@ class TestLabelStep:
         assert level.case == "until"
         assert level.hat is not None
         assert set(level.automata) == set(level.hat.ksets)
-        assert level.labels["q0@{q0}"]
+        assert "p#1" in level.arena.labels["q0@{q0}"]
 
     def test_weak_until_case(self, corpus):
         chi = fm.WeakUntil(AB, fm.Atom("valid"), fm.Atom("c"))
         level = label_step(corpus, chi, "p#1")
         assert level.case == "weak-until"
-        assert level.labels["q0@{q0}"]
+        assert "p#1" in level.arena.labels["q0@{q0}"]
 
     def test_rejects_two_modalities(self, corpus):
         chi = fm.And(fm.Know(AB, fm.Atom("c")), fm.Know(AB, fm.Atom("s")))
@@ -217,12 +218,9 @@ class TestLevelCoherence:
         previous = g
         for k, level in enumerate(verdict.table, start=1):
             assert level.k == k
-            assert set(level.labels) == set(level.arena.states)
             fresh = "p#%d" % k
+            assert level.prop == fresh
             assert level.arena.props == previous.props | {fresh}
-            for hid in level.arena.states:
-                assert (fresh in level.arena.labels[hid]) == level.labels[hid]
-                assert level.provenance[hid] in previous.labels
             previous = level.arena
 
     @settings(max_examples=25, deadline=None)
@@ -244,9 +242,10 @@ class TestLevelCoherence:
         level = verdict.table.levels[-1]
         assert level.hat is not None
         per_kset = {}
+        truth = level_truth(level)
         for hid in level.arena.states:
             s = level.hat.kset[hid]
-            per_kset.setdefault(s, set()).add(level.labels[hid])
+            per_kset.setdefault(s, set()).add(truth[hid])
         assert all(len(values) == 1 for values in per_kset.values())
 
 
@@ -289,8 +288,9 @@ class TestOneSolvePerLevel:
 
     def test_each_kset_solution_agrees_with_the_level_labels(self):
         for case, level, own in goal_levels():
+            truth = level_truth(level)
             for hid in level.arena.states:
-                assert own[level.hat.kset[hid]][0] == level.labels[hid], case
+                assert own[level.hat.kset[hid]][0] == truth[hid], case
 
     def test_view_regions_are_the_level_region_on_their_states(self):
         for case, level, own in goal_levels():
@@ -362,17 +362,17 @@ class TestLazyViews:
     def test_forced_views_equal_eager_walks(self):
         for case, verdict in lazy_verdicts():
             for level, build, p1, p2 in goal_levels_of(verdict):
-                fresh = split(level.hat.source, level.coalition)
+                fresh = split(level.hat.source, level.hat.coalition)
                 for s, view in level.automata.items():
-                    eager = build(fresh, level.coalition, p1, p2, s).states
+                    eager = build(fresh, p1, p2, s).states
                     assert view.states == eager, case
 
     def test_level_walk_keeps_the_eager_row_order(self):
         for case, verdict in lazy_verdicts():
             for level, build, p1, p2 in goal_levels_of(verdict):
-                fresh = split(level.hat.source, level.coalition)
+                fresh = split(level.hat.source, level.hat.coalition)
                 for s in fresh.ksets:
-                    build(fresh, level.coalition, p1, p2, s).states
+                    build(fresh, p1, p2, s).states
                 rows = tuple(fresh._goal_tables[(p1, p2)])
                 assert level_automaton(level.case, level.hat, p1, p2).states == rows, case
 
@@ -438,6 +438,40 @@ class TestExplain:
         verdict = model_check(corpus, "true")
         record = explain(verdict, "q0")
         assert record["chain"][0]["labeled"] is True
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_chains_follow_provenance_on_mixed_formulas(self, seed):
+        """Each top-level state explains down to a base state through every
+        level: a modal level steps to the refined state's base, a boolean one
+        keeps the state, each entry is labeled as its level's arena says, and
+        each step keeps the state's labels less the level's fresh prop."""
+        rng = random.Random(seed)
+        g = random_arena(rng)
+        if not g.props:
+            return
+        p = rng.choice(sorted(g.props))
+        c = ",".join(random_coalition(rng))
+        verdict = model_check(g, "!K{%s} %s | <%s>X (%s & <%s>(%s U !%s))"
+                              % (c, p, c, p, c, p, p))
+        levels = verdict.table.levels
+        for hid in levels[-1].arena.states:
+            record = explain(verdict, hid)
+            chain = record["chain"]
+            assert [entry["level"] for entry in chain] == [lv.k for lv in reversed(levels)]
+            below = [entry["state"] for entry in chain[1:]] + [record["state"]]
+            for entry, state, level in zip(chain, below, reversed(levels)):
+                labels = level.arena.labels[entry["state"]]
+                assert entry["labeled"] == (level.prop in labels)
+                previous = levels[level.k - 2].arena if level.k > 1 else g
+                assert labels - {level.prop} == previous.labels[state]
+                if level.hat is None:
+                    assert state == entry["state"] and "kset" not in entry
+                else:
+                    kset = level.hat.kset[entry["state"]]
+                    assert entry["kset"] == level.hat.source.sorted_states(kset)
+                    assert state == level.hat.base[entry["state"]] and state in kset
+            assert record["base_labels"] == sorted(g.labels[record["state"]])
 
     def test_unknown_state(self, example_verdict):
         with pytest.raises(CheckerError, match="unknown state"):

@@ -318,6 +318,57 @@ def comma_kset_document():
     }
 
 
+def mixed_action_document():
+    """One agent whose actions are a JSON number and a string, which load_arena
+    accepts as action names."""
+    return {
+        "agents": [{"name": "a", "actions": [1, "x"], "observes": ["p"]}],
+        "states": [{"id": "s0", "labels": []}, {"id": "s1", "labels": ["p"]}],
+        "initial": ["s0"],
+        "transitions": [{"from": q, "actions": {"a": act}, "to": ["s1" if act == 1 else q]}
+                        for q in ("s0", "s1") for act in (1, "x")],
+    }
+
+
+class TestMixedActionTypes:
+    """Commands that write an arena document sort its transitions by action,
+    so they must order action names of different JSON types; the dot
+    rendering prints a number as an action name."""
+
+    @pytest.fixture()
+    def mixed_arena(self, tmp_path):
+        path = tmp_path / "arena.json"
+        path.write_text(json.dumps(mixed_action_document()))
+        return str(path)
+
+    def test_split_json(self, runner, mixed_arena):
+        result = invoke(runner, ["split", "--arena", mixed_arena, "--coalition", "a",
+                                 "--format", "json"])
+        assert result.exit_code == 0
+        transitions = json.loads(result.output)["arena"]["transitions"]
+        assert [(t["from"], t["actions"]["a"]) for t in transitions] == [
+            ("s0@{s0}", 1), ("s0@{s0}", "x"), ("s1@{s1}", 1), ("s1@{s1}", "x")]
+
+    def test_automaton_dot(self, runner, mixed_arena):
+        result = invoke(runner, ["automaton", "--arena", mixed_arena, "--coalition", "a",
+                                 "--p1", "p", "--p2", "p", "--format", "dot"])
+        assert result.exit_code == 0
+        assert '[label="1"]' in result.output and '[label="x"]' in result.output
+
+    def test_dump_arenas_round_trip(self, runner, mixed_arena, tmp_path):
+        dump = tmp_path / "levels"
+        result = invoke(runner, ["check", "--arena", mixed_arena, "--formula", "<a>X p",
+                                 "--dump-arenas", str(dump)])
+        assert result.exit_code == 0
+        assert sorted(p.name for p in dump.iterdir()) == ["level_0.json", "level_1.json",
+                                                          "level_2.json"]
+        for path in dump.iterdir():
+            document = json.loads(path.read_text())
+            assert load_arena(document, allow_reserved=True).to_document() == document
+        base = load_arena(str(dump / "level_0.json"))
+        assert base.to_document() == load_arena(mixed_arena).to_document()
+
+
 class TestJsonArrayMembers:
     @pytest.fixture()
     def comma_arena(self, tmp_path):

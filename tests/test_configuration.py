@@ -1,8 +1,12 @@
-"""The pytest configuration in pyproject.toml, run on throwaway test files."""
+"""The pytest configuration in pyproject.toml, run on throwaway test files,
+and the signatures of the public API."""
 
+import inspect
 import subprocess
 import sys
 from pathlib import Path
+
+import atldk
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -31,3 +35,60 @@ def test_a_failing_hypothesis_test_does_not_stop_the_run(tmp_path):
     assert completed.returncode == 1, output
     assert "INTERNALERROR" not in output
     assert "1 failed, 1 passed" in completed.stdout, output
+
+
+# Every callable in atldk.__all__ with its signature (a class by its __init__).
+# A public API change is deliberate: update this table with it and list the
+# change in CHANGES.md.
+PUBLIC_SIGNATURES = {
+    "Arena": "(self, agents, actions, states, labels, initial, observes, hidden, transitions)",
+    "ArenaError": "(self, /, *args, **kwargs)",
+    "Strategy": "(self, coalition_members, mapping, default)",
+    "load_arena": "(document, allow_reserved=False)",
+    "Formula": "(self, /, *args, **kwargs)",
+    "FormulaError": "(self, /, *args, **kwargs)",
+    "ParseError": "(self, message, position)",
+    "parse_formula": "(text)",
+    "desugar": "(f)",
+    "enumerate_subformulas": "(f)",
+    "HatArena": "(self, arena, source, view, base, kset)",
+    "SplitLimitExceeded": "(self, /, *args, **kwargs)",
+    "split": "(g, coalition, limit=None)",
+    "label_knowledge": "(hat, prop)",
+    "label_next": "(hat, prop)",
+    "AutomatonError": "(self, /, *args, **kwargs)",
+    "AutomatonState": "(self, /, *args, **kwargs)",
+    "TreeAutomaton": "(self, kind, rows, source_kset, init, starts=None)",
+    "build_until_automaton": "(hat, p1, p2, source_kset)",
+    "build_weak_until_automaton": "(hat, p1, p2, source_kset)",
+    "to_dot": "(automaton, annotation=None)",
+    "EmptinessError": "(self, /, *args, **kwargs)",
+    "GameSolution": "(self, winning, choice)",
+    "check_until_nonempty": "(automaton)",
+    "check_weak_nonempty": "(automaton)",
+    "generic_occurrence_emptiness": "(automaton, accept, guard=20)",
+    "until_accept": "(automaton)",
+    "weak_accept": "(automaton)",
+    "extract_witness_strategy": "(solution, automaton)",
+    "CheckerError": "(self, /, *args, **kwargs)",
+    "StateCapExceeded": "(self, /, *args, **kwargs)",
+    "LabelLevel": ("(self, k, chi, prop, case, arena, hat=None, automata=None, solution=None, "
+                   "elapsed=0.0)"),
+    "LabelingTable": "(self, base)",
+    "Verdict": "(self, holds, formula_text, table, initial, total_seconds)",
+    "bind_formula": "(arena, f)",
+    "label_step": "(arena, chi, prop, state_cap=1000000)",
+    "model_check": "(arena, f, state_cap=1000000)",
+    "explain": "(verdict, state_id)",
+    "alicebob_path": "()",
+    "load_alicebob": "()",
+}
+
+
+def test_public_signatures():
+    found = {}
+    for name in atldk.__all__:
+        obj = getattr(atldk, name)
+        if callable(obj):
+            found[name] = str(inspect.signature(obj.__init__ if inspect.isclass(obj) else obj))
+    assert found == PUBLIC_SIGNATURES

@@ -47,7 +47,7 @@ def automaton_for(arena, kind, p1, p2, coalition=("a1",)):
     hat = split(arena, list(coalition))
     kset = hat.kset[hat.arena.initial[0]]
     build = build_until_automaton if kind == "until" else build_weak_until_automaton
-    return hat, build(hat, list(coalition), p1, p2, kset)
+    return hat, build(hat, p1, p2, kset)
 
 
 def random_goal_automaton(rng, kind):
@@ -60,7 +60,7 @@ def random_goal_automaton(rng, kind):
     p1, p2 = rng.choice(props), rng.choice(props)
     kset = hat.kset[rng.choice(hat.arena.states)]
     build = build_until_automaton if kind == "until" else build_weak_until_automaton
-    return build(hat, coalition, p1, p2, kset)
+    return build(hat, p1, p2, kset)
 
 
 class TestUntilSolver:
@@ -69,7 +69,7 @@ class TestUntilSolver:
         hat, automaton = automaton_for(arena, "until", "p", "q")
         nonempty, solution = check_until_nonempty(automaton)
         assert nonempty
-        strategy = extract_witness_strategy(solution, automaton, hat)
+        strategy = extract_witness_strategy(solution, automaton)
         assert strategy.mapping == {}
         assert strategy.action((frozenset({"q"}),)) == strategy.default
 
@@ -80,7 +80,7 @@ class TestUntilSolver:
         nonempty, solution = check_until_nonempty(automaton)
         assert not nonempty
         with pytest.raises(EmptinessError):
-            extract_witness_strategy(solution, automaton, hat)
+            extract_witness_strategy(solution, automaton)
 
     def test_unreachable_goal_is_empty(self):
         arena = one_agent_arena()
@@ -109,7 +109,7 @@ class TestWeakSolver:
         nonempty, solution = check_weak_nonempty(automaton)
         assert nonempty
         assert solution.choice[automaton.init] == ("a",)
-        strategy = extract_witness_strategy(solution, automaton, hat)
+        strategy = extract_witness_strategy(solution, automaton)
         assert strategy.action((frozenset({"p"}),)) == ("a",)
 
     def test_the_until_twin_is_empty(self):
@@ -134,7 +134,7 @@ class TestWeakSolver:
 def setup():
     arena = load_alicebob().with_prop("goal", ["q12"])
     hat = split(arena, AB)
-    automaton = build_until_automaton(hat, AB, "valid", "goal", {"q0"})
+    automaton = build_until_automaton(hat, "valid", "goal", {"q0"})
     return arena, hat, automaton
 
 
@@ -161,7 +161,7 @@ class TestCorpusGame:
     def test_witness_replays_cleanly_against_all_resolutions(self, setup):
         arena, hat, automaton = setup
         _, solution = check_until_nonempty(automaton)
-        strategy = extract_witness_strategy(solution, automaton, hat)
+        strategy = extract_witness_strategy(solution, automaton)
         failures = replay_until(
             arena, AB, strategy,
             holds1=lambda q: "valid" in arena.labels[q],
@@ -172,7 +172,7 @@ class TestCorpusGame:
     def test_witness_narrates_the_protocol(self, setup):
         arena, hat, automaton = setup
         _, solution = check_until_nonempty(automaton)
-        strategy = extract_witness_strategy(solution, automaton, hat)
+        strategy = extract_witness_strategy(solution, automaton)
         assert strategy.action((frozenset({"valid"}),)) == ("g", "g")
         deal = (frozenset({"valid"}), frozenset({"valid"}))
         assert strategy.action(deal) == ("i", "i")
@@ -226,7 +226,7 @@ def choice_game_violations_on_every_kset(g, rng):
     for s in hat.ksets:
         for build, decide in ((build_until_automaton, check_until_nonempty),
                               (build_weak_until_automaton, check_weak_nonempty)):
-            automaton = build(hat, coalition, p1, p2, s)
+            automaton = build(hat, p1, p2, s)
             problems = choice_game_violations(automaton, *decide(automaton))
             found.extend((automaton.kind, sorted(s), p) for p in problems)
     return found
@@ -325,8 +325,8 @@ class TestUntilImpliesWeak:
         props = sorted(g.props)
         p1, p2 = rng.choice(props), rng.choice(props)
         kset = hat.kset[rng.choice(hat.arena.states)]
-        until = build_until_automaton(hat, coalition, p1, p2, kset)
-        weak = build_weak_until_automaton(hat, coalition, p1, p2, kset)
+        until = build_until_automaton(hat, p1, p2, kset)
+        weak = build_weak_until_automaton(hat, p1, p2, kset)
         if check_until_nonempty(until)[0]:
             assert check_weak_nonempty(weak)[0]
 
@@ -345,11 +345,11 @@ class TestExtractedWitnesses:
         p1, p2 = rng.choice(props), rng.choice(props)
         initial_hid = hat.arena.initial[0]
         kset = hat.kset[initial_hid]
-        automaton = build_until_automaton(hat, coalition, p1, p2, kset)
+        automaton = build_until_automaton(hat, p1, p2, kset)
         nonempty, solution = check_until_nonempty(automaton)
         if not nonempty:
             return
-        strategy = extract_witness_strategy(solution, automaton, hat)
+        strategy = extract_witness_strategy(solution, automaton)
         restricted = [q for q in g.initial if q in kset]
         probe = load_arena({**g.to_document(), "initial": restricted})
         failures = replay_until(
@@ -414,7 +414,7 @@ class TestWitnessMap:
                 for automaton in level.automata.values():
                     if automaton.init not in level.solution.winning:
                         continue
-                    extracted = extract_witness_strategy(level.solution, automaton, level.hat)
+                    extracted = extract_witness_strategy(level.solution, automaton)
                     expected = history_witness_map(level.solution, automaton, level.hat)
                     assert list(extracted.mapping.items()) == list(expected.items()), (seed, text)
                     compared[op] += 1

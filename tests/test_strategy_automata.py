@@ -32,7 +32,7 @@ def goal_hat():
 
 @pytest.fixture(scope="module")
 def corpus_automaton(goal_hat):
-    return build_until_automaton(goal_hat, AB, "valid", "goal", {"q0"})
+    return build_until_automaton(goal_hat, "valid", "goal", {"q0"})
 
 
 def random_automaton(rng, weak=False):
@@ -46,16 +46,16 @@ def random_automaton(rng, weak=False):
     p1, p2 = rng.choice(props), rng.choice(props)
     kset = hat.kset[rng.choice(hat.arena.states)]
     build = build_weak_until_automaton if weak else build_until_automaton
-    return build(hat, coalition, p1, p2, kset)
+    return build(hat, p1, p2, kset)
 
 
 class TestInitialState:
     def test_goal_free_member_starts_failed(self, goal_hat):
-        automaton = build_until_automaton(goal_hat, AB, "c", "s", {"q0"})
+        automaton = build_until_automaton(goal_hat, "c", "s", {"q0"})
         assert automaton.init == BOT
 
     def test_discharged_member_starts_without_obligations(self, goal_hat):
-        automaton = build_until_automaton(goal_hat, AB, "valid", "goal", {"q12"})
+        automaton = build_until_automaton(goal_hat, "valid", "goal", {"q12"})
         assert automaton.init == pair([], ["q12"])
         assert automaton.is_target(automaton.init)
 
@@ -64,7 +64,7 @@ class TestInitialState:
         assert not corpus_automaton.is_target(corpus_automaton.init)
 
     def test_pending_excludes_already_discharged_states(self, goal_hat):
-        automaton = build_until_automaton(goal_hat, AB, "valid", "c", {"q1", "q2", "q3"})
+        automaton = build_until_automaton(goal_hat, "valid", "c", {"q1", "q2", "q3"})
         assert automaton.init == pair(["q1", "q2", "q3"], ["q1", "q2", "q3"])
 
 
@@ -107,25 +107,21 @@ class TestTransitionRules:
             c for c in coalition_actions(corpus_automaton.hat.source, AB)}
 
     def test_weak_until_shares_the_transition_structure(self, goal_hat):
-        until = build_until_automaton(goal_hat, AB, "valid", "goal", {"q0"})
-        weak = build_weak_until_automaton(goal_hat, AB, "valid", "goal", {"q0"})
+        until = build_until_automaton(goal_hat, "valid", "goal", {"q0"})
+        weak = build_weak_until_automaton(goal_hat, "valid", "goal", {"q0"})
         assert until.delta == weak.delta
         assert until.kind == "until" and weak.kind == "weak-until"
 
 
 class TestBuildErrors:
-    def test_coalition_mismatch(self, goal_hat):
-        with pytest.raises(AutomatonError):
-            build_until_automaton(goal_hat, ["Alice"], "valid", "goal", {"q0"})
-
     def test_unknown_goal_prop(self, goal_hat):
         with pytest.raises(AutomatonError):
-            build_until_automaton(goal_hat, AB, "valid", "nope", {"q0"})
+            build_until_automaton(goal_hat, "valid", "nope", {"q0"})
 
     def test_unknown_source_kset(self, goal_hat):
         from atldk import ArenaError
         with pytest.raises(ArenaError):
-            build_until_automaton(goal_hat, AB, "valid", "goal", {"q1"})
+            build_until_automaton(goal_hat, "valid", "goal", {"q1"})
 
 
 class TestInvariants:
@@ -210,11 +206,11 @@ class TestSharedTable:
             ksets = sorted(shared.ksets, key=g.sorted_states)
             # Goal pairs sharing p1 or p2 on one hat: their tables stay apart.
             pairs = sorted({(p1, q) for q in props} | {(q, p2) for q in props})
-            views = [(build, s, goals, build(shared, coalition, *goals, s))
+            views = [(build, s, goals, build(shared, *goals, s))
                      for goals in pairs
                      for s in ksets for build in builders]
             for build, s, goals, view in views:
-                fresh = build(split(g, coalition), coalition, *goals, s)
+                fresh = build(split(g, coalition), *goals, s)
                 case = (seed, goals, sorted(s))
                 assert view.states == fresh.states, case
                 assert view.init == fresh.init, case
