@@ -5,8 +5,8 @@ The pipeline: parse a formula, desugar it to the core connectives, enumerate
 its subformulas, and label a growing sequence of arenas one subformula at a
 time. Each knowledge or strategy operator refines the current arena by the
 subset construction for the coalition's pooled observations; until and weak
-until goals are decided per knowledge set by building a tree automaton over
-obligation pairs and solving its emptiness game.
+until goals are decided by one emptiness game per level, over a tree
+automaton of obligation pairs whose solution labels every knowledge set.
 """
 
 from .arena import (
@@ -30,15 +30,11 @@ from .checker import (
 )
 from .corpus import alicebob_path, load_alicebob
 from .emptiness import (
-    DEFAULT_ORACLE_GUARD,
     EmptinessError,
     GameSolution,
     check_until_nonempty,
     check_weak_nonempty,
     extract_witness_strategy,
-    generic_occurrence_emptiness,
-    until_accept,
-    weak_accept,
 )
 from .epistemic_split import (
     HatArena,
@@ -75,9 +71,8 @@ __all__ = [
     "label_knowledge", "label_next",
     "AutomatonError", "AutomatonState", "BOT", "TreeAutomaton",
     "build_until_automaton", "build_weak_until_automaton", "to_dot",
-    "EmptinessError", "GameSolution", "DEFAULT_ORACLE_GUARD",
-    "check_until_nonempty", "check_weak_nonempty", "generic_occurrence_emptiness",
-    "until_accept", "weak_accept", "extract_witness_strategy",
+    "EmptinessError", "GameSolution",
+    "check_until_nonempty", "check_weak_nonempty", "extract_witness_strategy",
     "CheckerError", "StateCapExceeded", "LabelLevel", "LabelingTable", "Verdict",
     "DEFAULT_STATE_CAP", "bind_formula", "label_step", "model_check", "explain",
     "alicebob_path", "load_alicebob",

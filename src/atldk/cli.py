@@ -1,10 +1,8 @@
 """Command-line frontend over arena documents: check formulas, write coalition
-refinements, render goal automata, cross-check the emptiness solvers against
-the generic occurrence oracle, and explain verdicts state by state."""
+refinements, render goal automata, and explain verdicts state by state."""
 
 import json
 import os
-import random
 import sys
 
 import click
@@ -17,15 +15,7 @@ from .checker import (
     explain as explain_state,
     model_check,
 )
-from .emptiness import (
-    DEFAULT_ORACLE_GUARD,
-    EmptinessError,
-    check_until_nonempty,
-    check_weak_nonempty,
-    generic_occurrence_emptiness,
-    until_accept,
-    weak_accept,
-)
+from .emptiness import EmptinessError, check_until_nonempty, check_weak_nonempty
 from .epistemic_split import split as split_arena
 from .formula import FormulaError, parse_formula
 from .strategy_automata import (
@@ -44,16 +34,14 @@ FORMAT_DOT = "dot"
 EXIT_HOLDS = 0
 EXIT_NOT_HOLDS = 1
 EXIT_ERROR = 2
-EXIT_DIVERGENCE = 3
 
 _ERRORS = (ArenaError, FormulaError, AutomatonError, EmptinessError, CheckerError,
            OSError, ValueError)
 
-# Per goal kind: the automaton builder, its emptiness solver, and the acceptance
-# condition the generic occurrence oracle decides.
+# Per goal kind: the automaton builder and its emptiness solver.
 _GOALS = {
-    UNTIL: (build_until_automaton, check_until_nonempty, until_accept),
-    WEAK_UNTIL: (build_weak_until_automaton, check_weak_nonempty, weak_accept),
+    UNTIL: (build_until_automaton, check_until_nonempty),
+    WEAK_UNTIL: (build_weak_until_automaton, check_weak_nonempty),
 }
 
 
@@ -89,11 +77,6 @@ def _emit(text, out):
 
 def _format_action(action_map):
     return ", ".join("%s=%s" % (a, act) for a, act in action_map.items())
-
-
-def _sorted_ksets(hat, ksets):
-    order = hat.source.sorted_states
-    return sorted(ksets, key=lambda kset: (len(kset), order(kset)))
 
 
 def _verdict(arena_path, formula_text, formula_file, state_cap):
@@ -150,7 +133,7 @@ def _format_option(choices=(FORMAT_HUMAN, FORMAT_JSON)):
 
 
 _state_cap_option = click.option(
-    "--state-cap", type=int, default=DEFAULT_STATE_CAP, show_default=True,
+    "--state-cap", type=click.IntRange(min=0), default=DEFAULT_STATE_CAP, show_default=True,
     help="Abort when a refinement would exceed this many states.")
 _coalition_option = click.option("--coalition", "coalition_text", required=True,
                                   help="Comma-separated coalition members.")
@@ -223,7 +206,7 @@ def split_command(arena_path, coalition_text, fmt, state_cap, out_path):
     """Refine an arena by a coalition's pooled observations and report its
     knowledge sets."""
     hat = _split(arena_path, coalition_text, state_cap)
-    ksets = [hat.source.sorted_states(s) for s in _sorted_ksets(hat, hat.ksets)]
+    ksets = sorted(map(hat.source.sorted_states, hat.ksets), key=lambda s: (len(s), s))
     doc = hat.arena.to_document()
     if out_path is not None:
         _emit(json.dumps(doc, indent=2), out_path)
@@ -269,7 +252,7 @@ def automaton(arena_path, coalition_text, kind, p1, p2, kset_text, fmt, state_ca
         source = hat.kset[hat.arena.initial[0]]
     else:
         source = hat.require_kset(_parse_members(kset_text, "knowledge set"))
-    build, decide, _ = _GOALS[kind]
+    build, decide = _GOALS[kind]
     built = build(hat, p1, p2, source)
     nonempty, solution = decide(built)
     language = "nonempty" if nonempty else "EMPTY"
@@ -331,121 +314,6 @@ def _automaton_summary(built, nonempty, solution):
                 action = dict(zip(hat.view.members, solution.choice[state]))
                 lines.append("  %s: %s" % (built.pretty(state), _format_action(action)))
     return lines
-
-
-@main.command()
-@_arena_option(default=None,
-               help="Arena document (JSON); requires --formula or --formula-file.")
-@_formula_options
-@click.option("--seed", type=int, default=None,
-              help="Random-batch mode: seed for generated arenas.")
-@click.option("--batch", type=click.IntRange(min=1), default=25, show_default=True,
-              help="Random-batch mode: number of generated arenas.")
-@_format_option()
-@_state_cap_option
-@click.option("--oracle-guard", type=int, default=DEFAULT_ORACLE_GUARD, show_default=True,
-              help="Refuse to run the generic oracle on automata larger than this.")
-def oracle(arena_path, formula_text, formula_file, seed, batch, fmt, state_cap,
-           oracle_guard):
-    """Cross-check the emptiness solvers against the generic occurrence oracle.
-
-    With --arena, checks the given formula and compares every goal automaton it
-    built; with --seed, sweeps a batch of small random arenas. Exits 0 on
-    agreement, 3 on divergence.
-    """
-    if arena_path is None and seed is None:
-        raise CheckerError("oracle mode needs --arena with a formula, or --seed")
-    if arena_path is not None:
-        verdict = _verdict(arena_path, formula_text, formula_file, state_cap)
-        records = _verdict_comparisons(verdict, oracle_guard)
-    else:
-        records = _batch_comparisons(random.Random(seed), batch, state_cap, oracle_guard)
-    divergences = sum(1 for r in records if not r["agree"])
-    if fmt == FORMAT_JSON:
-        click.echo(json.dumps({
-            "comparisons": records,
-            "divergences": divergences,
-        }, indent=2))
-    else:
-        if not records:
-            click.echo("no goal automata to compare")
-        for r in records:
-            where = ("arena %d" % r["arena"]) if "arena" in r else ("level %d" % r["level"])
-            click.echo("%s %s kset={%s}: solver=%s oracle=%s %s"
-                       % (where, r["case"], ",".join(r["kset"]),
-                          "nonempty" if r["solver"] else "empty",
-                          "nonempty" if r["oracle"] else "empty",
-                          "ok" if r["agree"] else "DIVERGENCE"))
-        click.echo("comparisons: %d, divergences: %d" % (len(records), divergences))
-    sys.exit(EXIT_DIVERGENCE if divergences else EXIT_HOLDS)
-
-
-def _comparison(where, built, solver, guard):
-    """One oracle record: the solver's emptiness verdict on a goal automaton
-    against the generic occurrence oracle's; `where` names its level or arena."""
-    accept = _GOALS[built.kind][2](built)
-    generic = generic_occurrence_emptiness(built, accept, guard=guard)
-    return {**where, "case": built.kind,
-            "kset": built.hat.source.sorted_states(built.source_kset),
-            "solver": solver, "oracle": generic, "agree": solver == generic}
-
-
-def _verdict_comparisons(verdict, guard):
-    records = []
-    for level in verdict.table:
-        if level.case in _GOALS:
-            for s in _sorted_ksets(level.hat, level.automata):
-                built = level.automata[s]
-                records.append(_comparison({"level": level.k}, built,
-                                           built.init in level.solution.winning, guard))
-    return records
-
-
-def _batch_comparisons(rng, batch, state_cap, guard):
-    records = []
-    for index in range(batch):
-        g = load_arena(_random_arena_document(rng))
-        members = rng.choice((["a1"], ["a2"], ["a1", "a2"]))
-        props = sorted(g.props)
-        p1 = rng.choice(props)
-        p2 = rng.choice(props)
-        hat = split_arena(g, members, limit=state_cap)
-        for s in _sorted_ksets(hat, hat.ksets):
-            for build, decide, _ in _GOALS.values():
-                built = build(hat, p1, p2, s)
-                records.append(_comparison({"arena": index}, built, decide(built)[0], guard))
-    return records
-
-
-def _random_arena_document(rng):
-    """A small random serial arena document for oracle sweeps."""
-    states = ["s%d" % i for i in range(rng.randint(2, 3))]
-    props = ["p", "q"][: rng.randint(1, 2)]
-    owners = {prop: rng.choice(("a1", "a2", "both", "hidden")) for prop in props}
-    agents = [
-        {"name": name,
-         "actions": ["m%d" % i for i in range(rng.randint(1, 2))],
-         "observes": [p for p in props if owners[p] in (name, "both")]}
-        for name in ("a1", "a2")
-    ]
-    hidden = [p for p in props if owners[p] == "hidden"]
-    state_docs = [{"id": q, "labels": [p for p in props if rng.random() < 0.5]}
-                  for q in states]
-    initial = [q for q in states if rng.random() < 0.4] or [rng.choice(states)]
-    transitions = []
-    for q in states:
-        for c1 in agents[0]["actions"]:
-            for c2 in agents[1]["actions"]:
-                to = rng.sample(states, rng.randint(1, min(2, len(states))))
-                transitions.append({"from": q, "actions": {"a1": c1, "a2": c2},
-                                    "to": sorted(to)})
-    return {
-        "agents": agents,
-        "hidden_props": hidden,
-        "states": state_docs,
-        "initial": initial,
-        "transitions": transitions,
-    }
 
 
 @main.command()

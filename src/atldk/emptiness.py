@@ -1,5 +1,5 @@
-"""Emptiness checks for the goal automata, a generic occurrence-acceptance
-oracle, and witness strategy extraction from winning regions."""
+"""Emptiness checks for the goal automata and witness strategy extraction
+from winning regions."""
 
 from __future__ import annotations
 
@@ -9,9 +9,6 @@ from .strategy_automata import BOT, UNTIL, WEAK_UNTIL
 
 class EmptinessError(Exception):
     pass
-
-
-DEFAULT_ORACLE_GUARD = 20
 
 
 class GameSolution:
@@ -74,64 +71,6 @@ def check_weak_nonempty(automaton):
     losing, choice = _attractor(automaton, [BOT], coalition=False)
     winning = [s for s in automaton.states if s not in losing]
     return automaton.init in winning, GameSolution(winning, {s: choice[s] for s in winning})
-
-
-def until_accept(automaton):
-    """Occurrence family for until: the path visits an obligation-free state and
-    never the failure state."""
-    def accept(visited):
-        return BOT not in visited and any(automaton.is_target(s) for s in visited)
-    return accept
-
-
-def weak_accept(automaton):
-    """Occurrence family for weak until: the path never visits the failure state."""
-    def accept(visited):
-        return BOT not in visited
-    return accept
-
-
-def generic_occurrence_emptiness(automaton, accept, guard=DEFAULT_ORACLE_GUARD):
-    """Decide nonemptiness for an arbitrary occurrence condition by solving the
-    game on the (state, visited-set) product.
-
-    Along any play the visited set only grows, so it converges; a play is won
-    when the limit set satisfies the acceptance predicate. Slices of constant
-    visited set are solved by a greatest fixpoint when staying forever is
-    acceptable and a least fixpoint when the play must leave, recursing into
-    strictly larger visited sets. Desk-scale only.
-    """
-    if len(automaton.states) > guard:
-        raise EmptinessError("size guard exceeded: %d automaton states > %d"
-                             % (len(automaton.states), guard))
-    memo = {}
-
-    def solve(visited):
-        if visited in memo:
-            return memo[visited]
-        staying_wins = bool(accept(visited))
-        values = {s: staying_wins for s in visited}
-        memo[visited] = values
-
-        def successor_value(t):
-            if t in visited:
-                return values[t]
-            return solve(visited | {t})[t]
-
-        changed = True
-        while changed:
-            changed = False
-            for s in visited:
-                value = any(
-                    all(successor_value(t) for t in automaton.delta[(s, c_a)])
-                    for c_a in automaton.alphabet)
-                if value != values[s]:
-                    values[s] = value
-                    changed = True
-        return values
-
-    start = frozenset([automaton.init])
-    return solve(start)[automaton.init]
 
 
 def extract_witness_strategy(solution, automaton):

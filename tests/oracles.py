@@ -2,18 +2,20 @@
 
 Everything here recomputes expected answers from first principles, by a
 different route than the engine under test: brute-force run enumeration for
-knowledge and one-step ability, classical perfect-information fixpoints for
-coalition objectives, a replay harness that executes extracted strategies
-against every opponent resolution, and an isomorphism check for repeated
-refinement. Keep these independent of the engine internals; they only use the
-public Arena interface, except construction_failures, which inspects the
-refined arena and goal tables the engine built.
+knowledge and one-step ability, a depth-capped search over explicit runs for
+until and weak until, classical perfect-information fixpoints for coalition
+objectives, a generic occurrence-acceptance solver for goal automata, a replay
+harness that executes extracted strategies against every opponent resolution,
+and an isomorphism check for repeated refinement. Keep these independent of
+the engine internals; they only use the public Arena interface, except
+construction_failures, which inspects the refined arena and goal tables the
+engine built, and the occurrence solver, which reads a goal automaton.
 """
 
 import itertools
 from collections import deque
 
-from atldk import ArenaError, load_arena
+from atldk import BOT, ArenaError, EmptinessError, load_arena
 
 
 class Run:
@@ -288,6 +290,55 @@ def next_oracle(arena, coalition, prop, runs):
     return result
 
 
+def until_oracle(arena, coalition, p1, p2, runs, depth, weak=False):
+    """For each run, whether the coalition can enforce p1 U p2 (p1 W p2 with
+    weak) from it: one strategy, uniform over observation histories, must win
+    from every observationally equivalent run among the given ones.
+
+    An AND-OR search over explicit runs: the coalition picks one action for
+    the whole class of runs it cannot tell apart, and the environment picks
+    the next observation. From the class's length on, a run meets the goal at
+    its first state carrying p2, and breaks it at an earlier state without
+    p1; a run that met the goal constrains nothing further. Until wins once
+    no run is pending; weak until loses once some run breaks. Each search
+    stops after depth steps, so until answers true and weak until answers
+    false only when that holds within depth steps; both are exact once depth
+    reaches the state count of the class's goal automaton, which bounds the
+    attractor ranks."""
+    def wins(node, start, left):
+        pending = []
+        for run in node:
+            for q in run.states[start:]:
+                if p2 in arena.labels[q]:
+                    break
+                if p1 not in arena.labels[q]:
+                    return False
+            else:
+                pending.append(run)
+        if not pending:
+            return True
+        if left == 0:
+            return weak
+        for c_a in coalition_actions(arena, coalition):
+            # The runs of a node agree on all the coalition saw and did, so
+            # the next observation alone splits their extensions into classes.
+            classes = {}
+            for run in pending:
+                for c in extensions(arena, coalition, c_a):
+                    for t in arena.succ(run.last, c):
+                        classes.setdefault(arena.obs(coalition, t), []).append(run.extend(c, t))
+            if all(wins(group, start, left - 1) for group in classes.values()):
+                return True
+        return False
+
+    result = {}
+    for group in equivalence_classes(arena, coalition, runs).values():
+        value = wins(group, len(group[0]), depth)
+        for run in group:
+            result[run] = value
+    return result
+
+
 def pre(arena, coalition, target):
     """States from which one coalition action sends every successor into the
     target, whatever the other agents do."""
@@ -330,6 +381,67 @@ def atl_weak_until(arena, coalition, hold, goal):
         if nxt == z:
             return z
         z = nxt
+
+
+DEFAULT_ORACLE_GUARD = 20
+
+
+def until_accept(automaton):
+    """Occurrence family for until: the path visits an obligation-free state and
+    never the failure state."""
+    def accept(visited):
+        return BOT not in visited and any(automaton.is_target(s) for s in visited)
+    return accept
+
+
+def weak_accept(automaton):
+    """Occurrence family for weak until: the path never visits the failure state."""
+    def accept(visited):
+        return BOT not in visited
+    return accept
+
+
+def generic_occurrence_emptiness(automaton, accept, guard=DEFAULT_ORACLE_GUARD):
+    """Decide nonemptiness for an arbitrary occurrence condition by solving the
+    game on the (state, visited-set) product.
+
+    Along any play the visited set only grows, so it converges; a play is won
+    when the limit set satisfies the acceptance predicate. Slices of constant
+    visited set are solved by a greatest fixpoint when staying forever is
+    acceptable and a least fixpoint when the play must leave, recursing into
+    strictly larger visited sets. Desk-scale only.
+    """
+    if len(automaton.states) > guard:
+        raise EmptinessError("size guard exceeded: %d automaton states > %d"
+                             % (len(automaton.states), guard))
+    memo = {}
+
+    def solve(visited):
+        if visited in memo:
+            return memo[visited]
+        staying_wins = bool(accept(visited))
+        values = {s: staying_wins for s in visited}
+        memo[visited] = values
+
+        def successor_value(t):
+            if t in visited:
+                return values[t]
+            return solve(visited | {t})[t]
+
+        changed = True
+        while changed:
+            changed = False
+            for s in visited:
+                value = any(
+                    all(successor_value(t) for t in automaton.delta[(s, c_a)])
+                    for c_a in automaton.alphabet)
+                if value != values[s]:
+                    values[s] = value
+                    changed = True
+        return values
+
+    start = frozenset([automaton.init])
+    return solve(start)[automaton.init]
 
 
 def level_truth(level):

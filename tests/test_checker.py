@@ -22,8 +22,8 @@ from atldk import (
 from atldk.emptiness import check_until_nonempty, check_weak_nonempty
 from atldk.strategy_automata import (build_until_automaton, build_weak_until_automaton,
                                      level_automaton)
-from oracles import (construction_failures, initialized_runs, knowledge_oracle, level_truth,
-                     random_arena, random_coalition)
+from oracles import (construction_failures, hat_state_of, initialized_runs, knowledge_oracle,
+                     level_truth, random_arena, random_coalition, until_oracle)
 
 AB = ["Alice", "Bob"]
 EXAMPLE = "<Alice,Bob>(valid U (c & s))"
@@ -178,7 +178,6 @@ class TestModelCheck:
         labels = label_knowledge(hat, prop)
         runs = initialized_runs(g, 3)
         expected = knowledge_oracle(g, [], prop, runs)
-        from oracles import hat_state_of
         for run in runs:
             assert labels[hat_state_of(g, hat, run)] == expected[run]
 
@@ -195,6 +194,43 @@ class TestModelCheck:
         direct = model_check(g, "<%s>(%s W false)" % (name, prop))
         dual = model_check(g, "![%s](true U !%s)" % (name, prop))
         assert direct.holds == dual.holds
+
+
+class TestHistorySemantics:
+    """Until and weak-until labels against a search over explicit runs that
+    uses no knowledge sets, pending sets or automata."""
+
+    # The search is exact at the goal game's state count, which bounds its
+    # attractor ranks; below it only a true until or a false weak until is.
+    # The cap is the largest count drawn, and bounds the search when a broken
+    # construction inflates the game.
+    MAX_DEPTH = 12
+
+    @pytest.mark.parametrize("operator", ["U", "W"])
+    def test_goal_labels_match_the_run_search(self, operator):
+        weak = operator == "W"
+        disagreements = []
+        for seed in range(400):
+            rng = random.Random(70000 + seed)
+            g = random_arena(rng, max_states=rng.choice((3, 4)))
+            if not g.props:
+                continue
+            coalition = random_coalition(rng)
+            props = sorted(g.props)
+            p1, p2 = rng.choice(props), rng.choice(props)
+            text = "<%s>(%s %s %s)" % (",".join(coalition), p1, operator, p2)
+            level = model_check(g, text).table.levels[-1]
+            game = level_automaton(level.case, level.hat, level.chi.left.name,
+                                   level.chi.right.name)
+            depth = min(len(game.states), self.MAX_DEPTH)
+            runs = initialized_runs(g, 1)
+            expected = until_oracle(g, coalition, p1, p2, runs, depth, weak=weak)
+            truth = level_truth(level)
+            disagreements += [
+                (seed, text, run) for run in runs
+                if (depth == len(game.states) or expected[run] != weak)
+                and truth[hat_state_of(g, level.hat, run)] != expected[run]]
+        assert not disagreements, disagreements[:5]
 
 
 class TestLevelCoherence:

@@ -132,6 +132,14 @@ class TestCheck:
         assert result.exit_code == 2
         assert "state cap" in result.stderr
 
+    @pytest.mark.parametrize("args", [["check", "--formula", EXAMPLE],
+                                      ["split", "--coalition", "Alice"]])
+    def test_negative_state_cap_is_a_usage_error(self, runner, arena_path, args):
+        result = invoke(runner, [*args, "--arena", arena_path, "--state-cap", "-1"])
+        assert result.exit_code == 2
+        assert "Invalid value for '--state-cap': -1 is not in the range x>=0." in result.stderr
+        assert "state cap exceeded" not in result.stderr
+
     def test_witness_file(self, runner, arena_path, tmp_path):
         path = tmp_path / "witness.json"
         result = invoke(runner, ["check", "--arena", arena_path,
@@ -405,45 +413,6 @@ class TestJsonArrayMembers:
                                  "--coalition", '["Alice", "Bob"]'])
         assert result.exit_code == 0
         assert "coalition: {Alice,Bob}" in result.output
-
-
-class TestOracle:
-    def test_arena_mode_agrees(self, runner, arena_path):
-        result = invoke(runner, ["oracle", "--arena", arena_path,
-                                 "--formula", EXAMPLE, "--oracle-guard", "100"])
-        assert result.exit_code == 0
-        assert "divergences: 0" in result.output
-
-    def test_seed_mode_agrees(self, runner):
-        result = invoke(runner, ["oracle", "--seed", "7", "--batch", "10"])
-        assert result.exit_code == 0
-        assert "divergences: 0" in result.output
-
-    def test_seed_mode_is_deterministic(self, runner):
-        args = ["oracle", "--seed", "11", "--batch", "5", "--format", "json"]
-        first = invoke(runner, args)
-        second = invoke(runner, args)
-        assert first.output == second.output
-        doc = json.loads(first.output)
-        assert doc["divergences"] == 0
-        assert all(r["agree"] for r in doc["comparisons"])
-
-    def test_requires_a_mode(self, runner):
-        result = invoke(runner, ["oracle"])
-        assert result.exit_code == 2
-        assert "--seed" in result.stderr
-
-    @pytest.mark.parametrize("batch", ["0", "-2"])
-    def test_batch_must_be_positive(self, runner, batch):
-        result = invoke(runner, ["oracle", "--seed", "0", "--batch", batch])
-        assert result.exit_code == 2
-        assert "--batch" in result.stderr
-
-    def test_guard_error_surfaces(self, runner, arena_path):
-        result = invoke(runner, ["oracle", "--arena", arena_path,
-                                 "--formula", EXAMPLE, "--oracle-guard", "1"])
-        assert result.exit_code == 2
-        assert "guard" in result.stderr
 
 
 class TestExplain:

@@ -73,17 +73,6 @@ INVOCATIONS = {
     "automaton-weak-alice-json": ["automaton", *ARENA, "--coalition", "Alice",
                                   "--kind", "weak-until", "--p1", "valid",
                                   "--p2", "s", "--format", "json"],
-    "oracle-arena-human": ["oracle", *ARENA, "--formula", EXAMPLE,
-                           "--oracle-guard", "100"],
-    "oracle-arena-json": ["oracle", *ARENA, "--formula", "<Alice>(valid W s)",
-                          "--oracle-guard", "100", "--format", "json"],
-    "oracle-no-goals": ["oracle", *ARENA, "--formula", "K{Alice} valid"],
-    "oracle-seed-human": ["oracle", "--seed", "7", "--batch", "10"],
-    "oracle-seed-json": ["oracle", "--seed", "11", "--batch", "5", "--format", "json"],
-    "oracle-no-mode": ["oracle"],
-    "oracle-batch-zero": ["oracle", "--seed", "0", "--batch", "0"],
-    "oracle-guard-error": ["oracle", *ARENA, "--formula", EXAMPLE,
-                           "--oracle-guard", "1"],
     "explain-human": ["explain", *ARENA, "--formula", EXAMPLE, "--state", "q0@{q0}"],
     "explain-json": ["explain", *ARENA, "--formula", EXAMPLE, "--state", "q12",
                      "--format", "json"],

@@ -66,9 +66,6 @@ PUBLIC_SIGNATURES = {
     "GameSolution": "(self, winning, choice)",
     "check_until_nonempty": "(automaton)",
     "check_weak_nonempty": "(automaton)",
-    "generic_occurrence_emptiness": "(automaton, accept, guard=20)",
-    "until_accept": "(automaton)",
-    "weak_accept": "(automaton)",
     "extract_witness_strategy": "(solution, automaton)",
     "CheckerError": "(self, /, *args, **kwargs)",
     "StateCapExceeded": "(self, /, *args, **kwargs)",

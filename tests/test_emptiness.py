@@ -13,16 +13,21 @@ from atldk import (
     check_until_nonempty,
     check_weak_nonempty,
     extract_witness_strategy,
-    generic_occurrence_emptiness,
     load_alicebob,
     load_arena,
     model_check,
     split,
+)
+from atldk.strategy_automata import WEAK_UNTIL, level_automaton
+from oracles import (
+    generic_occurrence_emptiness,
+    history_witness_map,
+    random_arena,
+    random_coalition,
+    replay_until,
     until_accept,
     weak_accept,
 )
-from atldk.strategy_automata import WEAK_UNTIL, level_automaton
-from oracles import history_witness_map, random_arena, random_coalition, replay_until
 
 AB = ["Alice", "Bob"]
 
