@@ -203,8 +203,15 @@ class Arena:
             raise ArenaError("cannot label unknown states %s with %s"
                              % (sorted(unknown, key=str), prop))
         derived = copy.copy(self)
-        derived.labels = {q: label | {prop} if q in true_states else label
-                          for q, label in self.labels.items()}
+        derived.labels = labels = dict(self.labels)
+        # States that share a label share its extension.
+        extended = {}
+        for q in true_states:
+            label = labels[q]
+            new = extended.get(label)
+            if new is None:
+                new = extended[label] = label | {prop}
+            labels[q] = new
         derived.hidden = self.hidden | {prop}
         derived.props = self.props | {prop}
         return derived

@@ -159,8 +159,10 @@ def label_step(arena, chi, prop, state_cap=DEFAULT_STATE_CAP):
 
     if modal_count == 0:
         case = CASE_ATOM if _is_atom_case(chi) else CASE_BOOLEAN
+        # Truth depends only on the label, so decide each distinct label once.
+        truth = {label: _eval_boolean(chi, label) for label in set(arena.labels.values())}
         new_arena = arena.with_prop(
-            prop, [q for q in arena.states if _eval_boolean(chi, arena.labels[q])])
+            prop, [q for q, label in arena.labels.items() if truth[label]])
         return LabelLevel(0, chi, prop, case, new_arena, elapsed=time.monotonic() - started)
 
     if not isinstance(chi, (fm.Know, fm.Next, fm.Until, fm.WeakUntil)):

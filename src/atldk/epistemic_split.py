@@ -10,12 +10,6 @@ class SplitLimitExceeded(ArenaError):
     """Raised when a refinement would materialize more states than allowed."""
 
 
-def hat_id(arena, base, kset):
-    """Stable id for a refined state: base id plus the kset in arena state order."""
-    members = ",".join(arena.sorted_states(kset))
-    return "%s@{%s}" % (base, members)
-
-
 class HatArena:
     """The refined arena for one coalition, with provenance back to its source
     and the source's compiled view for the coalition.
@@ -71,9 +65,13 @@ def split(g, coalition, limit=None):
     kset = {}
     states = []
     labels = {}
+    # Per kset, its members' text in g's state order. Same-coalition levels
+    # nest ids, so this text grows long; it is rendered once per kset.
+    kset_text = {}
 
     def intern(q, s):
-        """The id of the refined state (q, s), materializing it on first sight."""
+        """The id of the refined state (q, s), materializing it on first sight:
+        its base id and its kset's members, as base@{members}."""
         hid = ids.get((q, s))
         if hid is not None:
             return hid
@@ -81,7 +79,10 @@ def split(g, coalition, limit=None):
             raise SplitLimitExceeded(
                 "state cap exceeded: refinement for {%s} needs more than %d states"
                 % (",".join(sorted(coalition)), limit))
-        hid = ids[(q, s)] = hat_id(g, q, s)
+        text = kset_text.get(s)
+        if text is None:
+            text = kset_text[s] = ",".join(g.sorted_states(s))
+        hid = ids[(q, s)] = "%s@{%s}" % (q, text)
         if hid in base:
             raise ArenaError("refined state id %r names two knowledge sets, %s and %s"
                              % (hid, g.sorted_states(kset[hid]), g.sorted_states(s)))
@@ -121,8 +122,8 @@ def split(g, coalition, limit=None):
                                  for c, c_a in view.moves]
             for c, c_a, successors in row:
                 classes = view.classes(s, c_a)
-                transitions[(hid, c)] = {intern(q2, classes[observation[q2]])
-                                         for q2 in successors}
+                transitions[(hid, c)] = frozenset([intern(q2, classes[observation[q2]])
+                                                   for q2 in successors])
 
     arena = Arena(g.agents, g.actions, states, labels, initial_ids,
                   g.observes, g.hidden, transitions)

@@ -711,6 +711,26 @@ class TestWithProp:
                         assert (derived.outcome_classes(source, coalition, c_a)
                                 == fresh.outcome_classes(source, coalition, c_a)), seed
 
+    def test_labels_only_the_true_states_and_leaves_the_source_alone(self):
+        """Over random arenas and their refinements, where many states share
+        one label object, and over a chain of copies."""
+        for seed in range(60):
+            rng = random.Random(seed)
+            g = random_arena(rng, max_states=6)
+            sources = [g, split(g, rng.choice(COALITIONS[:3])).arena]
+            for k in range(6):
+                source, prop = sources[k], "new%d" % k
+                true_states = rng.sample(source.states, rng.randint(0, len(source.states)))
+                before = dict(source.labels)
+                derived = source.with_prop(prop, true_states)
+                assert derived.labels == {q: label | {prop} if q in true_states else label
+                                          for q, label in before.items()}, seed
+                assert list(derived.labels) == list(before), seed
+                assert derived.labels is not source.labels, seed
+                assert source.labels == before, seed
+                assert all(source.labels[q] is label for q, label in before.items()), seed
+                sources.append(derived)
+
 
 class TestRuns:
     def test_valid_initialized_run(self, corpus):

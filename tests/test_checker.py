@@ -19,6 +19,7 @@ from atldk import (
     model_check,
     split,
 )
+from atldk.checker import _eval_boolean
 from atldk.emptiness import check_until_nonempty, check_weak_nonempty
 from atldk.strategy_automata import (build_until_automaton, build_weak_until_automaton,
                                      level_automaton)
@@ -59,6 +60,32 @@ class TestLabelStep:
         level = label_step(corpus, chi, "p#1")
         assert level.case == "boolean"
         assert level.labeled_count == 0
+
+    def test_boolean_levels_label_where_the_pointwise_evaluation_holds(self):
+        """Over random arenas and their refinements, where many states share
+        one label, on random nests of !, &, true, false and atoms."""
+        def draw(rng, props, depth):
+            roll = rng.random()
+            if depth == 0 or roll < 0.3:
+                return rng.choice([fm.TrueConst(), fm.FalseConst()] + [fm.Atom(p) for p in props])
+            if roll < 0.55:
+                return fm.Not(draw(rng, props, depth - 1))
+            return fm.And(draw(rng, props, depth - 1), draw(rng, props, depth - 1))
+
+        shared = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            g = random_arena(rng, max_states=6)
+            for arena in (g, split(g, random_coalition(rng)).arena):
+                shared += len(set(arena.labels.values())) < len(arena.states)
+                props = sorted(arena.props)
+                for _ in range(4):
+                    chi = draw(rng, props, 4)
+                    level = label_step(arena, chi, "p#1")
+                    assert level.arena.labels == {
+                        q: label | {"p#1"} if _eval_boolean(chi, label) else label
+                        for q, label in arena.labels.items()}, (seed, chi)
+        assert shared > 60
 
     def test_knowledge_case_splits_the_arena(self, corpus):
         chi = fm.Know(AB, fm.Atom("valid"))

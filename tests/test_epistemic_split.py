@@ -337,6 +337,29 @@ class TestResplit:
         assert resplit_isomorphism_failures(first, second) == []
 
 
+def misrendered_ids(hat):
+    """The refined states whose id is not base@{kset members in source state order}."""
+    return [h for h in hat.arena.states if h != "%s@{%s}" % (
+        hat.base[h], ",".join(q for q in hat.source.states if q in hat.kset[h]))]
+
+
+class TestRefinedIds:
+    def test_every_id_is_its_base_and_kset_members_in_source_order(self):
+        """On both split paths, with ids nested one to three levels deep."""
+        for seed in range(200):
+            rng = random.Random(seed)
+            coalition = random_coalition(rng)
+            first = split(random_arena(rng), coalition)
+            other = split(first.arena, rng.choice(
+                [c for c in (["a1"], ["a2"], ["a1", "a2"]) if c != coalition]))
+            states = [h for h in first.arena.states if rng.random() < 0.5]
+            again = split(first.arena.with_prop("extra", states), coalition)
+            twice = split(again.arena, coalition)
+            assert not again.view._outcomes and not twice.view._outcomes
+            for hat in (first, other, again, twice):
+                assert misrendered_ids(hat) == [], seed
+
+
 class TestHatArenaHelpers:
     def test_states_with_kset(self, corpus_hat):
         shared = frozenset({"q1", "q2", "q3"})
