@@ -28,18 +28,23 @@ class _CoalitionView:
     state's observation (its label restricted to the props the members
     observe), every joint move with its coalition part in joint-action order,
     the coalition actions in members' product order with their extensions,
-    and the memo of outcome classes. Compiling it rejects unknown members; the
+    and the integer core that split and the goal tables share: states are
+    numbered in arena order, so a set of states is a bitmask, and observations
+    are ranked by their sorted props. Masks become frozensets only at the
+    boundary (refined ksets, automaton states, outcome_classes), through one
+    memo kept both ways. Compiling the view rejects unknown members; the
     engine reads it unchecked."""
 
-    __slots__ = ("members", "observation", "moves", "extensions", "actions",
-                 "_rank", "_transitions", "_outcomes")
+    __slots__ = ("members", "observation", "moves", "extensions", "actions", "observations",
+                 "rank", "index", "_states", "_transitions", "_rows", "_outcome_masks", "_sets")
 
     def __init__(self, arena, coalition):
         self.members = _members(arena, coalition)
         props = frozenset().union(*(arena.observes[a] for a in self.members))
         self.observation = {q: label & props for q, label in arena.labels.items()}
-        order = sorted(set(self.observation.values()), key=sorted)
-        self._rank = {z: i for i, z in enumerate(order)}
+        self.observations = sorted(set(self.observation.values()), key=sorted)
+        rank = {z: i for i, z in enumerate(self.observations)}
+        self.rank = [rank[self.observation[q]] for q in arena.states]
         positions = [i for i, a in enumerate(arena.agents) if a in self.members]
         self.moves = tuple((c, tuple([c[i] for i in positions])) for c in arena.joint_actions())
         # First sight in joint-action order is the members' product order.
@@ -47,26 +52,68 @@ class _CoalitionView:
         for c, c_a in self.moves:
             self.extensions.setdefault(c_a, []).append(c)
         self.actions = tuple(self.extensions)
+        self.index = arena._state_index
+        self._states = arena.states
         self._transitions = arena.transitions
-        self._outcomes = {}
+        self._rows = {}
+        self._outcome_masks = {}
+        # Mask -> frozenset and frozenset -> mask: an int never equals a set.
+        self._sets = {}
 
-    def classes(self, source, c_a):
-        """All successors of the source frozenset under extensions of the
-        coalition action c_a, grouped by observation: {observation: successor
-        set}, observations ordered by their sorted props, built once per
-        (source, c_a)."""
-        key = (source, c_a)
-        classes = self._outcomes.get(key)
-        if classes is None:
-            grouped = {}
-            observation, transitions = self.observation, self._transitions
-            for c in self.extensions[c_a]:
-                for s in source:
-                    for t in transitions[(s, c)]:
-                        grouped.setdefault(observation[t], set()).add(t)
-            classes = self._outcomes[key] = {
-                z: frozenset(grouped[z]) for z in sorted(grouped, key=self._rank.__getitem__)}
-        return classes
+    def row(self, i):
+        """State i's moves: (joint action, action index, sorted successor indices)."""
+        row = self._rows.get(i)
+        if row is None:
+            q, index = self._states[i], self.index
+            row = self._rows[i] = [
+                (c, self.actions.index(c_a), sorted([index[t] for t in self._transitions[(q, c)]]))
+                for c, c_a in self.moves]
+        return row
+
+    def outcome_masks(self, m):
+        """Per coalition action, the successors of the states in mask m grouped
+        by observation, {rank: successor mask} in rank order. Built once per
+        mask; several states merge their single-state entries."""
+        outcomes = self._outcome_masks.get(m)
+        if outcomes is None:
+            merged = [{} for _ in self.actions]
+            if not m or m & (m - 1):
+                for i in _bits(m):
+                    for into, grouped in zip(merged, self.outcome_masks(1 << i)):
+                        for r, t in grouped.items():
+                            into[r] = into.get(r, 0) | t
+            else:
+                rank = self.rank
+                for _, k, successors in self.row(m.bit_length() - 1):
+                    into = merged[k]
+                    for t in successors:
+                        into[rank[t]] = into.get(rank[t], 0) | 1 << t
+            outcomes = self._outcome_masks[m] = tuple(
+                {r: into[r] for r in sorted(into)} for into in merged)
+        return outcomes
+
+    def to_set(self, m):
+        """The frozenset of the states in mask m, one object per mask."""
+        s = self._sets.get(m)
+        if s is None:
+            s = self._sets[m] = frozenset(map(self._states.__getitem__, _bits(m)))
+            self._sets[s] = m
+        return s
+
+    def mask(self, s):
+        """The mask of a frozenset of states."""
+        m = self._sets.get(s)
+        if m is None:
+            m = self._sets[s] = sum(1 << self.index[q] for q in s)
+        return m
+
+
+def _bits(m):
+    """The positions of the bits set in m, lowest first."""
+    while m:
+        low = m & -m
+        m ^= low
+        yield low.bit_length() - 1
 
 
 class Arena:
@@ -176,7 +223,8 @@ class Arena:
         unknown = source.difference(self._state_index)
         if unknown:
             raise ArenaError("unknown states %s" % sorted(unknown, key=str))
-        return MappingProxyType(view.classes(source, c_a))
+        classes = view.outcome_masks(view.mask(source))[view.actions.index(c_a)]
+        return MappingProxyType({view.observations[r]: view.to_set(t) for r, t in classes.items()})
 
     def state_sort_key(self, q):
         return self._state_index[q]

@@ -60,7 +60,6 @@ def split(g, coalition, limit=None):
     kset, in g's state order, and is built as that relabeling without
     computing outcome classes.
     """
-    ids = {}
     base = {}
     kset = {}
     states = []
@@ -69,12 +68,8 @@ def split(g, coalition, limit=None):
     # nest ids, so this text grows long; it is rendered once per kset.
     kset_text = {}
 
-    def intern(q, s):
-        """The id of the refined state (q, s), materializing it on first sight:
-        its base id and its kset's members, as base@{members}."""
-        hid = ids.get((q, s))
-        if hid is not None:
-            return hid
+    def add(q, s):
+        """Materialize the refined state (q, s) under the id base@{members}."""
         if limit is not None and len(states) >= limit:
             raise SplitLimitExceeded(
                 "state cap exceeded: refinement for {%s} needs more than %d states"
@@ -82,7 +77,7 @@ def split(g, coalition, limit=None):
         text = kset_text.get(s)
         if text is None:
             text = kset_text[s] = ",".join(g.sorted_states(s))
-        hid = ids[(q, s)] = "%s@{%s}" % (q, text)
+        hid = "%s@{%s}" % (q, text)
         if hid in base:
             raise ArenaError("refined state id %r names two knowledge sets, %s and %s"
                              % (hid, g.sorted_states(kset[hid]), g.sorted_states(s)))
@@ -97,33 +92,36 @@ def split(g, coalition, limit=None):
     if first is not None and first.coalition == frozenset(view.members):
         # The walk below would intern the same states in g's own order.
         lift = _states_per_kset(first)
-        hids = {h: intern(h, lift[s]) for h, s in first.kset.items()}
+        hids = {h: add(h, lift[s]) for h, s in first.kset.items()}
         initial_ids = [hids[h] for h in g.initial]
         transitions = {(hids[h], c): frozenset(map(hids.__getitem__, targets))
                        for (h, c), targets in g.transitions.items()}
     else:
-        observation = view.observation
-        initial_ids = []
-        for q0 in g.initial:
-            z0 = observation[q0]
-            s0 = frozenset(s for s in g.initial if observation[s] == z0)
-            initial_ids.append(intern(q0, s0))
+        # The walk runs on (state index, kset mask) pairs; a kset becomes a
+        # frozenset, one per mask, when its first refined state is added.
+        index, rank = view.index, view.rank
+        ids, pairs = {}, []
 
-        # Per base state: each joint action, its coalition part and the
-        # successors in arena order (the order refined states are interned in).
-        rows = {}
+        def intern(i, m):
+            """The id of the refined state (i, m), materializing it on first sight."""
+            hid = ids.get((i, m))
+            if hid is None:
+                hid = ids[(i, m)] = add(g.states[i], view.to_set(m))
+                pairs.append((hid, i, m))
+            return hid
+
+        initial = [index[q] for q in g.initial]
+        initial_ids = [intern(i, sum(1 << j for j in initial if rank[j] == rank[i]))
+                       for i in initial]
+
         transitions = {}
-        # Breadth first: the walk reaches the states interned as it goes.
-        for hid in states:
-            q, s = base[hid], kset[hid]
-            row = rows.get(q)
-            if row is None:
-                row = rows[q] = [(c, c_a, g.sorted_states(g.transitions[(q, c)]))
-                                 for c, c_a in view.moves]
-            for c, c_a, successors in row:
-                classes = view.classes(s, c_a)
-                transitions[(hid, c)] = frozenset([intern(q2, classes[observation[q2]])
-                                                   for q2 in successors])
+        # Breadth first: the walk reaches the states interned as it goes, and
+        # reads the outcome classes of each state's kset once for all moves.
+        for hid, i, m in pairs:
+            outcomes = view.outcome_masks(m)
+            for c, k, successors in view.row(i):
+                classes = outcomes[k]
+                transitions[(hid, c)] = frozenset([intern(t, classes[rank[t]]) for t in successors])
 
     arena = Arena(g.agents, g.actions, states, labels, initial_ids,
                   g.observes, g.hidden, transitions)

@@ -133,12 +133,14 @@ class _GoalTable(dict):
         super().__init__()
         self.hat, self.p1, self.p2 = hat, p1, p2
         g = hat.source
-        self.goal = frozenset((p1, p2))
-        self.discharged = frozenset(q for q in g.states if p2 in g.labels[q])
+        # Masks in the view's numbering: states off both goals, states where p2 holds.
+        self.off_goal = sum(1 << i for i, q in enumerate(g.states) if not g.labels[q] & {p1, p2})
+        self.discharged = sum(1 << i for i, q in enumerate(g.states) if p2 in g.labels[q])
 
     def initial(self, s):
-        goal_everywhere = all(self.hat.source.labels[q] & self.goal for q in s)
-        return AutomatonState(s - self.discharged, s) if goal_everywhere else BOT
+        view = self.hat.view
+        m = view.mask(s)
+        return BOT if m & self.off_goal else AutomatonState(view.to_set(m & ~self.discharged), s)
 
     def __missing__(self, state):
         """Expand the state's row: its delta and classes entries, one per
@@ -146,21 +148,22 @@ class _GoalTable(dict):
         A successor's kset is one observation class of the outcomes and its
         pending set the part of that class that pending states reach, less the
         discharged ones: coherent and typed by construction (checked by
-        tests/oracles.py construction_failures)."""
-        view, labels, goal = self.hat.view, self.hat.source.labels, self.goal
+        tests/oracles.py construction_failures). Outcomes are the view's masks,
+        made frozensets here."""
+        view = self.hat.view
         delta, classes = {}, {}
-        for c_a in view.actions:
+        if not state.is_bot:
+            pending_out = view.outcome_masks(view.mask(state.pending))
+            kset_out = view.outcome_masks(view.mask(state.kset))
+        for k, c_a in enumerate(view.actions):
             key = (state, c_a)
-            pending_out = None if state.is_bot else view.classes(state.pending, c_a)
-            if pending_out is None or any(not (labels[t] & goal)
-                                          for r1 in pending_out.values() for t in r1):
+            if state.is_bot or any(t & self.off_goal for t in pending_out[k].values()):
                 delta[key], classes[key] = (BOT,), ()
                 continue
-            pairs = tuple(
-                (z, AutomatonState(pending_out.get(z, frozenset()) - self.discharged, r2))
-                for z, r2 in view.classes(state.kset, c_a).items())
-            delta[key] = tuple(t for _, t in pairs)
-            classes[key] = pairs
+            pairs = tuple((view.observations[r], AutomatonState(
+                view.to_set(pending_out[k].get(r, 0) & ~self.discharged), view.to_set(t)))
+                for r, t in kset_out[k].items())
+            delta[key], classes[key] = tuple(t for _, t in pairs), pairs
         successors = dict.fromkeys(t for targets in delta.values() for t in targets)
         row = self[state] = (delta, classes, tuple(successors))
         return row

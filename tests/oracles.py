@@ -6,16 +6,19 @@ knowledge and one-step ability, a depth-capped search over explicit runs for
 until and weak until, classical perfect-information fixpoints for coalition
 objectives, a generic occurrence-acceptance solver for goal automata, a replay
 harness that executes extracted strategies against every opponent resolution,
-and an isomorphism check for repeated refinement. Keep these independent of
-the engine internals; they only use the public Arena interface, except
-construction_failures, which inspects the refined arena and goal tables the
-engine built, and the occurrence solver, which reads a goal automaton.
+an isomorphism check for repeated refinement, and frozenset walks of the
+knowledge split and of goal-table rows by their definitions. Keep these
+independent of the engine internals; they only use the public Arena
+interface, except construction_failures, which inspects the refined arena and
+goal tables the engine built, the occurrence solver, which reads a goal
+automaton, and the goal-row reference, which reads a refinement's source and
+coalition.
 """
 
 import itertools
 from collections import deque
 
-from atldk import BOT, ArenaError, EmptinessError, load_arena
+from atldk import BOT, ArenaError, AutomatonState, EmptinessError, SplitLimitExceeded, load_arena
 
 
 class Run:
@@ -549,6 +552,89 @@ def resplit_isomorphism_failures(first, second):
         if second.kset[h] != want:
             problems.append("knowledge set at %s is not the class of %s" % (h, base[h]))
     return problems
+
+
+class ReferenceSplit:
+    """What split builds, by the definition, from frozensets: the refined
+    states' ids in discovery order, the initial ids, labels, transitions, and
+    each id's base state and kset, with the ksets in discovery order."""
+
+    def __init__(self, states, initial, labels, transitions, base, kset):
+        self.states, self.initial, self.labels = states, initial, labels
+        self.transitions, self.base, self.kset = transitions, base, kset
+        self.ksets = list(dict.fromkeys(kset.values()))
+
+
+def reference_split(g, coalition, limit=None):
+    """The knowledge split of g for a coalition as a breadth-first walk over
+    (state, kset) pairs. The initial pairs join each initial state with the
+    initial states of its observation. A pair's successors under a joint move
+    are visited in arena order, each paired with the outcome class of the
+    kset (oracles.out) that it lies in. A refined id is base@{kset members in
+    arena order}. Past limit refined states it raises SplitLimitExceeded."""
+    obs = {q: g.obs(coalition, q) for q in g.states}
+    ids, pairs, classes = {}, [], {}
+
+    def intern(q, s):
+        if (q, s) not in ids:
+            if limit is not None and len(pairs) >= limit:
+                raise SplitLimitExceeded(
+                    "state cap exceeded: refinement for {%s} needs more than %d states"
+                    % (",".join(sorted(coalition)), limit))
+            ids[(q, s)] = "%s@{%s}" % (q, ",".join(r for r in g.states if r in s))
+            pairs.append((q, s))
+        return ids[(q, s)]
+
+    def outcome(s, c_a, z):
+        if (s, c_a, z) not in classes:
+            classes[(s, c_a, z)] = out(g, s, coalition, c_a, z)
+        return classes[(s, c_a, z)]
+
+    initial = tuple(intern(q, frozenset(r for r in g.initial if obs[r] == obs[q]))
+                    for q in g.initial)
+    transitions = {}
+    for q, s in pairs:
+        for c in g.joint_actions():
+            c_a = restrict_action(g, coalition, c)
+            transitions[(ids[(q, s)], c)] = frozenset(
+                intern(t, outcome(s, c_a, obs[t])) for t in g.states if t in g.succ(q, c))
+    states = tuple(ids[pair] for pair in pairs)
+    return ReferenceSplit(states, initial, {ids[(q, s)]: g.labels[q] for q, s in pairs},
+                          transitions, {ids[(q, s)]: q for q, s in pairs},
+                          {ids[(q, s)]: s for q, s in pairs})
+
+
+def reference_goal_initial(hat, p1, p2, s):
+    """The goal-table state a walk from kset s starts in: BOT when some member
+    holds neither goal prop, else the members without p2 pending."""
+    labels = hat.source.labels
+    if any(not labels[q] & {p1, p2} for q in s):
+        return BOT
+    return AutomatonState(frozenset(q for q in s if p2 not in labels[q]), s)
+
+
+def reference_goal_row(hat, p1, p2, state):
+    """A goal-table row from frozensets: per coalition action, in product
+    order, BOT when the state is BOT or some successor of a pending state
+    holds neither goal prop; else one successor per observation of the
+    kset's successors, ordered by its sorted props, with the kset's outcome
+    class (oracles.out) as kset and the pending states' class less the p2
+    states as pending. Returns (delta, classes, distinct successors)."""
+    g, coalition = hat.source, hat.coalition
+    delta, classes = {}, {}
+    for c_a in coalition_actions(g, coalition):
+        key = (state, c_a)
+        moves = list(extensions(g, coalition, c_a))
+        if state.is_bot or any(not g.labels[t] & {p1, p2} for c in moves
+                               for q in state.pending for t in g.succ(q, c)):
+            delta[key], classes[key] = (BOT,), ()
+            continue
+        seen = {g.obs(coalition, t) for c in moves for q in state.kset for t in g.succ(q, c)}
+        pairs = tuple((z, AutomatonState(
+            frozenset(t for t in out(g, state.pending, coalition, c_a, z) if p2 not in g.labels[t]),
+            out(g, state.kset, coalition, c_a, z))) for z in sorted(seen, key=sorted))
+        delta[key], classes[key] = tuple(t for _, t in pairs), pairs
+    return delta, classes, tuple(dict.fromkeys(t for ts in delta.values() for t in ts))
 
 
 def construction_failures(hat):

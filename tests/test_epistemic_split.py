@@ -27,6 +27,7 @@ from oracles import (
     project_run,
     random_arena,
     random_coalition,
+    reference_split,
     resplit_isomorphism_failures,
     same_kset,
     states_with_kset,
@@ -260,9 +261,10 @@ class TestNextLabels:
 
 
 def refinement_fields(hat):
-    """Everything split builds, with the orders it builds in."""
+    """Everything split builds, each mapping as its items in build order."""
     g = hat.arena
-    return (g.states, g.initial, g.labels, g.transitions, hat.base, hat.kset, list(hat.ksets))
+    return (g.states, g.initial, list(g.labels.items()), list(g.transitions.items()),
+            list(hat.base.items()), list(hat.kset.items()), list(hat.ksets))
 
 
 def loaded_copy(arena):
@@ -290,7 +292,7 @@ class TestResplit:
     def test_same_coalition_resplit_equals_the_full_construction(self, seed):
         coalition, mid = resplit_input(seed)
         fast = split(mid, coalition)
-        assert not fast.view._outcomes
+        assert not fast.view._outcome_masks and not fast.view._rows
         assert refinement_fields(fast) == refinement_fields(split(loaded_copy(mid), coalition))
 
     @settings(max_examples=50, deadline=None)
@@ -303,7 +305,7 @@ class TestResplit:
         full = split(loaded_copy(mid), coalition)
         for prop in sorted(mid.props):
             assert label_next(fast, prop) == label_next(full, prop), prop
-        assert not fast.view._outcomes
+        assert not fast.view._outcome_masks and not fast.view._rows
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10 ** 6))
@@ -355,9 +357,49 @@ class TestRefinedIds:
             states = [h for h in first.arena.states if rng.random() < 0.5]
             again = split(first.arena.with_prop("extra", states), coalition)
             twice = split(again.arena, coalition)
-            assert not again.view._outcomes and not twice.view._outcomes
+            for hat in (again, twice):
+                assert not hat.view._outcome_masks and not hat.view._rows, seed
             for hat in (first, other, again, twice):
                 assert misrendered_ids(hat) == [], seed
+
+
+def reference_fields(ref):
+    return (ref.states, ref.initial, list(ref.labels.items()), list(ref.transitions.items()),
+            list(ref.base.items()), list(ref.kset.items()), ref.ksets)
+
+
+class TestReferenceSplit:
+    """split's integer walk equals the frozenset walk of the definition
+    (oracles.reference_split) field by field and in every order."""
+
+    def assert_equal(self, g, coalition, case):
+        hat = split(g, coalition)
+        assert refinement_fields(hat) == reference_fields(reference_split(g, coalition)), case
+        return hat
+
+    def test_random_arenas(self):
+        for seed in range(200):
+            rng = random.Random(seed)
+            g = random_arena(rng)
+            coalition = random_coalition(rng)
+            hat = self.assert_equal(g, coalition, seed)
+            self.assert_equal(g, [], seed)
+            other = rng.choice([c for c in (["a1"], ["a2"], ["a1", "a2"]) if c != coalition])
+            self.assert_equal(hat.arena, other, seed)
+            self.assert_equal(hat.arena, coalition, seed)
+            cap = len(hat.arena.states) - 1
+            with pytest.raises(SplitLimitExceeded) as got:
+                split(g, coalition, limit=cap)
+            with pytest.raises(SplitLimitExceeded) as want:
+                reference_split(g, coalition, limit=cap)
+            assert str(got.value) == str(want.value), seed
+
+    def test_masks_past_one_machine_word(self):
+        g = random_arena(random.Random(0), min_states=70, max_states=70)
+        for coalition in (["a1"], ["a2"], ["a1", "a2"], []):
+            hat = self.assert_equal(g, coalition, coalition)
+            assert any(max(map(g.state_sort_key, s)) >= 64 > min(map(g.state_sort_key, s))
+                       for s in hat.ksets), coalition
 
 
 class TestHatArenaHelpers:

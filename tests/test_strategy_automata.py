@@ -12,10 +12,12 @@ from atldk import (
     build_until_automaton,
     build_weak_until_automaton,
     load_alicebob,
+    model_check,
     split,
     to_dot,
 )
-from oracles import coalition_actions, extensions, random_arena, random_coalition
+from oracles import (coalition_actions, extensions, random_arena, random_coalition,
+                     reference_goal_initial, reference_goal_row)
 
 AB = ["Alice", "Bob"]
 
@@ -218,6 +220,48 @@ class TestSharedTable:
                 assert view.classes == fresh.classes, case
                 assert set(view.delta) == {
                     (q, c_a) for q in view.states for c_a in view.alphabet}
+
+
+class TestReferenceRows:
+    def test_rows_equal_the_frozenset_reference(self):
+        """Every goal-table row that model_check fills for an until or a
+        weak-until goal equals the row built from frozensets
+        (oracles.reference_goal_row): delta and classes in action and
+        observation order, and the successors in first-seen order."""
+        levels = bot_rows = goal_failures = discharges = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            g = random_arena(rng)
+            if not g.props:
+                continue
+            coalition = random_coalition(rng)
+            who = ",".join(coalition)
+            props = sorted(g.props)
+            for op in ("U", "W"):
+                p, q = rng.sample(props, 2) if len(props) > 1 else props * 2
+                text = "<%s>(%s %s %s)" % (who, p, op, q)
+                for level in model_check(g, text).table:
+                    if level.case not in ("until", "weak-until"):
+                        continue
+                    levels += 1
+                    hat, p1, p2 = level.hat, level.chi.left.name, level.chi.right.name
+                    table, case = hat._goal_tables[(p1, p2)], (seed, text)
+                    for s in hat.ksets:
+                        assert table.initial(s) == reference_goal_initial(hat, p1, p2, s), case
+                    for state, (delta, classes, successors) in table.items():
+                        want = reference_goal_row(hat, p1, p2, state)
+                        assert list(delta.items()) == list(want[0].items()), case
+                        assert list(classes.items()) == list(want[1].items()), case
+                        assert successors == want[2], case
+                        bot_rows += state.is_bot
+                        goal_failures += not state.is_bot and BOT in successors
+                        for (_, c_a), pairs in classes.items():
+                            source = hat.source
+                            reached = {t for c in extensions(source, coalition, c_a) if pairs
+                                       for q in state.pending for t in source.succ(q, c)}
+                            discharges += any(p2 in source.labels[t] for t in reached)
+        counts = (levels, bot_rows, goal_failures, discharges)
+        assert min(counts) > 20, counts
 
 
 class TestAutomatonStateValue:
