@@ -444,33 +444,53 @@ def load_arena(document, allow_reserved=False):
     return Arena(agents, actions, states, labels, initial, observes, hidden, transitions)
 
 
-class Strategy:
-    """A finite observation-based strategy: a map from coalition observation
-    histories (tuples of frozensets) to coalition actions (tuples in coalition
-    order), kept as given, not copied, with a default for unmapped histories."""
+class _HistoryTable:
+    """A history table as a machine whose memory is the history so far."""
 
-    def __init__(self, coalition_members, mapping, default):
+    def __init__(self, mapping):
+        self.table, self.output = mapping, mapping.get
+
+    def step(self, history, z):
+        return history + (z,)
+
+
+class Strategy:
+    """A finite observation-based strategy for a coalition: a Mealy machine run
+    along an observation history from the memory (). machine.step(memory, z) is
+    the next memory and machine.output(memory) the coalition action, a tuple in
+    coalition order; default is played where either is None. A dict of histories
+    (tuples of frozensets) to actions, kept as given, is the machine whose memory
+    is the history so far. mapping is the table a machine renders on first read."""
+
+    def __init__(self, coalition_members, machine, default):
         self.coalition = tuple(coalition_members)
-        self.mapping = mapping
+        self.machine = _HistoryTable(machine) if isinstance(machine, dict) else machine
         self.default = tuple(default)
 
+    @property
+    def mapping(self):
+        return self.machine.table
+
     def action(self, history):
-        return self.mapping.get(tuple(frozenset(z) for z in history), self.default)
+        memory = ()
+        for z in history:
+            memory = self.machine.step(memory, frozenset(z))
+            if memory is None:
+                return self.default
+        c_a = self.machine.output(memory)
+        return self.default if c_a is None else c_a
 
     def _action_map(self, action):
         return {a: act for a, act in zip(self.coalition, action)}
 
     def to_document(self):
-        entries = []
-        for history in sorted(self.mapping, key=lambda h: (len(h), [sorted(z) for z in h])):
-            entries.append({
-                "history": [sorted(z) for z in history],
-                "action": self._action_map(self.mapping[history]),
-            })
+        mapping = self.mapping
+        histories = sorted(mapping, key=lambda h: (len(h), [sorted(z) for z in h]))
         return {
             "coalition": list(self.coalition),
             "default": self._action_map(self.default),
-            "map": entries,
+            "map": [{"history": [sorted(z) for z in h], "action": self._action_map(mapping[h])}
+                    for h in histories],
         }
 
     @classmethod

@@ -92,25 +92,17 @@ class Verdict:
         }
 
     def witness(self):
-        """Strategy for the outermost positive until or weak-until level, merged
-        over the initial knowledge sets; None when no such level is positive.
-
-        One strategy is extracted per distinct initial kset, in first-seen
-        order, and the later ones are merged into the first one's map."""
+        """Strategy for the outermost positive until or weak-until level, or
+        None when no such level is positive: one machine on the level's goal
+        table and solution, with a start per initial kset in first-seen order."""
         for level in reversed(self.table.levels):
             if level.case not in (UNTIL, WEAK_UNTIL):
                 continue
             initial_ids = level.arena.initial
             if not all(level.prop in level.arena.labels[hid] for hid in initial_ids):
                 return None
-            strategy = None
-            for s in dict.fromkeys(level.hat.kset[hid] for hid in initial_ids):
-                extracted = extract_witness_strategy(level.solution, level.automata[s])
-                if strategy is None:
-                    strategy = extracted
-                else:
-                    strategy.mapping.update(extracted.mapping)
-            return strategy
+            ksets = dict.fromkeys(level.hat.kset[hid] for hid in initial_ids)
+            return extract_witness_strategy(level.solution, *(level.automata[s] for s in ksets))
         return None
 
 

@@ -106,8 +106,8 @@ class _Group(click.Group):
             click.echo("error: %s" % exc, err=True)
             sys.exit(EXIT_ERROR)
         except MemoryError:
-            # Exit 1 would read as "does not hold". Witness maps grow with the
-            # number of observation histories, so --witness meets this first.
+            # Exit 1 would read as "does not hold". Only a witness's rendered table
+            # grows with the observation histories: --witness and explain meet this first.
             click.echo("error: out of memory (an arena, formula or witness too large "
                        "for the memory available)", err=True)
             sys.exit(EXIT_ERROR)

@@ -3,6 +3,8 @@ from winning regions."""
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .arena import Strategy
 from .strategy_automata import BOT, UNTIL, WEAK_UNTIL
 
@@ -73,31 +75,47 @@ def check_weak_nonempty(automaton):
     return automaton.init in winning, GameSolution(winning, {s: choice[s] for s in winning})
 
 
-def extract_witness_strategy(solution, automaton):
-    """Turn a winning region into a finite observation-based strategy for its coalition.
+class _WitnessMachine:
+    """A winning solution as a Mealy machine on the level's goal table: memory is
+    a goal state, output its choice, update the class its row stores for that
+    choice, and the first observation picks the start, one automaton's init."""
 
-    Replays the automaton from its initial state along the chosen actions level
-    by level, recording one entry per observation history up to depth |states|;
-    histories beyond the map, or past a discharged state, fall back to the default.
-    """
-    if automaton.init not in solution.winning:
+    def __init__(self, solution, automata):
+        self.output = solution.choice.get
+        self.rows, observation = automata[0].rows, automata[0].hat.view.observation
+        self.starts = {observation[next(iter(a.source_kset))]: a for a in automata}
+
+    def step(self, state, z):
+        if not state:
+            return self.starts[z].init if z in self.starts else None
+        classes = self.rows[state][1].get((state, self.output(state)), ())
+        return next((t for z_t, t in classes if z_t == z), None)
+
+    @cached_property
+    def table(self):
+        """Per start, level by level, one entry per history up to its automaton's
+        depth |states|, ending at states without a choice. Two lists, not a pair
+        per entry, keep the cyclic collector's work down."""
+        mapping = {}
+        for z0, automaton in self.starts.items():
+            states, histories = [automaton.init], [(z0,)]
+            for depth in range(len(automaton.states), 0, -1):
+                next_states, next_histories = [], []
+                for state, history in zip(states, histories):
+                    c_a = self.output(state)
+                    if c_a is not None:
+                        mapping[history] = c_a
+                        for z, t in self.rows[state][1][(state, c_a)] if depth > 1 else ():
+                            next_states.append(t)
+                            next_histories.append(history + (z,))
+                states, histories = next_states, next_histories
+        return mapping
+
+
+def extract_witness_strategy(solution, *automata):
+    """A winning solution as a finite observation-based strategy, exact over any
+    horizon: a machine on the automata's goal table, one winning view per kset."""
+    if not automata or any(a.init not in solution.winning for a in automata):
         raise EmptinessError("solution does not witness nonemptiness")
-    view = automaton.hat.view
-    z0 = view.observation[next(iter(automaton.source_kset))]
-    depth_cap = len(automaton.states)
-    default = automaton.alphabet[0]
-    mapping = {}
-    states, histories = [automaton.init], [(z0,)]
-    for depth in range(1, depth_cap + 1):
-        next_states, next_histories = [], []
-        for state, history in zip(states, histories):
-            c_a = solution.choice.get(state)
-            if c_a is None:
-                continue
-            mapping[history] = c_a
-            if depth < depth_cap:
-                for z, target in automaton.classes[(state, c_a)]:
-                    next_states.append(target)
-                    next_histories.append(history + (z,))
-        states, histories = next_states, next_histories
-    return Strategy(view.members, mapping, default)
+    return Strategy(automata[0].hat.view.members, _WitnessMachine(solution, automata),
+                    automata[0].alphabet[0])

@@ -66,22 +66,22 @@ class TreeAutomaton:
         self.source_kset = source_kset
         self.init = init
         self.alphabet = self.hat.view.actions
-        self._rows = rows
+        self.rows = rows
         self._starts = (init,) if starts is None else starts
 
     @cached_property
     def states(self):
-        return tuple(_walk(self._rows, self._starts))
+        return tuple(_walk(self.rows, self._starts))
 
     @cached_property
     def delta(self):
         return {key: successors for state in self.states
-                for key, successors in self._rows[state][0].items()}
+                for key, successors in self.rows[state][0].items()}
 
     @cached_property
     def classes(self):
         return {key: class_list for state in self.states
-                for key, class_list in self._rows[state][1].items()}
+                for key, class_list in self.rows[state][1].items()}
 
     def __len__(self):
         return len(self.states)

@@ -4,8 +4,9 @@ Everything here recomputes expected answers from first principles, by a
 different route than the engine under test: brute-force run enumeration for
 knowledge and one-step ability, a depth-capped search over explicit runs for
 until and weak until, classical perfect-information fixpoints for coalition
-objectives, a generic occurrence-acceptance solver for goal automata, a replay
-harness that executes extracted strategies against every opponent resolution,
+objectives, a generic occurrence-acceptance solver for goal automata, replay
+harnesses that execute extracted strategies against every opponent resolution
+(to a depth, or on the product with a strategy machine's finite memory),
 an isomorphism check for repeated refinement, and frozenset walks of the
 knowledge split and of goal-table rows by their definitions. Keep these
 independent of the engine internals; they only use the public Arena
@@ -493,6 +494,63 @@ def replay_until(arena, coalition, strategy, holds1, holds2, depth, budget=20000
         for c in extensions(arena, coalition, c_a):
             for t in arena.succ(q, c):
                 frontier.append((t, history + (arena.obs(coalition, t),)))
+    return failures
+
+
+def replay_machine(arena, coalition, strategy, holds1, holds2, weak=False):
+    """Play a finite-memory strategy against every opponent resolution, with
+    no depth bound, and check the until (or, with weak, weak until) objective.
+
+    The plays are explored on the product of the arena's states and the
+    strategy machine's memory: from a node (q, m) the coalition plays the
+    machine's output at m (default where the machine has no memory or no
+    output, as Strategy.action does), and each successor t moves the memory by
+    t's observation. Only the arena judges a play: a node where neither
+    predicate holds fails, and for until so does a node that closes a cycle
+    of nodes where holds2 never holds, since the environment can keep the
+    play on it forever. Returns the failing nodes; empty means the strategy
+    wins on every play. The product is finite only when the memory is.
+    """
+    machine = strategy.machine
+
+    def successors(q, memory):
+        c_a = None if memory is None else machine.output(memory)
+        for c in extensions(arena, coalition, strategy.default if c_a is None else c_a):
+            for t in arena.succ(q, c):
+                z = arena.obs(coalition, t)
+                yield t, None if memory is None else machine.step(memory, z)
+
+    failures = []
+    on_path, done = set(), set()
+    stack = []
+
+    def enter(node):
+        q = node[0]
+        if holds2(q) or not holds1(q):
+            done.add(node)
+            if not holds2(q):
+                failures.append(node)
+        else:
+            on_path.add(node)
+            stack.append((node, successors(*node)))
+
+    for q in arena.initial:
+        root = (q, machine.step((), arena.obs(coalition, q)))
+        if root not in done and root not in on_path:
+            enter(root)
+        while stack:
+            node, pending = stack[-1]
+            for child in pending:
+                if child in on_path:
+                    if not weak:
+                        failures.append(child)
+                elif child not in done:
+                    enter(child)
+                    break
+            else:
+                stack.pop()
+                on_path.discard(node)
+                done.add(node)
     return failures
 
 

@@ -43,7 +43,7 @@ def test_a_failing_hypothesis_test_does_not_stop_the_run(tmp_path):
 PUBLIC_SIGNATURES = {
     "Arena": "(self, agents, actions, states, labels, initial, observes, hidden, transitions)",
     "ArenaError": "(self, /, *args, **kwargs)",
-    "Strategy": "(self, coalition_members, mapping, default)",
+    "Strategy": "(self, coalition_members, machine, default)",
     "load_arena": "(document, allow_reserved=False)",
     "Formula": "(self, /, *args, **kwargs)",
     "FormulaError": "(self, /, *args, **kwargs)",
@@ -66,7 +66,7 @@ PUBLIC_SIGNATURES = {
     "GameSolution": "(self, winning, choice)",
     "check_until_nonempty": "(automaton)",
     "check_weak_nonempty": "(automaton)",
-    "extract_witness_strategy": "(solution, automaton)",
+    "extract_witness_strategy": "(solution, *automata)",
     "CheckerError": "(self, /, *args, **kwargs)",
     "StateCapExceeded": "(self, /, *args, **kwargs)",
     "LabelLevel": ("(self, k, chi, prop, case, arena, hat=None, automata=None, solution=None, "

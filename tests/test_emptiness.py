@@ -18,12 +18,14 @@ from atldk import (
     model_check,
     split,
 )
+from atldk.emptiness import _WitnessMachine
 from atldk.strategy_automata import WEAK_UNTIL, level_automaton
 from oracles import (
     generic_occurrence_emptiness,
     history_witness_map,
     random_arena,
     random_coalition,
+    replay_machine,
     replay_until,
     until_accept,
     weak_accept,
@@ -366,26 +368,29 @@ class TestExtractedWitnesses:
 
 
 class TestWeakWitnessReplay:
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3")
-    def test_weak_until_witness_survives_replay(self):
-        # The witness map only covers histories of length <= 2 here; longer
-        # plays fall back to the default action and lose at length 4.
-        rng = random.Random(473)
+    DRAWN = {380: "<a1,a2>(p W q)", 473: "<a1,a2>(p W q)", 787: "<a1,a2>(q W r)"}
+
+    @pytest.mark.parametrize("seed", sorted(DRAWN))
+    def test_weak_until_witness_survives_replay(self, seed):
+        # A witness map covers histories up to the goal automaton's size, 2
+        # for seed 473; a strategy that played the default past it lost
+        # these three safety goals on longer plays (at length 4 for seed 473).
+        rng = random.Random(seed)
         g = random_arena(rng, max_states=5)
         coalition = random_coalition(rng)
         props = sorted(g.props)
         p1, p2 = rng.choice(props), rng.choice(props)
         text = "<%s>(%s W %s)" % (",".join(coalition), p1, p2)
         verdict = model_check(g, text)
-        if text != "<a1,a2>(p W q)" or not verdict.holds:
-            pytest.fail("seed 473 no longer draws a positive <a1,a2>(p W q)")
+        if text != self.DRAWN[seed] or not verdict.holds:
+            pytest.fail("seed %d no longer draws a positive %s" % (seed, self.DRAWN[seed]))
         level = verdict.table.levels[-1]
-        failures = replay_until(
-            g, coalition, verdict.witness(),
-            holds1=lambda q: p1 in g.labels[q],
-            holds2=lambda q: p2 in g.labels[q],
-            depth=4 * len(level.hat.arena.states) + 6, weak=True)
-        assert failures == []
+        holds = [lambda q, p=p: p in g.labels[q] for p in (p1, p2)]
+        strategy = verdict.witness()
+        assert max(map(len, strategy.mapping)) < 4 * len(level.hat.arena.states) + 6
+        assert replay_until(g, coalition, strategy, *holds,
+                            depth=4 * len(level.hat.arena.states) + 6, weak=True) == []
+        assert replay_machine(g, coalition, strategy, *holds, weak=True) == []
 
 
 def acceptance_batches():
@@ -424,3 +429,69 @@ class TestWitnessMap:
                     assert list(extracted.mapping.items()) == list(expected.items()), (seed, text)
                     compared[op] += 1
         assert min(compared.values()) >= 300, compared
+
+
+class TestWitnessMachine:
+    def test_machine_plays_its_rendered_map(self):
+        """On every positive kset of until and weak-until levels, the machine
+        plays what its rendered map says on every history in the map."""
+        compared = {"U": 0, "W": 0}
+        for seed, g in acceptance_batches():
+            rng = random.Random(80000 + seed)
+            coalition = random_coalition(rng)
+            props = sorted(g.props)
+            p1, p2 = rng.choice(props), rng.choice(props)
+            for op in ("U", "W"):
+                text = "<%s>(%s %s %s)" % (",".join(coalition), p1, op, p2)
+                level = model_check(g, text).table.levels[-1]
+                for automaton in level.automata.values():
+                    if automaton.init not in level.solution.winning:
+                        continue
+                    strategy = extract_witness_strategy(level.solution, automaton)
+                    for history, c_a in strategy.mapping.items():
+                        assert strategy.action(history) == c_a, (seed, text, history)
+                    compared[op] += 1
+        assert min(compared.values()) >= 300, compared
+
+    @staticmethod
+    def stay_or_leave():
+        """One agent keeps p by staying; leaving, its first action, loses p
+        for good. Both s0 and s2 are initial and observed apart by r."""
+        loops = [{"from": q, "actions": {"a1": "stay"}, "to": [q]} for q in ("s0", "s1", "s2")]
+        leaves = [{"from": q, "actions": {"a1": "leave"}, "to": ["s1"]}
+                  for q in ("s0", "s1", "s2")]
+        return load_arena({
+            "agents": [{"name": "a1", "actions": ["leave", "stay"], "observes": ["p", "r"]}],
+            "states": [{"id": "s0", "labels": ["p"]}, {"id": "s1", "labels": []},
+                       {"id": "s2", "labels": ["p", "r"]}],
+            "initial": ["s0", "s2"],
+            "transitions": loops + leaves,
+        })
+
+    def test_playing_never_renders_the_map(self, monkeypatch):
+        def render(machine):
+            raise AssertionError("the history map was rendered")
+
+        monkeypatch.setattr(_WitnessMachine, "table", property(render))
+        verdict = model_check(self.stay_or_leave(), "<a1>G p")
+        strategy = verdict.witness()
+        assert strategy.default == ("leave",)
+        depth_cap = max(len(a.states) for a in verdict.table.levels[-1].automata.values())
+        for z in ({"p"}, {"p", "r"}):
+            assert strategy.action([z] * (100 * depth_cap)) == ("stay",)
+        assert strategy.action([{"r"}]) == strategy.action([{"p"}, {"r"}]) == ("leave",)
+        with pytest.raises(AssertionError, match="rendered"):
+            strategy.mapping
+
+    def test_one_machine_serves_every_initial_kset(self):
+        """Verdict.witness() is one machine with a start per initial kset,
+        and its map is the per-kset maps one after the other."""
+        verdict = model_check(self.stay_or_leave(), "<a1>G p")
+        level = verdict.table.levels[-1]
+        ksets = dict.fromkeys(level.hat.kset[hid] for hid in level.arena.initial)
+        assert len(ksets) == 2
+        expected = {}
+        for s in ksets:
+            expected.update(extract_witness_strategy(level.solution, level.automata[s]).mapping)
+        assert list(verdict.witness().mapping.items()) == list(expected.items())
+        assert {h[0] for h in expected} == {frozenset({"p"}), frozenset({"p", "r"})}
