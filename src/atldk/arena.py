@@ -135,7 +135,7 @@ class Arena:
         self.transitions = {key: frozenset(targets) for key, targets in transitions.items()}
         self.props = frozenset().union(*self.observes.values()) | self.hidden
         self._state_index = {q: i for i, q in enumerate(self.states)}
-        # The HatArena this arena is the refined arena of, set by split.
+        # (coalition, {state: kset}) when split built this arena; a re-split reads it.
         self._refinement = None
         self._validate()
 
@@ -235,8 +235,8 @@ class Arena:
     def with_prop(self, prop, true_states):
         """A copy of the arena with one more hidden prop, labeling exactly the
         given states. The copy shares this arena's validated states, actions,
-        observations and transitions. It keeps the link to the refinement this
-        arena came from: a hidden prop changes no coalition's observations."""
+        observations and transitions. It keeps the coalition and ksets that split
+        recorded on it: a hidden prop changes no coalition's observations."""
         if not isinstance(prop, str):
             raise ArenaError("prop must be a string, not %s %r" % (type(prop).__name__, prop))
         if prop in self.props:

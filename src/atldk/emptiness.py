@@ -88,7 +88,7 @@ class _WitnessMachine:
     def step(self, state, z):
         if not state:
             return self.starts[z].init if z in self.starts else None
-        classes = self.rows[state][1].get((state, self.output(state)), ())
+        classes = self.rows[state][0].get(self.output(state), ())
         return next((t for z_t, t in classes if z_t == z), None)
 
     @cached_property
@@ -105,7 +105,7 @@ class _WitnessMachine:
                     c_a = self.output(state)
                     if c_a is not None:
                         mapping[history] = c_a
-                        for z, t in self.rows[state][1][(state, c_a)] if depth > 1 else ():
+                        for z, t in self.rows[state][0][c_a] if depth > 1 else ():
                             next_states.append(t)
                             next_histories.append(history + (z,))
                 states, histories = next_states, next_histories

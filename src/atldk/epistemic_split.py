@@ -15,7 +15,8 @@ class HatArena:
     and the source's compiled view for the coalition.
 
     The refined system is itself a valid Arena (same agents, actions, and
-    observability); state ids encode the base state and its kset.
+    observability); state ids encode the base state and its kset. It records
+    the coalition and the kset map for a re-split, not this object.
     """
 
     def __init__(self, arena, source, view, base, kset):
@@ -37,10 +38,10 @@ class HatArena:
         return s
 
 
-def _states_per_kset(first):
+def _states_per_kset(kset):
     """Per kset of a refinement, the set of its refined states that carry it."""
     members = {}
-    for hid, s in first.kset.items():
+    for hid, s in kset.items():
         members.setdefault(s, []).append(hid)
     return {s: frozenset(hids) for s, hids in members.items()}
 
@@ -88,11 +89,11 @@ def split(g, coalition, limit=None):
         return hid
 
     view = _CoalitionView(g, coalition)
-    first = g._refinement
-    if first is not None and first.coalition == frozenset(view.members):
+    refined_by, first_kset = g._refinement or (None, None)
+    if refined_by == frozenset(view.members):
         # The walk below would intern the same states in g's own order.
-        lift = _states_per_kset(first)
-        hids = {h: add(h, lift[s]) for h, s in first.kset.items()}
+        lift = _states_per_kset(first_kset)
+        hids = {h: add(h, lift[s]) for h, s in first_kset.items()}
         initial_ids = [hids[h] for h in g.initial]
         transitions = {(hids[h], c): frozenset(map(hids.__getitem__, targets))
                        for (h, c), targets in g.transitions.items()}
@@ -125,8 +126,8 @@ def split(g, coalition, limit=None):
 
     arena = Arena(g.agents, g.actions, states, labels, initial_ids,
                   g.observes, g.hidden, transitions)
-    hat = arena._refinement = HatArena(arena, g, view, base, kset)
-    return hat
+    arena._refinement = (frozenset(view.members), kset)
+    return HatArena(arena, g, view, base, kset)
 
 
 def _per_kset(hat, holds):

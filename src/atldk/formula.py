@@ -254,9 +254,6 @@ def _nodes(f):
 #   agents  := IDENT ("," IDENT)*
 # Unary operators bind tighter than &, then |, then ->.
 
-_PUNCT = ("->", "!", "&", "|", "<", ">", "[", "]", "{", "}", "(", ")", ",")
-
-
 class _Token:
     def __init__(self, kind, text, pos):
         self.kind = kind
@@ -483,23 +480,18 @@ def enumerate_subformulas(f):
     """
     if not is_core(f):
         raise FormulaError("enumerate_subformulas requires a core formula")
-    entries = []
-    seen = {}
+    entries = {}
+    _enter(f, entries)
+    return list(entries.values())
 
-    def walk(node):
-        if node in seen:
-            return seen[node]
-        child_props = [walk(c) for c in node.children()]
+
+def _enter(node, entries):
+    """node's entry, added to entries after its children's on first sight."""
+    if node not in entries:
+        atoms = [Atom(_enter(c, entries).prop) for c in node.children()]
         k = len(entries) + 1
-        prop = fresh_prop(k)
-        chi = node._rebuild([Atom(p) for p in child_props])
-        entry = SubformulaEntry(k, node, prop, chi)
-        entries.append(entry)
-        seen[node] = prop
-        return prop
-
-    walk(f)
-    return entries
+        entries[node] = SubformulaEntry(k, node, fresh_prop(k), node._rebuild(atoms))
+    return entries[node]
 
 
 def count_modalities(f):

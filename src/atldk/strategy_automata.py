@@ -58,14 +58,14 @@ class TreeAutomaton:
 
     rows is the hat's goal table for (p1, p2). On first read, states lists the
     table breadth-first from starts (init, or every kset's initial state), and
-    delta and classes gather those states' rows."""
+    delta and classes are read off those states' rows."""
 
-    def __init__(self, kind, rows, source_kset, init, starts=None):
+    def __init__(self, kind, hat, rows, source_kset, init, starts=None):
         self.kind = kind
-        self.hat, self.p1, self.p2 = rows.hat, rows.p1, rows.p2
+        self.hat, self.p1, self.p2 = hat, rows.p1, rows.p2
         self.source_kset = source_kset
         self.init = init
-        self.alphabet = self.hat.view.actions
+        self.alphabet = hat.view.actions
         self.rows = rows
         self._starts = (init,) if starts is None else starts
 
@@ -75,13 +75,13 @@ class TreeAutomaton:
 
     @cached_property
     def delta(self):
-        return {key: successors for state in self.states
-                for key, successors in self.rows[state][0].items()}
+        return {(state, c_a): _targets(pairs) for state in self.states
+                for c_a, pairs in self.rows[state][0].items()}
 
     @cached_property
     def classes(self):
-        return {key: class_list for state in self.states
-                for key, class_list in self.rows[state][1].items()}
+        return {(state, c_a): pairs for state in self.states
+                for c_a, pairs in self.rows[state][0].items()}
 
     def __len__(self):
         return len(self.states)
@@ -115,13 +115,18 @@ def _build(kind, hat, p1, p2, source_kset):
             raise AutomatonError("unknown goal prop %s" % p)
     s = hat.require_kset(source_kset)
     table = _GoalTable.of(hat, p1, p2)
-    return TreeAutomaton(kind, table, s, table.initial(s))
+    return TreeAutomaton(kind, hat, table, s, table.initial(s))
+
+
+def _targets(pairs):
+    """The successors of one action's classes in a row; () fails to BOT."""
+    return tuple(t for _, t in pairs) or (BOT,)
 
 
 class _GoalTable(dict):
     """A hat's goal table for (p1, p2): each state's row, expanded on first
-    lookup. A row does not depend on the kset a walk started from, so every
-    kset and both acceptance kinds share the table."""
+    lookup from the hat's view and goal masks. A row does not depend on the
+    kset a walk started from, so every kset and both acceptance kinds share it."""
 
     @classmethod
     def of(cls, hat, p1, p2):
@@ -131,41 +136,39 @@ class _GoalTable(dict):
 
     def __init__(self, hat, p1, p2):
         super().__init__()
-        self.hat, self.p1, self.p2 = hat, p1, p2
+        self.view, self.p1, self.p2 = hat.view, p1, p2
         g = hat.source
         # Masks in the view's numbering: states off both goals, states where p2 holds.
         self.off_goal = sum(1 << i for i, q in enumerate(g.states) if not g.labels[q] & {p1, p2})
         self.discharged = sum(1 << i for i, q in enumerate(g.states) if p2 in g.labels[q])
 
     def initial(self, s):
-        view = self.hat.view
+        view = self.view
         m = view.mask(s)
         return BOT if m & self.off_goal else AutomatonState(view.to_set(m & ~self.discharged), s)
 
     def __missing__(self, state):
-        """Expand the state's row: its delta and classes entries, one per
-        coalition action, and its distinct successors in first-seen order.
-        A successor's kset is one observation class of the outcomes and its
-        pending set the part of that class that pending states reach, less the
-        discharged ones: coherent and typed by construction (checked by
-        tests/oracles.py construction_failures). Outcomes are the view's masks,
-        made frozensets here."""
-        view = self.hat.view
-        delta, classes = {}, {}
+        """Expand the state's row: per coalition action its (observation,
+        successor) classes, () when it fails to BOT, and the distinct
+        successors in first-seen order. A successor's kset is one observation
+        class of the outcomes and its pending set the part of that class that
+        pending states reach, less the discharged ones: coherent and typed by
+        construction (checked by tests/oracles.py construction_failures).
+        Outcomes are the view's masks, made frozensets here."""
+        view = self.view
+        classes = {}
         if not state.is_bot:
             pending_out = view.outcome_masks(view.mask(state.pending))
             kset_out = view.outcome_masks(view.mask(state.kset))
         for k, c_a in enumerate(view.actions):
-            key = (state, c_a)
             if state.is_bot or any(t & self.off_goal for t in pending_out[k].values()):
-                delta[key], classes[key] = (BOT,), ()
+                classes[c_a] = ()
                 continue
-            pairs = tuple((view.observations[r], AutomatonState(
+            classes[c_a] = tuple((view.observations[r], AutomatonState(
                 view.to_set(pending_out[k].get(r, 0) & ~self.discharged), view.to_set(t)))
                 for r, t in kset_out[k].items())
-            delta[key], classes[key] = tuple(t for _, t in pairs), pairs
-        successors = dict.fromkeys(t for targets in delta.values() for t in targets)
-        row = self[state] = (delta, classes, tuple(successors))
+        successors = dict.fromkeys(t for pairs in classes.values() for t in _targets(pairs))
+        row = self[state] = (classes, tuple(successors))
         return row
 
 
@@ -181,7 +184,7 @@ def _walk(table, inits):
         seen.add(init)
         frontier = [init]
         for state in frontier:
-            for t in table[state][2]:
+            for t in table[state][1]:
                 if t not in seen:
                     seen.add(t)
                     frontier.append(t)
@@ -194,7 +197,7 @@ def level_automaton(kind, hat, p1, p2):
     kset by kset in hat.ksets order, with no init or source kset. Each kset's
     automaton is closed in it, so one solve decides every kset."""
     table = _GoalTable.of(hat, p1, p2)
-    return TreeAutomaton(kind, table, None, None, [table.initial(s) for s in hat.ksets])
+    return TreeAutomaton(kind, hat, table, None, None, [table.initial(s) for s in hat.ksets])
 
 
 def to_dot(automaton, annotation=None):

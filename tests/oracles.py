@@ -677,21 +677,22 @@ def reference_goal_row(hat, p1, p2, state):
     holds neither goal prop; else one successor per observation of the
     kset's successors, ordered by its sorted props, with the kset's outcome
     class (oracles.out) as kset and the pending states' class less the p2
-    states as pending. Returns (delta, classes, distinct successors)."""
+    states as pending. Returns, keyed by coalition action, the successors
+    (delta) and the (observation, successor) pairs (classes, empty for BOT),
+    then the distinct successors."""
     g, coalition = hat.source, hat.coalition
     delta, classes = {}, {}
     for c_a in coalition_actions(g, coalition):
-        key = (state, c_a)
         moves = list(extensions(g, coalition, c_a))
         if state.is_bot or any(not g.labels[t] & {p1, p2} for c in moves
                                for q in state.pending for t in g.succ(q, c)):
-            delta[key], classes[key] = (BOT,), ()
+            delta[c_a], classes[c_a] = (BOT,), ()
             continue
         seen = {g.obs(coalition, t) for c in moves for q in state.kset for t in g.succ(q, c)}
         pairs = tuple((z, AutomatonState(
             frozenset(t for t in out(g, state.pending, coalition, c_a, z) if p2 not in g.labels[t]),
             out(g, state.kset, coalition, c_a, z))) for z in sorted(seen, key=sorted))
-        delta[key], classes[key] = tuple(t for _, t in pairs), pairs
+        delta[c_a], classes[c_a] = tuple(t for _, t in pairs), pairs
     return delta, classes, tuple(dict.fromkeys(t for ts in delta.values() for t in ts))
 
 
@@ -717,7 +718,7 @@ def construction_failures(hat):
             problems.append("refined state %s has an incoherent kset" % h)
     for (p1, p2), table in hat._goal_tables.items():
         seen = set()
-        for state, (_, _, successors) in table.items():
+        for state, (_, successors) in table.items():
             for s in (state,) + successors:
                 if s in seen or s.is_bot:
                     continue

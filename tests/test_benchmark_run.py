@@ -1,0 +1,25 @@
+"""The benchmark's untraced main path, `benchmarks/run.py --trace 0`, runs end
+to end: every verdict checks out and the last line reports every end-to-end
+metric. tests/test_tracing.py covers the traced path."""
+
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+RUN = Path(__file__).resolve().parent.parent / "benchmarks" / "run.py"
+
+
+def test_untraced_run_is_correct_and_reports_every_end_to_end_metric(monkeypatch):
+    monkeypatch.syspath_prepend(str(RUN.parent))
+    spec = importlib.util.spec_from_file_location("benchmark_run", RUN)
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    done = subprocess.run(
+        [sys.executable, str(RUN), "--workload", "nested-until", "--seed", "1", "--seconds", "0.5"],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, done.stdout
+    assert set(result["metrics"]) == set(run.END_TO_END_UNITS)

@@ -1,7 +1,10 @@
 """The labeling driver: per-level dispatch, verdicts, witnesses, explanations."""
 
+import gc
 import json
 import random
+import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,10 +19,11 @@ from atldk import (
     label_step,
     label_knowledge,
     load_alicebob,
+    load_arena,
     model_check,
     split,
 )
-from atldk.checker import _eval_boolean
+from atldk.checker import MODAL_CASES, _eval_boolean
 from atldk.emptiness import check_until_nonempty, check_weak_nonempty
 from atldk.strategy_automata import (build_until_automaton, build_weak_until_automaton,
                                      level_automaton)
@@ -233,9 +237,24 @@ class TestHistorySemantics:
     # construction inflates the game.
     MAX_DEPTH = 12
 
+    @classmethod
+    def disagreements(cls, g, coalition, p1, p2, operator):
+        """The runs of at most one step whose refined end state the checker
+        labels against the run search, with the level's truth per state."""
+        weak = operator == "W"
+        text = "<%s>(%s %s %s)" % (",".join(coalition), p1, operator, p2)
+        level = model_check(g, text).table.levels[-1]
+        game = level_automaton(level.case, level.hat, p1, p2)
+        depth = min(len(game.states), cls.MAX_DEPTH)
+        runs = initialized_runs(g, 1)
+        expected = until_oracle(g, coalition, p1, p2, runs, depth, weak=weak)
+        truth = level_truth(level)
+        return [(text, run) for run in runs
+                if (depth == len(game.states) or expected[run] != weak)
+                and truth[hat_state_of(g, level.hat, run)] != expected[run]], truth
+
     @pytest.mark.parametrize("operator", ["U", "W"])
     def test_goal_labels_match_the_run_search(self, operator):
-        weak = operator == "W"
         disagreements = []
         for seed in range(400):
             rng = random.Random(70000 + seed)
@@ -245,19 +264,32 @@ class TestHistorySemantics:
             coalition = random_coalition(rng)
             props = sorted(g.props)
             p1, p2 = rng.choice(props), rng.choice(props)
-            text = "<%s>(%s %s %s)" % (",".join(coalition), p1, operator, p2)
-            level = model_check(g, text).table.levels[-1]
-            game = level_automaton(level.case, level.hat, level.chi.left.name,
-                                   level.chi.right.name)
-            depth = min(len(game.states), self.MAX_DEPTH)
-            runs = initialized_runs(g, 1)
-            expected = until_oracle(g, coalition, p1, p2, runs, depth, weak=weak)
-            truth = level_truth(level)
-            disagreements += [
-                (seed, text, run) for run in runs
-                if (depth == len(game.states) or expected[run] != weak)
-                and truth[hat_state_of(g, level.hat, run)] != expected[run]]
+            disagreements += [(seed,) + found for found in
+                              self.disagreements(g, coalition, p1, p2, operator)[0]]
         assert not disagreements, disagreements[:5]
+
+    @pytest.mark.parametrize("rank", ["first", "last"])
+    def test_weak_until_lost_in_one_observation_class(self, rank):
+        """From s0 the only move reaches good, which keeps p forever, and bad,
+        which steps to dead, where p and q fail. a1 sees o at one of them, so
+        bad's class ranks first ({} before {o}) or last. p W q fails exactly
+        where bad is possible, so a goal row without bad's class would label s0."""
+        plain, marked = ("bad", "good") if rank == "first" else ("good", "bad")
+        g = load_arena({
+            "agents": [{"name": "a1", "actions": ["x"], "observes": ["o"]},
+                       {"name": "a2", "actions": ["y"]}],
+            "hidden_props": ["p", "q"],
+            "states": [{"id": "s0", "labels": ["p"]}, {"id": plain, "labels": ["p"]},
+                       {"id": marked, "labels": ["p", "o"]}, {"id": "dead"}],
+            "initial": ["s0"],
+            "transitions": [{"from": q, "actions": {"a1": "x", "a2": "y"}, "to": to}
+                            for q, to in (("s0", ["good", "bad"]), ("good", ["good"]),
+                                          ("bad", ["dead"]), ("dead", ["dead"]))],
+        })
+        disagreements, truth = self.disagreements(g, ["a1"], "p", "q", "W")
+        assert not disagreements, disagreements
+        assert truth == {"s0@{s0}": False, "good@{good}": True, "bad@{bad}": False,
+                         "dead@{dead}": False}
 
 
 class TestLevelCoherence:
@@ -542,6 +574,62 @@ class TestExplain:
 
     def test_json_serializable(self, example_verdict):
         json.dumps(explain(example_verdict, "q0@{q0}"))
+
+
+class TestOwnership:
+    """Every link in a verdict runs from a level to what it was built from, so
+    reference counting alone frees a dropped verdict."""
+
+    @staticmethod
+    def verdicts(seeds):
+        """Seeded verdicts of an outer until or weak-until whose goals hold
+        a next, a knowledge and the other goal level."""
+        for seed in seeds:
+            rng = random.Random(seed)
+            g = random_arena(rng)
+            if not g.props:
+                continue
+            p, q, r = (rng.choice(sorted(g.props)) for _ in range(3))
+            c = ",".join(random_coalition(rng))
+            outer, inner = rng.choice((("U", "W"), ("W", "U")))
+            yield model_check(g, "<%s>(<%s>X %s %s (K{%s} %s | <%s>(%s %s !%s)))"
+                              % (c, c, p, outer, c, q, c, p, inner, r))
+
+    @pytest.fixture
+    def no_cyclic_collector(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            yield
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_dropped_verdicts_leave_nothing_to_collect(self, no_cyclic_collector):
+        cases, witnesses, explained = Counter(), 0, 0
+        gc.collect()
+        for verdict in self.verdicts(range(80)):
+            cases.update(level.case for level in verdict.table)
+            strategy = verdict.witness()
+            if strategy is not None:
+                witnesses += 1
+                strategy.to_document()
+            top = verdict.table.levels[-1]
+            goal = [h for h in top.arena.states if top.prop in top.arena.labels[h]]
+            if goal:
+                explained += "witness" in explain(verdict, goal[0])
+            del verdict, strategy, top
+        assert gc.collect() == 0
+        assert min(witnesses, explained, *(cases[case] for case in MODAL_CASES)) > 10, (
+            witnesses, explained, cases)
+
+    def test_a_kept_level_arena_frees_its_refinement(self, no_cyclic_collector):
+        for verdict in self.verdicts(range(10)):
+            arena = verdict.table.levels[-1].arena
+            hat = weakref.ref(verdict.table.levels[-1].hat)
+            del verdict
+            assert hat() is None
+            assert arena.initial
 
 
 class TestBindFormula:

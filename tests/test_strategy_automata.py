@@ -16,6 +16,7 @@ from atldk import (
     split,
     to_dot,
 )
+from atldk.strategy_automata import level_automaton
 from oracles import (coalition_actions, extensions, random_arena, random_coalition,
                      reference_goal_initial, reference_goal_row)
 
@@ -226,8 +227,10 @@ class TestReferenceRows:
     def test_rows_equal_the_frozenset_reference(self):
         """Every goal-table row that model_check fills for an until or a
         weak-until goal equals the row built from frozensets
-        (oracles.reference_goal_row): delta and classes in action and
-        observation order, and the successors in first-seen order."""
+        (oracles.reference_goal_row): classes in action and observation
+        order, and the successors in first-seen order. The level automaton's
+        delta and classes, read off the rows, equal the reference's in state
+        and action order."""
         levels = bot_rows = goal_failures = discharges = 0
         for seed in range(200):
             rng = random.Random(seed)
@@ -248,18 +251,24 @@ class TestReferenceRows:
                     table, case = hat._goal_tables[(p1, p2)], (seed, text)
                     for s in hat.ksets:
                         assert table.initial(s) == reference_goal_initial(hat, p1, p2, s), case
-                    for state, (delta, classes, successors) in table.items():
-                        want = reference_goal_row(hat, p1, p2, state)
-                        assert list(delta.items()) == list(want[0].items()), case
+                    wants = {}
+                    for state, (classes, successors) in table.items():
+                        want = wants[state] = reference_goal_row(hat, p1, p2, state)
                         assert list(classes.items()) == list(want[1].items()), case
                         assert successors == want[2], case
                         bot_rows += state.is_bot
                         goal_failures += not state.is_bot and BOT in successors
-                        for (_, c_a), pairs in classes.items():
+                        for c_a, pairs in classes.items():
                             source = hat.source
                             reached = {t for c in extensions(source, coalition, c_a) if pairs
                                        for q in state.pending for t in source.succ(q, c)}
                             discharges += any(p2 in source.labels[t] for t in reached)
+                    game = level_automaton(level.case, hat, p1, p2)
+                    assert set(game.states) == set(wants), case
+                    for read, want in ((game.delta, 0), (game.classes, 1)):
+                        assert list(read.items()) == [
+                            ((state, c_a), value) for state in game.states
+                            for c_a, value in wants[state][want].items()], case
         counts = (levels, bot_rows, goal_failures, discharges)
         assert min(counts) > 20, counts
 
