@@ -54,7 +54,6 @@ from .formula import (
 from .strategy_automata import (
     BOT,
     AutomatonError,
-    AutomatonState,
     TreeAutomaton,
     build_until_automaton,
     build_weak_until_automaton,
@@ -69,7 +68,7 @@ __all__ = [
     "enumerate_subformulas",
     "HatArena", "SplitLimitExceeded", "split",
     "label_knowledge", "label_next",
-    "AutomatonError", "AutomatonState", "BOT", "TreeAutomaton",
+    "AutomatonError", "BOT", "TreeAutomaton",
     "build_until_automaton", "build_weak_until_automaton", "to_dot",
     "EmptinessError", "GameSolution",
     "check_until_nonempty", "check_weak_nonempty", "extract_witness_strategy",

@@ -30,9 +30,9 @@ class _CoalitionView:
     the coalition actions in members' product order with their extensions,
     and the integer core that split and the goal tables share: states are
     numbered in arena order, so a set of states is a bitmask, and observations
-    are ranked by their sorted props. Masks become frozensets only at the
-    boundary (refined ksets, automaton states, outcome_classes), through one
-    memo kept both ways. Compiling the view rejects unknown members; the
+    are ranked by their sorted props. Goal-table states stay masks; masks
+    become frozensets only at the boundary (refined ksets, outcome_classes),
+    one object per mask. Compiling the view rejects unknown members; the
     engine reads it unchecked."""
 
     __slots__ = ("members", "observation", "moves", "extensions", "actions", "observations",
@@ -57,7 +57,6 @@ class _CoalitionView:
         self._transitions = arena.transitions
         self._rows = {}
         self._outcome_masks = {}
-        # Mask -> frozenset and frozenset -> mask: an int never equals a set.
         self._sets = {}
 
     def row(self, i):
@@ -97,15 +96,11 @@ class _CoalitionView:
         s = self._sets.get(m)
         if s is None:
             s = self._sets[m] = frozenset(map(self._states.__getitem__, _bits(m)))
-            self._sets[s] = m
         return s
 
     def mask(self, s):
-        """The mask of a frozenset of states."""
-        m = self._sets.get(s)
-        if m is None:
-            m = self._sets[s] = sum(1 << self.index[q] for q in s)
-        return m
+        """The mask of a set of states."""
+        return sum(1 << self.index[q] for q in s)
 
 
 def _bits(m):
@@ -495,10 +490,24 @@ class Strategy:
 
     @classmethod
     def from_document(cls, doc):
-        mapping = {
-            tuple(frozenset(z) for z in entry["history"]):
-                tuple(entry["action"][a] for a in doc["coalition"])
-            for entry in doc["map"]
-        }
-        default = tuple(doc["default"][a] for a in doc["coalition"])
-        return cls(doc["coalition"], mapping, default)
+        """The strategy a to_document() document describes; a malformed one
+        raises ArenaError."""
+        _require(isinstance(doc, dict) and {"coalition", "default", "map"} <= set(doc),
+                 "strategy document needs coalition, default and map")
+        coalition = [_string(a, "an entry of 'coalition'")
+                     for a in _list(doc["coalition"], "'coalition'")]
+
+        def action(action_map, field):
+            _require(isinstance(action_map, dict), "%s must be an object" % field)
+            missing = [a for a in coalition if a not in action_map]
+            _require(not missing, "%s has no action for %s" % (field, ", ".join(missing)))
+            return tuple(action_map[a] for a in coalition)
+
+        mapping = {}
+        for entry in _list(doc["map"], "'map'"):
+            _require(isinstance(entry, dict) and "history" in entry and "action" in entry,
+                     "each map entry needs a history and an action")
+            history = tuple(frozenset(_strings(z, "an observation in a history"))
+                            for z in _list(entry["history"], "'history' of a map entry"))
+            mapping[history] = action(entry["action"], "'action' of a map entry")
+        return cls(coalition, mapping, action(doc["default"], "'default'"))

@@ -22,6 +22,7 @@ from .strategy_automata import (
     UNTIL,
     WEAK_UNTIL,
     AutomatonError,
+    _targets,
     build_until_automaton,
     build_weak_until_automaton,
     to_dot,
@@ -269,13 +270,12 @@ def _automaton_document(built, nonempty):
     order = hat.source.sorted_states
     transitions = []
     for state in built.states:
-        for c_a in built.alphabet:
+        for c_a, classes in built.rows[state][0].items():
             entry = {
                 "from": built.pretty(state),
                 "action": dict(zip(hat.view.members, c_a)),
-                "to": [built.pretty(t) for t in built.delta[(state, c_a)]],
+                "to": [built.pretty(t) for t in _targets(classes)],
             }
-            classes = built.classes[(state, c_a)]
             if classes:
                 entry["classes"] = [
                     {"observation": sorted(z), "to": built.pretty(t)} for z, t in classes

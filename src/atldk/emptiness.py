@@ -6,7 +6,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .arena import Strategy
-from .strategy_automata import BOT, UNTIL, WEAK_UNTIL
+from .strategy_automata import BOT, UNTIL, WEAK_UNTIL, _targets
 
 
 class EmptinessError(Exception):
@@ -43,9 +43,8 @@ def _attractor(automaton, target, coalition):
         for state in automaton.states:
             if state in region:
                 continue
-            keep = next((c_a for c_a in automaton.alphabet
-                         if all((t in region) == coalition
-                                for t in automaton.delta[(state, c_a)])), None)
+            keep = next((c_a for c_a, pairs in automaton.rows[state][0].items()
+                         if all((t in region) == coalition for t in _targets(pairs))), None)
             if keep is not None:
                 choice[state] = keep
             if (keep is not None) == coalition:

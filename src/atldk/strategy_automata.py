@@ -7,46 +7,19 @@ first read, and the automaton of a whole level is all of it."""
 from __future__ import annotations
 
 from functools import cached_property
-from operator import itemgetter
+
+from .arena import _bits
 
 
 class AutomatonError(Exception):
     pass
 
 
-class AutomatonState(tuple):
-    """Either the absorbing failure state or an obligation pair (pending, kset).
-
-    pending holds the states whose histories have not yet discharged the goal;
-    kset is the knowledge set those histories could be in. A state is the
-    tuple (pending, kset) of frozensets, BOT is (None, None), and hashing and
-    equality are the tuple's own.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, pending, kset):
-        return tuple.__new__(cls, (frozenset(pending) if pending is not None else None,
-                                   frozenset(kset) if kset is not None else None))
-
-    pending = property(itemgetter(0))
-    kset = property(itemgetter(1))
-
-    @property
-    def is_bot(self):
-        return self[1] is None
-
-    def __repr__(self):
-        return "AutomatonState(%s)" % self.pretty()
-
-    def pretty(self, order=None):
-        if self.is_bot:
-            return "bot"
-        rank = order if order is not None else sorted
-        return "({%s},{%s})" % (",".join(rank(self.pending)), ",".join(rank(self.kset)))
-
-
-BOT = AutomatonState(None, None)
+# A state is an obligation pair (pending, kset) of masks in the view's
+# numbering: pending holds the states whose histories have not yet discharged
+# the goal, kset the knowledge set those histories could be in. Every real
+# state has a nonempty kset, so (0, 0) is free for the absorbing failure state.
+BOT = (0, 0)
 
 UNTIL = "until"
 WEAK_UNTIL = "weak-until"
@@ -56,9 +29,9 @@ class TreeAutomaton:
     """A goal automaton: states, coalition-action alphabet, total transition
     function, the initial state, and an occurrence acceptance kind.
 
-    rows is the hat's goal table for (p1, p2). On first read, states lists the
-    table breadth-first from starts (init, or every kset's initial state), and
-    delta and classes are read off those states' rows."""
+    rows is the hat's goal table for (p1, p2), keyed by mask pairs. On first
+    read, states lists the table breadth-first from starts (init, or every
+    kset's initial state). Sets of state names appear only in pretty's text."""
 
     def __init__(self, kind, hat, rows, source_kset, init, starts=None):
         self.kind = kind
@@ -73,28 +46,22 @@ class TreeAutomaton:
     def states(self):
         return tuple(_walk(self.rows, self._starts))
 
-    @cached_property
-    def delta(self):
-        return {(state, c_a): _targets(pairs) for state in self.states
-                for c_a, pairs in self.rows[state][0].items()}
-
-    @cached_property
-    def classes(self):
-        return {(state, c_a): pairs for state in self.states
-                for c_a, pairs in self.rows[state][0].items()}
-
     def __len__(self):
         return len(self.states)
 
     def is_target(self, state):
         """Until acceptance visits a state whose obligations are all discharged."""
-        return not state.is_bot and not state.pending
+        return state[1] != 0 and not state[0]
 
     def targets(self):
         return [s for s in self.states if self.is_target(s)]
 
     def pretty(self, state):
-        return state.pretty(self.hat.source.sorted_states)
+        """The state as ({pending},{kset}) with members in arena order, or bot."""
+        if state == BOT:
+            return "bot"
+        names = self.hat.source.states
+        return "({%s},{%s})" % tuple(",".join(names[i] for i in _bits(m)) for m in state)
 
 
 def build_until_automaton(hat, p1, p2, source_kset):
@@ -143,9 +110,8 @@ class _GoalTable(dict):
         self.discharged = sum(1 << i for i, q in enumerate(g.states) if p2 in g.labels[q])
 
     def initial(self, s):
-        view = self.view
-        m = view.mask(s)
-        return BOT if m & self.off_goal else AutomatonState(view.to_set(m & ~self.discharged), s)
+        m = self.view.mask(s)
+        return BOT if m & self.off_goal else (m & ~self.discharged, m)
 
     def __missing__(self, state):
         """Expand the state's row: per coalition action its (observation,
@@ -154,19 +120,16 @@ class _GoalTable(dict):
         class of the outcomes and its pending set the part of that class that
         pending states reach, less the discharged ones: coherent and typed by
         construction (checked by tests/oracles.py construction_failures).
-        Outcomes are the view's masks, made frozensets here."""
-        view = self.view
+        BOT's empty kset has no outcomes, so its row fails on every action."""
+        view, off_goal, kept = self.view, self.off_goal, ~self.discharged
+        pending_out, kset_out = map(view.outcome_masks, state)
         classes = {}
-        if not state.is_bot:
-            pending_out = view.outcome_masks(view.mask(state.pending))
-            kset_out = view.outcome_masks(view.mask(state.kset))
-        for k, c_a in enumerate(view.actions):
-            if state.is_bot or any(t & self.off_goal for t in pending_out[k].values()):
+        for c_a, reached, grouped in zip(view.actions, pending_out, kset_out):
+            if any(t & off_goal for t in reached.values()):
                 classes[c_a] = ()
                 continue
-            classes[c_a] = tuple((view.observations[r], AutomatonState(
-                view.to_set(pending_out[k].get(r, 0) & ~self.discharged), view.to_set(t)))
-                for r, t in kset_out[k].items())
+            classes[c_a] = tuple((view.observations[r], (reached.get(r, 0) & kept, t))
+                                 for r, t in grouped.items())
         successors = dict.fromkeys(t for pairs in classes.values() for t in _targets(pairs))
         row = self[state] = (classes, tuple(successors))
         return row
@@ -212,28 +175,23 @@ def to_dot(automaton, annotation=None):
     names = {}
     for i, state in enumerate(automaton.states):
         names[state] = "n%d" % i
-        shape = "box" if state.is_bot else "ellipse"
-        peripheries = 2 if automaton.is_target(state) else 1
-        extra = ', peripheries=2' if peripheries == 2 else ""
-        style = ', style=filled, fillcolor=gray' if state.is_bot else ""
+        shape = "box" if state == BOT else "ellipse"
+        extra = ', peripheries=2' if automaton.is_target(state) else ""
+        style = ', style=filled, fillcolor=gray' if state == BOT else ""
         lines.append('  %s [label="%s", shape=%s%s%s];'
                      % (names[state], _escape(automaton.pretty(state)), shape, extra, style))
         if state == automaton.init:
             lines.append("  init [shape=point];")
             lines.append("  init -> %s;" % names[state])
     for state in automaton.states:
-        for c_a in automaton.alphabet:
+        for c_a, class_list in automaton.rows[state][0].items():
             act = ",".join(map(str, c_a)) if c_a else "-"
-            class_list = automaton.classes[(state, c_a)]
-            if class_list:
-                for z, t in class_list:
-                    obs = "{%s}" % ",".join(sorted(z))
-                    lines.append('  %s -> %s [label="%s / %s"];'
-                                 % (names[state], names[t], _escape(act), _escape(obs)))
-            else:
-                for t in automaton.delta[(state, c_a)]:
-                    lines.append('  %s -> %s [label="%s"];'
-                                 % (names[state], names[t], _escape(act)))
+            for z, t in class_list:
+                obs = "{%s}" % ",".join(sorted(z))
+                lines.append('  %s -> %s [label="%s / %s"];'
+                             % (names[state], names[t], _escape(act), _escape(obs)))
+            if not class_list:
+                lines.append('  %s -> %s [label="%s"];' % (names[state], names[BOT], _escape(act)))
     lines.append("}")
     return "\n".join(lines) + "\n"
 

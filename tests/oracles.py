@@ -13,13 +13,16 @@ independent of the engine internals; they only use the public Arena
 interface, except construction_failures, which inspects the refined arena and
 goal tables the engine built, the occurrence solver, which reads a goal
 automaton, and the goal-row reference, which reads a refinement's source and
-coalition.
+coalition. Goal states are mask pairs in the source arena's state order;
+as_sets and as_masks translate them to and from pairs of state-name sets,
+and delta and classes read an automaton's rows back as per (state, action)
+dicts.
 """
 
 import itertools
 from collections import deque
 
-from atldk import BOT, ArenaError, AutomatonState, EmptinessError, SplitLimitExceeded, load_arena
+from atldk import BOT, ArenaError, EmptinessError, SplitLimitExceeded, load_arena
 
 
 class Run:
@@ -389,6 +392,39 @@ def atl_weak_until(arena, coalition, hold, goal):
 
 DEFAULT_ORACLE_GUARD = 20
 
+# BOT among goal states written as pairs of state-name sets.
+SET_BOT = (None, None)
+
+
+def as_sets(hat, state):
+    """A goal state's (pending, kset) masks as frozensets of the hat source's
+    states, bit i standing for its i-th state; BOT as SET_BOT."""
+    if state == BOT:
+        return SET_BOT
+    names = hat.source.states
+    assert not any(m >> len(names) for m in state), "bits past the arena's states"
+    return tuple(frozenset(q for i, q in enumerate(names) if m >> i & 1) for m in state)
+
+
+def as_masks(hat, pending, kset):
+    """The goal state with these pending and kset members, as as_sets reads it."""
+    index = hat.source.state_sort_key
+    return tuple(sum(1 << index(q) for q in members) for members in (pending, kset))
+
+
+def classes(automaton):
+    """{(state, coalition action): its (observation, successor) classes}, in
+    state and action order, read off the automaton's rows; () fails to BOT."""
+    return {(state, c_a): pairs for state in automaton.states
+            for c_a, pairs in automaton.rows[state][0].items()}
+
+
+def delta(automaton):
+    """{(state, coalition action): its successors}, keyed as classes(); an
+    action without classes leads to BOT alone."""
+    return {key: tuple(t for _, t in pairs) or (BOT,)
+            for key, pairs in classes(automaton).items()}
+
 
 def until_accept(automaton):
     """Occurrence family for until: the path visits an obligation-free state and
@@ -419,6 +455,7 @@ def generic_occurrence_emptiness(automaton, accept, guard=DEFAULT_ORACLE_GUARD):
         raise EmptinessError("size guard exceeded: %d automaton states > %d"
                              % (len(automaton.states), guard))
     memo = {}
+    moves = delta(automaton)
 
     def solve(visited):
         if visited in memo:
@@ -437,7 +474,7 @@ def generic_occurrence_emptiness(automaton, accept, guard=DEFAULT_ORACLE_GUARD):
             changed = False
             for s in visited:
                 value = any(
-                    all(successor_value(t) for t in automaton.delta[(s, c_a)])
+                    all(successor_value(t) for t in moves[(s, c_a)])
                     for c_a in automaton.alphabet)
                 if value != values[s]:
                     values[s] = value
@@ -573,7 +610,7 @@ def history_witness_map(solution, automaton, hat):
         mapping[history] = c_a
         if len(history) >= depth_cap:
             continue
-        for z, target in automaton.classes[(state, c_a)]:
+        for z, target in automaton.rows[state][0][c_a]:
             queue.append((target, history + (z,)))
     return mapping
 
@@ -663,35 +700,37 @@ def reference_split(g, coalition, limit=None):
 
 
 def reference_goal_initial(hat, p1, p2, s):
-    """The goal-table state a walk from kset s starts in: BOT when some member
-    holds neither goal prop, else the members without p2 pending."""
+    """The goal state, as a pair of sets, a walk from kset s starts in: SET_BOT
+    when some member holds neither goal prop, else the members without p2
+    pending."""
     labels = hat.source.labels
     if any(not labels[q] & {p1, p2} for q in s):
-        return BOT
-    return AutomatonState(frozenset(q for q in s if p2 not in labels[q]), s)
+        return SET_BOT
+    return frozenset(q for q in s if p2 not in labels[q]), frozenset(s)
 
 
 def reference_goal_row(hat, p1, p2, state):
-    """A goal-table row from frozensets: per coalition action, in product
-    order, BOT when the state is BOT or some successor of a pending state
-    holds neither goal prop; else one successor per observation of the
-    kset's successors, ordered by its sorted props, with the kset's outcome
-    class (oracles.out) as kset and the pending states' class less the p2
-    states as pending. Returns, keyed by coalition action, the successors
-    (delta) and the (observation, successor) pairs (classes, empty for BOT),
-    then the distinct successors."""
+    """A goal-table row from frozensets, for a state given as a pair of sets:
+    per coalition action, in product order, SET_BOT when the state is SET_BOT
+    or some successor of a pending state holds neither goal prop; else one
+    successor per observation of the kset's successors, ordered by its sorted
+    props, with the kset's outcome class (oracles.out) as kset and the
+    pending states' class less the p2 states as pending. Returns, keyed by
+    coalition action, the successors (delta) and the (observation, successor)
+    pairs (classes, empty for SET_BOT), then the distinct successors."""
     g, coalition = hat.source, hat.coalition
     delta, classes = {}, {}
     for c_a in coalition_actions(g, coalition):
         moves = list(extensions(g, coalition, c_a))
-        if state.is_bot or any(not g.labels[t] & {p1, p2} for c in moves
-                               for q in state.pending for t in g.succ(q, c)):
-            delta[c_a], classes[c_a] = (BOT,), ()
+        if state == SET_BOT or any(not g.labels[t] & {p1, p2} for c in moves
+                                   for q in state[0] for t in g.succ(q, c)):
+            delta[c_a], classes[c_a] = (SET_BOT,), ()
             continue
-        seen = {g.obs(coalition, t) for c in moves for q in state.kset for t in g.succ(q, c)}
-        pairs = tuple((z, AutomatonState(
-            frozenset(t for t in out(g, state.pending, coalition, c_a, z) if p2 not in g.labels[t]),
-            out(g, state.kset, coalition, c_a, z))) for z in sorted(seen, key=sorted))
+        pending, kset = state
+        seen = {g.obs(coalition, t) for c in moves for q in kset for t in g.succ(q, c)}
+        pairs = tuple((z, (
+            frozenset(t for t in out(g, pending, coalition, c_a, z) if p2 not in g.labels[t]),
+            out(g, kset, coalition, c_a, z))) for z in sorted(seen, key=sorted))
         delta[c_a], classes[c_a] = tuple(t for _, t in pairs), pairs
     return delta, classes, tuple(dict.fromkeys(t for ts in delta.values() for t in ts))
 
@@ -701,9 +740,10 @@ def construction_failures(hat):
     construction, which the checker does not re-check as it runs.
 
     Every refined state's base lies in its kset, and every kset is one
-    coalition observation. Every state of the hat's goal tables, expanded or
-    met as a successor, has its pending set inside its kset, a kset that is
-    one coalition observation, and pending states labeled p1 and not p2.
+    coalition observation. Every state but BOT of the hat's goal tables,
+    expanded or met as a successor, has its pending set inside its kset, a
+    kset that is one coalition observation, and pending states labeled p1
+    and not p2.
     Returns one line per violation; empty means all hold."""
     g, coalition = hat.source, hat.coalition
     problems = []
@@ -720,15 +760,17 @@ def construction_failures(hat):
         seen = set()
         for state, (_, successors) in table.items():
             for s in (state,) + successors:
-                if s in seen or s.is_bot:
+                if s in seen or s == BOT:
                     continue
                 seen.add(s)
-                where = "goal table (%s, %s) state %s" % (p1, p2, s.pretty())
-                if not s.pending <= s.kset:
+                pending, kset = as_sets(hat, s)
+                where = "goal table (%s, %s) state (%s, %s)" % (
+                    p1, p2, g.sorted_states(pending), g.sorted_states(kset))
+                if not pending <= kset:
                     problems.append("%s: pending escapes the kset" % where)
-                if incoherent(s.kset):
+                if incoherent(kset):
                     problems.append("%s: incoherent kset" % where)
-                if any(p1 not in g.labels[r] or p2 in g.labels[r] for r in s.pending):
+                if any(p1 not in g.labels[r] or p2 in g.labels[r] for r in pending):
                     problems.append("%s: a pending state lacks p1 or holds p2" % where)
     return problems
 

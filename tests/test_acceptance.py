@@ -12,7 +12,7 @@ import pytest
 
 import atldk.formula as fm
 from atldk import (
-    AutomatonState,
+    BOT,
     build_until_automaton,
     build_weak_until_automaton,
     check_until_nonempty,
@@ -23,10 +23,12 @@ from atldk import (
 )
 from atldk.strategy_automata import UNTIL, WEAK_UNTIL, level_automaton
 from oracles import (
+    as_masks,
     atl_next,
     atl_until,
     atl_weak_until,
     construction_failures,
+    delta,
     generic_occurrence_emptiness,
     level_truth,
     random_arena,
@@ -113,16 +115,17 @@ def test_criterion_3_automaton_golden(corpus):
         automaton = level.automata[source]
         solution = level.solution
         nonempty = automaton.init in solution.winning
-        goal = AutomatonState(frozenset(), frozenset({"q12"}))
+        goal = as_masks(level.hat, [], ["q12"])
+        moves = delta(automaton)
 
         def every_choice_path_hits_goal(state, on_path):
             if state == goal:
                 return True
-            if state.is_bot or state in on_path or state not in solution.choice:
+            if state == BOT or state in on_path or state not in solution.choice:
                 return False
             c_a = solution.choice[state]
             return all(every_choice_path_hits_goal(t, on_path | {state})
-                       for t in automaton.delta[(state, c_a)])
+                       for t in moves[(state, c_a)])
 
         ok = nonempty and every_choice_path_hits_goal(automaton.init, frozenset())
     finally:

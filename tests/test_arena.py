@@ -835,6 +835,23 @@ class TestStrategy:
         strategy = Strategy(("a1",), {(frozenset({"p"}),): ("a",)}, ("b",))
         json.dumps(strategy.to_document())
 
+    def test_document_coalition_must_be_a_list(self):
+        """A string coalition is not read as its characters."""
+        doc = {"coalition": "Alice", "default": {"Alice": "i"}, "map": []}
+        with pytest.raises(ArenaError, match="'coalition' must be a list"):
+            Strategy.from_document(doc)
+
+    def test_document_default_must_cover_the_coalition(self):
+        doc = {"coalition": ["Alice", "Bob"], "default": {"Alice": "i"}, "map": []}
+        with pytest.raises(ArenaError, match="'default' has no action for Bob"):
+            Strategy.from_document(doc)
+
+    def test_document_map_action_must_cover_the_coalition(self):
+        doc = {"coalition": ["Alice", "Bob"], "default": {"Alice": "i", "Bob": "i"},
+               "map": [{"history": [["valid"]], "action": {"Bob": "g"}}]}
+        with pytest.raises(ArenaError, match="'action' of a map entry has no action for Alice"):
+            Strategy.from_document(doc)
+
 
 class TestGeneratorSanity:
     @settings(max_examples=60, deadline=None)

@@ -27,8 +27,8 @@ from atldk.checker import MODAL_CASES, _eval_boolean
 from atldk.emptiness import check_until_nonempty, check_weak_nonempty
 from atldk.strategy_automata import (build_until_automaton, build_weak_until_automaton,
                                      level_automaton)
-from oracles import (construction_failures, hat_state_of, initialized_runs, knowledge_oracle,
-                     level_truth, random_arena, random_coalition, until_oracle)
+from oracles import (construction_failures, delta, hat_state_of, initialized_runs,
+                     knowledge_oracle, level_truth, random_arena, random_coalition, until_oracle)
 
 AB = ["Alice", "Bob"]
 EXAMPLE = "<Alice,Bob>(valid U (c & s))"
@@ -363,16 +363,16 @@ def goal_levels(seeds=range(150)):
             yield (seed, kind), level, own
 
 
-def reaches_a_target(automaton, choice, state, verdicts):
-    """Every path from state that follows choice reaches a target, without
-    visiting BOT or repeating a state. verdicts memoizes per state; a state
-    met again while its own verdict is pending lies on a cycle and reads
-    False."""
+def reaches_a_target(automaton, moves, choice, state, verdicts):
+    """Every path from state that follows choice through moves (oracles.delta)
+    reaches a target, without visiting BOT or repeating a state. verdicts
+    memoizes per state; a state met again while its own verdict is pending
+    lies on a cycle and reads False."""
     if state not in verdicts:
         verdicts[state] = False
         verdicts[state] = automaton.is_target(state) or (state in choice and all(
-            reaches_a_target(automaton, choice, t, verdicts)
-            for t in automaton.delta[(state, choice[state])]))
+            reaches_a_target(automaton, moves, choice, t, verdicts)
+            for t in moves[(state, choice[state])]))
     return verdicts[state]
 
 
@@ -407,10 +407,10 @@ class TestOneSolvePerLevel:
             if level.case != "until":
                 continue
             for automaton in level.automata.values():
-                verdicts = {}
+                moves, verdicts = delta(automaton), {}
                 for state in automaton.states:
                     if state in level.solution.winning:
-                        assert reaches_a_target(automaton, level.solution.choice, state,
+                        assert reaches_a_target(automaton, moves, level.solution.choice, state,
                                                 verdicts), case
 
 

@@ -57,7 +57,6 @@ PUBLIC_SIGNATURES = {
     "label_knowledge": "(hat, prop)",
     "label_next": "(hat, prop)",
     "AutomatonError": "(self, /, *args, **kwargs)",
-    "AutomatonState": "(self, /, *args, **kwargs)",
     "TreeAutomaton": "(self, kind, hat, rows, source_kset, init, starts=None)",
     "build_until_automaton": "(hat, p1, p2, source_kset)",
     "build_weak_until_automaton": "(hat, p1, p2, source_kset)",

@@ -21,6 +21,8 @@ from atldk import (
 from atldk.emptiness import _WitnessMachine
 from atldk.strategy_automata import WEAK_UNTIL, level_automaton
 from oracles import (
+    as_masks,
+    delta,
     generic_occurrence_emptiness,
     history_witness_map,
     random_arena,
@@ -150,9 +152,8 @@ class TestCorpusGame:
         _, _, automaton = setup
         nonempty, solution = check_until_nonempty(automaton)
         assert nonempty
-        from atldk import AutomatonState
-        q9 = AutomatonState(frozenset({"q9"}), frozenset({"q9"}))
-        q10 = AutomatonState(frozenset({"q10"}), frozenset({"q10"}))
+        q9 = as_masks(automaton.hat, ["q9"], ["q9"])
+        q10 = as_masks(automaton.hat, ["q10"], ["q10"])
         assert solution.choice[q9] == ("tc", "ds")
         assert solution.choice[q10] == ("tc", "ds")
         assert solution.choice[automaton.init] == ("g", "g")
@@ -160,8 +161,7 @@ class TestCorpusGame:
     def test_blocked_branches_stay_out_of_the_winning_region(self, setup):
         _, _, automaton = setup
         _, solution = check_until_nonempty(automaton)
-        from atldk import AutomatonState
-        q13 = AutomatonState(frozenset({"q13"}), frozenset({"q13"}))
+        q13 = as_masks(automaton.hat, ["q13"], ["q13"])
         assert q13 in automaton.states
         assert q13 not in solution.winning
 
@@ -194,17 +194,18 @@ def choice_game_violations(automaton, nonempty, solution):
     has a choice, and every chosen action keeps all successors winning.
     """
     problems = []
+    moves = delta(automaton)
     if nonempty != (automaton.init in solution.winning):
         problems.append("verdict disagrees with the winning region at init")
     if automaton.kind == "until":
         def every_choice_path_hits_target(state, on_path):
             if automaton.is_target(state):
                 return True
-            if state.is_bot or state in on_path or state not in solution.choice:
+            if state == BOT or state in on_path or state not in solution.choice:
                 return False
             c_a = solution.choice[state]
             return all(every_choice_path_hits_target(t, on_path | {state})
-                       for t in automaton.delta[(state, c_a)])
+                       for t in moves[(state, c_a)])
 
         for state in solution.winning:
             if not every_choice_path_hits_target(state, frozenset()):
@@ -217,7 +218,7 @@ def choice_game_violations(automaton, nonempty, solution):
             if state not in solution.choice:
                 problems.append("winning %s has no choice" % automaton.pretty(state))
             elif not all(t in solution.winning
-                         for t in automaton.delta[(state, solution.choice[state])]):
+                         for t in moves[(state, solution.choice[state])]):
                 problems.append("choice at %s leaves the winning region"
                                 % automaton.pretty(state))
     return problems

@@ -1,6 +1,7 @@
 """Goal automata: initial states, transition rules, invariants, rendering."""
 
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from atldk import (
     BOT,
     AutomatonError,
-    AutomatonState,
     build_until_automaton,
     build_weak_until_automaton,
     load_alicebob,
@@ -17,14 +17,16 @@ from atldk import (
     to_dot,
 )
 from atldk.strategy_automata import level_automaton
-from oracles import (coalition_actions, extensions, random_arena, random_coalition,
-                     reference_goal_initial, reference_goal_row)
+from oracles import (as_masks, as_sets, classes, coalition_actions, delta, extensions,
+                     random_arena, random_coalition, reference_goal_initial, reference_goal_row)
 
 AB = ["Alice", "Bob"]
+Q123 = ["q1", "q2", "q3"]
 
 
 def pair(pending, kset):
-    return AutomatonState(frozenset(pending), frozenset(kset))
+    """A goal state as oracles.as_sets writes it."""
+    return frozenset(pending), frozenset(kset)
 
 
 @pytest.fixture(scope="module")
@@ -59,50 +61,50 @@ class TestInitialState:
 
     def test_discharged_member_starts_without_obligations(self, goal_hat):
         automaton = build_until_automaton(goal_hat, "valid", "goal", {"q12"})
-        assert automaton.init == pair([], ["q12"])
+        assert as_sets(goal_hat, automaton.init) == pair([], ["q12"])
         assert automaton.is_target(automaton.init)
 
-    def test_undischarged_members_start_pending(self, corpus_automaton):
-        assert corpus_automaton.init == pair(["q0"], ["q0"])
+    def test_undischarged_members_start_pending(self, goal_hat, corpus_automaton):
+        assert as_sets(goal_hat, corpus_automaton.init) == pair(["q0"], ["q0"])
         assert not corpus_automaton.is_target(corpus_automaton.init)
 
     def test_pending_excludes_already_discharged_states(self, goal_hat):
-        automaton = build_until_automaton(goal_hat, "valid", "c", {"q1", "q2", "q3"})
-        assert automaton.init == pair(["q1", "q2", "q3"], ["q1", "q2", "q3"])
+        automaton = build_until_automaton(goal_hat, "valid", "c", set(Q123))
+        assert as_sets(goal_hat, automaton.init) == pair(Q123, Q123)
 
 
 class TestTransitionRules:
     def test_losing_action_fails(self, corpus_automaton):
         init = corpus_automaton.init
-        assert corpus_automaton.delta[(init, ("i", "i"))] == (BOT,)
-        assert corpus_automaton.classes[(init, ("i", "i"))] == ()
+        assert delta(corpus_automaton)[(init, ("i", "i"))] == (BOT,)
+        assert classes(corpus_automaton)[(init, ("i", "i"))] == ()
 
-    def test_safe_action_follows_the_outcome(self, corpus_automaton):
-        init = corpus_automaton.init
-        shared = ["q1", "q2", "q3"]
-        assert corpus_automaton.delta[(init, ("g", "g"))] == (pair(shared, shared),)
+    def test_safe_action_follows_the_outcome(self, goal_hat, corpus_automaton):
+        successors = delta(corpus_automaton)[(corpus_automaton.init, ("g", "g"))]
+        assert [as_sets(goal_hat, t) for t in successors] == [pair(Q123, Q123)]
 
-    def test_observation_classes_split_successor_pairs(self, corpus_automaton):
-        shared = pair(["q1", "q2", "q3"], ["q1", "q2", "q3"])
-        successors = corpus_automaton.delta[(shared, ("i", "i"))]
-        assert set(successors) == {
+    def test_observation_classes_split_successor_pairs(self, goal_hat, corpus_automaton):
+        shared = as_masks(goal_hat, Q123, Q123)
+        successors = delta(corpus_automaton)[(shared, ("i", "i"))]
+        assert {as_sets(goal_hat, t) for t in successors} == {
             pair(["q4"], ["q4"]), pair(["q5"], ["q5"]), pair(["q6"], ["q6"])}
-        classes = dict(corpus_automaton.classes[(shared, ("i", "i"))])
-        assert classes[frozenset({"y_a", "x_b", "valid"})] == pair(["q4"], ["q4"])
+        by_observation = dict(classes(corpus_automaton)[(shared, ("i", "i"))])
+        assert as_sets(goal_hat, by_observation[frozenset({"y_a", "x_b", "valid"})]) == pair(
+            ["q4"], ["q4"])
 
-    def test_discharge_produces_a_target(self, corpus_automaton):
-        state = pair(["q9"], ["q9"])
+    def test_discharge_produces_a_target(self, goal_hat, corpus_automaton):
+        state, done = as_masks(goal_hat, ["q9"], ["q9"]), as_masks(goal_hat, [], ["q12"])
         assert state in corpus_automaton.states
-        assert corpus_automaton.delta[(state, ("tc", "ds"))] == (pair([], ["q12"]),)
-        assert corpus_automaton.is_target(pair([], ["q12"]))
+        assert delta(corpus_automaton)[(state, ("tc", "ds"))] == (done,)
+        assert corpus_automaton.is_target(done)
 
     def test_bot_is_absorbing(self, corpus_automaton):
         for c_a in corpus_automaton.alphabet:
-            assert corpus_automaton.delta[(BOT, c_a)] == (BOT,)
+            assert delta(corpus_automaton)[(BOT, c_a)] == (BOT,)
 
-    def test_discharged_pairs_track_the_kset_onward(self, corpus_automaton):
-        done = pair([], ["q12"])
-        assert corpus_automaton.delta[(done, ("i", "i"))] == (done,)
+    def test_discharged_pairs_track_the_kset_onward(self, goal_hat, corpus_automaton):
+        done = as_masks(goal_hat, [], ["q12"])
+        assert delta(corpus_automaton)[(done, ("i", "i"))] == (done,)
 
     def test_alphabet_and_first_state(self, corpus_automaton):
         assert corpus_automaton.states[0] == corpus_automaton.init
@@ -112,7 +114,7 @@ class TestTransitionRules:
     def test_weak_until_shares_the_transition_structure(self, goal_hat):
         until = build_until_automaton(goal_hat, "valid", "goal", {"q0"})
         weak = build_weak_until_automaton(goal_hat, "valid", "goal", {"q0"})
-        assert until.delta == weak.delta
+        assert delta(until) == delta(weak)
         assert until.kind == "until" and weak.kind == "weak-until"
 
 
@@ -138,11 +140,12 @@ class TestInvariants:
         g = automaton.hat.source
         coalition = automaton.hat.coalition
         for state in automaton.states:
-            if state.is_bot:
+            if state == BOT:
                 continue
-            assert state.pending <= state.kset
-            assert len({g.obs(coalition, q) for q in state.kset}) == 1
-            for q in state.pending:
+            pending, kset = as_sets(automaton.hat, state)
+            assert pending <= kset
+            assert len({g.obs(coalition, q) for q in kset}) == 1
+            for q in pending:
                 assert automaton.p1 in g.labels[q]
                 assert automaton.p2 not in g.labels[q]
 
@@ -156,25 +159,27 @@ class TestInvariants:
         g = automaton.hat.source
         coalition = automaton.hat.coalition
         discharged = {q for q in g.states if automaton.p2 in g.labels[q]}
+        moves, by_action = delta(automaton), classes(automaton)
         for state in automaton.states:
-            if state.is_bot:
+            if state == BOT:
                 continue
+            pending, kset = as_sets(automaton.hat, state)
             for c_a in automaton.alphabet:
-                class_list = automaton.classes[(state, c_a)]
+                class_list = [(z, as_sets(automaton.hat, t)) for z, t in by_action[(state, c_a)]]
                 if not class_list:
-                    assert automaton.delta[(state, c_a)] == (BOT,)
+                    assert moves[(state, c_a)] == (BOT,)
                     continue
                 all_kset_successors = {
                     t for c in extensions(g, coalition, c_a)
-                    for r in state.kset for t in g.succ(r, c)}
-                assert frozenset().union(*(t.kset for _, t in class_list)) == all_kset_successors
+                    for r in kset for t in g.succ(r, c)}
+                assert frozenset().union(*(t[1] for _, t in class_list)) == all_kset_successors
                 all_pending_successors = {
                     t for c in extensions(g, coalition, c_a)
-                    for r in state.pending for t in g.succ(r, c)}
-                relabeled = frozenset().union(*(t.pending for _, t in class_list))
+                    for r in pending for t in g.succ(r, c)}
+                relabeled = frozenset().union(*(t[0] for _, t in class_list))
                 assert relabeled == all_pending_successors - discharged
                 for z, t in class_list:
-                    assert all(g.obs(coalition, q) == z for q in t.kset)
+                    assert all(g.obs(coalition, q) == z for q in t[1])
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10 ** 6))
@@ -185,9 +190,10 @@ class TestInvariants:
             return
         universe = set(automaton.states)
         assert automaton.init in universe
+        moves = delta(automaton)
         for state in automaton.states:
             for c_a in automaton.alphabet:
-                successors = automaton.delta[(state, c_a)]
+                successors = moves[(state, c_a)]
                 assert successors
                 assert set(successors) <= universe
 
@@ -217,20 +223,20 @@ class TestSharedTable:
                 case = (seed, goals, sorted(s))
                 assert view.states == fresh.states, case
                 assert view.init == fresh.init, case
-                assert view.delta == fresh.delta, case
-                assert view.classes == fresh.classes, case
-                assert set(view.delta) == {
+                assert delta(view) == delta(fresh), case
+                assert classes(view) == classes(fresh), case
+                assert set(delta(view)) == {
                     (q, c_a) for q in view.states for c_a in view.alphabet}
 
 
 class TestReferenceRows:
     def test_rows_equal_the_frozenset_reference(self):
         """Every goal-table row that model_check fills for an until or a
-        weak-until goal equals the row built from frozensets
-        (oracles.reference_goal_row): classes in action and observation
-        order, and the successors in first-seen order. The level automaton's
-        delta and classes, read off the rows, equal the reference's in state
-        and action order."""
+        weak-until goal, its states read as sets (oracles.as_sets), equals
+        the row built from frozensets (oracles.reference_goal_row): classes
+        in action and observation order, and the successors in first-seen
+        order. The level automaton's delta and classes, read off the rows,
+        equal the reference's in state and action order."""
         levels = bot_rows = goal_failures = discharges = 0
         for seed in range(200):
             rng = random.Random(seed)
@@ -249,78 +255,85 @@ class TestReferenceRows:
                     levels += 1
                     hat, p1, p2 = level.hat, level.chi.left.name, level.chi.right.name
                     table, case = hat._goal_tables[(p1, p2)], (seed, text)
+                    sets = partial(as_sets, hat)
                     for s in hat.ksets:
-                        assert table.initial(s) == reference_goal_initial(hat, p1, p2, s), case
+                        assert sets(table.initial(s)) == reference_goal_initial(hat, p1, p2, s), case
                     wants = {}
-                    for state, (classes, successors) in table.items():
-                        want = wants[state] = reference_goal_row(hat, p1, p2, state)
-                        assert list(classes.items()) == list(want[1].items()), case
-                        assert successors == want[2], case
-                        bot_rows += state.is_bot
-                        goal_failures += not state.is_bot and BOT in successors
-                        for c_a, pairs in classes.items():
+                    for state, (row, successors) in table.items():
+                        want = wants[state] = reference_goal_row(hat, p1, p2, sets(state))
+                        assert [(c_a, tuple((z, sets(t)) for z, t in pairs))
+                                for c_a, pairs in row.items()] == list(want[1].items()), case
+                        assert tuple(map(sets, successors)) == want[2], case
+                        bot_rows += state == BOT
+                        goal_failures += state != BOT and BOT in successors
+                        for c_a, pairs in row.items():
                             source = hat.source
                             reached = {t for c in extensions(source, coalition, c_a) if pairs
-                                       for q in state.pending for t in source.succ(q, c)}
+                                       for q in sets(state)[0] for t in source.succ(q, c)}
                             discharges += any(p2 in source.labels[t] for t in reached)
                     game = level_automaton(level.case, hat, p1, p2)
                     assert set(game.states) == set(wants), case
-                    for read, want in ((game.delta, 0), (game.classes, 1)):
-                        assert list(read.items()) == [
-                            ((state, c_a), value) for state in game.states
-                            for c_a, value in wants[state][want].items()], case
+                    assert [(key, tuple(map(sets, ts))) for key, ts in delta(game).items()] == [
+                        ((state, c_a), value) for state in game.states
+                        for c_a, value in wants[state][0].items()], case
+                    assert [(key, tuple((z, sets(t)) for z, t in pairs))
+                            for key, pairs in classes(game).items()] == [
+                        ((state, c_a), value) for state in game.states
+                        for c_a, value in wants[state][1].items()], case
         counts = (levels, bot_rows, goal_failures, discharges)
         assert min(counts) > 20, counts
 
 
-class TestAutomatonStateValue:
-    def test_spellings_are_one_value(self):
-        spellings = [
-            AutomatonState(["q2", "q1"], ["q1", "q2", "q3"]),
-            AutomatonState({"q1", "q2"}, {"q3", "q2", "q1"}),
-            AutomatonState(frozenset({"q1", "q2"}), frozenset({"q1", "q2", "q3"})),
-        ]
-        for first in spellings:
-            table = {first: "found"}
-            for second in spellings:
-                assert first == second
-                assert hash(first) == hash(second)
-                assert table[second] == "found"
-            assert first.pending == frozenset({"q1", "q2"})
-            assert first.kset == frozenset({"q1", "q2", "q3"})
-        assert len(set(spellings)) == 1
-        assert AutomatonState(["q1"], ["q1", "q2"]) != AutomatonState(["q2"], ["q1", "q2"])
-        assert AutomatonState(["q1"], ["q1", "q2"]) != AutomatonState(["q1"], ["q1"])
+class TestStateFormat:
+    def test_states_are_int_pairs(self):
+        """Every goal-table key and every successor in a row, classes
+        included, is a pair of ints."""
+        def int_pair(state):
+            return type(state) is tuple and len(state) == 2 and all(
+                type(m) is int for m in state)
 
-    def test_bot_is_not_the_empty_pair(self):
-        empty = AutomatonState((), ())
-        assert BOT == AutomatonState(None, None)
-        assert BOT != empty and hash(BOT) != hash(empty)
-        assert len({BOT, empty}) == 2
-        assert BOT.is_bot
-        assert not empty.is_bot
-        assert not pair({"q1"}, {"q1"}).is_bot
-        assert BOT.pending is None and BOT.kset is None
+        for seed in range(100):
+            automaton = random_automaton(random.Random(seed))
+            if automaton is None:
+                continue
+            assert automaton.init in automaton.states  # the walk fills the rows
+            for state, (row, successors) in automaton.rows.items():
+                assert int_pair(state), (seed, state)
+                assert all(map(int_pair, successors)), (seed, state)
+                assert all(int_pair(t) for pairs in row.values() for _, t in pairs), (seed, state)
 
-    def test_pretty_and_repr_pinned(self, corpus_automaton):
+    def test_bot_is_not_a_discharged_pair(self, goal_hat, corpus_automaton):
+        """BOT is (0, 0); a discharged pair (0, m) has a nonempty kset m and
+        is a target, BOT is not; BOT's row fails on every action."""
+        assert BOT == (0, 0)
+        assert not corpus_automaton.is_target(BOT)
+        assert all(state[1] for state in corpus_automaton.states if state != BOT)
+        for m in (1, 1 << 12, 6):
+            assert corpus_automaton.is_target((0, m))
+            assert not corpus_automaton.is_target((m, m))
+        targets = corpus_automaton.targets()
+        assert as_masks(goal_hat, [], ["q12"]) in targets
+        assert all(t[0] == 0 and t[1] for t in targets)
+        assert corpus_automaton.rows[BOT] == (
+            {c_a: () for c_a in corpus_automaton.alphabet}, (BOT,))
+
+    def test_pretty_pinned(self, goal_hat, corpus_automaton):
         state = corpus_automaton.states[1]
-        assert state == pair({"q1", "q2", "q3"}, {"q1", "q2", "q3"})
-        assert state.pretty() == "({q1,q2,q3},{q1,q2,q3})"
-        assert repr(state) == "AutomatonState(({q1,q2,q3},{q1,q2,q3}))"
+        assert as_sets(goal_hat, state) == pair(Q123, Q123)
+        assert corpus_automaton.pretty(state) == "({q1,q2,q3},{q1,q2,q3})"
         assert corpus_automaton.pretty(corpus_automaton.states[10]) == "({},{q12})"
-        assert repr(BOT) == "AutomatonState(bot)" and BOT.pretty() == "bot"
-        split_order = pair({"q10", "q9"}, {"q9", "q10", "q12"})
-        assert split_order.pretty() == "({q10,q9},{q10,q12,q9})"
+        assert corpus_automaton.pretty(BOT) == "bot"
+        split_order = as_masks(goal_hat, {"q10", "q9"}, {"q9", "q10", "q12"})
         assert corpus_automaton.pretty(split_order) == "({q9,q10},{q9,q10,q12})"
 
 
 class TestObservationClasses:
-    def test_deterministic_order(self, corpus_automaton):
-        state = pair({"q1", "q2", "q3"}, {"q1", "q2", "q3"})
-        classes = corpus_automaton.classes[(state, ("i", "i"))]
-        keys = [sorted(z) for z, _ in classes]
+    def test_deterministic_order(self, goal_hat, corpus_automaton):
+        state = as_masks(goal_hat, Q123, Q123)
+        class_list = classes(corpus_automaton)[(state, ("i", "i"))]
+        keys = [sorted(z) for z, _ in class_list]
         assert keys == sorted(keys)
-        merged = frozenset().union(*(target.kset for _, target in classes))
+        merged = frozenset().union(*(as_sets(goal_hat, t)[1] for _, t in class_list))
         assert merged == frozenset({"q4", "q5", "q6"})
 
 
