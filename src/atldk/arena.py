@@ -130,7 +130,8 @@ class Arena:
         self.transitions = {key: frozenset(targets) for key, targets in transitions.items()}
         self.props = frozenset().union(*self.observes.values()) | self.hidden
         self._state_index = {q: i for i, q in enumerate(self.states)}
-        # (coalition, {state: kset}) when split built this arena; a re-split reads it.
+        # What split recorded when it built this arena: its coalition, source,
+        # and each state's base and kset. A re-split and name read it.
         self._refinement = None
         self._validate()
 
@@ -221,6 +222,15 @@ class Arena:
         classes = view.outcome_masks(view.mask(source))[view.actions.index(c_a)]
         return MappingProxyType({view.observations[r]: view.to_set(t) for r, t in classes.items()})
 
+    def name(self, q):
+        """State q's text id: q itself in a loaded arena, base@{kset members}
+        in one that split built, rendered from the refinement on each call."""
+        return q if self._refinement is None else self._refinement.name(q)
+
+    def state_named(self, text):
+        """The state whose text id is text, or None."""
+        return next((q for q in self.states if self.name(q) == text), None)
+
     def state_sort_key(self, q):
         return self._state_index[q]
 
@@ -260,18 +270,19 @@ class Arena:
         return derived
 
     def to_document(self):
-        """Serialize back to the arena document schema."""
+        """Serialize back to the arena document schema, states by their text ids."""
+        name = {q: self.name(q) for q in self.states}.__getitem__
         doc = {
             "agents": [
                 {"name": a, "actions": list(self.actions[a]), "observes": sorted(self.observes[a])}
                 for a in self.agents
             ],
             "hidden_props": sorted(self.hidden),
-            "states": [{"id": q, "labels": sorted(self.labels[q])} for q in self.states],
-            "initial": list(self.initial),
+            "states": [{"id": name(q), "labels": sorted(self.labels[q])} for q in self.states],
+            "initial": list(map(name, self.initial)),
             "transitions": [
-                {"from": q, "actions": {a: act for a, act in zip(self.agents, c)},
-                 "to": self.sorted_states(targets)}
+                {"from": name(q), "actions": {a: act for a, act in zip(self.agents, c)},
+                 "to": list(map(name, self.sorted_states(targets)))}
                 for (q, c), targets in sorted(
                     self.transitions.items(),
                     key=lambda item: (self._state_index[item[0][0]],

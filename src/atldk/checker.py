@@ -219,49 +219,46 @@ def model_check(arena, f, state_cap=DEFAULT_STATE_CAP):
         table.levels.append(level)
         current = level.arena
     top_prop = enumeration[-1].prop
-    initial = [(q, top_prop in current.labels[q]) for q in current.initial]
+    initial = [(current.name(q), top_prop in current.labels[q]) for q in current.initial]
     holds = all(v for _, v in initial)
     return Verdict(holds, formula_text, table, initial, time.monotonic() - started)
 
 
 def explain(verdict, state_id):
-    """Trace a state at its deepest level back to the base arena, reporting the
-    label contributed at every step."""
-    table = verdict.table
-    top_level = None
-    for level in reversed(table.levels):
-        if state_id in level.arena.labels:
-            top_level = level
+    """Trace a state, given by its text id, at its deepest level back to the
+    base arena, reporting the label contributed at every step."""
+    levels = verdict.table.levels
+    base = verdict.table.base
+    for top in range(len(levels) - 1, -1, -1):
+        current = levels[top].arena.state_named(state_id)
+        if current is not None:
             break
-    chain = []
-    witness = None
-    if top_level is None:
-        if state_id not in table.base.labels:
-            raise CheckerError("unknown state id %s" % state_id)
     else:
-        current = state_id
-        index = table.levels.index(top_level)
-        for level in reversed(table.levels[:index + 1]):
-            entry = {
-                "level": level.k,
-                "state": current,
-                "case": level.case,
-                "prop": level.prop,
-                "labeled": level.prop in level.arena.labels[current],
-            }
-            if level.case in MODAL_CASES:
-                entry["kset"] = level.hat.source.sorted_states(level.hat.kset[current])
-                current = level.hat.base[current]
-            chain.append(entry)
-        if top_level.case in (UNTIL, WEAK_UNTIL) and chain[0]["labeled"]:
-            automaton = top_level.automata[top_level.hat.kset[chain[0]["state"]]]
-            witness = extract_witness_strategy(top_level.solution, automaton).to_document()
-        state_id = current
+        top, current = -1, base.state_named(state_id)
+        if current is None:
+            raise CheckerError("unknown state id %s" % state_id)
+    first = current
+    chain = []
+    for level in reversed(levels[:top + 1]):
+        entry = {
+            "level": level.k,
+            "state": level.arena.name(current),
+            "case": level.case,
+            "prop": level.prop,
+            "labeled": level.prop in level.arena.labels[current],
+        }
+        if level.case in MODAL_CASES:
+            source = level.hat.source
+            entry["kset"] = [source.name(q) for q in source.sorted_states(level.hat.kset[current])]
+            current = level.hat.base[current]
+        chain.append(entry)
     record = {
-        "state": state_id,
-        "base_labels": sorted(table.base.labels[state_id]),
+        "state": base.name(current),
+        "base_labels": sorted(base.labels[current]),
         "chain": chain,
     }
-    if witness is not None:
-        record["witness"] = witness
+    if chain and levels[top].case in (UNTIL, WEAK_UNTIL) and chain[0]["labeled"]:
+        level = levels[top]
+        automaton = level.automata[level.hat.kset[first]]
+        record["witness"] = extract_witness_strategy(level.solution, automaton).to_document()
     return record

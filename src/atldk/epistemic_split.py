@@ -3,7 +3,9 @@ and label knowledge and one-step coalition ability directly on the result."""
 
 from __future__ import annotations
 
-from .arena import Arena, ArenaError, _CoalitionView
+import copy
+
+from .arena import ArenaError, _CoalitionView
 
 
 class SplitLimitExceeded(ArenaError):
@@ -14,126 +16,176 @@ class HatArena:
     """The refined arena for one coalition, with provenance back to its source
     and the source's compiled view for the coalition.
 
-    The refined system is itself a valid Arena (same agents, actions, and
-    observability); state ids encode the base state and its kset. It records
-    the coalition and the kset map for a re-split, not this object.
+    The refined system is itself an Arena (same agents, actions, and
+    observability) whose states are the ints 0..n-1; base and kset list each
+    state's source state and kset. The arena records its coalition, source,
+    base and kset for a re-split and for rendering ids, not this object.
+    limit, the cap split was given, also bounds each goal table's rows.
     """
 
-    def __init__(self, arena, source, view, base, kset):
+    def __init__(self, arena, source, view, base, kset, limit=None):
         self.arena = arena
         self.source = source
         self.view = view
         self.coalition = frozenset(view.members)
         self.base = base
         self.kset = kset
+        self.limit = limit
         # Discovery order, which goal-table rows and until choices follow.
-        self.ksets = dict.fromkeys(kset.values()).keys()
+        self.ksets = dict.fromkeys(kset).keys()
         # Goal-automaton transitions per (p1, p2), filled by strategy_automata.
         self._goal_tables = {}
 
     def require_kset(self, s):
         s = frozenset(s)
         if s not in self.ksets:
-            raise ArenaError("unknown kset {%s}" % ",".join(sorted(s)))
+            raise ArenaError("unknown kset {%s}" % ",".join(sorted(map(str, s))))
         return s
 
 
-def _states_per_kset(kset):
-    """Per kset of a refinement, the set of its refined states that carry it."""
-    members = {}
-    for hid, s in kset.items():
-        members.setdefault(s, []).append(hid)
-    return {s: frozenset(hids) for s, hids in members.items()}
+class _Refinement:
+    """What split recorded on a refined arena: the coalition, the source arena,
+    and per state its base and kset. A state's text id is base@{kset members},
+    each member and the base named by the source, members in source order;
+    member text is rendered once per kset."""
+
+    __slots__ = ("coalition", "source", "base", "kset", "_text")
+
+    def __init__(self, coalition, source, base, kset):
+        self.coalition, self.source, self.base, self.kset = coalition, source, base, kset
+        self._text = {}
+
+    def name(self, h):
+        s, source = self.kset[h], self.source
+        text = self._text.get(s)
+        if text is None:
+            text = self._text[s] = ",".join(map(source.name, source.sorted_states(s)))
+        return "%s@{%s}" % (source.name(self.base[h]), text)
+
+
+# Characters that make a rendered id ambiguous when a loaded id contains one.
+_MARKS = frozenset(",@{}")
+
+
+def _check_ids(g, refinement, n):
+    """Reject the first of the first n refined states whose id an earlier one
+    already has, naming both ksets.
+
+    When no id of the loaded arena that g descends from contains , @ { or },
+    no two states can collide, and this is not called. Ids are then terms of
+    the grammar id := atom | id@{id,...,id}, where atoms hold none of those
+    characters: braces balance, so the last } matches one {, the text before
+    its @ is the base, and the commas outside inner braces split the members.
+    Each id parses one way, so distinct (base, kset) pairs, with members in
+    source order and named distinctly by induction, render distinctly."""
+    seen = {}
+    for h in range(n):
+        text = refinement.name(h)
+        first = seen.setdefault(text, h)
+        if first != h:
+            raise ArenaError("refined state id %r names two knowledge sets, %s and %s"
+                             % (text, *([g.name(q) for q in g.sorted_states(refinement.kset[k])]
+                                        for k in (first, h))))
+
+
+def _plain(g):
+    """Whether no id of the loaded arena g descends from contains , @ { or }."""
+    while g._refinement is not None:
+        g = g._refinement.source
+    return not any(_MARKS.intersection(q) for q in g.states)
 
 
 def split(g, coalition, limit=None):
     """Build the refined arena for a coalition, materializing reachable states only.
 
-    A refined state is a pair (base state, kset). The initial refined states
-    pair each initial state with the initial states it cannot be told apart
-    from; knowledge sets then evolve deterministically per coalition action
-    and observed label. A limit aborts the construction once more refined
-    states than that would be materialized.
+    A refined state is a pair (base state, kset), numbered 0..n-1 in the order
+    the walk meets it. The initial refined states pair each initial state with
+    the initial states it cannot be told apart from; knowledge sets then evolve
+    deterministically per coalition action and observed label. A limit aborts
+    the construction once more refined states than that would be materialized.
+    Split checks its arena by construction (tests/oracles.py
+    construction_failures re-checks it), so it skips Arena's validation.
 
     When g is itself a refinement by the same coalition, maybe with props
-    added since by with_prop, refining again adds no knowledge: the result is
-    g under new names, each state h paired with the states that share its
-    kset, in g's state order, and is built as that relabeling without
-    computing outcome classes.
+    added since by with_prop, refining again adds no knowledge: the walk would
+    number g's states as g does, each state h paired with the states that share
+    its kset. The result shares g's states, labels and transitions, and
+    records only that kset map, with each state its own base.
     """
-    base = {}
-    kset = {}
-    states = []
-    labels = {}
-    # Per kset, its members' text in g's state order. Same-coalition levels
-    # nest ids, so this text grows long; it is rendered once per kset.
-    kset_text = {}
-
-    def add(q, s):
-        """Materialize the refined state (q, s) under the id base@{members}."""
-        if limit is not None and len(states) >= limit:
-            raise SplitLimitExceeded(
-                "state cap exceeded: refinement for {%s} needs more than %d states"
-                % (",".join(sorted(coalition)), limit))
-        text = kset_text.get(s)
-        if text is None:
-            text = kset_text[s] = ",".join(g.sorted_states(s))
-        hid = "%s@{%s}" % (q, text)
-        if hid in base:
-            raise ArenaError("refined state id %r names two knowledge sets, %s and %s"
-                             % (hid, g.sorted_states(kset[hid]), g.sorted_states(s)))
-        base[hid] = q
-        kset[hid] = s
-        states.append(hid)
-        labels[hid] = g.labels[q]
-        return hid
-
     view = _CoalitionView(g, coalition)
-    refined_by, first_kset = g._refinement or (None, None)
-    if refined_by == frozenset(view.members):
-        # The walk below would intern the same states in g's own order.
-        lift = _states_per_kset(first_kset)
-        hids = {h: add(h, lift[s]) for h, s in first_kset.items()}
-        initial_ids = [hids[h] for h in g.initial]
-        transitions = {(hids[h], c): frozenset(map(hids.__getitem__, targets))
-                       for (h, c), targets in g.transitions.items()}
+    members = frozenset(view.members)
+    overrun = None
+
+    def exceeded():
+        return SplitLimitExceeded(
+            "state cap exceeded: refinement for {%s} needs more than %d states"
+            % (",".join(sorted(coalition)), limit))
+
+    refined = g._refinement
+    if refined is not None and refined.coalition == members:
+        n = len(g.states)
+        lift = {}
+        for h, s in enumerate(refined.kset):
+            lift.setdefault(s, []).append(h)
+        lift = {s: frozenset(hs) for s, hs in lift.items()}
+        base, kset = range(n), [lift[s] for s in refined.kset]
+        states, labels, initial, transitions = g.states, g.labels, g.initial, g.transitions
+        if limit is not None and n > limit:
+            overrun = exceeded()
     else:
-        # The walk runs on (state index, kset mask) pairs; a kset becomes a
-        # frozenset, one per mask, when its first refined state is added.
+        # The walk runs on (state index, kset mask) pairs, interned as ints.
         index, rank = view.index, view.rank
-        ids, pairs = {}, []
+        ids, pairs, transitions = {}, [], {}
 
         def intern(i, m):
-            """The id of the refined state (i, m), materializing it on first sight."""
-            hid = ids.get((i, m))
-            if hid is None:
-                hid = ids[(i, m)] = add(g.states[i], view.to_set(m))
-                pairs.append((hid, i, m))
-            return hid
+            """The number of the refined state (i, m), materializing it on first sight."""
+            h = ids.get((i, m))
+            if h is None:
+                if limit is not None and len(pairs) >= limit:
+                    raise exceeded()
+                h = ids[(i, m)] = len(pairs)
+                pairs.append((i, m))
+            return h
 
-        initial = [index[q] for q in g.initial]
-        initial_ids = [intern(i, sum(1 << j for j in initial if rank[j] == rank[i]))
-                       for i in initial]
+        try:
+            start = [index[q] for q in g.initial]
+            initial = tuple(intern(i, sum(1 << j for j in start if rank[j] == rank[i]))
+                            for i in start)
+            # Breadth first: the walk reaches the states interned as it goes, and
+            # reads the outcome classes of each state's kset once for all moves.
+            for h, (i, m) in enumerate(pairs):
+                outcomes = view.outcome_masks(m)
+                for c, k, successors in view.row(i):
+                    classes = outcomes[k]
+                    transitions[(h, c)] = frozenset([intern(t, classes[rank[t]])
+                                                     for t in successors])
+        except SplitLimitExceeded as exc:
+            overrun = exc
+        names, labels_g = g.states, g.labels
+        base = [names[i] for i, _ in pairs]
+        kset = [view.to_set(m) for _, m in pairs]
+        n = len(pairs)
+        states = range(n)
+        labels = {h: labels_g[q] for h, q in enumerate(base)}
 
-        transitions = {}
-        # Breadth first: the walk reaches the states interned as it goes, and
-        # reads the outcome classes of each state's kset once for all moves.
-        for hid, i, m in pairs:
-            outcomes = view.outcome_masks(m)
-            for c, k, successors in view.row(i):
-                classes = outcomes[k]
-                transitions[(hid, c)] = frozenset([intern(t, classes[rank[t]]) for t in successors])
-
-    arena = Arena(g.agents, g.actions, states, labels, initial_ids,
-                  g.observes, g.hidden, transitions)
-    arena._refinement = (frozenset(view.members), kset)
-    return HatArena(arena, g, view, base, kset)
+    refinement = _Refinement(members, g, base, kset)
+    if not _plain(g):
+        _check_ids(g, refinement, min(n, limit) if overrun else n)
+    if overrun is not None:
+        raise overrun
+    # A trusted copy of g's agents, actions and observations with the refined
+    # states, labels and transitions; what split builds is valid by construction.
+    arena = copy.copy(g)
+    arena.states, arena.labels, arena.initial, arena.transitions = (
+        states, labels, initial, transitions)
+    arena._state_index, arena._refinement = range(n), refinement
+    return HatArena(arena, g, view, base, kset, limit)
 
 
 def _per_kset(hat, holds):
     """{refined state: holds(its kset)}, deciding each kset once."""
     per_kset = {s: holds(s) for s in hat.ksets}
-    return {hid: per_kset[hat.kset[hid]] for hid in hat.arena.states}
+    return {h: per_kset[s] for h, s in enumerate(hat.kset)}
 
 
 def label_knowledge(hat, prop):

@@ -60,8 +60,9 @@ class TreeAutomaton:
         """The state as ({pending},{kset}) with members in arena order, or bot."""
         if state == BOT:
             return "bot"
-        names = self.hat.source.states
-        return "({%s},{%s})" % tuple(",".join(names[i] for i in _bits(m)) for m in state)
+        source = self.hat.source
+        return "({%s},{%s})" % tuple(",".join(source.name(source.states[i]) for i in _bits(m))
+                                     for m in state)
 
 
 def build_until_automaton(hat, p1, p2, source_kset):

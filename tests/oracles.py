@@ -666,7 +666,8 @@ def reference_split(g, coalition, limit=None):
     initial states of its observation. A pair's successors under a joint move
     are visited in arena order, each paired with the outcome class of the
     kset (oracles.out) that it lies in. A refined id is base@{kset members in
-    arena order}. Past limit refined states it raises SplitLimitExceeded."""
+    arena order}, each named by g. Past limit refined states it raises
+    SplitLimitExceeded."""
     obs = {q: g.obs(coalition, q) for q in g.states}
     ids, pairs, classes = {}, [], {}
 
@@ -676,7 +677,7 @@ def reference_split(g, coalition, limit=None):
                 raise SplitLimitExceeded(
                     "state cap exceeded: refinement for {%s} needs more than %d states"
                     % (",".join(sorted(coalition)), limit))
-            ids[(q, s)] = "%s@{%s}" % (q, ",".join(r for r in g.states if r in s))
+            ids[(q, s)] = "%s@{%s}" % (g.name(q), ",".join(g.name(r) for r in g.states if r in s))
             pairs.append((q, s))
         return ids[(q, s)]
 

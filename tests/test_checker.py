@@ -95,17 +95,18 @@ class TestLabelStep:
         chi = fm.Know(AB, fm.Atom("valid"))
         level = label_step(corpus, chi, "p#1")
         assert level.case == "knowledge"
-        assert "q1@{q1,q2,q3}" in level.arena.states
-        assert "p#1" in level.arena.labels["q1@{q1,q2,q3}"]
-        assert level.hat.base["q1@{q1,q2,q3}"] == "q1"
+        h = level.arena.state_named("q1@{q1,q2,q3}")
+        assert h in level.arena.states
+        assert "p#1" in level.arena.labels[h]
+        assert level.hat.base[h] == "q1"
         assert level.hat.coalition == frozenset(AB)
 
     def test_next_case(self, corpus):
         chi = fm.Next(AB, fm.Atom("valid"))
         level = label_step(corpus, chi, "p#1")
         assert level.case == "next"
-        assert "p#1" in level.arena.labels["q0@{q0}"]
-        assert "p#1" not in level.arena.labels["sink@{sink}"]
+        assert "p#1" in level.arena.labels[level.arena.state_named("q0@{q0}")]
+        assert "p#1" not in level.arena.labels[level.arena.state_named("sink@{sink}")]
 
     def test_until_case_records_solutions(self, corpus):
         chi = fm.Until(AB, fm.Atom("valid"), fm.Atom("c"))
@@ -113,13 +114,13 @@ class TestLabelStep:
         assert level.case == "until"
         assert level.hat is not None
         assert set(level.automata) == set(level.hat.ksets)
-        assert "p#1" in level.arena.labels["q0@{q0}"]
+        assert "p#1" in level.arena.labels[level.arena.state_named("q0@{q0}")]
 
     def test_weak_until_case(self, corpus):
         chi = fm.WeakUntil(AB, fm.Atom("valid"), fm.Atom("c"))
         level = label_step(corpus, chi, "p#1")
         assert level.case == "weak-until"
-        assert "p#1" in level.arena.labels["q0@{q0}"]
+        assert "p#1" in level.arena.labels[level.arena.state_named("q0@{q0}")]
 
     def test_rejects_two_modalities(self, corpus):
         chi = fm.And(fm.Know(AB, fm.Atom("c")), fm.Know(AB, fm.Atom("s")))
@@ -251,7 +252,8 @@ class TestHistorySemantics:
         truth = level_truth(level)
         return [(text, run) for run in runs
                 if (depth == len(game.states) or expected[run] != weak)
-                and truth[hat_state_of(g, level.hat, run)] != expected[run]], truth
+                and truth[hat_state_of(g, level.hat, run)] != expected[run]], {
+            level.arena.name(h): value for h, value in truth.items()}
 
     @pytest.mark.parametrize("operator", ["U", "W"])
     def test_goal_labels_match_the_run_search(self, operator):
@@ -551,21 +553,24 @@ class TestExplain:
                               % (c, p, c, p, c, p, p))
         levels = verdict.table.levels
         for hid in levels[-1].arena.states:
-            record = explain(verdict, hid)
+            record = explain(verdict, levels[-1].arena.name(hid))
             chain = record["chain"]
             assert [entry["level"] for entry in chain] == [lv.k for lv in reversed(levels)]
             below = [entry["state"] for entry in chain[1:]] + [record["state"]]
-            for entry, state, level in zip(chain, below, reversed(levels)):
-                labels = level.arena.labels[entry["state"]]
-                assert entry["labeled"] == (level.prop in labels)
+            for entry, below_name, level in zip(chain, below, reversed(levels)):
+                h = level.arena.state_named(entry["state"])
                 previous = levels[level.k - 2].arena if level.k > 1 else g
+                state = previous.state_named(below_name)
+                labels = level.arena.labels[h]
+                assert entry["labeled"] == (level.prop in labels)
                 assert labels - {level.prop} == previous.labels[state]
                 if level.hat is None:
-                    assert state == entry["state"] and "kset" not in entry
+                    assert state == h and "kset" not in entry
                 else:
-                    kset = level.hat.kset[entry["state"]]
-                    assert entry["kset"] == level.hat.source.sorted_states(kset)
-                    assert state == level.hat.base[entry["state"]] and state in kset
+                    kset = level.hat.kset[h]
+                    source = level.hat.source
+                    assert entry["kset"] == [source.name(q) for q in source.sorted_states(kset)]
+                    assert state == level.hat.base[h] and state in kset
             assert record["base_labels"] == sorted(g.labels[record["state"]])
 
     def test_unknown_state(self, example_verdict):
@@ -617,7 +622,7 @@ class TestOwnership:
             top = verdict.table.levels[-1]
             goal = [h for h in top.arena.states if top.prop in top.arena.labels[h]]
             if goal:
-                explained += "witness" in explain(verdict, goal[0])
+                explained += "witness" in explain(verdict, top.arena.name(goal[0]))
             del verdict, strategy, top
         assert gc.collect() == 0
         assert min(witnesses, explained, *(cases[case] for case in MODAL_CASES)) > 10, (

@@ -46,27 +46,40 @@ def corpus_hat(corpus):
     return split(corpus, AB)
 
 
+def named(hat, text):
+    """The refined state whose text id is text."""
+    h = hat.arena.state_named(text)
+    assert h is not None, text
+    return h
+
+
+def names(hat, states):
+    return {hat.arena.name(h) for h in states}
+
+
 class TestCorpusSplit:
     def test_state_count_and_ids(self, corpus_hat):
         assert len(corpus_hat.arena.states) == 16
-        assert "q1@{q1,q2,q3}" in corpus_hat.arena.states
-        assert "q4@{q4}" in corpus_hat.arena.states
+        assert list(corpus_hat.arena.states) == list(range(16))
+        assert {"q1@{q1,q2,q3}", "q4@{q4}"} <= names(corpus_hat, corpus_hat.arena.states)
 
     def test_initial(self, corpus_hat):
-        assert corpus_hat.arena.initial == ("q0@{q0}",)
+        assert corpus_hat.arena.initial == (0,)
+        assert corpus_hat.arena.name(0) == "q0@{q0}"
 
     def test_exactly_one_non_singleton_kset(self, corpus_hat):
         non_singleton = {s for s in corpus_hat.ksets if len(s) > 1}
         assert non_singleton == {frozenset({"q1", "q2", "q3"})}
 
     def test_deal_step_branches_into_the_shared_kset(self, corpus_hat):
-        successors = corpus_hat.arena.succ("q0@{q0}", ("g", "g"))
-        assert successors == frozenset(
-            {"q1@{q1,q2,q3}", "q2@{q1,q2,q3}", "q3@{q1,q2,q3}"})
+        successors = corpus_hat.arena.succ(named(corpus_hat, "q0@{q0}"), ("g", "g"))
+        assert names(corpus_hat, successors) == {
+            "q1@{q1,q2,q3}", "q2@{q1,q2,q3}", "q3@{q1,q2,q3}"}
 
     def test_reveal_step_collapses_the_kset(self, corpus_hat):
-        assert corpus_hat.arena.succ("q1@{q1,q2,q3}", ("i", "i")) == frozenset({"q4@{q4}"})
-        assert corpus_hat.arena.succ("q2@{q1,q2,q3}", ("i", "i")) == frozenset({"q5@{q5}"})
+        for text, to in (("q1@{q1,q2,q3}", "q4@{q4}"), ("q2@{q1,q2,q3}", "q5@{q5}")):
+            successors = corpus_hat.arena.succ(named(corpus_hat, text), ("i", "i"))
+            assert names(corpus_hat, successors) == {to}
 
     def test_labels_copied_from_base(self, corpus, corpus_hat):
         for hid in corpus_hat.arena.states:
@@ -74,8 +87,8 @@ class TestCorpusSplit:
 
     def test_single_agent_view_keeps_states_merged(self, corpus):
         hat = split(corpus, ["Alice"])
-        assert hat.arena.succ("q2@{q1,q2,q3}", ("i", "i")) == frozenset({"q5@{q5,q6}"})
-        assert hat.arena.succ("q3@{q1,q2,q3}", ("i", "i")) == frozenset({"q6@{q5,q6}"})
+        for text, to in (("q2@{q1,q2,q3}", "q5@{q5,q6}"), ("q3@{q1,q2,q3}", "q6@{q5,q6}")):
+            assert names(hat, hat.arena.succ(named(hat, text), ("i", "i"))) == {to}
 
     def test_split_is_deterministic(self, corpus, corpus_hat):
         again = split(corpus, AB)
@@ -110,11 +123,11 @@ class TestInitialGrouping:
 
     def test_indistinguishable_initials_share_a_kset(self):
         hat = split(load_arena(self.doc(["p"], ["p"])), ["a1"])
-        assert set(hat.arena.initial) == {"i0@{i0,i1}", "i1@{i0,i1}"}
+        assert names(hat, hat.arena.initial) == {"i0@{i0,i1}", "i1@{i0,i1}"}
 
     def test_distinguishable_initials_split(self):
         hat = split(load_arena(self.doc(["p"], [])), ["a1"])
-        assert set(hat.arena.initial) == {"i0@{i0}", "i1@{i1}"}
+        assert names(hat, hat.arena.initial) == {"i0@{i0}", "i1@{i1}"}
 
 
 class TestSplitInvariants:
@@ -175,7 +188,8 @@ class TestLiftProject:
     def test_corpus_round_trip(self, corpus, corpus_hat):
         run = Run(["q0", "q1", "q4", "q7"], [("g", "g"), ("i", "i"), ("e", "e")])
         lifted = lift_run(corpus, corpus_hat, run)
-        assert lifted.states == ("q0@{q0}", "q1@{q1,q2,q3}", "q4@{q4}", "q7@{q7}")
+        assert [corpus_hat.arena.name(h) for h in lifted.states] == [
+            "q0@{q0}", "q1@{q1,q2,q3}", "q4@{q4}", "q7@{q7}"]
         assert project_run(corpus_hat, lifted) == run
 
     def test_lift_rejects_bad_runs(self, corpus, corpus_hat):
@@ -202,13 +216,13 @@ class TestLiftProject:
 class TestKnowledgeLabels:
     def test_corpus_knowledge_golden(self, corpus, corpus_hat):
         labels = label_knowledge(corpus_hat, "valid")
-        assert labels["q1@{q1,q2,q3}"]
-        assert labels["q0@{q0}"]
-        assert not labels["sink@{sink}"]
+        assert labels[named(corpus_hat, "q1@{q1,q2,q3}")]
+        assert labels[named(corpus_hat, "q0@{q0}")]
+        assert not labels[named(corpus_hat, "sink@{sink}")]
 
     def test_kset_members_share_the_verdict(self, corpus_hat):
         labels = label_knowledge(corpus_hat, "yx")
-        shared = [labels["q%d@{q1,q2,q3}" % i] for i in (1, 2, 3)]
+        shared = [labels[named(corpus_hat, "q%d@{q1,q2,q3}" % i)] for i in (1, 2, 3)]
         assert shared == [False, False, False]
 
     def test_unknown_prop(self, corpus_hat):
@@ -237,7 +251,7 @@ class TestNextLabels:
     def test_corpus_next_golden(self, corpus):
         goal = corpus.with_prop("paid", ["q12", "q13"])
         hat = split(goal, AB)
-        labels = label_next(hat, "paid")
+        labels = {hat.arena.name(h): value for h, value in label_next(hat, "paid").items()}
         assert labels["q9@{q9}"]
         assert labels["q12@{q12}"]
         assert not labels["q14@{q14}"]
@@ -261,10 +275,20 @@ class TestNextLabels:
 
 
 def refinement_fields(hat):
-    """Everything split builds, each mapping as its items in build order."""
-    g = hat.arena
-    return (g.states, g.initial, list(g.labels.items()), list(g.transitions.items()),
-            list(hat.base.items()), list(hat.kset.items()), list(hat.ksets))
+    """Everything split builds, each mapping as its items in build order, with
+    every refined state by its text id and every source state by the source's."""
+    g, source = hat.arena, hat.source
+    name = g.name
+
+    def members(s):
+        return frozenset(map(source.name, s))
+
+    return ([name(h) for h in g.states], [name(h) for h in g.initial],
+            [(name(h), label) for h, label in g.labels.items()],
+            [((name(h), c), frozenset(map(name, targets)))
+             for (h, c), targets in g.transitions.items()],
+            [(name(h), source.name(hat.base[h])) for h in g.states],
+            [(name(h), members(hat.kset[h])) for h in g.states], list(map(members, hat.ksets)))
 
 
 def loaded_copy(arena):
@@ -341,8 +365,10 @@ class TestResplit:
 
 def misrendered_ids(hat):
     """The refined states whose id is not base@{kset members in source state order}."""
-    return [h for h in hat.arena.states if h != "%s@{%s}" % (
-        hat.base[h], ",".join(q for q in hat.source.states if q in hat.kset[h]))]
+    source = hat.source
+    return [h for h in hat.arena.states if hat.arena.name(h) != "%s@{%s}" % (
+        source.name(hat.base[h]), ",".join(source.name(q) for q in source.states
+                                             if q in hat.kset[h]))]
 
 
 class TestRefinedIds:
@@ -363,9 +389,14 @@ class TestRefinedIds:
                 assert misrendered_ids(hat) == [], seed
 
 
-def reference_fields(ref):
-    return (ref.states, ref.initial, list(ref.labels.items()), list(ref.transitions.items()),
-            list(ref.base.items()), list(ref.kset.items()), ref.ksets)
+def reference_fields(ref, g):
+    """reference_split's fields as refinement_fields gives them, g's states by their text ids."""
+    def members(s):
+        return frozenset(map(g.name, s))
+
+    return (list(ref.states), list(ref.initial), list(ref.labels.items()),
+            list(ref.transitions.items()), [(h, g.name(q)) for h, q in ref.base.items()],
+            [(h, members(s)) for h, s in ref.kset.items()], list(map(members, ref.ksets)))
 
 
 class TestReferenceSplit:
@@ -374,7 +405,7 @@ class TestReferenceSplit:
 
     def assert_equal(self, g, coalition, case):
         hat = split(g, coalition)
-        assert refinement_fields(hat) == reference_fields(reference_split(g, coalition)), case
+        assert refinement_fields(hat) == reference_fields(reference_split(g, coalition), g), case
         return hat
 
     def test_random_arenas(self):
@@ -405,12 +436,14 @@ class TestReferenceSplit:
 class TestHatArenaHelpers:
     def test_states_with_kset(self, corpus_hat):
         shared = frozenset({"q1", "q2", "q3"})
-        assert sorted(states_with_kset(corpus_hat, shared)) == [
-            "q1@{q1,q2,q3}", "q2@{q1,q2,q3}", "q3@{q1,q2,q3}"]
+        assert names(corpus_hat, states_with_kset(corpus_hat, shared)) == {
+            "q1@{q1,q2,q3}", "q2@{q1,q2,q3}", "q3@{q1,q2,q3}"}
 
     def test_same_kset(self, corpus_hat):
-        assert same_kset(corpus_hat, "q1@{q1,q2,q3}", "q2@{q1,q2,q3}")
-        assert not same_kset(corpus_hat, "q1@{q1,q2,q3}", "q4@{q4}")
+        q1, q2, q4 = (named(corpus_hat, text)
+                      for text in ("q1@{q1,q2,q3}", "q2@{q1,q2,q3}", "q4@{q4}"))
+        assert same_kset(corpus_hat, q1, q2)
+        assert not same_kset(corpus_hat, q1, q4)
 
     def test_require_kset(self, corpus_hat):
         from atldk import ArenaError

@@ -87,7 +87,7 @@ def cases():
 
 def name(arena, q):
     """A state's text id as documents and explain show it."""
-    return q
+    return arena.name(q)
 
 
 def chain_record(arena, formula):

@@ -89,7 +89,7 @@ def test_witnesses_and_explanations_read_the_level_solution(tracer, text):
     for level in verdict.table:
         if level.case in GOAL_CASES:
             for hid in level.arena.states:
-                explain(verdict, hid)
+                explain(verdict, level.arena.name(hid))
     totals = tracer.take()
     assert totals["emptiness.witness_map_entries"] > 0
     assert totals["emptiness.calls"] == sum(
