@@ -740,14 +740,37 @@ def construction_failures(hat):
     """Invariants that the knowledge split and the goal tables keep by
     construction, which the checker does not re-check as it runs.
 
-    Every refined state's base lies in its kset, and every kset is one
-    coalition observation. Every state but BOT of the hat's goal tables,
-    expanded or met as a successor, has its pending set inside its kset, a
-    kset that is one coalition observation, and pending states labeled p1
-    and not p2.
+    Split builds its arena without Arena's validation, so this checks what
+    that would: the states are 0..n-1, the initial states are distinct and in
+    range, every (state, joint action) pair and no other has nonempty
+    successors in range, and labels use declared props only. The rendered ids
+    are distinct. Every refined state's base lies in its kset, and every kset
+    is one coalition observation. Every state but BOT of the hat's goal
+    tables, expanded or met as a successor, has its pending set inside its
+    kset, a kset that is one coalition observation, and pending states
+    labeled p1 and not p2.
     Returns one line per violation; empty means all hold."""
-    g, coalition = hat.source, hat.coalition
+    g, coalition, arena = hat.source, hat.coalition, hat.arena
     problems = []
+    n = len(arena.states)
+    numbers = set(range(n))
+    if list(arena.states) != list(range(n)) or len(hat.base) != n or len(hat.kset) != n:
+        problems.append("refined states are not numbered 0..%d with a base and kset each" % (n - 1))
+    initial = set(arena.initial)
+    if not initial or len(initial) != len(arena.initial) or not initial <= numbers:
+        problems.append("initial states %s are empty, repeated or out of range" % (arena.initial,))
+    joint = list(arena.joint_actions())
+    if set(arena.transitions) != {(h, c) for h in numbers for c in joint}:
+        problems.append("transition keys are not every (state, joint action) pair")
+    for key, targets in arena.transitions.items():
+        if not targets or not targets <= numbers:
+            problems.append("successors of %s are empty or out of range" % (key,))
+    if set(arena.labels) != numbers or not all(
+            label <= arena.props for label in arena.labels.values()):
+        problems.append("labels are not one per state over declared props")
+    ids = [arena.name(h) for h in range(n)]
+    if len(set(ids)) != n:
+        problems.append("rendered ids repeat: %s" % sorted(q for q in ids if ids.count(q) > 1))
 
     def incoherent(s):
         return len({g.obs(coalition, q) for q in s}) != 1
