@@ -8,8 +8,9 @@ import time
 from . import formula as fm
 from .emptiness import check_until_nonempty, check_weak_nonempty, extract_witness_strategy
 from .epistemic_split import SplitLimitExceeded, label_knowledge, label_next, split
-from .strategy_automata import (UNTIL, WEAK_UNTIL, build_until_automaton,
-                                build_weak_until_automaton, level_automaton)
+from .strategy_automata import (UNTIL, WEAK_UNTIL, GoalTableLimitExceeded,
+                                build_until_automaton, build_weak_until_automaton,
+                                level_automaton)
 
 DEFAULT_STATE_CAP = 10 ** 6
 
@@ -161,29 +162,28 @@ def label_step(arena, chi, prop, state_cap=DEFAULT_STATE_CAP):
         raise CheckerError("the modality in %s must be outermost" % chi)
 
     try:
+        # The cap bounds the refined states and each goal table's rows.
         hat = split(arena, chi.coalition, limit=state_cap)
-    except SplitLimitExceeded as exc:
-        raise StateCapExceeded(str(exc)) from exc
-
-    automata = {}
-    solution = None
-    if isinstance(chi, fm.Know):
-        case = CASE_KNOWLEDGE
-        labels = label_knowledge(hat, _operand_atom(chi.operand, chi))
-    elif isinstance(chi, fm.Next):
-        case = CASE_NEXT
-        labels = label_next(hat, _operand_atom(chi.operand, chi))
-    else:
-        p1 = _operand_atom(chi.left, chi)
-        p2 = _operand_atom(chi.right, chi)
-        if isinstance(chi, fm.Until):
-            case, build, decide = UNTIL, build_until_automaton, check_until_nonempty
+        automata = {}
+        solution = None
+        if isinstance(chi, fm.Know):
+            case = CASE_KNOWLEDGE
+            labels = label_knowledge(hat, _operand_atom(chi.operand, chi))
+        elif isinstance(chi, fm.Next):
+            case = CASE_NEXT
+            labels = label_next(hat, _operand_atom(chi.operand, chi))
         else:
-            case, build, decide = WEAK_UNTIL, build_weak_until_automaton, check_weak_nonempty
-        automata = {s: build(hat, p1, p2, s) for s in hat.ksets}
-        solution = decide(level_automaton(case, hat, p1, p2))[1]
-        labels = {hid: automata[hat.kset[hid]].init in solution.winning
-                  for hid in hat.arena.states}
+            p1 = _operand_atom(chi.left, chi)
+            p2 = _operand_atom(chi.right, chi)
+            if isinstance(chi, fm.Until):
+                case, build, decide = UNTIL, build_until_automaton, check_until_nonempty
+            else:
+                case, build, decide = WEAK_UNTIL, build_weak_until_automaton, check_weak_nonempty
+            automata = {s: build(hat, p1, p2, s) for s in hat.ksets}
+            solution = decide(level_automaton(case, hat, p1, p2))[1]
+            labels = {h: automata[s].init in solution.winning for h, s in enumerate(hat.kset)}
+    except (SplitLimitExceeded, GoalTableLimitExceeded) as exc:
+        raise StateCapExceeded(str(exc)) from exc
 
     new_arena = hat.arena.with_prop(prop, [hid for hid in hat.arena.states if labels[hid]])
     return LabelLevel(0, chi, prop, case, new_arena, hat=hat, automata=automata,

@@ -15,6 +15,10 @@ class AutomatonError(Exception):
     pass
 
 
+class GoalTableLimitExceeded(AutomatonError):
+    """Raised when a goal table would expand more rows than its hat's limit."""
+
+
 # A state is an obligation pair (pending, kset) of masks in the view's
 # numbering: pending holds the states whose histories have not yet discharged
 # the goal, kset the knowledge set those histories could be in. Every real
@@ -94,7 +98,8 @@ def _targets(pairs):
 class _GoalTable(dict):
     """A hat's goal table for (p1, p2): each state's row, expanded on first
     lookup from the hat's view and goal masks. A row does not depend on the
-    kset a walk started from, so every kset and both acceptance kinds share it."""
+    kset a walk started from, so every kset and both acceptance kinds share it.
+    The hat's limit bounds the rows, as it bounds the refined states."""
 
     @classmethod
     def of(cls, hat, p1, p2):
@@ -105,6 +110,7 @@ class _GoalTable(dict):
     def __init__(self, hat, p1, p2):
         super().__init__()
         self.view, self.p1, self.p2 = hat.view, p1, p2
+        self.coalition, self.limit = hat.coalition, hat.limit
         g = hat.source
         # Masks in the view's numbering: states off both goals, states where p2 holds.
         self.off_goal = sum(1 << i for i, q in enumerate(g.states) if not g.labels[q] & {p1, p2})
@@ -122,6 +128,10 @@ class _GoalTable(dict):
         pending states reach, less the discharged ones: coherent and typed by
         construction (checked by tests/oracles.py construction_failures).
         BOT's empty kset has no outcomes, so its row fails on every action."""
+        if self.limit is not None and len(self) >= self.limit:
+            raise GoalTableLimitExceeded(
+                "state cap exceeded: goal table (%s, %s) for {%s} needs more than %d rows"
+                % (self.p1, self.p2, ",".join(sorted(self.coalition)), self.limit))
         view, off_goal, kept = self.view, self.off_goal, ~self.discharged
         pending_out, kset_out = map(view.outcome_masks, state)
         classes = {}

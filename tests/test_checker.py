@@ -190,6 +190,15 @@ class TestModelCheck:
         with pytest.raises(StateCapExceeded):
             model_check(corpus, "K{Alice,Bob} valid", state_cap=3)
 
+    def test_state_cap_bounds_goal_table_rows(self, corpus):
+        """Both splits fit 16 refined states; the outer goal table needs 17 rows."""
+        text = "<Alice,Bob>F <Alice,Bob>(valid U (c & s))"
+        with pytest.raises(StateCapExceeded, match=r"^state cap exceeded: goal table "
+                           r"\(p#1, p#6\) for \{Alice,Bob\} needs more than 16 rows$"):
+            model_check(corpus, text, state_cap=16)
+        levels = model_check(corpus, text, state_cap=17).table.levels
+        assert [len(level.hat.arena.states) for level in levels if level.hat] == [16, 16]
+
     def test_knowledge_example(self, corpus):
         assert model_check(corpus, "K{Alice,Bob} valid").holds
         assert not model_check(corpus, "K{Alice} yx").holds

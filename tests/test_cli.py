@@ -132,6 +132,13 @@ class TestCheck:
         assert result.exit_code == 2
         assert "state cap" in result.stderr
 
+    def test_goal_table_over_the_state_cap(self, runner, arena_path):
+        result = invoke(runner, ["check", "--arena", arena_path, "--formula",
+                                 "<Alice,Bob>F <Alice,Bob>(valid U (c & s))", "--state-cap", "16"])
+        assert result.exit_code == 2
+        assert ("error: state cap exceeded: goal table (p#1, p#6) for {Alice,Bob} needs more "
+                "than 16 rows") in result.stderr
+
     @pytest.mark.parametrize("args", [["check", "--formula", EXAMPLE],
                                       ["split", "--coalition", "Alice"]])
     def test_negative_state_cap_is_a_usage_error(self, runner, arena_path, args):
