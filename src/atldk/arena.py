@@ -130,8 +130,7 @@ class Arena:
         self.transitions = {key: frozenset(targets) for key, targets in transitions.items()}
         self.props = frozenset().union(*self.observes.values()) | self.hidden
         self._state_index = {q: i for i, q in enumerate(self.states)}
-        # What split recorded when it built this arena: its coalition, source,
-        # and each state's base and kset. A re-split and name read it.
+        # What split records on an arena it builds; a re-split and name read it.
         self._refinement = None
         self._validate()
 

@@ -8,9 +8,8 @@ import time
 from . import formula as fm
 from .emptiness import check_until_nonempty, check_weak_nonempty, extract_witness_strategy
 from .epistemic_split import SplitLimitExceeded, label_knowledge, label_next, split
-from .strategy_automata import (UNTIL, WEAK_UNTIL, GoalTableLimitExceeded,
-                                build_until_automaton, build_weak_until_automaton,
-                                level_automaton)
+from .strategy_automata import (UNTIL, WEAK_UNTIL, GoalTableLimitExceeded, build_until_automaton,
+                                build_weak_until_automaton, level_automaton)
 
 DEFAULT_STATE_CAP = 10 ** 6
 
@@ -164,8 +163,7 @@ def label_step(arena, chi, prop, state_cap=DEFAULT_STATE_CAP):
     try:
         # The cap bounds the refined states and each goal table's rows.
         hat = split(arena, chi.coalition, limit=state_cap)
-        automata = {}
-        solution = None
+        automata, solution = {}, None
         if isinstance(chi, fm.Know):
             case = CASE_KNOWLEDGE
             labels = label_knowledge(hat, _operand_atom(chi.operand, chi))

@@ -13,26 +13,17 @@ class SplitLimitExceeded(ArenaError):
 
 
 class HatArena:
-    """The refined arena for one coalition, with provenance back to its source
-    and the source's compiled view for the coalition.
+    """The refined arena for one coalition, an Arena whose states are the ints
+    0..n-1, with the source's compiled view for the coalition, and each
+    state's base and kset as the arena's refinement records them. limit is
+    split's cap, which also bounds each goal table's rows."""
 
-    The refined system is itself an Arena (same agents, actions, and
-    observability) whose states are the ints 0..n-1; base and kset list each
-    state's source state and kset. The arena records its coalition, source,
-    base and kset for a re-split and for rendering ids, not this object.
-    limit, the cap split was given, also bounds each goal table's rows.
-    """
-
-    def __init__(self, arena, source, view, base, kset, limit=None):
-        self.arena = arena
-        self.source = source
-        self.view = view
-        self.coalition = frozenset(view.members)
-        self.base = base
-        self.kset = kset
-        self.limit = limit
+    def __init__(self, arena, view, limit=None):
+        r = arena._refinement
+        self.arena, self.source, self.view, self.limit = arena, r.source, view, limit
+        self.coalition, self.base, self.kset = r.coalition, r.base, r.kset
         # Discovery order, which goal-table rows and until choices follow.
-        self.ksets = dict.fromkeys(kset).keys()
+        self.ksets = dict.fromkeys(self.kset).keys()
         # Goal-automaton transitions per (p1, p2), filled by strategy_automata.
         self._goal_tables = {}
 
@@ -44,15 +35,16 @@ class HatArena:
 
 
 class _Refinement:
-    """What split recorded on a refined arena: the coalition, the source arena,
-    and per state its base and kset. A state's text id is base@{kset members},
-    each member and the base named by the source, members in source order;
+    """What split records on a refined arena: the coalition, the source arena,
+    per state its base and kset, and whether the ids of the loaded arena it
+    descends from are plain (hold none of , @ { }). A state's text id is
+    base@{kset members}, each named by the source, members in source order;
     member text is rendered once per kset."""
-
-    __slots__ = ("coalition", "source", "base", "kset", "_text")
 
     def __init__(self, coalition, source, base, kset):
         self.coalition, self.source, self.base, self.kset = coalition, source, base, kset
+        self.plain = (source._refinement.plain if source._refinement
+                      else frozenset(",@{}").isdisjoint("".join(source.states)))
         self._text = {}
 
     def name(self, h):
@@ -63,22 +55,18 @@ class _Refinement:
         return "%s@{%s}" % (source.name(self.base[h]), text)
 
 
-# Characters that make a rendered id ambiguous when a loaded id contains one.
-_MARKS = frozenset(",@{}")
-
-
-def _check_ids(g, refinement, n):
+def _check_ids(refinement, n):
     """Reject the first of the first n refined states whose id an earlier one
     already has, naming both ksets.
 
-    When no id of the loaded arena that g descends from contains , @ { or },
-    no two states can collide, and this is not called. Ids are then terms of
-    the grammar id := atom | id@{id,...,id}, where atoms hold none of those
-    characters: braces balance, so the last } matches one {, the text before
-    its @ is the base, and the commas outside inner braces split the members.
-    Each id parses one way, so distinct (base, kset) pairs, with members in
-    source order and named distinctly by induction, render distinctly."""
-    seen = {}
+    Needed only when some id of the loaded arena is not plain. With plain
+    ids, every id is a term of the grammar id := atom | id@{id,...,id} whose
+    atoms hold none of , @ { }: braces balance, so the last } matches one {,
+    the text before its @ is the base, and the commas outside inner braces
+    split the members. Each id parses one way, so distinct (base, kset)
+    pairs, with members in source order and named distinctly by induction,
+    render distinctly."""
+    seen, g = {}, refinement.source
     for h in range(n):
         text = refinement.name(h)
         first = seen.setdefault(text, h)
@@ -86,13 +74,6 @@ def _check_ids(g, refinement, n):
             raise ArenaError("refined state id %r names two knowledge sets, %s and %s"
                              % (text, *([g.name(q) for q in g.sorted_states(refinement.kset[k])]
                                         for k in (first, h))))
-
-
-def _plain(g):
-    """Whether no id of the loaded arena g descends from contains , @ { or }."""
-    while g._refinement is not None:
-        g = g._refinement.source
-    return not any(_MARKS.intersection(q) for q in g.states)
 
 
 def split(g, coalition, limit=None):
@@ -103,35 +84,28 @@ def split(g, coalition, limit=None):
     the initial states it cannot be told apart from; knowledge sets then evolve
     deterministically per coalition action and observed label. A limit aborts
     the construction once more refined states than that would be materialized.
-    Split checks its arena by construction (tests/oracles.py
-    construction_failures re-checks it), so it skips Arena's validation.
+    The arena is valid by construction, so it skips Arena's validation
+    (tests/oracles.py construction_failures checks what that would).
 
     When g is itself a refinement by the same coalition, maybe with props
     added since by with_prop, refining again adds no knowledge: the walk would
-    number g's states as g does, each state h paired with the states that share
-    its kset. The result shares g's states, labels and transitions, and
-    records only that kset map, with each state its own base.
+    number g's states as g does, each paired with the states that share its
+    kset. The result shares g's states, labels and transitions and records
+    only that kset map, each state its own base.
     """
     view = _CoalitionView(g, coalition)
     members = frozenset(view.members)
-    overrun = None
-
-    def exceeded():
-        return SplitLimitExceeded(
-            "state cap exceeded: refinement for {%s} needs more than %d states"
-            % (",".join(sorted(coalition)), limit))
-
+    cap = SplitLimitExceeded("state cap exceeded: refinement for {%s} needs more than %s states"
+                             % (",".join(sorted(coalition)), limit))
     refined = g._refinement
     if refined is not None and refined.coalition == members:
-        n = len(g.states)
         lift = {}
         for h, s in enumerate(refined.kset):
             lift.setdefault(s, []).append(h)
         lift = {s: frozenset(hs) for s, hs in lift.items()}
-        base, kset = range(n), [lift[s] for s in refined.kset]
+        n, base, kset = len(g.states), g.states, [lift[s] for s in refined.kset]
         states, labels, initial, transitions = g.states, g.labels, g.initial, g.transitions
-        if limit is not None and n > limit:
-            overrun = exceeded()
+        over = limit is not None and n > limit
     else:
         # The walk runs on (state index, kset mask) pairs, interned as ints.
         index, rank = view.index, view.rank
@@ -142,11 +116,12 @@ def split(g, coalition, limit=None):
             h = ids.get((i, m))
             if h is None:
                 if limit is not None and len(pairs) >= limit:
-                    raise exceeded()
+                    raise cap
                 h = ids[(i, m)] = len(pairs)
                 pairs.append((i, m))
             return h
 
+        over = False
         try:
             start = [index[q] for q in g.initial]
             initial = tuple(intern(i, sum(1 << j for j in start if rank[j] == rank[i]))
@@ -159,27 +134,23 @@ def split(g, coalition, limit=None):
                     classes = outcomes[k]
                     transitions[(h, c)] = frozenset([intern(t, classes[rank[t]])
                                                      for t in successors])
-        except SplitLimitExceeded as exc:
-            overrun = exc
-        names, labels_g = g.states, g.labels
-        base = [names[i] for i, _ in pairs]
-        kset = [view.to_set(m) for _, m in pairs]
+        except SplitLimitExceeded:
+            over = True
         n = len(pairs)
-        states = range(n)
-        labels = {h: labels_g[q] for h, q in enumerate(base)}
+        base, kset = [g.states[i] for i, _ in pairs], [view.to_set(m) for _, m in pairs]
+        states, labels = range(n), {h: g.labels[q] for h, q in enumerate(base)}
 
     refinement = _Refinement(members, g, base, kset)
-    if not _plain(g):
-        _check_ids(g, refinement, min(n, limit) if overrun else n)
-    if overrun is not None:
-        raise overrun
-    # A trusted copy of g's agents, actions and observations with the refined
-    # states, labels and transitions; what split builds is valid by construction.
+    if not refinement.plain:
+        _check_ids(refinement, limit if over else n)
+    if over:
+        raise cap
+    # A trusted copy of g with the refined states: no validation, no dict copies.
     arena = copy.copy(g)
     arena.states, arena.labels, arena.initial, arena.transitions = (
         states, labels, initial, transitions)
     arena._state_index, arena._refinement = range(n), refinement
-    return HatArena(arena, g, view, base, kset, limit)
+    return HatArena(arena, view, limit)
 
 
 def _per_kset(hat, holds):

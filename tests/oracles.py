@@ -755,7 +755,7 @@ def construction_failures(hat):
     n = len(arena.states)
     numbers = set(range(n))
     if list(arena.states) != list(range(n)) or len(hat.base) != n or len(hat.kset) != n:
-        problems.append("refined states are not numbered 0..%d with a base and kset each" % (n - 1))
+        problems.append("states are not 0..%d, each with a base and a kset" % (n - 1))
     initial = set(arena.initial)
     if not initial or len(initial) != len(arena.initial) or not initial <= numbers:
         problems.append("initial states %s are empty, repeated or out of range" % (arena.initial,))

@@ -51,7 +51,7 @@ PUBLIC_SIGNATURES = {
     "parse_formula": "(text)",
     "desugar": "(f)",
     "enumerate_subformulas": "(f)",
-    "HatArena": "(self, arena, source, view, base, kset, limit=None)",
+    "HatArena": "(self, arena, view, limit=None)",
     "SplitLimitExceeded": "(self, /, *args, **kwargs)",
     "split": "(g, coalition, limit=None)",
     "label_knowledge": "(hat, prop)",
