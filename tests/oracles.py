@@ -11,7 +11,8 @@ an isomorphism check for repeated refinement, and frozenset walks of the
 knowledge split and of goal-table rows by their definitions. Keep these
 independent of the engine internals; they only use the public Arena
 interface, except construction_failures, which inspects the refined arena and
-goal tables the engine built, the occurrence solver, which reads a goal
+goal tables the engine built, level_failures, which runs the checker with the
+engine calls it makes recorded, the occurrence solver, which reads a goal
 automaton, and the goal-row reference, which reads a refinement's source and
 coalition. Goal states are mask pairs in the source arena's state order;
 as_sets and as_masks translate them to and from pairs of state-name sets,
@@ -19,10 +20,16 @@ and delta and classes read an automaton's rows back as per (state, action)
 dicts.
 """
 
+import contextlib
 import itertools
 from collections import deque
 
-from atldk import BOT, ArenaError, EmptinessError, SplitLimitExceeded, load_arena
+import atldk.checker as checker
+import atldk.formula as fm
+from atldk import ArenaError, explain, load_arena, model_check
+from atldk.emptiness import EmptinessError
+from atldk.epistemic_split import SplitLimitExceeded
+from atldk.strategy_automata import BOT, UNTIL, WEAK_UNTIL
 
 
 class Run:
@@ -797,6 +804,117 @@ def construction_failures(hat):
                 if any(p1 not in g.labels[r] or p2 in g.labels[r] for r in pending):
                     problems.append("%s: a pending state lacks p1 or holds p2" % where)
     return problems
+
+
+def formula_nodes(f):
+    """Every node of a formula tree, a shared subtree once per occurrence."""
+    yield f
+    for c in f.children():
+        yield from formula_nodes(c)
+
+
+def is_core(f):
+    """True when the tree uses only the connectives desugar produces."""
+    return all(isinstance(node, fm.CORE_KINDS) for node in formula_nodes(f))
+
+
+def chi_failures(chi):
+    """What label_step takes on trust of a reduced formula chi: one core
+    connective over atoms, so at most one modality, outermost, with atom
+    operands. Returns one line per violation."""
+    problems = [] if is_core(chi) else ["%s is not a core formula" % chi]
+    modal = [node for node in formula_nodes(chi) if hasattr(node, "coalition")]
+    if len(modal) > 1:
+        problems.append("%s has more than one modality" % chi)
+    elif modal and modal[0] is not chi:
+        problems.append("the modality in %s is not outermost" % chi)
+    if not all(isinstance(c, fm.Atom) for c in chi.children()):
+        problems.append("an operand of %s is not an atom" % chi)
+    return problems
+
+
+def unlabeled_atoms(arena, chi):
+    """The atoms of chi that the arena does not label, sorted."""
+    return sorted({node.name for node in formula_nodes(chi)
+                   if isinstance(node, fm.Atom)} - arena.props)
+
+
+# The goal automaton kind each emptiness solver the checker calls decides.
+SOLVER_KINDS = {"check_until_nonempty": UNTIL, "check_weak_nonempty": WEAK_UNTIL}
+# The checker's calls that level_failures records.
+RECORDED = ("label_step", *SOLVER_KINDS, "extract_witness_strategy")
+
+
+def solve_failures(solver, automaton):
+    """A solver, named as the checker calls it, given the other kind's automaton."""
+    if automaton.kind == SOLVER_KINDS[solver]:
+        return []
+    return ["%s got a %s automaton" % (solver, automaton.kind)]
+
+
+def witness_failures(solution, automata):
+    """Automata whose init the solution does not win, which a witness would
+    start from."""
+    return ["witness extracted from the losing init %s" % a.pretty(a.init)
+            for a in automata if a.init not in solution.winning]
+
+
+@contextlib.contextmanager
+def recorded_calls(module, names):
+    """While the block runs, record the positional arguments of every call
+    made through each of module's global names, as benchmarks/tracing.py
+    hooks them: {name: [args, ...]}."""
+    calls = {name: [] for name in names}
+    originals = {name: getattr(module, name) for name in names}
+
+    def recorder(name):
+        def call(*args, **kwargs):
+            calls[name].append(args)
+            return originals[name](*args, **kwargs)
+        return call
+
+    for name in names:
+        setattr(module, name, recorder(name))
+    try:
+        yield calls
+    finally:
+        for name, original in originals.items():
+            setattr(module, name, original)
+
+
+def level_failures(arena, text):
+    """What the checker takes on trust as it labels, which it does not re-check
+    as it runs: every entry of enumerate_subformulas(desugar(f)) is one core
+    connective over atoms (chi_failures), and then, over one model_check,
+    Verdict.witness and explain of every top-level initial state, label_step
+    gets those chis in order, each over props its arena labels; each emptiness
+    solver gets its own kind of automaton; and witnesses are extracted only
+    from winning inits.
+    Returns the lines of every violation and the recorded calls."""
+    core = fm.desugar(fm.parse_formula(text))
+    chis = [entry.chi for entry in fm.enumerate_subformulas(core)]
+    problems = [] if is_core(core) else ["desugar left sugar in %s" % core]
+    problems += [line for chi in chis for line in chi_failures(chi)]
+    if problems:
+        # model_check takes these chis on trust; what it would do is undefined.
+        return problems, dict.fromkeys(RECORDED, ())
+    with recorded_calls(checker, RECORDED) as calls:
+        verdict = model_check(arena, text)
+        verdict.witness()
+        for q, _ in verdict.initial:
+            explain(verdict, q)
+    if [args[1] for args in calls["label_step"]] != chis:
+        problems.append("label_step did not get the enumeration's chis in order")
+    for g, chi, *_ in calls["label_step"]:
+        missing = unlabeled_atoms(g, chi)
+        if missing:
+            problems.append("%s reads props %s that its arena does not label" % (chi, missing))
+    for solver in SOLVER_KINDS:
+        for automaton, in calls[solver]:
+            problems += solve_failures(solver, automaton)
+    for solution, *automata in calls["extract_witness_strategy"]:
+        problems += witness_failures(solution, automata)
+    return problems, calls
 
 
 def states_with_kset(hat, s):

@@ -30,6 +30,7 @@ from oracles import (
     construction_failures,
     delta,
     generic_occurrence_emptiness,
+    level_failures,
     level_truth,
     random_arena,
     replay_machine,
@@ -341,3 +342,23 @@ def test_construction_invariants(batch, full_obs_batch):
                 rows += sum(map(len, level.hat._goal_tables.values()))
                 problems += [(seed, text, line) for line in construction_failures(level.hat)]
     assert rows > 1000 and not problems, problems[:5]
+
+
+def test_levels_keep_what_the_checker_takes_on_trust(batch, full_obs_batch):
+    """Over the same batches, with nested goals and duals: every level
+    model_check labels gets a chi that is one core connective over props its
+    arena labels, every goal solve gets its own kind of automaton, and
+    Verdict.witness and explain extract only from winning inits."""
+    problems, steps, extracted = [], 0, 0
+    for index, (seed, g) in enumerate(batch + full_obs_batch):
+        rng = random.Random(200000 + index)
+        c = ",".join(_coalition_for(rng))
+        props = sorted(g.props)
+        p1, p2 = rng.choice(props), rng.choice(props)
+        for text in ("K{%s} %s & <%s>G (%s | <%s>(%s U %s))" % (c, p1, c, p2, c, p1, p2),
+                     "<%s>(P{%s} %s U [%s](%s W !%s))" % (c, c, p1, c, p2, p1)):
+            found, calls = level_failures(g, text)
+            problems += [(seed, text, line) for line in found]
+            steps += len(calls["label_step"])
+            extracted += len(calls["extract_witness_strategy"])
+    assert steps > 5000 and extracted > 100 and not problems, problems[:5]

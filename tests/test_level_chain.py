@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from atldk import explain, load_arena, model_check
-from oracles import random_arena
+from oracles import level_failures, random_arena
 
 FAMILIES = Path(__file__).resolve().parent.parent / "benchmarks" / "families.py"
 
@@ -166,6 +166,18 @@ DIGESTS = {
 @pytest.mark.parametrize("case,arena,formula", list(cases()), ids=[c for c, _, _ in cases()])
 def test_level_chain_matches_the_recorded_digest(case, arena, formula):
     assert digest(chain_record(arena, formula)) == DIGESTS[case], (case, formula)
+
+
+def test_levels_keep_what_the_checker_takes_on_trust():
+    """Every level of the 40 instances gets a chi that is one core connective
+    over props its arena labels, every goal solve gets its own kind of
+    automaton, and witnesses come only from winning inits."""
+    problems, extracted = [], 0
+    for case, arena, formula in cases():
+        found, calls = level_failures(arena, formula)
+        problems += [(case, formula, line) for line in found]
+        extracted += len(calls["extract_witness_strategy"])
+    assert extracted > 10 and not problems, problems[:5]
 
 
 if __name__ == "__main__":
