@@ -137,6 +137,9 @@ class Arena:
     def _validate(self):
         if not self.states:
             raise ArenaError("arena has no states")
+        for q in self.states:
+            if not isinstance(q, str):
+                raise ArenaError("state id %r must be a string, not %s" % (q, type(q).__name__))
         if not self.initial:
             raise ArenaError("arena has no initial states")
         if len(set(self.agents)) != len(self.agents):

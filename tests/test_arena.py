@@ -435,6 +435,14 @@ class TestValidationMessages:
         labels = dict(arena_parts()["labels"], s1=frozenset({"h", "mystery"}))
         self.rejected("state s1 labeled with undeclared props ['mystery']", labels=labels)
 
+    def test_state_ids_must_be_strings(self):
+        """As load_arena requires; an int id passed here once reached split,
+        which failed with a bare TypeError while naming refined states."""
+        with pytest.raises(ArenaError) as raised:
+            Arena(["a"], {"a": ["x"]}, [0, 1], {0: {"p"}, 1: set()}, [0], {"a": ["p"]}, [],
+                  {(0, ("x",)): {1}, (1, ("x",)): {1}})
+        assert str(raised.value) == "state id 0 must be a string, not int"
+
 
 class TestCoalitions:
     def test_coalition_tuple_uses_agent_order(self, corpus):
