@@ -3,7 +3,8 @@ to end: every verdict checks out and the last line reports every end-to-end
 metric. nested-until drives the goal-table fill and solve; weak-witness also
 extracts every positive verdict's witness from the goal-state memory and
 replays its rendered map; knowledge-split drives the split and the
-same-coalition re-splits that share their input's transitions.
+same-coalition re-splits that share their input's transitions; full-obs-batch
+checks every verdict against the perfect-information fixpoints.
 tests/test_tracing.py covers the traced path."""
 
 import importlib.util
@@ -21,7 +22,7 @@ def test_untraced_run_is_correct_and_reports_every_end_to_end_metric(monkeypatch
     spec = importlib.util.spec_from_file_location("benchmark_run", RUN)
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
-    for workload in ("nested-until", "knowledge-split", "weak-witness"):
+    for workload in ("nested-until", "knowledge-split", "full-obs-batch", "weak-witness"):
         done = subprocess.run(
             [sys.executable, str(RUN), "--workload", workload, "--seed", "1", "--seconds", "0.5"],
             capture_output=True, text=True, timeout=120)
