@@ -15,7 +15,7 @@ from .checker import (
     explain as explain_state,
     model_check,
 )
-from .emptiness import EmptinessError, check_until_nonempty, check_weak_nonempty
+from .emptiness import check_until_nonempty, check_weak_nonempty
 from .epistemic_split import split as split_arena
 from .formula import FormulaError, parse_formula
 from .strategy_automata import (
@@ -36,8 +36,7 @@ EXIT_HOLDS = 0
 EXIT_NOT_HOLDS = 1
 EXIT_ERROR = 2
 
-_ERRORS = (ArenaError, FormulaError, AutomatonError, EmptinessError, CheckerError,
-           OSError, ValueError)
+_ERRORS = (ArenaError, FormulaError, AutomatonError, CheckerError, OSError, ValueError)
 
 # Per goal kind: the automaton builder and its emptiness solver.
 _GOALS = {

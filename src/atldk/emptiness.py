@@ -6,11 +6,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .arena import Strategy
-from .strategy_automata import BOT, UNTIL, WEAK_UNTIL, _targets
-
-
-class EmptinessError(Exception):
-    pass
+from .strategy_automata import BOT, _targets
 
 
 class GameSolution:
@@ -57,8 +53,6 @@ def check_until_nonempty(automaton):
     """Coalition attractor to the discharged states: the automaton accepts some
     tree iff the initial state can force every path into an obligation-free
     state. The failure state only leads to itself, so it never joins."""
-    if automaton.kind != UNTIL:
-        raise EmptinessError("expected an until automaton, got %s" % automaton.kind)
     winning, choice = _attractor(automaton, automaton.targets(), coalition=True)
     return automaton.init in winning, GameSolution(winning, choice)
 
@@ -67,8 +61,6 @@ def check_weak_nonempty(automaton):
     """Complement of the environment attractor to the failure state: the
     automaton accepts some tree iff the initial state can keep every path away
     from it."""
-    if automaton.kind != WEAK_UNTIL:
-        raise EmptinessError("expected a weak-until automaton, got %s" % automaton.kind)
     losing, choice = _attractor(automaton, [BOT], coalition=False)
     winning = [s for s in automaton.states if s not in losing]
     return automaton.init in winning, GameSolution(winning, {s: choice[s] for s in winning})
@@ -113,8 +105,8 @@ class _WitnessMachine:
 
 def extract_witness_strategy(solution, *automata):
     """A winning solution as a finite observation-based strategy, exact over any
-    horizon: a machine on the automata's goal table, one winning view per kset."""
-    if not automata or any(a.init not in solution.winning for a in automata):
-        raise EmptinessError("solution does not witness nonemptiness")
+    horizon: a machine on the automata's goal table, one winning view per kset.
+    Each automaton's init is taken to win (the checker extracts only for
+    positive labels)."""
     return Strategy(automata[0].hat.view.members, _WitnessMachine(solution, automata),
                     automata[0].alphabet[0])

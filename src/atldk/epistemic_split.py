@@ -162,8 +162,6 @@ def _per_kset(hat, holds):
 def label_knowledge(hat, prop):
     """Which refined states satisfy distributed knowledge of a prop: those whose
     entire kset carries it."""
-    if prop not in hat.source.props:
-        raise ArenaError("unknown prop %s" % prop)
     labels = hat.source.labels
     return _per_kset(hat, lambda s: all(prop in labels[q] for q in s))
 
@@ -172,8 +170,6 @@ def label_next(hat, prop):
     """Which refined states satisfy one-step coalition ability for a prop: some
     coalition action forces prop at every successor of every kset member, however
     the other agents act."""
-    if prop not in hat.source.props:
-        raise ArenaError("unknown prop %s" % prop)
     labels, transitions, view = hat.source.labels, hat.source.transitions, hat.view
     return _per_kset(hat, lambda s: any(
         all(prop in labels[t] for c in view.extensions[c_a] for q in s

@@ -226,11 +226,6 @@ class DualWeakUntil(_Binary):
 CORE_KINDS = (Atom, TrueConst, FalseConst, Not, And, Next, Until, WeakUntil, Know)
 
 
-def is_core(f):
-    """True when the tree uses only primitive connectives."""
-    return all(isinstance(node, CORE_KINDS) for node in _nodes(f))
-
-
 def _nodes(f):
     """Every node of the tree, a shared subtree once per occurrence."""
     stack = [f]
@@ -472,14 +467,12 @@ class SubformulaEntry:
 
 
 def enumerate_subformulas(f):
-    """Enumerate subformulas of a core formula in postorder, each occurring once,
-    as a list of SubformulaEntry.
+    """Enumerate subformulas of a core formula (desugar's output) in postorder,
+    each occurring once, as a list of SubformulaEntry.
 
     chi_k is phi_k with every proper subformula replaced by its fresh atom, so each
     chi_k is a single connective over atoms and contains at most one modality.
     """
-    if not is_core(f):
-        raise FormulaError("enumerate_subformulas requires a core formula")
     entries = {}
     _enter(f, entries)
     return list(entries.values())
@@ -492,11 +485,6 @@ def _enter(node, entries):
         k = len(entries) + 1
         entries[node] = SubformulaEntry(k, node, fresh_prop(k), node._rebuild(atoms))
     return entries[node]
-
-
-def count_modalities(f):
-    """Number of modal connectives (K and coalition operators) in the tree."""
-    return sum(1 for node in _nodes(f) if isinstance(node, _Coalitional))
 
 
 def atom_names(f):

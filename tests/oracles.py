@@ -27,7 +27,6 @@ from collections import deque
 import atldk.checker as checker
 import atldk.formula as fm
 from atldk import ArenaError, explain, load_arena, model_check
-from atldk.emptiness import EmptinessError
 from atldk.epistemic_split import SplitLimitExceeded
 from atldk.strategy_automata import BOT, UNTIL, WEAK_UNTIL
 
@@ -448,6 +447,10 @@ def weak_accept(automaton):
     return accept
 
 
+class OracleGuardExceeded(Exception):
+    """The occurrence solver's size guard tripped."""
+
+
 def generic_occurrence_emptiness(automaton, accept, guard=DEFAULT_ORACLE_GUARD):
     """Decide nonemptiness for an arbitrary occurrence condition by solving the
     game on the (state, visited-set) product.
@@ -459,7 +462,7 @@ def generic_occurrence_emptiness(automaton, accept, guard=DEFAULT_ORACLE_GUARD):
     strictly larger visited sets. Desk-scale only.
     """
     if len(automaton.states) > guard:
-        raise EmptinessError("size guard exceeded: %d automaton states > %d"
+        raise OracleGuardExceeded("size guard exceeded: %d automaton states > %d"
                              % (len(automaton.states), guard))
     memo = {}
     moves = delta(automaton)
@@ -849,7 +852,7 @@ def solve_failures(solver, automaton):
     """A solver, named as the checker calls it, given the other kind's automaton."""
     if automaton.kind == SOLVER_KINDS[solver]:
         return []
-    return ["%s got a %s automaton" % (solver, automaton.kind)]
+    return ["%s got an automaton of kind %s" % (solver, automaton.kind)]
 
 
 def witness_failures(solution, automata):

@@ -11,17 +11,11 @@ import time
 import pytest
 
 import atldk.formula as fm
-from atldk import (
-    BOT,
-    build_until_automaton,
-    build_weak_until_automaton,
-    check_until_nonempty,
-    check_weak_nonempty,
-    load_alicebob,
-    model_check,
-    split,
-)
-from atldk.strategy_automata import UNTIL, WEAK_UNTIL, level_automaton
+from atldk import load_alicebob, model_check
+from atldk.emptiness import check_until_nonempty, check_weak_nonempty
+from atldk.epistemic_split import split
+from atldk.strategy_automata import (BOT, UNTIL, WEAK_UNTIL, build_until_automaton,
+                                     build_weak_until_automaton, level_automaton)
 from oracles import (
     as_masks,
     atl_next,

@@ -7,7 +7,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from atldk import Arena, ArenaError, SINK_ID, Strategy, load_arena, load_alicebob, split
+from atldk import Arena, ArenaError, SINK_ID, Strategy, load_arena, load_alicebob
+from atldk.epistemic_split import split
 from oracles import (Run, coalition_actions, coalition_props, coalition_tuple, extensions,
                      obs_equiv, out, random_arena, random_arena_document, restrict_action)
 

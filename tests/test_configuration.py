@@ -1,6 +1,7 @@
 """The pytest configuration in pyproject.toml, run on throwaway test files,
 and the signatures of the public API."""
 
+import ast
 import inspect
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import atldk
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = PYPROJECT.with_name("README.md")
 
 FAILING_PROPERTY = """
 from hypothesis import given, settings, strategies as st
@@ -49,33 +51,11 @@ PUBLIC_SIGNATURES = {
     "FormulaError": "(self, /, *args, **kwargs)",
     "ParseError": "(self, message, position)",
     "parse_formula": "(text)",
-    "desugar": "(f)",
-    "enumerate_subformulas": "(f)",
-    "HatArena": "(self, arena, view, limit=None)",
-    "SplitLimitExceeded": "(self, /, *args, **kwargs)",
-    "split": "(g, coalition, limit=None)",
-    "label_knowledge": "(hat, prop)",
-    "label_next": "(hat, prop)",
-    "AutomatonError": "(self, /, *args, **kwargs)",
-    "TreeAutomaton": "(self, kind, hat, rows, source_kset, init, starts=None)",
-    "build_until_automaton": "(hat, p1, p2, source_kset)",
-    "build_weak_until_automaton": "(hat, p1, p2, source_kset)",
-    "to_dot": "(automaton, annotation=None)",
-    "EmptinessError": "(self, /, *args, **kwargs)",
-    "GameSolution": "(self, winning, choice)",
-    "check_until_nonempty": "(automaton)",
-    "check_weak_nonempty": "(automaton)",
-    "extract_witness_strategy": "(solution, *automata)",
+    "model_check": "(arena, f, state_cap=1000000)",
+    "Verdict": "(self, holds, formula_text, table, initial, total_seconds)",
+    "explain": "(verdict, state_id)",
     "CheckerError": "(self, /, *args, **kwargs)",
     "StateCapExceeded": "(self, /, *args, **kwargs)",
-    "LabelLevel": ("(self, k, chi, prop, case, arena, hat=None, automata=None, solution=None, "
-                   "elapsed=0.0)"),
-    "LabelingTable": "(self, base)",
-    "Verdict": "(self, holds, formula_text, table, initial, total_seconds)",
-    "bind_formula": "(arena, f)",
-    "label_step": "(arena, chi, prop, state_cap=1000000)",
-    "model_check": "(arena, f, state_cap=1000000)",
-    "explain": "(verdict, state_id)",
     "alicebob_path": "()",
     "load_alicebob": "()",
 }
@@ -88,3 +68,19 @@ def test_public_signatures():
         if callable(obj):
             found[name] = str(inspect.signature(obj.__init__ if inspect.isclass(obj) else obj))
     assert found == PUBLIC_SIGNATURES
+    assert set(atldk.__all__) - set(found) == {"SINK_ID", "DEFAULT_STATE_CAP", "__version__"}
+
+
+def test_the_readme_library_quick_start_runs(capsys):
+    """The python block under "Quick start (library)" imports only public
+    names and prints what its comments say."""
+    section = README.read_text().split("## Quick start (library)", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    imports = [node for node in ast.walk(ast.parse(code))
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert all(isinstance(node, ast.ImportFrom) and node.module == "atldk" for node in imports)
+    assert {a.name for node in imports for a in node.names} <= set(atldk.__all__)
+    said = [line.rsplit("# ", 1)[1] for line in code.splitlines() if line.startswith("print(")]
+    assert said == ["True", "('g', 'g')"]
+    exec(compile(code, str(README), "exec"), {})
+    assert capsys.readouterr().out.splitlines() == said

@@ -5,22 +5,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from atldk import (
-    BOT,
-    EmptinessError,
-    build_until_automaton,
-    build_weak_until_automaton,
-    check_until_nonempty,
-    check_weak_nonempty,
-    extract_witness_strategy,
-    load_alicebob,
-    load_arena,
-    model_check,
-    split,
-)
-from atldk.emptiness import _WitnessMachine
-from atldk.strategy_automata import WEAK_UNTIL, level_automaton
+from atldk import load_alicebob, load_arena, model_check
+from atldk.emptiness import (_WitnessMachine, check_until_nonempty, check_weak_nonempty,
+                             extract_witness_strategy)
+from atldk.epistemic_split import split
+from atldk.strategy_automata import (BOT, WEAK_UNTIL, build_until_automaton,
+                                     build_weak_until_automaton, level_automaton)
 from oracles import (
+    OracleGuardExceeded,
     as_masks,
     delta,
     generic_occurrence_emptiness,
@@ -29,8 +21,10 @@ from oracles import (
     random_coalition,
     replay_machine,
     replay_until,
+    solve_failures,
     until_accept,
     weak_accept,
+    witness_failures,
 )
 
 AB = ["Alice", "Bob"]
@@ -88,8 +82,9 @@ class TestUntilSolver:
         assert automaton.init == BOT
         nonempty, solution = check_until_nonempty(automaton)
         assert not nonempty
-        with pytest.raises(EmptinessError):
-            extract_witness_strategy(solution, automaton)
+        # Extraction takes a winning init on trust; the level invariants reject this one.
+        assert witness_failures(solution, [automaton]) == [
+            "witness extracted from the losing init bot"]
 
     def test_unreachable_goal_is_empty(self):
         arena = one_agent_arena()
@@ -105,10 +100,12 @@ class TestUntilSolver:
         assert solution.choice[automaton.init] == ("b",)
 
     def test_rejects_weak_automata(self):
+        """The solvers take their automaton's kind on trust; the level
+        invariants reject a weak-until automaton given to the until solver."""
         arena = one_agent_arena()
         _, automaton = automaton_for(arena, "weak-until", "p", "q")
-        with pytest.raises(EmptinessError):
-            check_until_nonempty(automaton)
+        assert solve_failures("check_until_nonempty", automaton) == [
+            "check_until_nonempty got an automaton of kind weak-until"]
 
 
 class TestWeakSolver:
@@ -135,8 +132,8 @@ class TestWeakSolver:
     def test_rejects_until_automata(self):
         arena = one_agent_arena()
         _, automaton = automaton_for(arena, "until", "p", "q")
-        with pytest.raises(EmptinessError):
-            check_weak_nonempty(automaton)
+        assert solve_failures("check_weak_nonempty", automaton) == [
+            "check_weak_nonempty got an automaton of kind until"]
 
 
 @pytest.fixture(scope="module")
@@ -283,7 +280,7 @@ class TestGenericOracle:
     def test_guard_trips_on_large_automata(self):
         arena = one_agent_arena()
         _, automaton = automaton_for(arena, "until", "p", "q")
-        with pytest.raises(EmptinessError, match="guard"):
+        with pytest.raises(OracleGuardExceeded, match="guard"):
             generic_occurrence_emptiness(automaton, lambda visited: True, guard=1)
 
     def test_acceptance_families(self):

@@ -5,15 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from atldk import (
-    ArenaError,
-    SplitLimitExceeded,
-    label_knowledge,
-    label_next,
-    load_alicebob,
-    load_arena,
-    split,
-)
+import atldk.formula as fm
+from atldk import ArenaError, load_alicebob, load_arena
+from atldk.epistemic_split import SplitLimitExceeded, label_knowledge, label_next, split
 from oracles import (
     Run,
     comma_id_document,
@@ -31,6 +25,7 @@ from oracles import (
     resplit_isomorphism_failures,
     same_kset,
     states_with_kset,
+    unlabeled_atoms,
 )
 
 AB = ["Alice", "Bob"]
@@ -226,9 +221,10 @@ class TestKnowledgeLabels:
         assert shared == [False, False, False]
 
     def test_unknown_prop(self, corpus_hat):
-        from atldk import ArenaError
-        with pytest.raises(ArenaError):
-            label_knowledge(corpus_hat, "nope")
+        """label_knowledge takes its prop on trust; the level invariants reject
+        a K over a prop the refined arena's source does not label."""
+        chi = fm.Know(corpus_hat.coalition, fm.Atom("nope"))
+        assert unlabeled_atoms(corpus_hat.source, chi) == ["nope"]
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10 ** 6))

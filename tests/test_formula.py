@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import atldk.formula as fm
-from atldk import FormulaError, ParseError, desugar, enumerate_subformulas, parse_formula
+from atldk import FormulaError, ParseError, parse_formula
+from atldk.formula import desugar, enumerate_subformulas
+from oracles import chi_failures, is_core
 
 
 def A(*names):
@@ -228,7 +230,7 @@ class TestRoundTrip:
     @given(formulas)
     def test_desugar_is_core_and_idempotent(self, f):
         core = desugar(f)
-        assert fm.is_core(core)
+        assert is_core(core)
         assert desugar(core) == core
 
     @settings(max_examples=200, deadline=None)
@@ -313,8 +315,10 @@ class TestEnumeration:
         assert entries[-1].prop == "p#1"
 
     def test_rejects_sugared_input(self):
-        with pytest.raises(FormulaError):
-            enumerate_subformulas(parse_formula("p | q"))
+        """enumerate_subformulas takes desugar's output on trust; the level
+        invariants reject the chi that a sugared input leaves."""
+        chi = enumerate_subformulas(parse_formula("p | q"))[-1].chi
+        assert chi_failures(chi) == ["p#1 | p#2 is not a core formula"]
 
     def test_subformula_order(self):
         entries = enumerate_subformulas(desugar(parse_formula("K{a}(p & <b>X q)")))

@@ -6,17 +6,10 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from atldk import (
-    BOT,
-    AutomatonError,
-    build_until_automaton,
-    build_weak_until_automaton,
-    load_alicebob,
-    model_check,
-    split,
-    to_dot,
-)
-from atldk.strategy_automata import level_automaton
+from atldk import load_alicebob, model_check
+from atldk.epistemic_split import split
+from atldk.strategy_automata import (BOT, AutomatonError, build_until_automaton,
+                                     build_weak_until_automaton, level_automaton, to_dot)
 from oracles import (as_masks, as_sets, classes, coalition_actions, delta, extensions,
                      random_arena, random_coalition, reference_goal_initial, reference_goal_row)
 
