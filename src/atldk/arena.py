@@ -14,6 +14,14 @@ class ArenaError(Exception):
     pass
 
 
+class CheckerError(Exception):
+    pass
+
+
+class StateCapExceeded(CheckerError):
+    """A refinement or a goal table would exceed the state cap."""
+
+
 def _members(arena, coalition):
     """The coalition's members in agent order; unknown members are rejected."""
     coalition = frozenset(coalition)
@@ -111,6 +119,13 @@ def _bits(m):
         yield low.bit_length() - 1
 
 
+def _require_strings(values, what):
+    """Reject the first value that is not a string, naming it as a what."""
+    for v in values:
+        if not isinstance(v, str):
+            raise ArenaError("%s %r must be a string, not %s" % (what, v, type(v).__name__))
+
+
 class Arena:
     """A finite multi-agent game arena.
 
@@ -137,9 +152,7 @@ class Arena:
     def _validate(self):
         if not self.states:
             raise ArenaError("arena has no states")
-        for q in self.states:
-            if not isinstance(q, str):
-                raise ArenaError("state id %r must be a string, not %s" % (q, type(q).__name__))
+        _require_strings(self.states, "state id")
         if not self.initial:
             raise ArenaError("arena has no initial states")
         if len(set(self.agents)) != len(self.agents):
@@ -157,9 +170,14 @@ class Arena:
             if q not in self._state_index:
                 raise ArenaError("unknown initial state %s" % q)
         allowed = self.props
+        _require_strings(allowed, "prop")
+        overlap = self.hidden & frozenset().union(*self.observes.values())
+        if overlap:
+            raise ArenaError("props both hidden and observed: %s" % sorted(overlap))
         for q, label in self.labels.items():
             extra = label - allowed
             if extra:
+                _require_strings(extra, "prop")
                 raise ArenaError("state %s labeled with undeclared props %s" % (q, sorted(extra)))
         # Keys are unique (a dict), so once every key is a valid pair the count
         # proves the relation serial; the checks one by one name a failure.
@@ -394,11 +412,8 @@ def load_arena(document, allow_reserved=False):
         observes[name] = _strings(entry.get("observes", []), "'observes' of agent %s", name)
 
     hidden = _strings(document.get("hidden_props", []), "'hidden_props'")
-    visible = set().union(*observes.values()) if observes else set()
-    overlap = hidden & visible
-    _require(not overlap, "props both hidden and observed: %s" % sorted(overlap))
     if not allow_reserved:
-        for prop in visible | hidden:
+        for prop in hidden.union(*observes.values()):
             _require(FRESH_MARK not in prop,
                      "prop name %r uses the reserved %r character" % (prop, FRESH_MARK))
 

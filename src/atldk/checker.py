@@ -6,9 +6,10 @@ from __future__ import annotations
 import time
 
 from . import formula as fm
+from .arena import CheckerError, StateCapExceeded  # noqa: F401 (StateCapExceeded re-exported)
 from .emptiness import check_until_nonempty, check_weak_nonempty, extract_witness_strategy
-from .epistemic_split import SplitLimitExceeded, label_knowledge, label_next, split
-from .strategy_automata import (UNTIL, WEAK_UNTIL, GoalTableLimitExceeded, build_until_automaton,
+from .epistemic_split import label_knowledge, label_next, split
+from .strategy_automata import (UNTIL, WEAK_UNTIL, build_until_automaton,
                                 build_weak_until_automaton, level_automaton)
 
 DEFAULT_STATE_CAP = 10 ** 6
@@ -19,14 +20,6 @@ CASE_KNOWLEDGE = "knowledge"
 CASE_NEXT = "next"
 
 MODAL_CASES = (CASE_KNOWLEDGE, CASE_NEXT, UNTIL, WEAK_UNTIL)
-
-
-class CheckerError(Exception):
-    pass
-
-
-class StateCapExceeded(CheckerError):
-    pass
 
 
 class LabelLevel:
@@ -138,27 +131,24 @@ def label_step(arena, chi, prop, state_cap=DEFAULT_STATE_CAP):
             prop, [q for q, label in arena.labels.items() if truth[label]])
         return LabelLevel(0, chi, prop, case, new_arena, elapsed=time.monotonic() - started)
 
-    try:
-        # The cap bounds the refined states and each goal table's rows.
-        hat = split(arena, chi.coalition, limit=state_cap)
-        automata, solution = {}, None
-        if isinstance(chi, fm.Know):
-            case = CASE_KNOWLEDGE
-            labels = label_knowledge(hat, chi.operand.name)
-        elif isinstance(chi, fm.Next):
-            case = CASE_NEXT
-            labels = label_next(hat, chi.operand.name)
+    # The cap bounds the refined states and each goal table's rows.
+    hat = split(arena, chi.coalition, limit=state_cap)
+    automata, solution = {}, None
+    if isinstance(chi, fm.Know):
+        case = CASE_KNOWLEDGE
+        labels = label_knowledge(hat, chi.operand.name)
+    elif isinstance(chi, fm.Next):
+        case = CASE_NEXT
+        labels = label_next(hat, chi.operand.name)
+    else:
+        p1, p2 = chi.left.name, chi.right.name
+        if isinstance(chi, fm.Until):
+            case, build, decide = UNTIL, build_until_automaton, check_until_nonempty
         else:
-            p1, p2 = chi.left.name, chi.right.name
-            if isinstance(chi, fm.Until):
-                case, build, decide = UNTIL, build_until_automaton, check_until_nonempty
-            else:
-                case, build, decide = WEAK_UNTIL, build_weak_until_automaton, check_weak_nonempty
-            automata = {s: build(hat, p1, p2, s) for s in hat.ksets}
-            solution = decide(level_automaton(case, hat, p1, p2))[1]
-            labels = {h: automata[s].init in solution.winning for h, s in enumerate(hat.kset)}
-    except (SplitLimitExceeded, GoalTableLimitExceeded) as exc:
-        raise StateCapExceeded(str(exc)) from exc
+            case, build, decide = WEAK_UNTIL, build_weak_until_automaton, check_weak_nonempty
+        automata = {s: build(hat, p1, p2, s) for s in hat.ksets}
+        solution = decide(level_automaton(case, hat, p1, p2))[1]
+        labels = {h: automata[s].init in solution.winning for h, s in enumerate(hat.kset)}
 
     new_arena = hat.arena.with_prop(prop, [hid for hid in hat.arena.states if labels[hid]])
     return LabelLevel(0, chi, prop, case, new_arena, hat=hat, automata=automata,

@@ -21,7 +21,6 @@ from .formula import FormulaError, parse_formula
 from .strategy_automata import (
     UNTIL,
     WEAK_UNTIL,
-    AutomatonError,
     _targets,
     build_until_automaton,
     build_weak_until_automaton,
@@ -36,7 +35,7 @@ EXIT_HOLDS = 0
 EXIT_NOT_HOLDS = 1
 EXIT_ERROR = 2
 
-_ERRORS = (ArenaError, FormulaError, AutomatonError, CheckerError, OSError, ValueError)
+_ERRORS = (ArenaError, FormulaError, CheckerError, OSError, ValueError)
 
 # Per goal kind: the automaton builder and its emptiness solver.
 _GOALS = {
@@ -252,6 +251,9 @@ def automaton(arena_path, coalition_text, kind, p1, p2, kset_text, fmt, state_ca
         source = hat.kset[hat.arena.initial[0]]
     else:
         source = hat.require_kset(_parse_members(kset_text, "knowledge set"))
+    for p in (p1, p2):
+        if p not in hat.source.props:
+            raise ArenaError("unknown goal prop %s" % p)
     build, decide = _GOALS[kind]
     built = build(hat, p1, p2, source)
     nonempty, solution = decide(built)

@@ -5,11 +5,7 @@ from __future__ import annotations
 
 import copy
 
-from .arena import ArenaError, _CoalitionView
-
-
-class SplitLimitExceeded(ArenaError):
-    """Raised when a refinement would materialize more states than allowed."""
+from .arena import ArenaError, StateCapExceeded, _CoalitionView
 
 
 class HatArena:
@@ -55,9 +51,9 @@ class _Refinement:
         return "%s@{%s}" % (source.name(self.base[h]), text)
 
 
-def _check_ids(refinement, n):
-    """Reject the first of the first n refined states whose id an earlier one
-    already has, naming both ksets.
+def _check_ids(refinement):
+    """Reject the first refined state whose id an earlier one already has,
+    naming both ksets.
 
     Needed only when some id of the loaded arena is not plain. With plain
     ids, every id is a term of the grammar id := atom | id@{id,...,id} whose
@@ -67,7 +63,7 @@ def _check_ids(refinement, n):
     pairs, with members in source order and named distinctly by induction,
     render distinctly."""
     seen, g = {}, refinement.source
-    for h in range(n):
+    for h in range(len(refinement.base)):
         text = refinement.name(h)
         first = seen.setdefault(text, h)
         if first != h:
@@ -82,10 +78,10 @@ def split(g, coalition, limit=None):
     A refined state is a pair (base state, kset), numbered 0..n-1 in the order
     the walk meets it. The initial refined states pair each initial state with
     the initial states it cannot be told apart from; knowledge sets then evolve
-    deterministically per coalition action and observed label. A limit aborts
-    the construction once more refined states than that would be materialized.
-    The arena is valid by construction, so it skips Arena's validation
-    (tests/oracles.py construction_failures checks what that would).
+    deterministically per coalition action and observed label. A limit raises
+    StateCapExceeded as soon as more refined states than that would be
+    materialized. The arena is valid by construction, so it skips Arena's
+    validation (tests/oracles.py construction_failures checks what that would).
 
     When g is itself a refinement by the same coalition, maybe with props
     added since by with_prop, refining again adds no knowledge: the walk would
@@ -95,17 +91,21 @@ def split(g, coalition, limit=None):
     """
     view = _CoalitionView(g, coalition)
     members = frozenset(view.members)
-    cap = SplitLimitExceeded("state cap exceeded: refinement for {%s} needs more than %s states"
-                             % (",".join(sorted(coalition)), limit))
+
+    def over():
+        return StateCapExceeded("state cap exceeded: refinement for {%s} needs more than %s "
+                                "states" % (",".join(sorted(coalition)), limit))
+
     refined = g._refinement
     if refined is not None and refined.coalition == members:
+        if limit is not None and len(g.states) > limit:
+            raise over()
         lift = {}
         for h, s in enumerate(refined.kset):
             lift.setdefault(s, []).append(h)
         lift = {s: frozenset(hs) for s, hs in lift.items()}
         n, base, kset = len(g.states), g.states, [lift[s] for s in refined.kset]
         states, labels, initial, transitions = g.states, g.labels, g.initial, g.transitions
-        over = limit is not None and n > limit
     else:
         # The walk runs on (state index, kset mask) pairs, interned as ints.
         index, rank = view.index, view.rank
@@ -116,35 +116,29 @@ def split(g, coalition, limit=None):
             h = ids.get((i, m))
             if h is None:
                 if limit is not None and len(pairs) >= limit:
-                    raise cap
+                    raise over()
                 h = ids[(i, m)] = len(pairs)
                 pairs.append((i, m))
             return h
 
-        over = False
-        try:
-            start = [index[q] for q in g.initial]
-            initial = tuple(intern(i, sum(1 << j for j in start if rank[j] == rank[i]))
-                            for i in start)
-            # Breadth first: the walk reaches the states interned as it goes, and
-            # reads the outcome classes of each state's kset once for all moves.
-            for h, (i, m) in enumerate(pairs):
-                outcomes = view.outcome_masks(m)
-                for c, k, successors in view.row(i):
-                    classes = outcomes[k]
-                    transitions[(h, c)] = frozenset([intern(t, classes[rank[t]])
-                                                     for t in successors])
-        except SplitLimitExceeded:
-            over = True
+        start = [index[q] for q in g.initial]
+        initial = tuple(intern(i, sum(1 << j for j in start if rank[j] == rank[i]))
+                        for i in start)
+        # Breadth first: the walk reaches the states interned as it goes, and
+        # reads the outcome classes of each state's kset once for all moves.
+        for h, (i, m) in enumerate(pairs):
+            outcomes = view.outcome_masks(m)
+            for c, k, successors in view.row(i):
+                classes = outcomes[k]
+                transitions[(h, c)] = frozenset([intern(t, classes[rank[t]])
+                                                 for t in successors])
         n = len(pairs)
         base, kset = [g.states[i] for i, _ in pairs], [view.to_set(m) for _, m in pairs]
         states, labels = range(n), {h: g.labels[q] for h, q in enumerate(base)}
 
     refinement = _Refinement(members, g, base, kset)
     if not refinement.plain:
-        _check_ids(refinement, limit if over else n)
-    if over:
-        raise cap
+        _check_ids(refinement)
     # A trusted copy of g with the refined states: no validation, no dict copies.
     arena = copy.copy(g)
     arena.states, arena.labels, arena.initial, arena.transitions = (

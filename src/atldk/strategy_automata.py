@@ -8,15 +8,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .arena import _bits
-
-
-class AutomatonError(Exception):
-    pass
-
-
-class GoalTableLimitExceeded(AutomatonError):
-    """Raised when a goal table would expand more rows than its hat's limit."""
+from .arena import StateCapExceeded, _bits
 
 
 # A state is an obligation pair (pending, kset) of masks in the view's
@@ -81,13 +73,10 @@ def _build(kind, hat, p1, p2, source_kset):
     """Shared construction; until and weak-until differ only in acceptance.
     The coalition is the hat's. Only the initial state is computed here: the
     automaton is the part of the hat's goal table for (p1, p2) reachable from
-    it, listed on first read."""
-    for p in (p1, p2):
-        if p not in hat.source.props:
-            raise AutomatonError("unknown goal prop %s" % p)
-    s = hat.require_kset(source_kset)
+    it, listed on first read. The goal props and the kset are the hat's, taken
+    on trust (tests/oracles.py level_failures checks it)."""
     table = _GoalTable.of(hat, p1, p2)
-    return TreeAutomaton(kind, hat, table, s, table.initial(s))
+    return TreeAutomaton(kind, hat, table, source_kset, table.initial(source_kset))
 
 
 def _targets(pairs):
@@ -129,7 +118,7 @@ class _GoalTable(dict):
         construction (checked by tests/oracles.py construction_failures).
         BOT's empty kset has no outcomes, so its row fails on every action."""
         if self.limit is not None and len(self) >= self.limit:
-            raise GoalTableLimitExceeded(
+            raise StateCapExceeded(
                 "state cap exceeded: goal table (%s, %s) for {%s} needs more than %d rows"
                 % (self.p1, self.p2, ",".join(sorted(self.coalition)), self.limit))
         view, off_goal, kept = self.view, self.off_goal, ~self.discharged

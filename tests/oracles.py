@@ -26,8 +26,7 @@ from collections import deque
 
 import atldk.checker as checker
 import atldk.formula as fm
-from atldk import ArenaError, explain, load_arena, model_check
-from atldk.epistemic_split import SplitLimitExceeded
+from atldk import ArenaError, StateCapExceeded, explain, load_arena, model_check
 from atldk.strategy_automata import BOT, UNTIL, WEAK_UNTIL
 
 
@@ -677,14 +676,14 @@ def reference_split(g, coalition, limit=None):
     are visited in arena order, each paired with the outcome class of the
     kset (oracles.out) that it lies in. A refined id is base@{kset members in
     arena order}, each named by g. Past limit refined states it raises
-    SplitLimitExceeded."""
+    StateCapExceeded."""
     obs = {q: g.obs(coalition, q) for q in g.states}
     ids, pairs, classes = {}, [], {}
 
     def intern(q, s):
         if (q, s) not in ids:
             if limit is not None and len(pairs) >= limit:
-                raise SplitLimitExceeded(
+                raise StateCapExceeded(
                     "state cap exceeded: refinement for {%s} needs more than %d states"
                     % (",".join(sorted(coalition)), limit))
             ids[(q, s)] = "%s@{%s}" % (g.name(q), ",".join(g.name(r) for r in g.states if r in s))
@@ -844,8 +843,19 @@ def unlabeled_atoms(arena, chi):
 
 # The goal automaton kind each emptiness solver the checker calls decides.
 SOLVER_KINDS = {"check_until_nonempty": UNTIL, "check_weak_nonempty": WEAK_UNTIL}
+# The goal automaton builders the checker calls.
+BUILDERS = ("build_until_automaton", "build_weak_until_automaton")
 # The checker's calls that level_failures records.
-RECORDED = ("label_step", *SOLVER_KINDS, "extract_witness_strategy")
+RECORDED = ("label_step", *BUILDERS, *SOLVER_KINDS, "extract_witness_strategy")
+
+
+def build_failures(builder, hat, p1, p2, s):
+    """A builder, named as the checker calls it, given a kset that is not one
+    of its hat's ksets or goal props that are not props of its source."""
+    problems = [] if s in hat.ksets else ["%s got a kset %s that is not one of its hat's"
+                                          % (builder, sorted(s, key=str))]
+    return problems + ["%s got a goal prop %s that its source does not declare" % (builder, p)
+                       for p in (p1, p2) if p not in hat.source.props]
 
 
 def solve_failures(solver, automaton):
@@ -890,9 +900,10 @@ def level_failures(arena, text):
     as it runs: every entry of enumerate_subformulas(desugar(f)) is one core
     connective over atoms (chi_failures), and then, over one model_check,
     Verdict.witness and explain of every top-level initial state, label_step
-    gets those chis in order, each over props its arena labels; each emptiness
-    solver gets its own kind of automaton; and witnesses are extracted only
-    from winning inits.
+    gets those chis in order, each over props its arena labels; each goal
+    automaton builder gets one of its hat's ksets and goal props of the hat's
+    source; each emptiness solver gets its own kind of automaton; and
+    witnesses are extracted only from winning inits.
     Returns the lines of every violation and the recorded calls."""
     core = fm.desugar(fm.parse_formula(text))
     chis = [entry.chi for entry in fm.enumerate_subformulas(core)]
@@ -912,6 +923,9 @@ def level_failures(arena, text):
         missing = unlabeled_atoms(g, chi)
         if missing:
             problems.append("%s reads props %s that its arena does not label" % (chi, missing))
+    for builder in BUILDERS:
+        for args in calls[builder]:
+            problems += build_failures(builder, *args)
     for solver in SOLVER_KINDS:
         for automaton, in calls[solver]:
             problems += solve_failures(solver, automaton)

@@ -444,6 +444,25 @@ class TestValidationMessages:
                   {(0, ("x",)): {1}, (1, ("x",)): {1}})
         assert str(raised.value) == "state id 0 must be a string, not int"
 
+    def test_props_must_be_strings(self):
+        """As load_arena requires; an int prop passed here once reached the
+        coalition view, which failed with a bare TypeError sorting observations."""
+        with pytest.raises(ArenaError) as raised:
+            Arena(["a"], {"a": ["x"]}, ["s", "t"], {"s": {1, "p"}, "t": {"p"}}, ["s"],
+                  {"a": [1, "p"]}, [], {("s", ("x",)): {"t"}, ("t", ("x",)): {"t"}})
+        assert str(raised.value) == "prop 1 must be a string, not int"
+        observes = dict(arena_parts()["observes"], a2=frozenset({("q",)}))
+        self.rejected("prop ('q',) must be a string, not tuple", observes=observes)
+        self.rejected("prop 2.5 must be a string, not float", hidden={"h", 2.5})
+        labels = dict(arena_parts()["labels"], s1=frozenset({"h", 3}))
+        self.rejected("prop 3 must be a string, not int", labels=labels)
+
+    def test_prop_both_hidden_and_observed(self):
+        """As load_arena rejects it, so every arena's dump reloads."""
+        self.rejected("props both hidden and observed: ['p']", hidden={"h", "p"})
+        with pytest.raises(ArenaError, match=r"^props both hidden and observed: \['p'\]$"):
+            load_arena(tiny_document(hidden_props=["h", "p"]))
+
 
 class TestCoalitions:
     def test_coalition_tuple_uses_agent_order(self, corpus):

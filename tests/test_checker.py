@@ -9,6 +9,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import atldk.checker as checker
 import atldk.formula as fm
 from atldk import (
     CheckerError,
@@ -24,9 +25,9 @@ from atldk.epistemic_split import label_knowledge, split
 from atldk.emptiness import check_until_nonempty, check_weak_nonempty
 from atldk.strategy_automata import (build_until_automaton, build_weak_until_automaton,
                                      level_automaton)
-from oracles import (chi_failures, construction_failures, delta, hat_state_of, initialized_runs,
-                     knowledge_oracle, level_truth, random_arena, random_coalition,
-                     unlabeled_atoms, until_oracle)
+from oracles import (build_failures, chi_failures, construction_failures, delta, hat_state_of,
+                     initialized_runs, knowledge_oracle, level_failures, level_truth,
+                     random_arena, random_coalition, unlabeled_atoms, until_oracle)
 
 AB = ["Alice", "Bob"]
 EXAMPLE = "<Alice,Bob>(valid U (c & s))"
@@ -140,6 +141,30 @@ class TestLabelStep:
     def test_rejects_unlabeled_atoms(self, corpus):
         assert unlabeled_atoms(corpus, fm.And(fm.Atom("nope"), fm.Atom("c"))) == ["nope"]
 
+    # The goal automaton builders take their kset and goal props on trust.
+    def test_rejects_a_kset_the_hat_lacks(self, corpus):
+        hat = split(corpus, AB)
+        for s, found in (({"q1", "q2"}, ["build_until_automaton got a kset ['q1', 'q2'] "
+                                         "that is not one of its hat's"]),
+                         ({"q1", "q2", "q3"}, [])):
+            assert build_failures("build_until_automaton", hat, "valid", "c", frozenset(s)) == found
+
+    def test_rejects_a_wrong_goal_prop(self, corpus, monkeypatch):
+        """A label_step that hands the until builder a prop its arena does not
+        declare passes every other level check."""
+        original = checker.label_step
+
+        def wrong_prop(arena, chi, prop, state_cap=checker.DEFAULT_STATE_CAP):
+            if isinstance(chi, fm.Until):
+                chi = fm.Until(chi.coalition, chi.left, fm.Atom("nope"))
+            return original(arena, chi, prop, state_cap)
+
+        monkeypatch.setattr(checker, "label_step", wrong_prop)
+        problems, calls = level_failures(corpus, EXAMPLE)
+        assert len(calls["build_until_automaton"]) > 1
+        assert problems == len(calls["build_until_automaton"]) * [
+            "build_until_automaton got a goal prop nope that its source does not declare"]
+
     def test_state_cap(self, corpus):
         chi = fm.Know(AB, fm.Atom("valid"))
         with pytest.raises(StateCapExceeded):
@@ -234,6 +259,33 @@ class TestModelCheck:
         direct = model_check(g, "<%s>(%s W false)" % (name, prop))
         dual = model_check(g, "![%s](true U !%s)" % (name, prop))
         assert direct.holds == dual.holds
+
+
+class TestStateCapContract:
+    """split, a goal table and model_check each raise atldk.StateCapExceeded
+    itself where the cap is met, not a translation of another error."""
+
+    @staticmethod
+    def raised(call, message):
+        with pytest.raises(StateCapExceeded, match=message) as info:
+            call()
+        assert type(info.value) is StateCapExceeded and info.value.__cause__ is None
+
+    def test_split(self, corpus):
+        self.raised(lambda: split(corpus, AB, limit=5),
+                    r"^state cap exceeded: refinement for \{Alice,Bob\} needs more than 5 states$")
+
+    def test_goal_table(self, corpus):
+        hat = split(corpus, AB, limit=16)
+        self.raised(lambda: level_automaton("until", hat, "valid", "xy").states,
+                    r"^state cap exceeded: goal table \(valid, xy\) for \{Alice,Bob\} "
+                    r"needs more than 16 rows$")
+
+    def test_model_check(self, corpus):
+        self.raised(lambda: model_check(corpus, "K{Alice,Bob} valid", state_cap=3),
+                    "refinement for")
+        self.raised(lambda: model_check(corpus, "<Alice,Bob>F <Alice,Bob>(valid U (c & s))",
+                                        state_cap=16), "goal table")
 
 
 class TestHistorySemantics:

@@ -279,6 +279,15 @@ class TestAutomaton:
                                  "--kset", "q1,q2"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("p1,p2,unknown",
+                             [("nope", "nada", "nope"), ("valid", "nada", "nada")])
+    def test_unknown_goal_prop(self, runner, arena_path, p1, p2, unknown):
+        result = invoke(runner, ["automaton", "--arena", arena_path,
+                                 "--coalition", "Alice,Bob",
+                                 "--p1", p1, "--p2", p2])
+        assert result.exit_code == 2
+        assert result.stderr == "error: unknown goal prop %s\n" % unknown
+
     @pytest.mark.parametrize("text", [" , ", "[]"])
     def test_empty_kset_names_the_knowledge_set(self, runner, arena_path, text):
         result = invoke(runner, ["automaton", "--arena", arena_path,

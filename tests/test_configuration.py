@@ -2,12 +2,15 @@
 and the signatures of the public API."""
 
 import ast
+import importlib
 import inspect
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import atldk
+from atldk import ArenaError, CheckerError, FormulaError, StateCapExceeded, cli
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 README = PYPROJECT.with_name("README.md")
@@ -69,6 +72,23 @@ def test_public_signatures():
             found[name] = str(inspect.signature(obj.__init__ if inspect.isclass(obj) else obj))
     assert found == PUBLIC_SIGNATURES
     assert set(atldk.__all__) - set(found) == {"SINK_ID", "DEFAULT_STATE_CAP", "__version__"}
+
+
+def test_every_error_exits_the_cli_with_code_2():
+    """Every exception class an atldk module defines is an ArenaError,
+    FormulaError or CheckerError, so the CLI's one error exit catches it,
+    and the state cap's error is a CheckerError."""
+    errors = set()
+    for info in pkgutil.walk_packages(atldk.__path__, "atldk."):
+        module = importlib.import_module(info.name)
+        errors.update(obj for obj in vars(module).values()
+                      if inspect.isclass(obj) and issubclass(obj, Exception)
+                      and obj.__module__ == module.__name__)
+    assert {ArenaError, CheckerError, StateCapExceeded, FormulaError} <= errors
+    for error in errors:
+        assert issubclass(error, (ArenaError, FormulaError, CheckerError)), error
+        assert issubclass(error, cli._ERRORS), error
+    assert issubclass(StateCapExceeded, CheckerError)
 
 
 def test_the_readme_library_quick_start_runs(capsys):

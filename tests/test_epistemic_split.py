@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import atldk.formula as fm
-from atldk import ArenaError, load_alicebob, load_arena
-from atldk.epistemic_split import SplitLimitExceeded, label_knowledge, label_next, split
+from atldk import ArenaError, StateCapExceeded, load_alicebob, load_arena
+from atldk.epistemic_split import label_knowledge, label_next, split
 from oracles import (
     Run,
     comma_id_document,
@@ -92,7 +92,7 @@ class TestCorpusSplit:
         assert again.arena.initial == corpus_hat.arena.initial
 
     def test_limit_aborts(self, corpus):
-        with pytest.raises(SplitLimitExceeded):
+        with pytest.raises(StateCapExceeded):
             split(corpus, AB, limit=5)
         split(corpus, AB, limit=16)
 
@@ -101,6 +101,21 @@ class TestCorpusSplit:
         with pytest.raises(ArenaError, match=r"refined state id 'q@\{q,a,b,c\}' names two "
                            r"knowledge sets, \['q', 'a', 'b,c'\] and \['q', 'a,b', 'c'\]"):
             split(g, ["A"])
+
+    def test_an_overrun_raises_before_ids_are_checked(self):
+        """The refinement for {A} has 8 states and the sixth's id is the
+        third's. Ids are checked only on a refinement that completes, so a cap
+        of 6 or 7 states raises StateCapExceeded, and no cap the collision."""
+        g = load_arena(comma_id_document())
+        ids = reference_split(g, ["A"]).states
+        assert len(ids) == 8 and len(set(ids[:5])) == 5 and ids[5] == ids[2]
+        for limit in (6, 7):
+            with pytest.raises(StateCapExceeded, match=r"^state cap exceeded: refinement for "
+                               r"\{A\} needs more than %d states$" % limit):
+                split(g, ["A"], limit=limit)
+        for limit in (8, None):
+            with pytest.raises(ArenaError, match="names two knowledge sets"):
+                split(g, ["A"], limit=limit)
 
 
 class TestInitialGrouping:
@@ -332,9 +347,9 @@ class TestResplit:
     def test_state_cap_on_a_resplit(self, seed):
         coalition, mid = resplit_input(seed)
         cap = len(mid.states) - 1
-        with pytest.raises(SplitLimitExceeded) as fast:
+        with pytest.raises(StateCapExceeded) as fast:
             split(mid, coalition, limit=cap)
-        with pytest.raises(SplitLimitExceeded) as full:
+        with pytest.raises(StateCapExceeded) as full:
             split(loaded_copy(mid), coalition, limit=cap)
         assert str(fast.value) == str(full.value)
         assert len(split(mid, coalition, limit=cap + 1).arena.states) == len(mid.states)
@@ -415,9 +430,9 @@ class TestReferenceSplit:
             self.assert_equal(hat.arena, other, seed)
             self.assert_equal(hat.arena, coalition, seed)
             cap = len(hat.arena.states) - 1
-            with pytest.raises(SplitLimitExceeded) as got:
+            with pytest.raises(StateCapExceeded) as got:
                 split(g, coalition, limit=cap)
-            with pytest.raises(SplitLimitExceeded) as want:
+            with pytest.raises(StateCapExceeded) as want:
                 reference_split(g, coalition, limit=cap)
             assert str(got.value) == str(want.value), seed
 

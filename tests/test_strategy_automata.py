@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from atldk import load_alicebob, model_check
 from atldk.epistemic_split import split
-from atldk.strategy_automata import (BOT, AutomatonError, build_until_automaton,
-                                     build_weak_until_automaton, level_automaton, to_dot)
+from atldk.strategy_automata import (BOT, build_until_automaton, build_weak_until_automaton,
+                                     level_automaton, to_dot)
 from oracles import (as_masks, as_sets, classes, coalition_actions, delta, extensions,
                      random_arena, random_coalition, reference_goal_initial, reference_goal_row)
 
@@ -109,17 +109,6 @@ class TestTransitionRules:
         weak = build_weak_until_automaton(goal_hat, "valid", "goal", {"q0"})
         assert delta(until) == delta(weak)
         assert until.kind == "until" and weak.kind == "weak-until"
-
-
-class TestBuildErrors:
-    def test_unknown_goal_prop(self, goal_hat):
-        with pytest.raises(AutomatonError):
-            build_until_automaton(goal_hat, "valid", "nope", {"q0"})
-
-    def test_unknown_source_kset(self, goal_hat):
-        from atldk import ArenaError
-        with pytest.raises(ArenaError):
-            build_until_automaton(goal_hat, "valid", "goal", {"q1"})
 
 
 class TestInvariants:
