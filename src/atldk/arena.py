@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import itertools
 import json
+from collections import Counter
 from types import MappingProxyType
 
 from .formula import FRESH_MARK
@@ -155,12 +156,14 @@ class Arena:
         _require_strings(self.states, "state id")
         if not self.initial:
             raise ArenaError("arena has no initial states")
-        if len(set(self.agents)) != len(self.agents):
-            raise ArenaError("duplicate agent names")
-        if len(self._state_index) != len(self.states):
-            raise ArenaError("duplicate state ids")
-        if len(set(self.initial)) != len(self.initial):
-            raise ArenaError("duplicate initial state ids")
+        if not self.agents:
+            raise ArenaError("arena has no agents")
+        _require_strings(self.agents, "agent name")
+        for what, values in (("agent", self.agents), ("state id", self.states),
+                             ("initial state id", self.initial)):
+            if len(set(values)) != len(values):
+                repeated = Counter(values).most_common(1)[0][0]
+                raise ArenaError("duplicate %s %s" % (what, repeated))
         for a in self.agents:
             if not self.actions[a]:
                 raise ArenaError("agent %s has no actions" % a)
@@ -397,16 +400,11 @@ def load_arena(document, allow_reserved=False):
     agents = []
     actions = {}
     observes = {}
-    _require(isinstance(document["agents"], list) and document["agents"],
-             "agents must be a nonempty list")
-    for entry in document["agents"]:
+    for entry in _list(document["agents"], "'agents'"):
         _require(isinstance(entry, dict) and "name" in entry and "actions" in entry,
                  "each agent needs a name and actions")
         name = _string(entry["name"], "'name' of an agent")
-        _require(name not in actions, "duplicate agent %s" % name)
         agents.append(name)
-        _require(isinstance(entry["actions"], list) and entry["actions"],
-                 "agent %s needs a nonempty action list" % name)
         _names(entry["actions"], "'actions' of agent %s", name)
         actions[name] = list(entry["actions"])
         observes[name] = _strings(entry.get("observes", []), "'observes' of agent %s", name)
@@ -422,13 +420,11 @@ def load_arena(document, allow_reserved=False):
     for entry in _list(document["states"], "'states'"):
         _require(isinstance(entry, dict) and "id" in entry, "each state needs an id")
         q = _string(entry["id"], "'id' of a state")
-        _require(q not in labels, "duplicate state id %s" % q)
         states.append(q)
         labels[q] = _strings(entry.get("labels", []), "'labels' of state %s", q)
 
     initial = _list(document["initial"], "'initial'")
     _names(initial, "'initial'")
-    _require(initial, "initial state list is empty")
 
     transitions = {}
     for entry in _list(document["transitions"], "'transitions'"):

@@ -28,18 +28,18 @@ class LabelLevel:
 
     Modal levels keep the refined arena, which holds the coalition and the
     provenance to the previous level; until and weak-until levels also keep
-    each kset's goal automaton and the one solution of the level's goal game,
-    whose region and choices serve every kset."""
+    the level's goal game and its one solution, whose region and choices
+    serve every kset's label, witness and explanation."""
 
     def __init__(self, k, chi, prop, case, arena,
-                 hat=None, automata=None, solution=None, elapsed=0.0):
+                 hat=None, game=None, solution=None, elapsed=0.0):
         self.k = k
         self.chi = chi
         self.prop = prop
         self.case = case
         self.arena = arena
         self.hat = hat
-        self.automata = automata or {}
+        self.game = game
         self.solution = solution
         self.elapsed = elapsed
 
@@ -87,7 +87,7 @@ class Verdict:
     def witness(self):
         """Strategy for the outermost positive until or weak-until level, or
         None when no such level is positive: one machine on the level's goal
-        table and solution, with a start per initial kset in first-seen order."""
+        game and solution, with a start per initial kset in first-seen order."""
         for level in reversed(self.table.levels):
             if level.case not in (UNTIL, WEAK_UNTIL):
                 continue
@@ -95,7 +95,7 @@ class Verdict:
             if not all(level.prop in level.arena.labels[hid] for hid in initial_ids):
                 return None
             ksets = dict.fromkeys(level.hat.kset[hid] for hid in initial_ids)
-            return extract_witness_strategy(level.solution, *(level.automata[s] for s in ksets))
+            return extract_witness_strategy(level.solution, level.game, *ksets)
         return None
 
 
@@ -133,7 +133,7 @@ def label_step(arena, chi, prop, state_cap=DEFAULT_STATE_CAP):
 
     # The cap bounds the refined states and each goal table's rows.
     hat = split(arena, chi.coalition, limit=state_cap)
-    automata, solution = {}, None
+    game = solution = None
     if isinstance(chi, fm.Know):
         case = CASE_KNOWLEDGE
         labels = label_knowledge(hat, chi.operand.name)
@@ -146,12 +146,13 @@ def label_step(arena, chi, prop, state_cap=DEFAULT_STATE_CAP):
             case, build, decide = UNTIL, build_until_automaton, check_until_nonempty
         else:
             case, build, decide = WEAK_UNTIL, build_weak_until_automaton, check_weak_nonempty
-        automata = {s: build(hat, p1, p2, s) for s in hat.ksets}
-        solution = decide(level_automaton(case, hat, p1, p2))[1]
-        labels = {h: automata[s].init in solution.winning for h, s in enumerate(hat.kset)}
+        inits = {s: build(hat, p1, p2, s).init for s in hat.ksets}
+        game = level_automaton(case, hat, p1, p2)
+        solution = decide(game)[1]
+        labels = {h: inits[s] in solution.winning for h, s in enumerate(hat.kset)}
 
     new_arena = hat.arena.with_prop(prop, [hid for hid in hat.arena.states if labels[hid]])
-    return LabelLevel(0, chi, prop, case, new_arena, hat=hat, automata=automata,
+    return LabelLevel(0, chi, prop, case, new_arena, hat=hat, game=game,
                       solution=solution, elapsed=time.monotonic() - started)
 
 
@@ -224,6 +225,6 @@ def explain(verdict, state_id):
     }
     if chain and levels[top].case in (UNTIL, WEAK_UNTIL) and chain[0]["labeled"]:
         level = levels[top]
-        automaton = level.automata[level.hat.kset[first]]
-        record["witness"] = extract_witness_strategy(level.solution, automaton).to_document()
+        record["witness"] = extract_witness_strategy(
+            level.solution, level.game, level.hat.kset[first]).to_document()
     return record

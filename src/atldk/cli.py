@@ -261,12 +261,12 @@ def automaton(arena_path, coalition_text, kind, p1, p2, kset_text, fmt, state_ca
     if fmt == FORMAT_DOT:
         _emit(to_dot(built, annotation="language %s" % language), out_path)
     elif fmt == FORMAT_JSON:
-        _emit(json.dumps(_automaton_document(built, nonempty), indent=2), out_path)
+        _emit(json.dumps(_automaton_document(built, source, nonempty), indent=2), out_path)
     else:
-        _emit("\n".join(_automaton_summary(built, nonempty, solution)), out_path)
+        _emit("\n".join(_automaton_summary(built, source, nonempty, solution)), out_path)
 
 
-def _automaton_document(built, nonempty):
+def _automaton_document(built, kset, nonempty):
     hat = built.hat
     order = hat.source.sorted_states
     transitions = []
@@ -285,7 +285,7 @@ def _automaton_document(built, nonempty):
     return {
         "kind": built.kind,
         "coalition": sorted(hat.coalition),
-        "kset": order(built.source_kset),
+        "kset": order(kset),
         "p1": built.p1,
         "p2": built.p2,
         "nonempty": nonempty,
@@ -296,13 +296,13 @@ def _automaton_document(built, nonempty):
     }
 
 
-def _automaton_summary(built, nonempty, solution):
+def _automaton_summary(built, kset, nonempty, solution):
     hat = built.hat
     order = hat.source.sorted_states
     lines = [
         "kind: %s" % built.kind,
         "coalition: {%s}" % ",".join(sorted(hat.coalition)),
-        "kset: {%s}" % ",".join(order(built.source_kset)),
+        "kset: {%s}" % ",".join(order(kset)),
         "goal props: (%s, %s)" % (built.p1, built.p2),
         "states: %d" % len(built),
         "initial: %s" % built.pretty(built.init),

@@ -6,7 +6,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .arena import Strategy
-from .strategy_automata import BOT, _targets
+from .strategy_automata import BOT, _targets, _walk
 
 
 class GameSolution:
@@ -67,30 +67,30 @@ def check_weak_nonempty(automaton):
 
 
 class _WitnessMachine:
-    """A winning solution as a Mealy machine on the level's goal table: memory is
+    """A winning solution as a Mealy machine on the level's goal game: memory is
     a goal state, output its choice, update the class its row stores for that
-    choice, and the first observation picks the start, one automaton's init."""
+    choice, and the first observation picks the start, one kset's initial state."""
 
-    def __init__(self, solution, automata):
+    def __init__(self, solution, game, ksets):
         self.output = solution.choice.get
-        self.rows, observation = automata[0].rows, automata[0].hat.view.observation
-        self.starts = {observation[next(iter(a.source_kset))]: a for a in automata}
+        self.rows, observation = game.rows, game.hat.view.observation
+        self.starts = {observation[next(iter(s))]: self.rows.initial(s) for s in ksets}
 
     def step(self, state, z):
         if not state:
-            return self.starts[z].init if z in self.starts else None
+            return self.starts.get(z)
         classes = self.rows[state][0].get(self.output(state), ())
         return next((t for z_t, t in classes if z_t == z), None)
 
     @cached_property
     def table(self):
-        """Per start, level by level, one entry per history up to its automaton's
-        depth |states|, ending at states without a choice. Two lists, not a pair
-        per entry, keep the cyclic collector's work down."""
+        """Per start, level by level, one entry per history up to the number of
+        states reachable from the start, ending at states without a choice. Two
+        lists, not a pair per entry, keep the cyclic collector's work down."""
         mapping = {}
-        for z0, automaton in self.starts.items():
-            states, histories = [automaton.init], [(z0,)]
-            for depth in range(len(automaton.states), 0, -1):
+        for z0, init in self.starts.items():
+            states, histories = [init], [(z0,)]
+            for depth in range(len(_walk(self.rows, (init,))), 0, -1):
                 next_states, next_histories = [], []
                 for state, history in zip(states, histories):
                     c_a = self.output(state)
@@ -103,10 +103,10 @@ class _WitnessMachine:
         return mapping
 
 
-def extract_witness_strategy(solution, *automata):
-    """A winning solution as a finite observation-based strategy, exact over any
-    horizon: a machine on the automata's goal table, one winning view per kset.
-    Each automaton's init is taken to win (the checker extracts only for
-    positive labels)."""
-    return Strategy(automata[0].hat.view.members, _WitnessMachine(solution, automata),
-                    automata[0].alphabet[0])
+def extract_witness_strategy(solution, game, *ksets):
+    """A winning solution of the level's goal game as a finite observation-based
+    strategy, exact over any horizon: a machine on the game's table with a
+    start per kset. Each kset's initial state is taken to win (the checker
+    extracts only for positive labels)."""
+    return Strategy(game.hat.view.members, _WitnessMachine(solution, game, ksets),
+                    game.alphabet[0])

@@ -29,10 +29,9 @@ class TreeAutomaton:
     read, states lists the table breadth-first from starts (init, or every
     kset's initial state). Sets of state names appear only in pretty's text."""
 
-    def __init__(self, kind, hat, rows, source_kset, init, starts=None):
+    def __init__(self, kind, hat, rows, init, starts=None):
         self.kind = kind
         self.hat, self.p1, self.p2 = hat, rows.p1, rows.p2
-        self.source_kset = source_kset
         self.init = init
         self.alphabet = hat.view.actions
         self.rows = rows
@@ -61,22 +60,22 @@ class TreeAutomaton:
                                      for m in state)
 
 
-def build_until_automaton(hat, p1, p2, source_kset):
-    return _build(UNTIL, hat, p1, p2, source_kset)
+def build_until_automaton(hat, p1, p2, kset):
+    return _build(UNTIL, hat, p1, p2, kset)
 
 
-def build_weak_until_automaton(hat, p1, p2, source_kset):
-    return _build(WEAK_UNTIL, hat, p1, p2, source_kset)
+def build_weak_until_automaton(hat, p1, p2, kset):
+    return _build(WEAK_UNTIL, hat, p1, p2, kset)
 
 
-def _build(kind, hat, p1, p2, source_kset):
+def _build(kind, hat, p1, p2, kset):
     """Shared construction; until and weak-until differ only in acceptance.
     The coalition is the hat's. Only the initial state is computed here: the
     automaton is the part of the hat's goal table for (p1, p2) reachable from
     it, listed on first read. The goal props and the kset are the hat's, taken
     on trust (tests/oracles.py level_failures checks it)."""
     table = _GoalTable.of(hat, p1, p2)
-    return TreeAutomaton(kind, hat, table, source_kset, table.initial(source_kset))
+    return TreeAutomaton(kind, hat, table, table.initial(kset))
 
 
 def _targets(pairs):
@@ -156,11 +155,11 @@ def _walk(table, inits):
 
 
 def level_automaton(kind, hat, p1, p2):
-    """The automaton over the states reachable from every kset's initial state,
-    kset by kset in hat.ksets order, with no init or source kset. Each kset's
-    automaton is closed in it, so one solve decides every kset."""
+    """The level's goal game: the automaton over the states reachable from each
+    kset's initial state rows.initial(kset), kset by kset in hat.ksets order,
+    with no init. Each kset's part is closed, so one solve decides every kset."""
     table = _GoalTable.of(hat, p1, p2)
-    return TreeAutomaton(kind, hat, table, None, None, [table.initial(s) for s in hat.ksets])
+    return TreeAutomaton(kind, hat, table, None, [table.initial(s) for s in hat.ksets])
 
 
 def to_dot(automaton, annotation=None):

@@ -21,8 +21,11 @@ dicts.
 """
 
 import contextlib
+import importlib.util
 import itertools
+import random
 from collections import deque
+from pathlib import Path
 
 import atldk.checker as checker
 import atldk.formula as fm
@@ -154,6 +157,17 @@ def random_arena(rng, **kwargs):
 
 def random_coalition(rng):
     return rng.choice((["a1"], ["a2"], ["a1", "a2"]))
+
+
+FAMILIES = Path(__file__).resolve().parent.parent / "benchmarks" / "families.py"
+
+
+def family_f(seed, n):
+    """The benchmark's family-F arena of n states drawn from Random(seed)."""
+    spec = importlib.util.spec_from_file_location("families", FAMILIES)
+    families = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(families)
+    return load_arena(families.family_f_document(random.Random(seed), n))
 
 
 def comma_id_document():
@@ -600,14 +614,14 @@ def replay_machine(arena, coalition, strategy, holds1, holds2, weak=False):
     return failures
 
 
-def history_witness_map(solution, automaton, hat):
-    """The witness map of extract_witness_strategy, built the way it first
-    was: one queue of (state, history) pairs, popped breadth-first, one entry
-    per observation history up to depth |states|, in the order the queue
-    meets them. Histories through a state without a choice get no entry and
-    are not extended."""
-    g = hat.source
-    z0 = g.obs(hat.coalition, next(iter(automaton.source_kset)))
+def history_witness_map(solution, automaton, kset):
+    """The witness map of extract_witness_strategy from the kset whose goal
+    automaton this is, built the way it first was: one queue of (state,
+    history) pairs, popped breadth-first, one entry per observation history
+    up to depth |states|, in the order the queue meets them. Histories
+    through a state without a choice get no entry and are not extended."""
+    hat = automaton.hat
+    z0 = hat.source.obs(hat.coalition, next(iter(kset)))
     depth_cap = len(automaton.states)
     mapping = {}
     queue = deque([(automaton.init, (z0,))])
@@ -865,11 +879,12 @@ def solve_failures(solver, automaton):
     return ["%s got an automaton of kind %s" % (solver, automaton.kind)]
 
 
-def witness_failures(solution, automata):
-    """Automata whose init the solution does not win, which a witness would
-    start from."""
-    return ["witness extracted from the losing init %s" % a.pretty(a.init)
-            for a in automata if a.init not in solution.winning]
+def witness_failures(solution, game, *ksets):
+    """The initial states of the ksets in the goal game that the solution does
+    not win, which a witness would start from."""
+    inits = [game.rows.initial(s) for s in ksets]
+    return ["witness extracted from the losing init %s" % game.pretty(init)
+            for init in inits if init not in solution.winning]
 
 
 @contextlib.contextmanager
@@ -929,8 +944,8 @@ def level_failures(arena, text):
     for solver in SOLVER_KINDS:
         for automaton, in calls[solver]:
             problems += solve_failures(solver, automaton)
-    for solution, *automata in calls["extract_witness_strategy"]:
-        problems += witness_failures(solution, automata)
+    for args in calls["extract_witness_strategy"]:
+        problems += witness_failures(*args)
     return problems, calls
 
 

@@ -107,7 +107,8 @@ def test_criterion_3_automaton_golden(corpus):
         level = verdict.table.levels[-1]
         assert level.case == "until"
         source = frozenset({"q0"})
-        automaton = level.automata[source]
+        automaton = build_until_automaton(level.hat, level.chi.left.name, level.chi.right.name,
+                                          source)
         solution = level.solution
         nonempty = automaton.init in solution.winning
         goal = as_masks(level.hat, [], ["q12"])

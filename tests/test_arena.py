@@ -134,6 +134,25 @@ class TestLoadErrors:
         with pytest.raises(ArenaError):
             load_arena(tiny_document(initial=[]))
 
+    def test_agent_and_state_rules_are_checked_once(self):
+        """load_arena leaves these rules to Arena validation, which names the
+        duplicate it finds."""
+        duplicate_agent, duplicate_state, no_actions = (tiny_document() for _ in range(3))
+        duplicate_agent["agents"].append({"name": "a1", "actions": ["a"]})
+        duplicate_state["states"].append({"id": "s0"})
+        no_actions["agents"][1]["actions"] = []
+        for doc, message in ((duplicate_agent, "duplicate agent a1"),
+                             (duplicate_state, "duplicate state id s0"),
+                             (no_actions, "agent a2 has no actions"),
+                             (tiny_document(initial=[]), "arena has no initial states"),
+                             (tiny_document(initial=["s0", "s0"]),
+                              "duplicate initial state id s0")):
+            with pytest.raises(ArenaError) as raised:
+                load_arena(doc)
+            assert str(raised.value) == message
+        with pytest.raises(ArenaError, match="^'agents' must be a list$"):
+            load_arena(tiny_document(agents={"name": "a1"}))
+
     def test_unknown_initial(self):
         with pytest.raises(ArenaError):
             load_arena(tiny_document(initial=["nowhere"]))

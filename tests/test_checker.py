@@ -3,6 +3,7 @@
 import gc
 import json
 import random
+import types
 import weakref
 from collections import Counter
 
@@ -12,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 import atldk.checker as checker
 import atldk.formula as fm
 from atldk import (
+    Arena,
+    ArenaError,
     CheckerError,
     StateCapExceeded,
     Strategy,
@@ -23,11 +26,11 @@ from atldk import (
 from atldk.checker import MODAL_CASES, _eval_boolean, bind_formula, label_step
 from atldk.epistemic_split import label_knowledge, split
 from atldk.emptiness import check_until_nonempty, check_weak_nonempty
-from atldk.strategy_automata import (build_until_automaton, build_weak_until_automaton,
-                                     level_automaton)
-from oracles import (build_failures, chi_failures, construction_failures, delta, hat_state_of,
-                     initialized_runs, knowledge_oracle, level_failures, level_truth,
-                     random_arena, random_coalition, unlabeled_atoms, until_oracle)
+from atldk.strategy_automata import (TreeAutomaton, build_until_automaton,
+                                     build_weak_until_automaton, level_automaton)
+from oracles import (BUILDERS, build_failures, chi_failures, construction_failures, delta,
+                     family_f, hat_state_of, initialized_runs, knowledge_oracle, level_failures,
+                     level_truth, random_arena, random_coalition, unlabeled_atoms, until_oracle)
 
 AB = ["Alice", "Bob"]
 EXAMPLE = "<Alice,Bob>(valid U (c & s))"
@@ -111,8 +114,10 @@ class TestLabelStep:
         chi = fm.Until(AB, fm.Atom("valid"), fm.Atom("c"))
         level = label_step(corpus, chi, "p#1")
         assert level.case == "until"
-        assert level.hat is not None
-        assert set(level.automata) == set(level.hat.ksets)
+        game = level.game
+        assert (game.kind, game.hat, game.p1, game.p2) == ("until", level.hat, "valid", "c")
+        assert {game.rows.initial(s) for s in level.hat.ksets} <= set(game.states)
+        assert level.solution.winning == check_until_nonempty(game)[1].winning
         assert "p#1" in level.arena.labels[level.arena.state_named("q0@{q0}")]
 
     def test_weak_until_case(self, corpus):
@@ -407,9 +412,10 @@ class TestLevelCoherence:
 
 
 def goal_levels(seeds=range(150)):
-    """(case, level, own) for until and weak-until levels over seeded small
-    arenas, where own maps each kset to its own view's (nonempty, solution):
-    the reference that the level's one solution must agree with."""
+    """(case, level, views, own) for until and weak-until levels over seeded
+    small arenas, where views maps each kset to its goal automaton on the
+    level's hat and own to that view's (nonempty, solution): the reference
+    that the level's one solution must agree with."""
     for seed in seeds:
         rng = random.Random(seed)
         g = random_arena(rng, max_states=5)
@@ -418,11 +424,13 @@ def goal_levels(seeds=range(150)):
         coalition = random_coalition(rng)
         props = sorted(g.props)
         p1, p2 = rng.choice(props), rng.choice(props)
-        for node, kind, decide in ((fm.Until, "until", check_until_nonempty),
-                                   (fm.WeakUntil, "weak-until", check_weak_nonempty)):
+        for node, kind, build, decide in (
+                (fm.Until, "until", build_until_automaton, check_until_nonempty),
+                (fm.WeakUntil, "weak-until", build_weak_until_automaton, check_weak_nonempty)):
             level = label_step(g, node(coalition, fm.Atom(p1), fm.Atom(p2)), "p#1")
-            own = {s: decide(automaton) for s, automaton in level.automata.items()}
-            yield (seed, kind), level, own
+            views = {s: build(level.hat, p1, p2, s) for s in level.hat.ksets}
+            own = {s: decide(view) for s, view in views.items()}
+            yield (seed, kind), level, views, own
 
 
 def reaches_a_target(automaton, moves, choice, state, verdicts):
@@ -444,31 +452,31 @@ class TestOneSolvePerLevel:
     with."""
 
     def test_each_kset_solution_agrees_with_the_level_labels(self):
-        for case, level, own in goal_levels():
+        for case, level, _, own in goal_levels():
             truth = level_truth(level)
             for hid in level.arena.states:
                 assert own[level.hat.kset[hid]][0] == truth[hid], case
 
     def test_view_regions_are_the_level_region_on_their_states(self):
-        for case, level, own in goal_levels():
-            for s, automaton in level.automata.items():
+        for case, level, views, own in goal_levels():
+            for s, automaton in views.items():
                 assert own[s][1].winning == level.solution.winning & set(automaton.states), case
 
     def test_weak_until_choices_are_the_kset_choices(self):
-        for case, level, own in goal_levels():
+        for case, level, views, own in goal_levels():
             if level.case != "weak-until":
                 continue
-            for s, automaton in level.automata.items():
+            for s, automaton in views.items():
                 states = set(automaton.states)
                 level_choice = {state: c_a for state, c_a in level.solution.choice.items()
                                 if state in states}
                 assert level_choice == own[s][1].choice, case
 
     def test_until_choices_reach_a_target_on_every_view(self):
-        for case, level, _ in goal_levels():
+        for case, level, views, _ in goal_levels():
             if level.case != "until":
                 continue
-            for automaton in level.automata.values():
+            for automaton in views.values():
                 moves, verdicts = delta(automaton), {}
                 for state in automaton.states:
                     if state in level.solution.winning:
@@ -501,28 +509,35 @@ def goal_levels_of(verdict):
 
 
 class TestLazyViews:
-    """model_check builds each kset's goal automaton as an unwalked view; the
-    level's one walk fills the goal table in the order eager per-kset walks
-    would, so forcing a view later lists the same states."""
+    """model_check builds each kset's goal automaton as an unwalked view and
+    keeps only its initial state; the level's one walk fills the goal table in
+    the order eager per-kset walks would, so a view built on the level's hat
+    later lists the same states."""
 
-    def test_only_read_views_are_walked(self):
+    def test_only_read_views_are_walked(self, monkeypatch):
+        """The views the checker builds, recorded through atldk.checker's
+        globals as level_failures records calls: model_check, Verdict.witness
+        and explain read no view's states."""
+        views = []
+        for name in BUILDERS:
+            def recorded(*args, original=getattr(checker, name)):
+                views.append(original(*args))
+                return views[-1]
+            monkeypatch.setattr(checker, name, recorded)
         for case, verdict in lazy_verdicts():
-            levels = list(goal_levels_of(verdict))
-            assert all("states" not in view.__dict__
-                       for level, *_ in levels for view in level.automata.values()), case
             verdict.witness()
-            for level, *_ in levels:
-                initial = {level.hat.kset[hid] for hid in level.hat.arena.initial}
-                for s, view in level.automata.items():
-                    assert s in initial or "states" not in view.__dict__, case
+            for q, _ in verdict.initial:
+                explain(verdict, q)
+        assert len(views) > 1000
+        assert all("states" not in view.__dict__ for view in views)
 
     def test_forced_views_equal_eager_walks(self):
         for case, verdict in lazy_verdicts():
             for level, build, p1, p2 in goal_levels_of(verdict):
                 fresh = split(level.hat.source, level.hat.coalition)
-                for s, view in level.automata.items():
+                for s in level.hat.ksets:
                     eager = build(fresh, p1, p2, s).states
-                    assert view.states == eager, case
+                    assert build(level.hat, p1, p2, s).states == eager, case
 
     def test_level_walk_keeps_the_eager_row_order(self):
         for case, verdict in lazy_verdicts():
@@ -543,6 +558,36 @@ class TestConstructionInvariants:
                     rows += sum(map(len, level.hat._goal_tables.values()))
                     assert construction_failures(level.hat) == [], case
         assert rows > 1000
+
+
+class TestDumpsReload:
+    """README: an arena validates what load_arena checks of a document, so
+    every arena's dump reloads."""
+
+    # Each passed validation once, and its dump did not reload.
+    CAUGHT = (
+        ([], {}, ["s"], {"s": set()}, ["s"], {}, ["p"], {("s", ()): {"s"}}),
+        ([7], {7: ["x"]}, ["s"], {"s": {"p"}}, ["s"], {7: ["p"]}, [], {("s", ("x",)): {"s"}}),
+    )
+
+    def test_every_arena_that_validates_has_a_dump_that_reloads(self):
+        arenas = [random_arena(random.Random(seed)) for seed in range(200)]
+        for args in self.CAUGHT:
+            try:
+                arenas.append(Arena(*args))
+            except ArenaError:
+                continue
+        arenas += [level.arena for _, verdict in lazy_verdicts() for level in verdict.table]
+        for g in arenas:
+            doc = g.to_document()
+            assert load_arena(doc, allow_reserved=True).to_document() == doc, doc
+
+    def test_the_caught_arenas_name_their_fault(self):
+        for args, message in zip(self.CAUGHT, ("arena has no agents",
+                                               "agent name 7 must be a string, not int")):
+            with pytest.raises(ArenaError) as raised:
+                Arena(*args)
+            assert str(raised.value) == message
 
 
 class TestVerdict:
@@ -687,6 +732,30 @@ class TestOwnership:
         assert gc.collect() == 0
         assert min(witnesses, explained, *(cases[case] for case in MODAL_CASES)) > 10, (
             witnesses, explained, cases)
+
+    @staticmethod
+    def automata_reached(root):
+        """The TreeAutomaton objects reachable from root through
+        gc.get_referents. The walk does not enter classes, modules or
+        functions, which lead out of the verdict to everything loaded."""
+        seen, stack, found = {id(root)}, [root], 0
+        while stack:
+            obj = stack.pop()
+            found += isinstance(obj, TreeAutomaton)
+            for ref in gc.get_referents(obj):
+                if id(ref) not in seen and not isinstance(
+                        ref, (type, types.ModuleType, types.FunctionType)):
+                    seen.add(id(ref))
+                    stack.append(ref)
+        return found
+
+    def test_a_verdict_holds_one_game_per_goal_level(self):
+        """Not one automaton per kset: the level's game serves every kset's
+        label, witness and explanation."""
+        verdicts = [("F32", model_check(family_f(32, 32), "<a1>F <a2>X p3")), *lazy_verdicts()]
+        for case, verdict in verdicts:
+            goal_levels = sum(level.case in ("until", "weak-until") for level in verdict.table)
+            assert self.automata_reached(verdict) == goal_levels, case
 
     def test_a_kept_level_arena_frees_its_refinement(self, no_cyclic_collector):
         for verdict in self.verdicts(range(10)):

@@ -5,6 +5,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,8 @@ from atldk import ArenaError, CheckerError, FormulaError, StateCapExceeded, cli
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 README = PYPROJECT.with_name("README.md")
+# A `path.py::Name` or `path.py::Class.name` reference in the docs.
+DOC_REFERENCE = re.compile(r"`([\w/.-]+\.py)::(\w+)(?:\.(\w+))?`")
 
 FAILING_PROPERTY = """
 from hypothesis import given, settings, strategies as st
@@ -104,3 +107,35 @@ def test_the_readme_library_quick_start_runs(capsys):
     assert said == ["True", "('g', 'g')"]
     exec(compile(code, str(README), "exec"), {})
     assert capsys.readouterr().out.splitlines() == said
+
+
+def defined_names(body):
+    """The names a module or class body defines: functions, classes and
+    assigned names."""
+    names = set()
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_doc_references_resolve():
+    """Every `path.py::Name` or `path.py::Class.name` in README.md and
+    ROADMAP.md names an existing file and a top-level or class-level
+    definition in it. CHANGES.md is history and is not checked."""
+    root, found, stale = PYPROJECT.parent, 0, []
+    for doc in ("README.md", "ROADMAP.md"):
+        for path, name, member in DOC_REFERENCE.findall((root / doc).read_text()):
+            found += 1
+            source = root / path
+            body = ast.parse(source.read_text()).body if source.is_file() else []
+            if member:
+                classes = [node for node in body
+                           if isinstance(node, ast.ClassDef) and node.name == name]
+                body, name = (classes[0].body if classes else []), member
+            if name not in defined_names(body):
+                stale.append((doc, path, name))
+    assert found and not stale, stale

@@ -72,7 +72,7 @@ class TestUntilSolver:
         hat, automaton = automaton_for(arena, "until", "p", "q")
         nonempty, solution = check_until_nonempty(automaton)
         assert nonempty
-        strategy = extract_witness_strategy(solution, automaton)
+        strategy = extract_witness_strategy(solution, automaton, hat.kset[hat.arena.initial[0]])
         assert strategy.mapping == {}
         assert strategy.action((frozenset({"q"}),)) == strategy.default
 
@@ -83,7 +83,7 @@ class TestUntilSolver:
         nonempty, solution = check_until_nonempty(automaton)
         assert not nonempty
         # Extraction takes a winning init on trust; the level invariants reject this one.
-        assert witness_failures(solution, [automaton]) == [
+        assert witness_failures(solution, automaton, hat.kset[hat.arena.initial[0]]) == [
             "witness extracted from the losing init bot"]
 
     def test_unreachable_goal_is_empty(self):
@@ -115,7 +115,7 @@ class TestWeakSolver:
         nonempty, solution = check_weak_nonempty(automaton)
         assert nonempty
         assert solution.choice[automaton.init] == ("a",)
-        strategy = extract_witness_strategy(solution, automaton)
+        strategy = extract_witness_strategy(solution, automaton, hat.kset[hat.arena.initial[0]])
         assert strategy.action((frozenset({"p"}),)) == ("a",)
 
     def test_the_until_twin_is_empty(self):
@@ -165,7 +165,7 @@ class TestCorpusGame:
     def test_witness_replays_cleanly_against_all_resolutions(self, setup):
         arena, hat, automaton = setup
         _, solution = check_until_nonempty(automaton)
-        strategy = extract_witness_strategy(solution, automaton)
+        strategy = extract_witness_strategy(solution, automaton, {"q0"})
         failures = replay_until(
             arena, AB, strategy,
             holds1=lambda q: "valid" in arena.labels[q],
@@ -176,7 +176,7 @@ class TestCorpusGame:
     def test_witness_narrates_the_protocol(self, setup):
         arena, hat, automaton = setup
         _, solution = check_until_nonempty(automaton)
-        strategy = extract_witness_strategy(solution, automaton)
+        strategy = extract_witness_strategy(solution, automaton, {"q0"})
         assert strategy.action((frozenset({"valid"}),)) == ("g", "g")
         deal = (frozenset({"valid"}), frozenset({"valid"}))
         assert strategy.action(deal) == ("i", "i")
@@ -354,7 +354,7 @@ class TestExtractedWitnesses:
         nonempty, solution = check_until_nonempty(automaton)
         if not nonempty:
             return
-        strategy = extract_witness_strategy(solution, automaton)
+        strategy = extract_witness_strategy(solution, automaton, kset)
         restricted = [q for q in g.initial if q in kset]
         probe = load_arena({**g.to_document(), "initial": restricted})
         failures = replay_until(
@@ -406,6 +406,11 @@ def acceptance_batches():
                                          full_obs=True, unique_labels=True)
 
 
+def positive_ksets(level):
+    """The ksets of a goal level whose initial state in the level's game wins."""
+    return [s for s in level.hat.ksets if level.game.rows.initial(s) in level.solution.winning]
+
+
 class TestWitnessMap:
     def test_map_equals_the_queue_walk(self):
         """Keys, actions and insertion order equal the (state, history)
@@ -419,11 +424,12 @@ class TestWitnessMap:
             for op in ("U", "W"):
                 text = "<%s>(%s %s %s)" % (",".join(coalition), p1, op, p2)
                 level = model_check(g, text).table.levels[-1]
-                for automaton in level.automata.values():
-                    if automaton.init not in level.solution.winning:
-                        continue
-                    extracted = extract_witness_strategy(level.solution, automaton)
-                    expected = history_witness_map(level.solution, automaton, level.hat)
+                build = build_until_automaton if op == "U" else build_weak_until_automaton
+                for s in positive_ksets(level):
+                    extracted = extract_witness_strategy(level.solution, level.game, s)
+                    # The kset's own automaton, on the hat whose goal table the game fills.
+                    automaton = build(level.hat, level.chi.left.name, level.chi.right.name, s)
+                    expected = history_witness_map(level.solution, automaton, s)
                     assert list(extracted.mapping.items()) == list(expected.items()), (seed, text)
                     compared[op] += 1
         assert min(compared.values()) >= 300, compared
@@ -442,10 +448,8 @@ class TestWitnessMachine:
             for op in ("U", "W"):
                 text = "<%s>(%s %s %s)" % (",".join(coalition), p1, op, p2)
                 level = model_check(g, text).table.levels[-1]
-                for automaton in level.automata.values():
-                    if automaton.init not in level.solution.winning:
-                        continue
-                    strategy = extract_witness_strategy(level.solution, automaton)
+                for s in positive_ksets(level):
+                    strategy = extract_witness_strategy(level.solution, level.game, s)
                     for history, c_a in strategy.mapping.items():
                         assert strategy.action(history) == c_a, (seed, text, history)
                     compared[op] += 1
@@ -474,7 +478,7 @@ class TestWitnessMachine:
         verdict = model_check(self.stay_or_leave(), "<a1>G p")
         strategy = verdict.witness()
         assert strategy.default == ("leave",)
-        depth_cap = max(len(a.states) for a in verdict.table.levels[-1].automata.values())
+        depth_cap = len(verdict.table.levels[-1].game)
         for z in ({"p"}, {"p", "r"}):
             assert strategy.action([z] * (100 * depth_cap)) == ("stay",)
         assert strategy.action([{"r"}]) == strategy.action([{"p"}, {"r"}]) == ("leave",)
@@ -490,6 +494,6 @@ class TestWitnessMachine:
         assert len(ksets) == 2
         expected = {}
         for s in ksets:
-            expected.update(extract_witness_strategy(level.solution, level.automata[s]).mapping)
+            expected.update(extract_witness_strategy(level.solution, level.game, s).mapping)
         assert list(verdict.witness().mapping.items()) == list(expected.items())
         assert {h[0] for h in expected} == {frozenset({"p"}), frozenset({"p", "r"})}

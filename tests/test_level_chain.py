@@ -6,17 +6,13 @@ top-level initial state hash to a recorded digest. The digests were recorded
 before refined states became ints, so they pin the text a reader sees."""
 
 import hashlib
-import importlib.util
 import json
 import random
-from pathlib import Path
 
 import pytest
 
-from atldk import explain, load_arena, model_check
-from oracles import level_failures, random_arena
-
-FAMILIES = Path(__file__).resolve().parent.parent / "benchmarks" / "families.py"
+from atldk import explain, model_check
+from oracles import family_f, level_failures, random_arena
 
 # Over family F's props; every level of these nests two or three modalities.
 FAMILY_F_FORMULAS = (
@@ -57,13 +53,6 @@ RANDOM_TEMPLATES = (
 )
 
 COALITIONS = ("a1", "a2", "a1,a2")
-
-
-def family_f(seed, n):
-    spec = importlib.util.spec_from_file_location("families", FAMILIES)
-    families = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(families)
-    return load_arena(families.family_f_document(random.Random(seed), n))
 
 
 def cases():
