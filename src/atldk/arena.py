@@ -6,7 +6,6 @@ import copy
 import itertools
 import json
 from collections import Counter
-from types import MappingProxyType
 
 from .formula import FRESH_MARK
 
@@ -35,17 +34,16 @@ def _members(arena, coalition):
 class _CoalitionView:
     """One coalition's compiled view of an arena: members in agent order, each
     state's observation (its label restricted to the props the members
-    observe), every joint move with its coalition part in joint-action order,
-    the coalition actions in members' product order with their extensions,
-    and the integer core that split and the goal tables share: states are
-    numbered in arena order, so a set of states is a bitmask, and observations
-    are ranked by their sorted props. Goal-table states stay masks; masks
-    become frozensets only at the boundary (refined ksets, outcome_classes),
-    one object per mask. Compiling the view rejects unknown members; the
-    engine reads it unchecked."""
+    observe), the coalition actions in members' product order with each joint
+    action's coalition part, and the integer core that split and the goal
+    tables share: states are numbered in arena order, so a set of states is a
+    bitmask, and observations are ranked by their sorted props. Goal-table
+    states stay masks; masks become frozensets only at the boundary (refined
+    ksets), one object per mask. Compiling the view rejects unknown members;
+    the engine reads it unchecked."""
 
-    __slots__ = ("members", "observation", "moves", "extensions", "actions", "observations",
-                 "rank", "index", "_states", "_transitions", "_rows", "_outcome_masks", "_sets")
+    __slots__ = ("members", "observation", "actions", "observations", "rank", "index",
+                 "_states", "_action_of", "_rows", "_outcome_masks", "_sets")
 
     def __init__(self, arena, coalition):
         self.members = _members(arena, coalition)
@@ -55,28 +53,20 @@ class _CoalitionView:
         rank = {z: i for i, z in enumerate(self.observations)}
         self.rank = [rank[self.observation[q]] for q in arena.states]
         positions = [i for i, a in enumerate(arena.agents) if a in self.members]
-        self.moves = tuple((c, tuple([c[i] for i in positions])) for c in arena.joint_actions())
         # First sight in joint-action order is the members' product order.
-        self.extensions = {}
-        for c, c_a in self.moves:
-            self.extensions.setdefault(c_a, []).append(c)
-        self.actions = tuple(self.extensions)
+        actions = {}
+        self._action_of = tuple(actions.setdefault(tuple([c[i] for i in positions]), len(actions))
+                                for c in arena.joint_actions())
+        self.actions = tuple(actions)
         self.index = arena._state_index
         self._states = arena.states
-        self._transitions = arena.transitions
-        self._rows = {}
+        self._rows = arena._rows
         self._outcome_masks = {}
         self._sets = {}
 
     def row(self, i):
-        """State i's moves: (joint action, action index, sorted successor indices)."""
-        row = self._rows.get(i)
-        if row is None:
-            q, index = self._states[i], self.index
-            row = self._rows[i] = [
-                (c, self.actions.index(c_a), sorted([index[t] for t in self._transitions[(q, c)]]))
-                for c, c_a in self.moves]
-        return row
+        """State i's (coalition action index, sorted successor numbers) per joint action."""
+        return zip(self._action_of, self._rows[i])
 
     def outcome_masks(self, m):
         """Per coalition action, the successors of the states in mask m grouped
@@ -92,7 +82,7 @@ class _CoalitionView:
                             into[r] = into.get(r, 0) | t
             else:
                 rank = self.rank
-                for _, k, successors in self.row(m.bit_length() - 1):
+                for k, successors in self.row(m.bit_length() - 1):
                     into = merged[k]
                     for t in successors:
                         into[rank[t]] = into.get(rank[t], 0) | 1 << t
@@ -106,10 +96,6 @@ class _CoalitionView:
         if s is None:
             s = self._sets[m] = frozenset(map(self._states.__getitem__, _bits(m)))
         return s
-
-    def mask(self, s):
-        """The mask of a set of states."""
-        return sum(1 << self.index[q] for q in s)
 
 
 def _bits(m):
@@ -132,7 +118,8 @@ class Arena:
 
     Joint actions are tuples aligned with the agent order. The transition
     relation is total and serial: every (state, joint action) pair has at
-    least one successor.
+    least one successor. It is kept as rows: per state number, one sorted
+    tuple of successor numbers per joint action, in joint-action order.
     """
 
     def __init__(self, agents, actions, states, labels, initial, observes, hidden, transitions):
@@ -143,14 +130,13 @@ class Arena:
         self.initial = tuple(initial)
         self.observes = {a: frozenset(observes[a]) for a in self.agents}
         self.hidden = frozenset(hidden)
-        self.transitions = {key: frozenset(targets) for key, targets in transitions.items()}
         self.props = frozenset().union(*self.observes.values()) | self.hidden
         self._state_index = {q: i for i, q in enumerate(self.states)}
         # What split records on an arena it builds; a re-split and name read it.
         self._refinement = None
-        self._validate()
+        self._rows = self._validate(transitions)
 
-    def _validate(self):
+    def _validate(self, transitions):
         if not self.states:
             raise ArenaError("arena has no states")
         _require_strings(self.states, "state id")
@@ -182,18 +168,23 @@ class Arena:
             if extra:
                 _require_strings(extra, "prop")
                 raise ArenaError("state %s labeled with undeclared props %s" % (q, sorted(extra)))
-        # Keys are unique (a dict), so once every key is a valid pair the count
-        # proves the relation serial; the checks one by one name a failure.
-        known = frozenset(self.states)
-        joint = frozenset(self.joint_actions())
-        counted = len(self.transitions) == len(self.states) * len(joint)
-        for (q, c), targets in self.transitions.items():
-            if q in known and c in joint and targets and targets <= known:
-                continue
+        # One pass checks each transition and files its successors in its
+        # row slot; the checks one by one name the first faulty transition.
+        index = self._state_index
+        joint = list(self.joint_actions())
+        position = {c: j for j, c in enumerate(joint)}
+        rows = [[None] * len(joint) for _ in self.states]
+        for (q, c), targets in transitions.items():
+            try:
+                successors = tuple(sorted({index[t] for t in targets}))
+                if successors:
+                    rows[index[q]][position[c]] = successors
+                    continue
+            except (KeyError, TypeError):
+                pass
             # A key that passes every check below without being a joint
-            # action (a string, say) does not count towards seriality.
-            counted = False
-            if q not in known:
+            # action (a string, say) fills no slot.
+            if q not in index:
                 raise ArenaError("transition from unknown state %s" % q)
             if len(c) != len(self.agents):
                 raise ArenaError("joint action %r has wrong arity" % (c,))
@@ -203,47 +194,26 @@ class Arena:
             if not targets:
                 raise ArenaError("empty successor set for state %s" % q)
             for t in targets:
-                if t not in known:
+                if t not in index:
                     raise ArenaError("transition to unknown state %s" % t)
-        if not counted:
-            for q in self.states:
-                for c in self.joint_actions():
-                    if (q, c) not in self.transitions:
-                        raise ArenaError(
-                            "non-serial transition relation: state %s has no successor under %r"
-                            % (q, c))
+        for q, row in zip(self.states, rows):
+            if None in row:
+                raise ArenaError(
+                    "non-serial transition relation: state %s has no successor under %r"
+                    % (q, joint[row.index(None)]))
+        return rows
 
     def joint_actions(self):
         """All joint actions, in the canonical per-agent order."""
         return itertools.product(*(self.actions[a] for a in self.agents))
 
-    def succ(self, q, c):
-        return self.transitions[(q, tuple(c))]
-
-    def obs(self, coalition, q):
-        """The coalition's observation of a state: its label restricted to visible props."""
-        members = _members(self, coalition)
-        label = self.labels.get(q)
-        if label is None:
-            raise ArenaError("unknown state %s" % q)
-        return label & frozenset().union(*(self.observes[a] for a in members))
-
-    def outcome_classes(self, source, coalition, c_a):
-        """Group all successors of the source set under extensions of the
-        coalition action c_a by their coalition observation. Returns a read-only
-        {observation: successor set} in observation order, read from a view
-        compiled for this call."""
-        view = _CoalitionView(self, coalition)
-        c_a = tuple(c_a)
-        if c_a not in view.extensions:
-            raise ArenaError("%r is not an action of coalition {%s}"
-                             % (c_a, ",".join(view.members)))
-        source = frozenset(source)
-        unknown = source.difference(self._state_index)
-        if unknown:
-            raise ArenaError("unknown states %s" % sorted(unknown, key=str))
-        classes = view.outcome_masks(view.mask(source))[view.actions.index(c_a)]
-        return MappingProxyType({view.observations[r]: view.to_set(t) for r, t in classes.items()})
+    @property
+    def transitions(self):
+        """The relation as {(state, joint action): frozenset of successor
+        states}, derived from the rows on each read."""
+        states, joint = self.states, list(self.joint_actions())
+        return {(q, c): frozenset([states[t] for t in successors])
+                for q, row in zip(states, self._rows) for c, successors in zip(joint, row)}
 
     def name(self, q):
         """State q's text id: q itself in a loaded arena, base@{kset members}
@@ -263,7 +233,7 @@ class Arena:
     def with_prop(self, prop, true_states):
         """A copy of the arena with one more hidden prop, labeling exactly the
         given states. The copy shares this arena's validated states, actions,
-        observations and transitions. It keeps the coalition and ksets that split
+        observations and rows. It keeps the coalition and ksets that split
         recorded on it: a hidden prop changes no coalition's observations."""
         if not isinstance(prop, str):
             raise ArenaError("prop must be a string, not %s %r" % (type(prop).__name__, prop))
@@ -295,6 +265,8 @@ class Arena:
     def to_document(self):
         """Serialize back to the arena document schema, states by their text ids."""
         name = {q: self.name(q) for q in self.states}.__getitem__
+        moves = sorted(enumerate(self.joint_actions()),
+                       key=lambda move: [(type(act).__name__, act) for act in move[1]])
         doc = {
             "agents": [
                 {"name": a, "actions": list(self.actions[a]), "observes": sorted(self.observes[a])}
@@ -304,12 +276,9 @@ class Arena:
             "states": [{"id": name(q), "labels": sorted(self.labels[q])} for q in self.states],
             "initial": list(map(name, self.initial)),
             "transitions": [
-                {"from": name(q), "actions": {a: act for a, act in zip(self.agents, c)},
-                 "to": list(map(name, self.sorted_states(targets)))}
-                for (q, c), targets in sorted(
-                    self.transitions.items(),
-                    key=lambda item: (self._state_index[item[0][0]],
-                                      [(type(act).__name__, act) for act in item[0][1]]))
+                {"from": name(q), "actions": dict(zip(self.agents, c)),
+                 "to": [name(self.states[t]) for t in row[j]]}
+                for q, row in zip(self.states, self._rows) for j, c in moves
             ],
         }
         return doc

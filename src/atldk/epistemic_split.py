@@ -86,8 +86,8 @@ def split(g, coalition, limit=None):
     When g is itself a refinement by the same coalition, maybe with props
     added since by with_prop, refining again adds no knowledge: the walk would
     number g's states as g does, each paired with the states that share its
-    kset. The result shares g's states, labels and transitions and records
-    only that kset map, each state its own base.
+    kset. The result shares g's states, labels and rows and records only
+    that kset map, each state its own base.
     """
     view = _CoalitionView(g, coalition)
     members = frozenset(view.members)
@@ -105,11 +105,12 @@ def split(g, coalition, limit=None):
             lift.setdefault(s, []).append(h)
         lift = {s: frozenset(hs) for s, hs in lift.items()}
         n, base, kset = len(g.states), g.states, [lift[s] for s in refined.kset]
-        states, labels, initial, transitions = g.states, g.labels, g.initial, g.transitions
+        states, labels, initial, rows = g.states, g.labels, g.initial, g._rows
     else:
         # The walk runs on (state index, kset mask) pairs, interned as ints.
+        # Equal successor tuples are one object.
         index, rank = view.index, view.rank
-        ids, pairs, transitions = {}, [], {}
+        ids, pairs, rows, shared = {}, [], [], {}
 
         def intern(i, m):
             """The number of the refined state (i, m), materializing it on first sight."""
@@ -126,12 +127,13 @@ def split(g, coalition, limit=None):
                         for i in start)
         # Breadth first: the walk reaches the states interned as it goes, and
         # reads the outcome classes of each state's kset once for all moves.
-        for h, (i, m) in enumerate(pairs):
-            outcomes = view.outcome_masks(m)
-            for c, k, successors in view.row(i):
+        for i, m in pairs:
+            outcomes, row = view.outcome_masks(m), []
+            for k, successors in view.row(i):
                 classes = outcomes[k]
-                transitions[(h, c)] = frozenset([intern(t, classes[rank[t]])
-                                                 for t in successors])
+                targets = tuple(sorted([intern(t, classes[rank[t]]) for t in successors]))
+                row.append(shared.setdefault(targets, targets))
+            rows.append(row)
         n = len(pairs)
         base, kset = [g.states[i] for i, _ in pairs], [view.to_set(m) for _, m in pairs]
         states, labels = range(n), {h: g.labels[q] for h, q in enumerate(base)}
@@ -141,8 +143,7 @@ def split(g, coalition, limit=None):
         _check_ids(refinement)
     # A trusted copy of g with the refined states: no validation, no dict copies.
     arena = copy.copy(g)
-    arena.states, arena.labels, arena.initial, arena.transitions = (
-        states, labels, initial, transitions)
+    arena.states, arena.labels, arena.initial, arena._rows = states, labels, initial, rows
     arena._state_index, arena._refinement = range(n), refinement
     return HatArena(arena, view, limit)
 
@@ -164,8 +165,8 @@ def label_next(hat, prop):
     """Which refined states satisfy one-step coalition ability for a prop: some
     coalition action forces prop at every successor of every kset member, however
     the other agents act."""
-    labels, transitions, view = hat.source.labels, hat.source.transitions, hat.view
-    return _per_kset(hat, lambda s: any(
-        all(prop in labels[t] for c in view.extensions[c_a] for q in s
-            for t in transitions[(q, c)])
-        for c_a in view.actions))
+    view, labels = hat.view, hat.source.labels
+    good = {i for i, q in enumerate(hat.source.states) if prop in labels[q]}
+    return _per_kset(hat, lambda s: len(view.actions) > len(
+        {k for q in s for k, successors in view.row(view.index[q])
+         if not good.issuperset(successors)}))

@@ -105,7 +105,7 @@ class _GoalTable(dict):
         self.discharged = sum(1 << i for i, q in enumerate(g.states) if p2 in g.labels[q])
 
     def initial(self, s):
-        m = self.view.mask(s)
+        m = sum(1 << self.view.index[q] for q in s)
         return BOT if m & self.off_goal else (m & ~self.discharged, m)
 
     def __missing__(self, state):

@@ -10,7 +10,8 @@ harnesses that execute extracted strategies against every opponent resolution
 an isomorphism check for repeated refinement, and frozenset walks of the
 knowledge split and of goal-table rows by their definitions. Keep these
 independent of the engine internals; they only use the public Arena
-interface, except construction_failures, which inspects the refined arena and
+interface, except outcome_classes, which reads a coalition view the engine
+compiles, construction_failures, which inspects the refined arena and
 goal tables the engine built, level_failures, which runs the checker with the
 engine calls it makes recorded, the occurrence solver, which reads a goal
 automaton, and the goal-row reference, which reads a refinement's source and
@@ -24,12 +25,15 @@ import contextlib
 import importlib.util
 import itertools
 import random
+import weakref
 from collections import deque
 from pathlib import Path
+from types import MappingProxyType
 
 import atldk.checker as checker
 import atldk.formula as fm
 from atldk import ArenaError, StateCapExceeded, explain, load_arena, model_check
+from atldk.arena import _CoalitionView
 from atldk.strategy_automata import BOT, UNTIL, WEAK_UNTIL
 
 
@@ -75,7 +79,7 @@ class Run:
 
     def is_valid(self, arena):
         for q, c, q2 in zip(self.states, self.actions, self.states[1:]):
-            if q2 not in arena.succ(q, c):
+            if q2 not in succ(arena, q, c):
                 return False
         return True
 
@@ -199,7 +203,7 @@ def initialized_runs(arena, depth):
         step = []
         for run in frontier:
             for c in arena.joint_actions():
-                for t in arena.succ(run.last, c):
+                for t in succ(arena, run.last, c):
                     step.append(run.extend(c, t))
         runs.extend(step)
         frontier = step
@@ -234,10 +238,53 @@ def restrict_action(arena, coalition, c):
     return tuple(act for a, act in zip(arena.agents, c) if a in members)
 
 
+# Each arena's transitions, derived on the first succ call: an arena does not
+# change once built.
+_TRANSITIONS = weakref.WeakKeyDictionary()
+
+
+def succ(arena, q, c):
+    """The successors of state q under joint action c."""
+    transitions = _TRANSITIONS.get(arena)
+    if transitions is None:
+        transitions = _TRANSITIONS[arena] = arena.transitions
+    return transitions[(q, tuple(c))]
+
+
+def obs(arena, coalition, q):
+    """The coalition's observation of a state: its label restricted to the props
+    some member observes. Unknown members or states raise ArenaError."""
+    props = coalition_props(arena, coalition)
+    label = arena.labels.get(q)
+    if label is None:
+        raise ArenaError("unknown state %s" % q)
+    return label & props
+
+
+def outcome_classes(arena, source, coalition, c_a):
+    """The engine's grouping of all successors of the source set under
+    extensions of the coalition action c_a by their coalition observation: a
+    read-only {observation: successor set} in observation order, read from a
+    coalition view compiled for this call. Unknown members, actions and
+    states raise ArenaError."""
+    view = _CoalitionView(arena, coalition)
+    c_a = tuple(c_a)
+    if c_a not in view.actions:
+        raise ArenaError("%r is not an action of coalition {%s}"
+                         % (c_a, ",".join(view.members)))
+    source = frozenset(source)
+    unknown = source.difference(arena.states)
+    if unknown:
+        raise ArenaError("unknown states %s" % sorted(unknown, key=str))
+    classes = view.outcome_masks(sum(1 << view.index[q] for q in source))
+    return MappingProxyType({view.observations[r]: view.to_set(t)
+                             for r, t in classes[view.actions.index(c_a)].items()})
+
+
 def obs_signature(arena, coalition, run):
     """What the coalition sees of a run: projected actions and observations."""
     acts = tuple(restrict_action(arena, coalition, c) for c in run.actions)
-    views = tuple(arena.obs(coalition, q) for q in run.states)
+    views = tuple(obs(arena, coalition, q) for q in run.states)
     return (acts, views)
 
 
@@ -256,7 +303,7 @@ def obs_equiv(arena, coalition, run1, run2):
         if restrict_action(arena, coalition, c1) != restrict_action(arena, coalition, c2):
             return False
     for q1, q2 in zip(run1.states, run2.states):
-        if arena.obs(coalition, q1) != arena.obs(coalition, q2):
+        if obs(arena, coalition, q1) != obs(arena, coalition, q2):
             return False
     return True
 
@@ -270,8 +317,8 @@ def out(arena, source, coalition, c_a, z):
     result = set()
     for c in extensions(arena, coalition, c_a):
         for s in source:
-            for t in arena.succ(s, c):
-                if arena.obs(coalition, t) == z:
+            for t in succ(arena, s, c):
+                if obs(arena, coalition, t) == z:
                     result.add(t)
     return frozenset(result)
 
@@ -308,7 +355,7 @@ def next_oracle(arena, coalition, prop, runs):
             if all(prop in arena.labels[t]
                    for run in group
                    for c in extensions(arena, coalition, c_a)
-                   for t in arena.succ(run.last, c)):
+                   for t in succ(arena, run.last, c)):
                 value = True
                 break
         for run in group:
@@ -351,8 +398,8 @@ def until_oracle(arena, coalition, p1, p2, runs, depth, weak=False):
             classes = {}
             for run in pending:
                 for c in extensions(arena, coalition, c_a):
-                    for t in arena.succ(run.last, c):
-                        classes.setdefault(arena.obs(coalition, t), []).append(run.extend(c, t))
+                    for t in succ(arena, run.last, c):
+                        classes.setdefault(obs(arena, coalition, t), []).append(run.extend(c, t))
             if all(wins(group, start, left - 1) for group in classes.values()):
                 return True
         return False
@@ -374,7 +421,7 @@ def pre(arena, coalition, target):
         for c_a in coalition_actions(arena, coalition):
             if all(t in target
                    for c in extensions(arena, coalition, c_a)
-                   for t in arena.succ(q, c)):
+                   for t in succ(arena, q, c)):
                 result.add(q)
                 break
     return result
@@ -531,7 +578,7 @@ def replay_until(arena, coalition, strategy, holds1, holds2, depth, budget=20000
     """
     failures = []
     seen = set()
-    frontier = [(q, (arena.obs(coalition, q),)) for q in arena.initial]
+    frontier = [(q, (obs(arena, coalition, q),)) for q in arena.initial]
     explored = 0
     while frontier:
         q, history = frontier.pop()
@@ -552,8 +599,8 @@ def replay_until(arena, coalition, strategy, holds1, holds2, depth, budget=20000
             continue
         c_a = strategy.action(history)
         for c in extensions(arena, coalition, c_a):
-            for t in arena.succ(q, c):
-                frontier.append((t, history + (arena.obs(coalition, t),)))
+            for t in succ(arena, q, c):
+                frontier.append((t, history + (obs(arena, coalition, t),)))
     return failures
 
 
@@ -576,8 +623,8 @@ def replay_machine(arena, coalition, strategy, holds1, holds2, weak=False):
     def successors(q, memory):
         c_a = None if memory is None else machine.output(memory)
         for c in extensions(arena, coalition, strategy.default if c_a is None else c_a):
-            for t in arena.succ(q, c):
-                z = arena.obs(coalition, t)
+            for t in succ(arena, q, c):
+                z = obs(arena, coalition, t)
                 yield t, None if memory is None else machine.step(memory, z)
 
     failures = []
@@ -595,7 +642,7 @@ def replay_machine(arena, coalition, strategy, holds1, holds2, weak=False):
             stack.append((node, successors(*node)))
 
     for q in arena.initial:
-        root = (q, machine.step((), arena.obs(coalition, q)))
+        root = (q, machine.step((), obs(arena, coalition, q)))
         if root not in done and root not in on_path:
             enter(root)
         while stack:
@@ -621,7 +668,7 @@ def history_witness_map(solution, automaton, kset):
     up to depth |states|, in the order the queue meets them. Histories
     through a state without a choice get no entry and are not extended."""
     hat = automaton.hat
-    z0 = hat.source.obs(hat.coalition, next(iter(kset)))
+    z0 = obs(hat.source, hat.coalition, next(iter(kset)))
     depth_cap = len(automaton.states)
     mapping = {}
     queue = deque([(automaton.init, (z0,))])
@@ -661,9 +708,9 @@ def resplit_isomorphism_failures(first, second):
             problems.append("label mismatch at %s" % h)
     for h in g2.states:
         for c in g2.joint_actions():
-            got = {base[t] for t in g2.succ(h, c)}
-            want = set(g1.succ(base[h], c))
-            if got != want or len(got) != len(g2.succ(h, c)):
+            got = {base[t] for t in succ(g2, h, c)}
+            want = set(succ(g1, base[h], c))
+            if got != want or len(got) != len(succ(g2, h, c)):
                 problems.append("transition mismatch at (%s, %r)" % (h, c))
     for h in g2.states:
         want = frozenset(states_with_kset(first, first.kset[base[h]]))
@@ -691,7 +738,7 @@ def reference_split(g, coalition, limit=None):
     kset (oracles.out) that it lies in. A refined id is base@{kset members in
     arena order}, each named by g. Past limit refined states it raises
     StateCapExceeded."""
-    obs = {q: g.obs(coalition, q) for q in g.states}
+    observation = {q: obs(g, coalition, q) for q in g.states}
     ids, pairs, classes = {}, [], {}
 
     def intern(q, s):
@@ -709,14 +756,14 @@ def reference_split(g, coalition, limit=None):
             classes[(s, c_a, z)] = out(g, s, coalition, c_a, z)
         return classes[(s, c_a, z)]
 
-    initial = tuple(intern(q, frozenset(r for r in g.initial if obs[r] == obs[q]))
+    initial = tuple(intern(q, frozenset(r for r in g.initial if observation[r] == observation[q]))
                     for q in g.initial)
     transitions = {}
     for q, s in pairs:
         for c in g.joint_actions():
             c_a = restrict_action(g, coalition, c)
             transitions[(ids[(q, s)], c)] = frozenset(
-                intern(t, outcome(s, c_a, obs[t])) for t in g.states if t in g.succ(q, c))
+                intern(t, outcome(s, c_a, observation[t])) for t in g.states if t in succ(g, q, c))
     states = tuple(ids[pair] for pair in pairs)
     return ReferenceSplit(states, initial, {ids[(q, s)]: g.labels[q] for q, s in pairs},
                           transitions, {ids[(q, s)]: q for q, s in pairs},
@@ -747,11 +794,11 @@ def reference_goal_row(hat, p1, p2, state):
     for c_a in coalition_actions(g, coalition):
         moves = list(extensions(g, coalition, c_a))
         if state == SET_BOT or any(not g.labels[t] & {p1, p2} for c in moves
-                                   for q in state[0] for t in g.succ(q, c)):
+                                   for q in state[0] for t in succ(g, q, c)):
             delta[c_a], classes[c_a] = (SET_BOT,), ()
             continue
         pending, kset = state
-        seen = {g.obs(coalition, t) for c in moves for q in kset for t in g.succ(q, c)}
+        seen = {obs(g, coalition, t) for c in moves for q in kset for t in succ(g, q, c)}
         pairs = tuple((z, (
             frozenset(t for t in out(g, pending, coalition, c_a, z) if p2 not in g.labels[t]),
             out(g, kset, coalition, c_a, z))) for z in sorted(seen, key=sorted))
@@ -765,8 +812,9 @@ def construction_failures(hat):
 
     Split builds its arena without Arena's validation, so this checks what
     that would: the states are 0..n-1, the initial states are distinct and in
-    range, every (state, joint action) pair and no other has nonempty
-    successors in range, and labels use declared props only. The rendered ids
+    range, each state has one successor tuple per joint action, each tuple
+    nonempty, strictly increasing and in range, and labels use declared props
+    only. Equal successor tuples are one object. The rendered ids
     are distinct. Every refined state's base lies in its kset, and every kset
     is one coalition observation. Every state but BOT of the hat's goal
     tables, expanded or met as a successor, has its pending set inside its
@@ -782,12 +830,18 @@ def construction_failures(hat):
     initial = set(arena.initial)
     if not initial or len(initial) != len(arena.initial) or not initial <= numbers:
         problems.append("initial states %s are empty, repeated or out of range" % (arena.initial,))
-    joint = list(arena.joint_actions())
-    if set(arena.transitions) != {(h, c) for h in numbers for c in joint}:
-        problems.append("transition keys are not every (state, joint action) pair")
-    for key, targets in arena.transitions.items():
-        if not targets or not targets <= numbers:
-            problems.append("successors of %s are empty or out of range" % (key,))
+    joint, rows, shared = list(arena.joint_actions()), arena._rows, {}
+    if len(rows) != n or any(len(row) != len(joint) for row in rows):
+        problems.append("rows are not one successor tuple per (state, joint action) pair")
+    for h, row in enumerate(rows):
+        for c, successors in zip(joint, row):
+            where = "successors of (%s, %r)" % (h, c)
+            if not (isinstance(successors, tuple) and successors and 0 <= successors[0]
+                    and successors[-1] < n
+                    and all(t < u for t, u in zip(successors, successors[1:]))):
+                problems.append("%s are not a nonempty increasing tuple in range" % where)
+            elif shared.setdefault(successors, successors) is not successors:
+                problems.append("%s are an equal tuple's copy" % where)
     if set(arena.labels) != numbers or not all(
             label <= arena.props for label in arena.labels.values()):
         problems.append("labels are not one per state over declared props")
@@ -796,7 +850,7 @@ def construction_failures(hat):
         problems.append("rendered ids repeat: %s" % sorted(q for q in ids if ids.count(q) > 1))
 
     def incoherent(s):
-        return len({g.obs(coalition, q) for q in s}) != 1
+        return len({obs(g, coalition, q) for q in s}) != 1
 
     for h in hat.arena.states:
         if hat.base[h] not in hat.kset[h]:
@@ -977,7 +1031,7 @@ def lift_run(g, hat, run):
     for c, q2 in zip(run.actions, run.states[1:]):
         current = states[-1]
         target = None
-        for hid in hat.arena.succ(current, c):
+        for hid in succ(hat.arena, current, c):
             if hat.base[hid] == q2:
                 target = hid
                 break

@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from atldk import Arena, ArenaError, SINK_ID, Strategy, load_arena, load_alicebob
 from atldk.epistemic_split import split
-from oracles import (Run, coalition_actions, coalition_props, coalition_tuple, extensions,
-                     obs_equiv, out, random_arena, random_arena_document, restrict_action)
+from oracles import (Run, coalition_actions, coalition_props, coalition_tuple, extensions, obs,
+                     obs_equiv, out, outcome_classes, random_arena, random_arena_document,
+                     restrict_action, succ)
 
 AB = ["Alice", "Bob"]
 
@@ -53,17 +54,17 @@ class TestLoading:
 
     def test_sink_completion_makes_the_relation_total(self, corpus):
         assert len(corpus.transitions) == 16 * 25
-        assert corpus.succ(SINK_ID, ("g", "g")) == frozenset({SINK_ID})
-        assert corpus.succ("q1", ("g", "g")) == frozenset({SINK_ID})
+        assert succ(corpus, SINK_ID, ("g", "g")) == frozenset({SINK_ID})
+        assert succ(corpus, "q1", ("g", "g")) == frozenset({SINK_ID})
         assert corpus.labels[SINK_ID] == frozenset()
 
     def test_corpus_transition_goldens(self, corpus):
-        assert corpus.succ("q0", ("g", "g")) == frozenset({"q1", "q2", "q3"})
-        assert corpus.succ("q1", ("i", "i")) == frozenset({"q4"})
-        assert corpus.succ("q9", ("tc", "ds")) == frozenset({"q12"})
-        assert corpus.succ("q10", ("ds", "tc")) == frozenset({"q12"})
-        assert corpus.succ("q11", ("tc", "ds")) == frozenset({"q13"})
-        assert corpus.succ("q12", ("i", "i")) == frozenset({"q12"})
+        assert succ(corpus, "q0", ("g", "g")) == frozenset({"q1", "q2", "q3"})
+        assert succ(corpus, "q1", ("i", "i")) == frozenset({"q4"})
+        assert succ(corpus, "q9", ("tc", "ds")) == frozenset({"q12"})
+        assert succ(corpus, "q10", ("ds", "tc")) == frozenset({"q12"})
+        assert succ(corpus, "q11", ("tc", "ds")) == frozenset({"q13"})
+        assert succ(corpus, "q12", ("i", "i")) == frozenset({"q12"})
 
     def test_corpus_labels(self, corpus):
         assert corpus.labels["q12"] == frozenset({"c", "s", "valid"})
@@ -88,7 +89,7 @@ class TestLoading:
         doc["transitions"].append(
             {"from": "s1", "actions": {"a1": "a", "a2": "a"}, "to": ["s0"]})
         g = load_arena(doc)
-        assert g.succ("s1", ("a", "a")) == frozenset({"s0", "s1"})
+        assert succ(g, "s1", ("a", "a")) == frozenset({"s0", "s1"})
 
     def test_minimal_arena(self):
         g = load_arena({
@@ -98,7 +99,7 @@ class TestLoading:
             "transitions": [{"from": "only", "actions": {"solo": "go"}, "to": ["only"]}],
         })
         assert g.props == frozenset()
-        assert g.succ("only", ("go",)) == frozenset({"only"})
+        assert succ(g, "only", ("go",)) == frozenset({"only"})
 
     def test_round_trip_through_document(self, corpus):
         again = load_arena(corpus.to_document())
@@ -174,7 +175,7 @@ class TestLoadErrors:
         doc["transitions"].pop()
         doc["complete_with_sink"] = True
         g = load_arena(doc)
-        assert g.succ("s1", ("b", "a")) == frozenset({SINK_ID})
+        assert succ(g, "s1", ("b", "a")) == frozenset({SINK_ID})
 
     def test_sink_flag_must_be_a_boolean(self):
         doc = tiny_document()
@@ -238,7 +239,7 @@ class TestListFields:
 
     def test_the_document_loads_with_lists(self):
         g = load_arena(one_letter_document())
-        assert g.succ("a", ("go",)) == frozenset({"a", "b"})
+        assert succ(g, "a", ("go",)) == frozenset({"a", "b"})
         assert g.labels["a"] == frozenset({"p", "r"})
 
     def test_to_must_be_a_list(self):
@@ -375,7 +376,7 @@ class TestStringNames:
             entry["actions"]["a1"] = action
         g = load_arena(doc)
         assert g.actions["a1"] == (0, 1)
-        assert g.succ("s0", (1, "a")) == frozenset({"s1"})
+        assert succ(g, "s0", (1, "a")) == frozenset({"s1"})
 
 
 def arena_parts(**overrides):
@@ -451,6 +452,18 @@ class TestValidationMessages:
                       transitions=self.transitions((("s0", ("a", "a")), {"s8"}),
                                                    (("s9", ("a", "a")), {"s0"})))
 
+    def test_an_earlier_fault_wins_over_a_later_one_checked_first(self):
+        """Transitions are checked in the order given, each fully, and
+        seriality after all of them."""
+        doc = tiny_document()
+        doc["transitions"][0]["to"] = []
+        doc["transitions"].append({"from": "s9", "actions": {"a1": "a", "a2": "a"}, "to": ["s0"]})
+        with pytest.raises(ArenaError, match=r"^empty successor set for state s0$"):
+            load_arena(doc)
+        del doc["transitions"][0]
+        with pytest.raises(ArenaError, match=r"^transition from unknown state s9$"):
+            load_arena(doc)
+
     def test_undeclared_label_prop(self):
         labels = dict(arena_parts()["labels"], s1=frozenset({"h", "mystery"}))
         self.rejected("state s1 labeled with undeclared props ['mystery']", labels=labels)
@@ -483,6 +496,19 @@ class TestValidationMessages:
             load_arena(tiny_document(hidden_props=["h", "p"]))
 
 
+def coalition_parts(g, view):
+    """{joint action: its coalition part}, as the view's rows give it."""
+    return {c: view.actions[k] for c, (k, _) in zip(g.joint_actions(), view.row(0))}
+
+
+def view_extensions(g, view):
+    """{coalition action: its joint actions in order}, as the view's rows give it."""
+    extended = {}
+    for c, c_a in coalition_parts(g, view).items():
+        extended.setdefault(c_a, []).append(c)
+    return extended
+
+
 class TestCoalitions:
     def test_coalition_tuple_uses_agent_order(self, corpus):
         for coalition, members in ((["Bob", "Alice"], ("Alice", "Bob")),
@@ -497,8 +523,8 @@ class TestCoalitions:
 
     def test_unknown_member_rejected(self, corpus):
         calls = (lambda: split(corpus, ["Alice", "Eve"]),
-                 lambda: corpus.obs(["Alice", "Eve"], "q0"),
-                 lambda: corpus.outcome_classes({"q0"}, ["Alice", "Eve"], ("g", "g")),
+                 lambda: obs(corpus, ["Alice", "Eve"], "q0"),
+                 lambda: outcome_classes(corpus, {"q0"}, ["Alice", "Eve"], ("g", "g")),
                  lambda: coalition_tuple(corpus, ["Alice", "Eve"]))
         for call in calls:
             with pytest.raises(ArenaError, match=r"unknown coalition members \['Eve'\]"):
@@ -515,61 +541,63 @@ class TestCoalitions:
         for coalition in spellings:
             assert split(arena, coalition).view.members == ("Alice", "Bob")
             assert coalition_props(arena, coalition) == arena.observes["Alice"] | arena.observes["Bob"]
-            assert arena.obs(coalition, "q4") == frozenset({"y_a", "x_b", "valid"})
+            assert obs(arena, coalition, "q4") == frozenset({"y_a", "x_b", "valid"})
         for coalition in (["Alice"], ("Alice",), frozenset({"Alice"}), ["Alice"]):
             assert split(arena, coalition).view.members == ("Alice",)
             assert coalition_props(arena, coalition) == arena.observes["Alice"]
-            assert arena.obs(coalition, "q4") == frozenset({"y_a", "valid"})
+            assert obs(arena, coalition, "q4") == frozenset({"y_a", "valid"})
         for _ in range(2):
             with pytest.raises(ArenaError):
                 split(arena, ["Alice", "Eve"])
             with pytest.raises(ArenaError):
                 coalition_props(arena, ("Eve",))
             with pytest.raises(ArenaError):
-                arena.obs(frozenset({"Eve"}), "q4")
+                obs(arena, frozenset({"Eve"}), "q4")
         seen = Arena(arena.agents, arena.actions, arena.states,
                      {q: arena.labels[q] | ({"seen"} if q == "q4" else set())
                       for q in arena.states},
                      arena.initial, {a: arena.observes[a] | {"seen"} for a in arena.agents},
                      arena.hidden, arena.transitions)
         assert "seen" in coalition_props(seen, ["Alice"])
-        assert seen.obs(["Alice"], "q4") == frozenset({"y_a", "valid", "seen"})
-        assert arena.obs(["Alice"], "q4") == frozenset({"y_a", "valid"})
+        assert obs(seen, ["Alice"], "q4") == frozenset({"y_a", "valid", "seen"})
+        assert obs(arena, ["Alice"], "q4") == frozenset({"y_a", "valid"})
 
     def test_extensions_fix_only_the_coalition(self, corpus):
-        exts = split(corpus, ["Alice"]).view.extensions[("i",)]
+        exts = list(extensions(corpus, ["Alice"], ("i",)))
         assert len(exts) == 5
         assert all(c[0] == "i" for c in exts)
         assert {c[1] for c in exts} == set(corpus.actions["Bob"])
-        assert split(corpus, AB).view.extensions[("g", "g")] == [("g", "g")]
+        assert list(extensions(corpus, AB, ("g", "g"))) == [("g", "g")]
+        assert view_extensions(corpus, split(corpus, ["Alice"]).view)[("i",)] == exts
 
     def test_empty_coalition_extensions_are_all_joint_actions(self, corpus):
         view = split(corpus, []).view
         assert view.actions == ((),)
-        assert view.extensions[()] == list(corpus.joint_actions())
+        assert list(extensions(corpus, [], ())) == list(corpus.joint_actions())
+        assert view_extensions(corpus, view)[()] == list(corpus.joint_actions())
 
     def test_restrict_action(self, corpus):
-        assert dict(split(corpus, ["Bob"]).view.moves)[("g", "e")] == ("e",)
-        assert dict(split(corpus, AB).view.moves)[("g", "e")] == ("g", "e")
-        assert dict(split(corpus, []).view.moves)[("g", "e")] == ()
+        assert coalition_parts(corpus, split(corpus, ["Bob"]).view)[("g", "e")] == ("e",)
+        assert coalition_parts(corpus, split(corpus, AB).view)[("g", "e")] == ("g", "e")
+        assert coalition_parts(corpus, split(corpus, []).view)[("g", "e")] == ()
         assert restrict_action(corpus, ["Bob"], ("g", "e")) == ("e",)
 
 
 class TestObservations:
     def test_obs_goldens(self, corpus):
-        assert corpus.obs(["Alice"], "q4") == frozenset({"y_a", "valid"})
-        assert corpus.obs(["Bob"], "q4") == frozenset({"x_b"})
-        assert corpus.obs(AB, "q4") == frozenset({"y_a", "x_b", "valid"})
-        assert corpus.obs(AB, "q1") == frozenset({"valid"})
-        assert corpus.obs([], "q12") == frozenset()
+        assert obs(corpus, ["Alice"], "q4") == frozenset({"y_a", "valid"})
+        assert obs(corpus, ["Bob"], "q4") == frozenset({"x_b"})
+        assert obs(corpus, AB, "q4") == frozenset({"y_a", "x_b", "valid"})
+        assert obs(corpus, AB, "q1") == frozenset({"valid"})
+        assert obs(corpus, [], "q12") == frozenset()
 
     def test_hidden_props_never_observed(self, corpus):
         for q in ("q1", "q2", "q3"):
-            assert corpus.obs(AB, q) == frozenset({"valid"})
+            assert obs(corpus, AB, q) == frozenset({"valid"})
 
     def test_unknown_state(self, corpus):
         with pytest.raises(ArenaError):
-            corpus.obs(AB, "q99")
+            obs(corpus, AB, "q99")
 
 
 class TestOut:
@@ -600,29 +628,29 @@ class TestOut:
         coalition = data.draw(st.sampled_from((["a1"], ["a2"], ["a1", "a2"])))
         source = data.draw(st.sets(st.sampled_from(sorted(g.states)), min_size=1))
         c_a = data.draw(st.sampled_from(coalition_actions(g, coalition)))
-        classes = g.outcome_classes(source, coalition, c_a)
+        classes = outcome_classes(g, source, coalition, c_a)
         everything = {t for c in extensions(g, coalition, c_a)
-                      for s in source for t in g.succ(s, c)}
+                      for s in source for t in succ(g, s, c)}
         assert frozenset().union(*classes.values()) == everything if classes else not everything
         for z, members in classes.items():
             assert members == out(g, source, coalition, c_a, z)
-            assert all(g.obs(coalition, t) == z for t in members)
+            assert all(obs(g, coalition, t) == z for t in members)
         for z in classes:
             others = everything - classes[z]
-            assert all(g.obs(coalition, t) != z for t in others)
+            assert all(obs(g, coalition, t) != z for t in others)
 
 
 
 def grouped_from_scratch(g, source, coalition, c_a):
     """outcome_classes recomputed from the arena's raw fields, sharing no code or
     memo with Arena."""
-    props = frozenset().union(*(g.observes[a] for a in coalition))
+    props, transitions = frozenset().union(*(g.observes[a] for a in coalition)), g.transitions
     grouped = {}
     for c in g.joint_actions():
         if tuple(act for a, act in zip(g.agents, c) if a in coalition) != tuple(c_a):
             continue
         for s in source:
-            for t in g.transitions[(s, c)]:
+            for t in transitions[(s, c)]:
                 grouped.setdefault(g.labels[t] & props, set()).add(t)
     return {z: frozenset(members) for z, members in grouped.items()}
 
@@ -637,7 +665,7 @@ COALITIONS = (["a1"], ["a2"], ["a1", "a2"], [])
 
 # An arena's own fields: no coalition view, memo or outcome class among them.
 ARENA_FIELDS = {"agents", "actions", "states", "labels", "initial", "observes", "hidden",
-                "transitions", "props", "_state_index", "_refinement"}
+                "props", "_state_index", "_refinement", "_rows"}
 
 
 class TestCompiledView:
@@ -650,8 +678,8 @@ class TestCompiledView:
                 for _ in range(2):
                     for source in sources:
                         for c_a in coalition_actions(g, coalition):
-                            memoized = g.outcome_classes(source, coalition, c_a)
-                            fresh = rebuilt(g).outcome_classes(source, coalition, c_a)
+                            memoized = outcome_classes(g, source, coalition, c_a)
+                            fresh = outcome_classes(rebuilt(g), source, coalition, c_a)
                             assert memoized == fresh
                             assert memoized == grouped_from_scratch(g, source, coalition, c_a)
 
@@ -659,20 +687,20 @@ class TestCompiledView:
         source = ["q1", "q2", "q3"]
         for coalition in (["Alice"], AB):
             c_a = coalition_actions(corpus, coalition)[-1]
-            first = corpus.outcome_classes(source, coalition, c_a)
+            first = outcome_classes(corpus, source, coalition, c_a)
             assert first
             for spelling in (set(source), frozenset(source), source[::-1]):
-                assert corpus.outcome_classes(spelling, coalition, list(c_a)) == first
+                assert outcome_classes(corpus, spelling, coalition, list(c_a)) == first
 
     def test_returned_mappings_are_read_only(self, corpus):
-        classes = corpus.outcome_classes({"q0"}, AB, ("g", "g"))
+        classes = outcome_classes(corpus, {"q0"}, AB, ("g", "g"))
         z = next(iter(classes))
         with pytest.raises(TypeError):
             classes[z] = frozenset()
         with pytest.raises(TypeError):
             del classes[z]
         assert all(isinstance(members, frozenset) for members in classes.values())
-        assert corpus.outcome_classes({"q0"}, AB, ("g", "g")) == {
+        assert outcome_classes(corpus, {"q0"}, AB, ("g", "g")) == {
             frozenset({"valid"}): frozenset({"q1", "q2", "q3"})}
 
     def test_classes_come_in_observation_order(self):
@@ -681,36 +709,39 @@ class TestCompiledView:
             for coalition in COALITIONS:
                 for c_a in coalition_actions(g, coalition):
                     for source in [(q,) for q in g.states] + [g.states]:
-                        classes = g.outcome_classes(source, coalition, c_a)
+                        classes = outcome_classes(g, source, coalition, c_a)
                         assert list(classes) == sorted(classes, key=sorted), seed
 
     def test_obs_and_restrict_action_follow_the_definitions(self):
-        """Observations, joint moves with their coalition part, and coalition
-        actions in the members' product order (until choices depend on it),
-        each with its extensions, against the oracle helpers."""
+        """Observations, each state's moves with their coalition part and
+        sorted successors, and coalition actions in the members' product order
+        (until choices depend on it), each with its extensions, against the
+        oracle helpers."""
         for seed in range(40):
             g = random_arena(random.Random(seed))
             for coalition in COALITIONS + (["a2", "a1"],):
                 view = split(g, coalition).view
                 props = frozenset().union(*(g.observes[a] for a in coalition))
-                for q in g.states:
-                    assert g.obs(coalition, q) == view.observation[q] == g.labels[q] & props
+                for i, q in enumerate(g.states):
+                    assert obs(g, coalition, q) == view.observation[q] == g.labels[q] & props
+                    assert [(view.actions[k], [g.states[t] for t in successors])
+                            for k, successors in view.row(i)] == [
+                        (restrict_action(g, coalition, c), g.sorted_states(succ(g, q, c)))
+                        for c in g.joint_actions()], seed
                 members = coalition_tuple(g, coalition)
                 assert view.members == members
-                assert view.moves == tuple((c, restrict_action(g, coalition, c))
-                                           for c in g.joint_actions())
                 assert view.actions == tuple(itertools.product(*(g.actions[a] for a in members)))
                 assert list(view.actions) == coalition_actions(g, coalition)
                 for c_a in view.actions:
-                    assert view.extensions[c_a] == list(extensions(g, coalition, c_a))
+                    assert view_extensions(g, view)[c_a] == list(extensions(g, coalition, c_a))
 
     def test_classes_reject_what_is_not_an_action_or_a_state(self, corpus):
         for c_a in (("g", "g"), ("x",), ()):
             with pytest.raises(ArenaError, match=r"is not an action of coalition \{Alice\}"):
-                corpus.outcome_classes({"q0"}, ["Alice"], c_a)
+                outcome_classes(corpus, {"q0"}, ["Alice"], c_a)
         with pytest.raises(ArenaError, match=r"unknown states \['q99'\]"):
-            corpus.outcome_classes({"q0", "q99"}, ["Alice"], ("g",))
-        assert corpus.outcome_classes({"q0"}, ["Alice"], ("g",))
+            outcome_classes(corpus, {"q0", "q99"}, ["Alice"], ("g",))
+        assert outcome_classes(corpus, {"q0"}, ["Alice"], ("g",))
 
 
 class TestWithProp:
@@ -719,7 +750,7 @@ class TestWithProp:
         assert "goal" in extended.labels["q12"]
         assert all("goal" not in extended.labels[q] for q in extended.states if q != "q12")
         assert "goal" in extended.hidden
-        assert extended.obs(AB, "q12") == corpus.obs(AB, "q12")
+        assert obs(extended, AB, "q12") == obs(corpus, AB, "q12")
 
     def test_rejects_existing_prop(self, corpus):
         with pytest.raises(ArenaError):
@@ -740,10 +771,11 @@ class TestWithProp:
             rng = random.Random(seed)
             g = random_arena(rng)
             # Reading outcome classes leaves no view behind for the copy to carry.
-            g.outcome_classes(g.states, ["a1"], coalition_actions(g, ["a1"])[0])
+            outcome_classes(g, g.states, ["a1"], coalition_actions(g, ["a1"])[0])
             true_states = rng.sample(g.states, rng.randint(0, len(g.states)))
             derived = g.with_prop("new", true_states)
             assert set(vars(derived)) == set(vars(g)) == ARENA_FIELDS
+            assert derived._rows is g._rows
             labels = {q: set(g.labels[q]) | ({"new"} if q in true_states else set())
                       for q in g.states}
             fresh = Arena(g.agents, g.actions, g.states, labels, g.initial,
@@ -752,11 +784,11 @@ class TestWithProp:
             assert derived.props == fresh.props == g.props | {"new"}, seed
             for coalition in COALITIONS:
                 for q in g.states:
-                    assert derived.obs(coalition, q) == fresh.obs(coalition, q), seed
+                    assert obs(derived, coalition, q) == obs(fresh, coalition, q), seed
                 for c_a in coalition_actions(g, coalition):
                     for source in [(q,) for q in g.states] + [g.states]:
-                        assert (derived.outcome_classes(source, coalition, c_a)
-                                == fresh.outcome_classes(source, coalition, c_a)), seed
+                        assert (outcome_classes(derived, source, coalition, c_a)
+                                == outcome_classes(fresh, source, coalition, c_a)), seed
 
     def test_labels_only_the_true_states_and_leaves_the_source_alone(self):
         """Over random arenas and their refinements, where many states share
@@ -910,12 +942,12 @@ class TestGeneratorSanity:
         assert g.agents == ("a1", "a2")
         for q in g.states:
             for c in g.joint_actions():
-                assert g.succ(q, c)
+                assert succ(g, q, c)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10 ** 6))
     def test_unique_label_arenas_distinguish_all_states(self, seed):
         rng = random.Random(seed)
         g = random_arena(rng, full_obs=True, unique_labels=True)
-        views = {g.obs(["a1", "a2"], q) for q in g.states}
+        views = {obs(g, ["a1", "a2"], q) for q in g.states}
         assert len(views) == len(g.states)

@@ -577,10 +577,16 @@ class TestDumpsReload:
                 arenas.append(Arena(*args))
             except ArenaError:
                 continue
+        rng = random.Random(0)
+        refined = [split(g, random_coalition(rng)).arena for g in arenas[:100]]
+        arenas += refined + [h.with_prop("new", h.states[::2]) for h in refined]
         arenas += [level.arena for _, verdict in lazy_verdicts() for level in verdict.table]
+        # Loaded, split-built and with_prop arenas reload with equal rows.
         for g in arenas:
             doc = g.to_document()
-            assert load_arena(doc, allow_reserved=True).to_document() == doc, doc
+            again = load_arena(doc, allow_reserved=True)
+            assert again.to_document() == doc, doc
+            assert again._rows == g._rows, doc
 
     def test_the_caught_arenas_name_their_fault(self):
         for args, message in zip(self.CAUGHT, ("arena has no agents",

@@ -77,6 +77,25 @@ def test_public_signatures():
     assert set(atldk.__all__) - set(found) == {"SINK_ID", "DEFAULT_STATE_CAP", "__version__"}
 
 
+# The public method and property names of the exported classes that have
+# any, so that one cannot vanish unnoticed. Update with the change and list it
+# in CHANGES.md, as for PUBLIC_SIGNATURES.
+PUBLIC_MEMBERS = {
+    "Arena": {"dump", "joint_actions", "name", "sorted_states", "state_named", "state_sort_key",
+              "to_document", "transitions", "with_prop"},
+    "Strategy": {"action", "from_document", "mapping", "to_document"},
+    "Verdict": {"to_document", "witness"},
+}
+
+
+def test_public_members():
+    found = {name: {member for member, _ in inspect.getmembers(getattr(atldk, name))
+                    if not member.startswith("_")}
+             for name in PUBLIC_MEMBERS}
+    assert found == PUBLIC_MEMBERS
+    assert isinstance(atldk.Arena.transitions, property)
+
+
 def test_every_error_exits_the_cli_with_code_2():
     """Every exception class an atldk module defines is an ArenaError,
     FormulaError or CheckerError, so the CLI's one error exit catches it,

@@ -17,6 +17,7 @@ from oracles import (
     knowledge_oracle,
     lift_run,
     next_oracle,
+    obs,
     obs_signature,
     project_run,
     random_arena,
@@ -25,6 +26,7 @@ from oracles import (
     resplit_isomorphism_failures,
     same_kset,
     states_with_kset,
+    succ,
     unlabeled_atoms,
 )
 
@@ -67,13 +69,13 @@ class TestCorpusSplit:
         assert non_singleton == {frozenset({"q1", "q2", "q3"})}
 
     def test_deal_step_branches_into_the_shared_kset(self, corpus_hat):
-        successors = corpus_hat.arena.succ(named(corpus_hat, "q0@{q0}"), ("g", "g"))
+        successors = succ(corpus_hat.arena, named(corpus_hat, "q0@{q0}"), ("g", "g"))
         assert names(corpus_hat, successors) == {
             "q1@{q1,q2,q3}", "q2@{q1,q2,q3}", "q3@{q1,q2,q3}"}
 
     def test_reveal_step_collapses_the_kset(self, corpus_hat):
         for text, to in (("q1@{q1,q2,q3}", "q4@{q4}"), ("q2@{q1,q2,q3}", "q5@{q5}")):
-            successors = corpus_hat.arena.succ(named(corpus_hat, text), ("i", "i"))
+            successors = succ(corpus_hat.arena, named(corpus_hat, text), ("i", "i"))
             assert names(corpus_hat, successors) == {to}
 
     def test_labels_copied_from_base(self, corpus, corpus_hat):
@@ -83,7 +85,7 @@ class TestCorpusSplit:
     def test_single_agent_view_keeps_states_merged(self, corpus):
         hat = split(corpus, ["Alice"])
         for text, to in (("q2@{q1,q2,q3}", "q5@{q5,q6}"), ("q3@{q1,q2,q3}", "q6@{q5,q6}")):
-            assert names(hat, hat.arena.succ(named(hat, text), ("i", "i"))) == {to}
+            assert names(hat, succ(hat.arena, named(hat, text), ("i", "i"))) == {to}
 
     def test_split_is_deterministic(self, corpus, corpus_hat):
         again = split(corpus, AB)
@@ -151,7 +153,7 @@ class TestSplitInvariants:
         for hid in hat.arena.states:
             s = hat.kset[hid]
             assert hat.base[hid] in s
-            views = {g.obs(coalition, q) for q in s}
+            views = {obs(g, coalition, q) for q in s}
             assert len(views) == 1
 
     @settings(max_examples=80, deadline=None)
@@ -165,9 +167,9 @@ class TestSplitInvariants:
         assert hat.arena.observes == g.observes
         for hid in hat.arena.states:
             for c in hat.arena.joint_actions():
-                targets = hat.arena.succ(hid, c)
+                targets = succ(hat.arena, hid, c)
                 assert targets
-                assert {hat.base[t] for t in targets} == set(g.succ(hat.base[hid], c))
+                assert {hat.base[t] for t in targets} == set(succ(g, hat.base[hid], c))
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10 ** 6))
@@ -327,7 +329,7 @@ class TestResplit:
     def test_same_coalition_resplit_equals_the_full_construction(self, seed):
         coalition, mid = resplit_input(seed)
         fast = split(mid, coalition)
-        assert not fast.view._outcome_masks and not fast.view._rows
+        assert not fast.view._outcome_masks and fast.arena._rows is mid._rows
         assert refinement_fields(fast) == refinement_fields(split(loaded_copy(mid), coalition))
 
     @settings(max_examples=50, deadline=None)
@@ -340,7 +342,7 @@ class TestResplit:
         full = split(loaded_copy(mid), coalition)
         for prop in sorted(mid.props):
             assert label_next(fast, prop) == label_next(full, prop), prop
-        assert not fast.view._outcome_masks and not fast.view._rows
+        assert not fast.view._outcome_masks and fast.arena._rows is mid._rows
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10 ** 6))
@@ -395,7 +397,7 @@ class TestRefinedIds:
             again = split(first.arena.with_prop("extra", states), coalition)
             twice = split(again.arena, coalition)
             for hat in (again, twice):
-                assert not hat.view._outcome_masks and not hat.view._rows, seed
+                assert not hat.view._outcome_masks and hat.arena._rows is first.arena._rows, seed
             for hat in (first, other, again, twice):
                 assert misrendered_ids(hat) == [], seed
 

@@ -10,8 +10,9 @@ from atldk import load_alicebob, model_check
 from atldk.epistemic_split import split
 from atldk.strategy_automata import (BOT, build_until_automaton, build_weak_until_automaton,
                                      level_automaton, to_dot)
-from oracles import (as_masks, as_sets, classes, coalition_actions, delta, extensions,
-                     random_arena, random_coalition, reference_goal_initial, reference_goal_row)
+from oracles import (as_masks, as_sets, classes, coalition_actions, delta, extensions, obs,
+                     random_arena, random_coalition, reference_goal_initial, reference_goal_row,
+                     succ)
 
 AB = ["Alice", "Bob"]
 Q123 = ["q1", "q2", "q3"]
@@ -126,7 +127,7 @@ class TestInvariants:
                 continue
             pending, kset = as_sets(automaton.hat, state)
             assert pending <= kset
-            assert len({g.obs(coalition, q) for q in kset}) == 1
+            assert len({obs(g, coalition, q) for q in kset}) == 1
             for q in pending:
                 assert automaton.p1 in g.labels[q]
                 assert automaton.p2 not in g.labels[q]
@@ -153,15 +154,15 @@ class TestInvariants:
                     continue
                 all_kset_successors = {
                     t for c in extensions(g, coalition, c_a)
-                    for r in kset for t in g.succ(r, c)}
+                    for r in kset for t in succ(g, r, c)}
                 assert frozenset().union(*(t[1] for _, t in class_list)) == all_kset_successors
                 all_pending_successors = {
                     t for c in extensions(g, coalition, c_a)
-                    for r in pending for t in g.succ(r, c)}
+                    for r in pending for t in succ(g, r, c)}
                 relabeled = frozenset().union(*(t[0] for _, t in class_list))
                 assert relabeled == all_pending_successors - discharged
                 for z, t in class_list:
-                    assert all(g.obs(coalition, q) == z for q in t[1])
+                    assert all(obs(g, coalition, q) == z for q in t[1])
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10 ** 6))
@@ -251,7 +252,7 @@ class TestReferenceRows:
                         for c_a, pairs in row.items():
                             source = hat.source
                             reached = {t for c in extensions(source, coalition, c_a) if pairs
-                                       for q in sets(state)[0] for t in source.succ(q, c)}
+                                       for q in sets(state)[0] for t in succ(source, q, c)}
                             discharges += any(p2 in source.labels[t] for t in reached)
                     game = level_automaton(level.case, hat, p1, p2)
                     assert set(game.states) == set(wants), case
