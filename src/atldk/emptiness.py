@@ -6,7 +6,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .arena import Strategy
-from .strategy_automata import BOT, _targets, _walk
+from .strategy_automata import BOT, WEAK_UNTIL, _targets, _walk
 
 
 class GameSolution:
@@ -14,7 +14,9 @@ class GameSolution:
     chosen coalition action per winning state.
 
     For until the choice is defined on winning states that still carry
-    obligations; for weak until on every winning state.
+    obligations; for weak until on every winning state. Both cover only the
+    listed states: a settled state the level game does not list wins too,
+    and _action gives its weak-until choice.
     """
 
     def __init__(self, winning, choice):
@@ -30,13 +32,17 @@ def _attractor(automaton, target, coalition):
     all of them outside. Returns the region and, per state, the first action
     that does so: taken when the state joins (coalition) or at the last sweep
     (environment), so environment choices avoid the final region.
+
+    A settled state's row is never read: it is an until target, and on the
+    environment side it never joins, as it reaches only settled states.
     """
     region = set(target)
     choice = {}
+    unsettled = [s for s in automaton.states if not automaton.is_target(s)]
     changed = True
     while changed:
         changed = False
-        for state in automaton.states:
+        for state in unsettled:
             if state in region:
                 continue
             keep = next((c_a for c_a, pairs in automaton.rows[state][0].items()
@@ -62,17 +68,29 @@ def check_weak_nonempty(automaton):
     automaton accepts some tree iff the initial state can keep every path away
     from it."""
     losing, choice = _attractor(automaton, [BOT], coalition=False)
+    action = _action(automaton, choice)
     winning = [s for s in automaton.states if s not in losing]
-    return automaton.init in winning, GameSolution(winning, {s: choice[s] for s in winning})
+    return automaton.init in winning, GameSolution(winning, {s: action(s) for s in winning})
+
+
+def _action(game, choice):
+    """The action a solution with this choice plays per state of game, None
+    where it has none. A weak-until settled state, listed or not, plays the
+    first coalition action: every action keeps it settled."""
+    if game.kind != WEAK_UNTIL:
+        return choice.get
+    first, settled, chosen = game.alphabet[0], game.is_target, choice.get
+    return lambda state: first if settled(state) else chosen(state)
 
 
 class _WitnessMachine:
     """A winning solution as a Mealy machine on the level's goal game: memory is
-    a goal state, output its choice, update the class its row stores for that
-    choice, and the first observation picks the start, one kset's initial state."""
+    a goal state, output its action (_action), update the class its row stores
+    for that action (expanded on demand), and the first observation picks the
+    start, one kset's initial state."""
 
     def __init__(self, solution, game, ksets):
-        self.output = solution.choice.get
+        self.output = _action(game, solution.choice)
         self.rows, observation = game.rows, game.hat.view.observation
         self.starts = {observation[next(iter(s))]: self.rows.initial(s) for s in ksets}
 

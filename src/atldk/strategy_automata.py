@@ -2,7 +2,7 @@
 weak-until coalition goals. Each automaton state is expanded once per refined
 arena and goal pair; the automaton of a knowledge set is the part of that
 shared transition table reachable from the set's initial state, walked on
-first read, and the automaton of a whole level is all of it."""
+first read, and the automaton of a whole level is all of it but settled rows."""
 
 from __future__ import annotations
 
@@ -27,7 +27,8 @@ class TreeAutomaton:
 
     rows is the hat's goal table for (p1, p2), keyed by mask pairs. On first
     read, states lists the table breadth-first from starts (init, or every
-    kset's initial state). Sets of state names appear only in pretty's text."""
+    kset's initial state for the level game, which expands no settled state).
+    Sets of state names appear only in pretty's text."""
 
     def __init__(self, kind, hat, rows, init, starts=None):
         self.kind = kind
@@ -39,13 +40,15 @@ class TreeAutomaton:
 
     @cached_property
     def states(self):
-        return tuple(_walk(self.rows, self._starts))
+        return tuple(_walk(self.rows, self._starts, self.is_target if self.init is None else None))
 
     def __len__(self):
         return len(self.states)
 
-    def is_target(self, state):
-        """Until acceptance visits a state whose obligations are all discharged."""
+    @staticmethod
+    def is_target(state):
+        """Until acceptance visits a settled state, whose obligations are all
+        discharged. It reaches only settled states, so it wins either kind."""
         return state[1] != 0 and not state[0]
 
     def targets(self):
@@ -134,10 +137,11 @@ class _GoalTable(dict):
         return row
 
 
-def _walk(table, inits):
+def _walk(table, inits, settled=None):
     """The states reachable from each init in turn, breadth-first with one seen
-    set. The table is closed under successors, so a new state is reached only
-    through new ones: rows are added in the order separate walks would add them."""
+    set, not expanding a state where settled holds. The table is closed under
+    successors, so a new state is reached only through new ones: rows are
+    added in the order separate walks would add them, settled ones aside."""
     order = []
     seen = set()
     for init in inits:
@@ -146,6 +150,8 @@ def _walk(table, inits):
         seen.add(init)
         frontier = [init]
         for state in frontier:
+            if settled is not None and settled(state):
+                continue
             for t in table[state][1]:
                 if t not in seen:
                     seen.add(t)
@@ -157,7 +163,9 @@ def _walk(table, inits):
 def level_automaton(kind, hat, p1, p2):
     """The level's goal game: the automaton over the states reachable from each
     kset's initial state rows.initial(kset), kset by kset in hat.ksets order,
-    with no init. Each kset's part is closed, so one solve decides every kset."""
+    with no init, listing settled states without expanding them: the solve
+    never reads their rows. Each kset's part is closed, so one solve decides
+    every kset."""
     table = _GoalTable.of(hat, p1, p2)
     return TreeAutomaton(kind, hat, table, None, [table.initial(s) for s in hat.ksets])
 

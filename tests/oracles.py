@@ -14,11 +14,11 @@ interface, except outcome_classes, which reads a coalition view the engine
 compiles, construction_failures, which inspects the refined arena and
 goal tables the engine built, level_failures, which runs the checker with the
 engine calls it makes recorded, the occurrence solver, which reads a goal
-automaton, and the goal-row reference, which reads a refinement's source and
-coalition. Goal states are mask pairs in the source arena's state order;
-as_sets and as_masks translate them to and from pairs of state-name sets,
-and delta and classes read an automaton's rows back as per (state, action)
-dicts.
+automaton, the goal-row reference, which reads a refinement's source and
+coalition, and walk_views, which walks the engine's per-kset goal views.
+Goal states are mask pairs in the source arena's state order; as_sets and
+as_masks translate them to and from pairs of state-name sets, and delta and
+classes read an automaton's rows back as per (state, action) dicts.
 """
 
 import contextlib
@@ -34,7 +34,8 @@ import atldk.checker as checker
 import atldk.formula as fm
 from atldk import ArenaError, StateCapExceeded, explain, load_arena, model_check
 from atldk.arena import _CoalitionView
-from atldk.strategy_automata import BOT, UNTIL, WEAK_UNTIL
+from atldk.strategy_automata import (BOT, UNTIL, WEAK_UNTIL, build_until_automaton,
+                                     build_weak_until_automaton)
 
 
 class Run:
@@ -172,6 +173,21 @@ def family_f(seed, n):
     families = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(families)
     return load_arena(families.family_f_document(random.Random(seed), n))
+
+
+def acceptance_batches():
+    """The arenas of the acceptance batches: the first 200 seeded random
+    arenas that carry a prop, and 100 fully observable ones."""
+    seed = count = 0
+    while count < 200:
+        g = random_arena(random.Random(seed))
+        if g.props:
+            count += 1
+            yield seed, g
+        seed += 1
+    for seed in range(100):
+        yield 60000 + seed, random_arena(random.Random(60000 + seed),
+                                         full_obs=True, unique_labels=True)
 
 
 def comma_id_document():
@@ -555,6 +571,15 @@ def generic_occurrence_emptiness(automaton, accept, guard=DEFAULT_ORACLE_GUARD):
     return solve(start)[automaton.init]
 
 
+def walk_views(level):
+    """Walk the goal automaton (view) of every kset of an until or weak-until
+    level. The views list every state their kset reaches, so together they
+    fill the level's goal table with the settled rows its game leaves out."""
+    build = build_until_automaton if level.case == UNTIL else build_weak_until_automaton
+    for s in level.hat.ksets:
+        build(level.hat, level.chi.left.name, level.chi.right.name, s).states
+
+
 def level_truth(level):
     """A labeling level's truth map: each state of its arena to whether the
     level's fresh prop labels it."""
@@ -661,12 +686,13 @@ def replay_machine(arena, coalition, strategy, holds1, holds2, weak=False):
     return failures
 
 
-def history_witness_map(solution, automaton, kset):
+def history_witness_map(choice, automaton, kset):
     """The witness map of extract_witness_strategy from the kset whose goal
-    automaton this is, built the way it first was: one queue of (state,
-    history) pairs, popped breadth-first, one entry per observation history
-    up to depth |states|, in the order the queue meets them. Histories
-    through a state without a choice get no entry and are not extended."""
+    automaton this is, playing choice ({state: action}), built the way it
+    first was: one queue of (state, history) pairs, popped breadth-first, one
+    entry per observation history up to depth |states|, in the order the
+    queue meets them. Histories through a state without a choice get no
+    entry and are not extended."""
     hat = automaton.hat
     z0 = obs(hat.source, hat.coalition, next(iter(kset)))
     depth_cap = len(automaton.states)
@@ -674,9 +700,9 @@ def history_witness_map(solution, automaton, kset):
     queue = deque([(automaton.init, (z0,))])
     while queue:
         state, history = queue.popleft()
-        if state not in solution.choice:
+        if state not in choice:
             continue
-        c_a = solution.choice[state]
+        c_a = choice[state]
         mapping[history] = c_a
         if len(history) >= depth_cap:
             continue

@@ -31,6 +31,7 @@ from oracles import (
     replay_until,
     states_where,
     until_accept,
+    walk_views,
     weak_accept,
 )
 
@@ -323,7 +324,9 @@ def test_criterion_8_desugaring_identities(batch):
 
 def test_construction_invariants(batch, full_obs_batch):
     """Every refined state and goal-table row that model_check builds for the
-    batches keeps the invariants the checker does not re-check as it runs."""
+    batches keeps the invariants the checker does not re-check as it runs.
+    The kset views also fill the settled rows the level game leaves out, and
+    those are checked too."""
     problems = []
     rows = 0
     for index, (seed, g) in enumerate(batch + full_obs_batch):
@@ -333,6 +336,8 @@ def test_construction_invariants(batch, full_obs_batch):
         p1, p2 = rng.choice(props), rng.choice(props)
         text = "K{%s} %s & <%s>G (%s | <%s>(%s U %s))" % (c, p1, c, p2, c, p1, p2)
         for level in model_check(g, text).table:
+            if level.case in (UNTIL, WEAK_UNTIL):
+                walk_views(level)
             if level.hat is not None:
                 rows += sum(map(len, level.hat._goal_tables.values()))
                 problems += [(seed, text, line) for line in construction_failures(level.hat)]

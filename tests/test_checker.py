@@ -30,7 +30,8 @@ from atldk.strategy_automata import (TreeAutomaton, build_until_automaton,
                                      build_weak_until_automaton, level_automaton)
 from oracles import (BUILDERS, build_failures, chi_failures, construction_failures, delta,
                      family_f, hat_state_of, initialized_runs, knowledge_oracle, level_failures,
-                     level_truth, random_arena, random_coalition, unlabeled_atoms, until_oracle)
+                     level_truth, random_arena, random_coalition, unlabeled_atoms, until_oracle,
+                     walk_views)
 
 AB = ["Alice", "Bob"]
 EXAMPLE = "<Alice,Bob>(valid U (c & s))"
@@ -44,6 +45,17 @@ def corpus():
 @pytest.fixture(scope="module")
 def example_verdict(corpus):
     return model_check(corpus, EXAMPLE)
+
+
+# On family F drawn from Random(16001) with n=16, the {a1} refinement has 714
+# states and its until level's game expands 790 goal rows: caps from 714 to
+# 789 stop at the goal table.
+GOAL_CAP_TEXT = "<a1>F <a2>X p3"
+
+
+@pytest.fixture(scope="module")
+def goal_cap_arena():
+    return family_f(16001, 16)
 
 
 class TestLabelStep:
@@ -219,14 +231,16 @@ class TestModelCheck:
         with pytest.raises(StateCapExceeded):
             model_check(corpus, "K{Alice,Bob} valid", state_cap=3)
 
-    def test_state_cap_bounds_goal_table_rows(self, corpus):
-        """Both splits fit 16 refined states; the outer goal table needs 17 rows."""
-        text = "<Alice,Bob>F <Alice,Bob>(valid U (c & s))"
-        with pytest.raises(StateCapExceeded, match=r"^state cap exceeded: goal table "
-                           r"\(p#1, p#6\) for \{Alice,Bob\} needs more than 16 rows$"):
-            model_check(corpus, text, state_cap=16)
-        levels = model_check(corpus, text, state_cap=17).table.levels
-        assert [len(level.hat.arena.states) for level in levels if level.hat] == [16, 16]
+    def test_state_cap_bounds_goal_table_rows(self, goal_cap_arena):
+        """Both splits fit 714 refined states; the until level's game expands
+        790 goal rows."""
+        for cap in (714, 789):
+            with pytest.raises(StateCapExceeded, match=r"^state cap exceeded: goal table "
+                               r"\(p#1, p#3\) for \{a1\} needs more than %d rows$" % cap):
+                model_check(goal_cap_arena, GOAL_CAP_TEXT, state_cap=cap)
+        levels = model_check(goal_cap_arena, GOAL_CAP_TEXT, state_cap=790).table.levels
+        assert [len(level.hat.arena.states) for level in levels if level.hat] == [51, 714]
+        assert len(levels[-1].game.rows) == 790
 
     def test_knowledge_example(self, corpus):
         assert model_check(corpus, "K{Alice,Bob} valid").holds
@@ -280,17 +294,18 @@ class TestStateCapContract:
         self.raised(lambda: split(corpus, AB, limit=5),
                     r"^state cap exceeded: refinement for \{Alice,Bob\} needs more than 5 states$")
 
-    def test_goal_table(self, corpus):
-        hat = split(corpus, AB, limit=16)
-        self.raised(lambda: level_automaton("until", hat, "valid", "xy").states,
-                    r"^state cap exceeded: goal table \(valid, xy\) for \{Alice,Bob\} "
-                    r"needs more than 16 rows$")
+    def test_goal_table(self, goal_cap_arena):
+        source = model_check(goal_cap_arena, GOAL_CAP_TEXT).table.levels[-2].arena
+        hat = split(source, ["a1"], limit=714)
+        self.raised(lambda: level_automaton("until", hat, "p#1", "p#3").states,
+                    r"^state cap exceeded: goal table \(p#1, p#3\) for \{a1\} "
+                    r"needs more than 714 rows$")
 
-    def test_model_check(self, corpus):
+    def test_model_check(self, corpus, goal_cap_arena):
         self.raised(lambda: model_check(corpus, "K{Alice,Bob} valid", state_cap=3),
                     "refinement for")
-        self.raised(lambda: model_check(corpus, "<Alice,Bob>F <Alice,Bob>(valid U (c & s))",
-                                        state_cap=16), "goal table")
+        self.raised(lambda: model_check(goal_cap_arena, GOAL_CAP_TEXT, state_cap=714),
+                    "goal table")
 
 
 class TestHistorySemantics:
@@ -299,6 +314,10 @@ class TestHistorySemantics:
 
     # The search is exact at the goal game's state count, which bounds its
     # attractor ranks; below it only a true until or a false weak until is.
+    # The level game lists settled states without expanding them. A settled
+    # state is an until target and never loses weak until, so only unsettled
+    # states, all listed and expanded, take a rank above zero: the pruned
+    # count still bounds the ranks.
     # The cap is the largest count drawn, and bounds the search when a broken
     # construction inflates the game.
     MAX_DEPTH = 12
@@ -458,18 +477,30 @@ class TestOneSolvePerLevel:
                 assert own[level.hat.kset[hid]][0] == truth[hid], case
 
     def test_view_regions_are_the_level_region_on_their_states(self):
+        """A view also lists the settled states that the level game reaches
+        only through settled ones and does not list; they win."""
+        unlisted = 0
         for case, level, views, own in goal_levels():
+            listed = set(level.game.states)
             for s, automaton in views.items():
-                assert own[s][1].winning == level.solution.winning & set(automaton.states), case
+                extra = [q for q in automaton.states if q not in listed]
+                assert all(map(automaton.is_target, extra)), case
+                unlisted += len(extra)
+                assert own[s][1].winning == (
+                    level.solution.winning & set(automaton.states) | set(extra)), case
+        assert unlisted > 100, unlisted
 
     def test_weak_until_choices_are_the_kset_choices(self):
+        """The level's choices, with the first coalition action at each settled
+        state the level game does not list, are each view's own."""
         for case, level, views, own in goal_levels():
             if level.case != "weak-until":
                 continue
+            listed = set(level.game.states)
             for s, automaton in views.items():
-                states = set(automaton.states)
-                level_choice = {state: c_a for state, c_a in level.solution.choice.items()
-                                if state in states}
+                level_choice = {state: level.solution.choice[state] if state in listed
+                                else automaton.alphabet[0]
+                                for state in automaton.states if state in own[s][1].winning}
                 assert level_choice == own[s][1].choice, case
 
     def test_until_choices_reach_a_target_on_every_view(self):
@@ -540,19 +571,36 @@ class TestLazyViews:
                     assert build(level.hat, p1, p2, s).states == eager, case
 
     def test_level_walk_keeps_the_eager_row_order(self):
+        """The level game expands the unsettled states in the order eager walks
+        of every kset's view list them, and nothing else. It lists besides
+        exactly the settled states that a kset starts at or an expanded row
+        reaches, and lists the same whether or not the views filled the
+        table first."""
         for case, verdict in lazy_verdicts():
             for level, build, p1, p2 in goal_levels_of(verdict):
+                game = level.game
                 fresh = split(level.hat.source, level.hat.coalition)
                 for s in fresh.ksets:
                     build(fresh, p1, p2, s).states
-                rows = tuple(fresh._goal_tables[(p1, p2)])
-                assert level_automaton(level.case, level.hat, p1, p2).states == rows, case
+                rows = fresh._goal_tables[(p1, p2)]
+                unsettled = [q for q in rows if not game.is_target(q)]
+                assert list(game.rows) == unsettled, case
+                assert [q for q in game.states if not game.is_target(q)] == unsettled, case
+                reached = {rows.initial(s) for s in fresh.ksets} | {
+                    t for q in unsettled for t in rows[q][1]}
+                assert set(game.states) == set(unsettled) | {
+                    q for q in reached if game.is_target(q)}, case
+                assert level_automaton(level.case, fresh, p1, p2).states == game.states, case
 
 
 class TestConstructionInvariants:
     def test_hold_on_every_refined_state_and_goal_table_row(self):
+        """The views fill each goal table with the settled rows that the
+        level game leaves out, so every row a view shows is checked."""
         rows = 0
         for case, verdict in lazy_verdicts():
+            for level, *_ in goal_levels_of(verdict):
+                walk_views(level)
             for level in verdict.table:
                 if level.hat is not None:
                     rows += sum(map(len, level.hat._goal_tables.values()))

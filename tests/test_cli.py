@@ -13,7 +13,7 @@ from click.testing import CliRunner
 import atldk
 from atldk import Strategy, alicebob_path, load_arena
 from atldk.cli import main
-from oracles import comma_id_document, random_arena_document, replay_until
+from oracles import comma_id_document, family_f, random_arena_document, replay_until
 
 EXAMPLE = "<Alice,Bob>(valid U (c & s))"
 
@@ -132,12 +132,16 @@ class TestCheck:
         assert result.exit_code == 2
         assert "state cap" in result.stderr
 
-    def test_goal_table_over_the_state_cap(self, runner, arena_path):
-        result = invoke(runner, ["check", "--arena", arena_path, "--formula",
-                                 "<Alice,Bob>F <Alice,Bob>(valid U (c & s))", "--state-cap", "16"])
+    def test_goal_table_over_the_state_cap(self, runner, tmp_path):
+        """The {a1} refinement has 714 states; the until level's game
+        expands 790 goal rows."""
+        path = tmp_path / "arena.json"
+        family_f(16001, 16).dump(path)
+        result = invoke(runner, ["check", "--arena", str(path), "--formula",
+                                 "<a1>F <a2>X p3", "--state-cap", "714"])
         assert result.exit_code == 2
-        assert ("error: state cap exceeded: goal table (p#1, p#6) for {Alice,Bob} needs more "
-                "than 16 rows") in result.stderr
+        assert ("error: state cap exceeded: goal table (p#1, p#3) for {a1} needs more "
+                "than 714 rows") in result.stderr
 
     @pytest.mark.parametrize("args", [["check", "--formula", EXAMPLE],
                                       ["split", "--coalition", "Alice"]])

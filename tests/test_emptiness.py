@@ -13,6 +13,7 @@ from atldk.strategy_automata import (BOT, WEAK_UNTIL, build_until_automaton,
                                      build_weak_until_automaton, level_automaton)
 from oracles import (
     OracleGuardExceeded,
+    acceptance_batches,
     as_masks,
     delta,
     generic_occurrence_emptiness,
@@ -391,21 +392,6 @@ class TestWeakWitnessReplay:
         assert replay_machine(g, coalition, strategy, *holds, weak=True) == []
 
 
-def acceptance_batches():
-    """The arenas of the acceptance batches: the first 200 seeded random
-    arenas that carry a prop, and 100 fully observable ones."""
-    seed = count = 0
-    while count < 200:
-        g = random_arena(random.Random(seed))
-        if g.props:
-            count += 1
-            yield seed, g
-        seed += 1
-    for seed in range(100):
-        yield 60000 + seed, random_arena(random.Random(60000 + seed),
-                                         full_obs=True, unique_labels=True)
-
-
 def positive_ksets(level):
     """The ksets of a goal level whose initial state in the level's game wins."""
     return [s for s in level.hat.ksets if level.game.rows.initial(s) in level.solution.winning]
@@ -414,8 +400,12 @@ def positive_ksets(level):
 class TestWitnessMap:
     def test_map_equals_the_queue_walk(self):
         """Keys, actions and insertion order equal the (state, history)
-        queue walk, for every positive kset of until and weak-until levels."""
+        queue walk, for every positive kset of until and weak-until levels.
+        The walk plays the level's choices and, for weak until, the first
+        coalition action at every settled state of the kset's automaton,
+        including those the level game does not list."""
         compared = {"U": 0, "W": 0}
+        unlisted = 0
         for seed, g in acceptance_batches():
             rng = random.Random(80000 + seed)
             coalition = random_coalition(rng)
@@ -429,10 +419,15 @@ class TestWitnessMap:
                     extracted = extract_witness_strategy(level.solution, level.game, s)
                     # The kset's own automaton, on the hat whose goal table the game fills.
                     automaton = build(level.hat, level.chi.left.name, level.chi.right.name, s)
-                    expected = history_witness_map(level.solution, automaton, s)
+                    choice = dict(level.solution.choice)
+                    if op == "W":
+                        settled = [q for q in automaton.states if automaton.is_target(q)]
+                        choice.update(dict.fromkeys(settled, automaton.alphabet[0]))
+                        unlisted += len(set(settled) - set(level.game.states))
+                    expected = history_witness_map(choice, automaton, s)
                     assert list(extracted.mapping.items()) == list(expected.items()), (seed, text)
                     compared[op] += 1
-        assert min(compared.values()) >= 300, compared
+        assert min(compared.values()) >= 300 and unlisted > 100, (compared, unlisted)
 
 
 class TestWitnessMachine:
@@ -497,3 +492,34 @@ class TestWitnessMachine:
             expected.update(extract_witness_strategy(level.solution, level.game, s).mapping)
         assert list(verdict.witness().mapping.items()) == list(expected.items())
         assert {h[0] for h in expected} == {frozenset({"p"}), frozenset({"p", "r"})}
+
+    def test_weak_witness_through_settled_states_the_level_game_does_not_list(self):
+        """From s0, a reaches s1 where q holds, and b fails. The level game
+        lists the settled states of s1 and s2 without expanding them, so it
+        never reaches s3's. The witness plays a on every history, through s3
+        too, with the map recorded before the level game stopped there."""
+        g = load_arena({
+            "agents": [{"name": "a1", "actions": ["a", "b"], "observes": ["o"]}],
+            "hidden_props": ["p", "q"],
+            "states": [{"id": "s0", "labels": ["p"]}, {"id": "s1", "labels": ["q"]},
+                       {"id": "s2", "labels": ["o", "q"]}, {"id": "s3"}],
+            "initial": ["s0"],
+            "transitions": [{"from": q, "actions": {"a1": act}, "to": to}
+                            for q, act, to in (("s0", "a", ["s1"]), ("s0", "b", ["s3"]),
+                                               ("s1", "a", ["s1", "s2"]), ("s1", "b", ["s3"]),
+                                               ("s2", "a", ["s3"]), ("s2", "b", ["s2"]),
+                                               ("s3", "a", ["s3"]), ("s3", "b", ["s3"]))],
+        })
+        verdict = model_check(g, "<a1>(p W q)")
+        level = verdict.table.levels[-1]
+        assert [level.game.pretty(q) for q in level.game.states] == [
+            "({s0},{s0})", "({},{s1})", "bot", "({},{s2})"]
+        strategy = verdict.witness()
+        histories = [[], [[]], [[], []], [[], ["o"]], [[], [], []], [[], [], ["o"]],
+                     [[], ["o"], []], [[], [], [], []], [[], [], [], ["o"]],
+                     [[], [], ["o"], []], [[], ["o"], [], []]]
+        assert strategy.to_document() == {
+            "coalition": ["a1"], "default": {"a1": "a"},
+            "map": [{"history": [[]] + h, "action": {"a1": "a"}} for h in histories]}
+        holds = [lambda q, p=p: p in g.labels[q] for p in ("p", "q")]
+        assert replay_machine(g, ["a1"], strategy, *holds, weak=True) == []

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from atldk import explain, model_check
-from oracles import family_f, level_failures, random_arena
+from oracles import acceptance_batches, family_f, level_failures, random_arena, random_coalition
 
 # Over family F's props; every level of these nests two or three modalities.
 FAMILY_F_FORMULAS = (
@@ -167,6 +167,29 @@ def test_levels_keep_what_the_checker_takes_on_trust():
         problems += [(case, formula, line) for line in found]
         extracted += len(calls["extract_witness_strategy"])
     assert extracted > 10 and not problems, problems[:5]
+
+
+def test_level_games_expand_no_settled_row():
+    """On the 40 instances and, with until and weak-until goals, on the
+    acceptance batches: after model_check no goal level's table holds a row
+    for a settled state, and its game still lists every kset's initial
+    state. A settled state wins whatever follows, so the game stops there."""
+    runs = list(cases())
+    for seed, g in acceptance_batches():
+        rng = random.Random(90000 + seed)
+        c = ",".join(random_coalition(rng))
+        p1, p2 = rng.choice(sorted(g.props)), rng.choice(sorted(g.props))
+        runs += [(seed, g, "<%s>(%s %s %s)" % (c, p1, op, p2)) for op in ("U", "W")]
+    settled_rows, settled_listed = [], 0
+    for case, arena, formula in runs:
+        for level in model_check(arena, formula).table:
+            if level.case not in ("until", "weak-until"):
+                continue
+            game = level.game
+            settled_rows += [(case, formula) for state in game.rows if game.is_target(state)]
+            settled_listed += sum(map(game.is_target, game.states))
+            assert {game.rows.initial(s) for s in level.hat.ksets} <= set(game.states), case
+    assert not settled_rows and settled_listed > 500, (settled_rows[:5], settled_listed)
 
 
 if __name__ == "__main__":

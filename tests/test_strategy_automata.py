@@ -12,7 +12,7 @@ from atldk.strategy_automata import (BOT, build_until_automaton, build_weak_unti
                                      level_automaton, to_dot)
 from oracles import (as_masks, as_sets, classes, coalition_actions, delta, extensions, obs,
                      random_arena, random_coalition, reference_goal_initial, reference_goal_row,
-                     succ)
+                     succ, walk_views)
 
 AB = ["Alice", "Bob"]
 Q123 = ["q1", "q2", "q3"]
@@ -218,8 +218,11 @@ class TestReferenceRows:
         weak-until goal, its states read as sets (oracles.as_sets), equals
         the row built from frozensets (oracles.reference_goal_row): classes
         in action and observation order, and the successors in first-seen
-        order. The level automaton's delta and classes, read off the rows,
-        equal the reference's in state and action order."""
+        order. model_check fills the rows of the level game's unsettled
+        states; the kset views then fill the settled rows, which are checked
+        too. The level automaton lists the unsettled states of the rows and
+        only settled states besides, and its delta and classes, read off the
+        rows, equal the reference's in state and action order."""
         levels = bot_rows = goal_failures = discharges = 0
         for seed in range(200):
             rng = random.Random(seed)
@@ -238,6 +241,9 @@ class TestReferenceRows:
                     levels += 1
                     hat, p1, p2 = level.hat, level.chi.left.name, level.chi.right.name
                     table, case = hat._goal_tables[(p1, p2)], (seed, text)
+                    unsettled = [q for q in level.game.states if not level.game.is_target(q)]
+                    assert list(table) == unsettled, case
+                    walk_views(level)
                     sets = partial(as_sets, hat)
                     for s in hat.ksets:
                         assert sets(table.initial(s)) == reference_goal_initial(hat, p1, p2, s), case
@@ -255,7 +261,8 @@ class TestReferenceRows:
                                        for q in sets(state)[0] for t in succ(source, q, c)}
                             discharges += any(p2 in source.labels[t] for t in reached)
                     game = level_automaton(level.case, hat, p1, p2)
-                    assert set(game.states) == set(wants), case
+                    assert set(game.states) <= set(wants), case
+                    assert set(unsettled) == {q for q in wants if not game.is_target(q)}, case
                     assert [(key, tuple(map(sets, ts))) for key, ts in delta(game).items()] == [
                         ((state, c_a), value) for state in game.states
                         for c_a, value in wants[state][0].items()], case
