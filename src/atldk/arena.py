@@ -37,13 +37,14 @@ class _CoalitionView:
     observe), the coalition actions in members' product order with each joint
     action's coalition part, and the integer core that split and the goal
     tables share: states are numbered in arena order, so a set of states is a
-    bitmask, and observations are ranked by their sorted props. Goal-table
-    states stay masks; masks become frozensets only at the boundary (refined
-    ksets), one object per mask. Compiling the view rejects unknown members;
-    the engine reads it unchecked."""
+    bitmask, observations are ranked by their sorted props, and alike[t] is
+    the mask of the states that look like t. Goal-table states stay masks;
+    masks become frozensets only at the boundary (refined ksets), one object
+    per mask. Compiling the view rejects unknown members; the engine reads it
+    unchecked."""
 
-    __slots__ = ("members", "observation", "actions", "observations", "rank", "index",
-                 "_states", "_action_of", "_rows", "_outcome_masks", "_sets")
+    __slots__ = ("members", "observation", "actions", "observations", "rank", "alike", "index",
+                 "_states", "_action_of", "_rows", "_unions", "_classes", "_sets")
 
     def __init__(self, arena, coalition):
         self.members = _members(arena, coalition)
@@ -52,6 +53,10 @@ class _CoalitionView:
         self.observations = sorted(set(self.observation.values()), key=sorted)
         rank = {z: i for i, z in enumerate(self.observations)}
         self.rank = [rank[self.observation[q]] for q in arena.states]
+        like = [0] * len(rank)
+        for i, r in enumerate(self.rank):
+            like[r] |= 1 << i
+        self.alike = [like[r] for r in self.rank]
         positions = [i for i, a in enumerate(arena.agents) if a in self.members]
         # First sight in joint-action order is the members' product order.
         actions = {}
@@ -61,34 +66,41 @@ class _CoalitionView:
         self.index = arena._state_index
         self._states = arena.states
         self._rows = arena._rows
-        self._outcome_masks = {}
-        self._sets = {}
+        self._unions, self._classes, self._sets = {}, {}, {}
 
     def row(self, i):
         """State i's (coalition action index, sorted successor numbers) per joint action."""
         return zip(self._action_of, self._rows[i])
 
-    def outcome_masks(self, m):
-        """Per coalition action, the successors of the states in mask m grouped
-        by observation, {rank: successor mask} in rank order. Built once per
-        mask; several states merge their single-state entries."""
-        outcomes = self._outcome_masks.get(m)
-        if outcomes is None:
-            merged = [{} for _ in self.actions]
-            if not m or m & (m - 1):
+    def unions(self, m):
+        """Per coalition action, all successors of the states in mask m as one
+        mask. Built once per mask; several states merge their single-state
+        entries."""
+        out = self._unions.get(m)
+        if out is None:
+            out = [0] * len(self.actions)
+            if m & (m - 1):
                 for i in _bits(m):
-                    for into, grouped in zip(merged, self.outcome_masks(1 << i)):
-                        for r, t in grouped.items():
-                            into[r] = into.get(r, 0) | t
-            else:
-                rank = self.rank
+                    out = list(map(int.__or__, out, self.unions(1 << i)))
+            elif m:
                 for k, successors in self.row(m.bit_length() - 1):
-                    into = merged[k]
                     for t in successors:
-                        into[rank[t]] = into.get(rank[t], 0) | 1 << t
-            outcomes = self._outcome_masks[m] = tuple(
-                {r: into[r] for r in sorted(into)} for into in merged)
-        return outcomes
+                        out[k] |= 1 << t
+            out = self._unions[m] = tuple(out)
+        return out
+
+    def classes(self, m):
+        """Mask m cut by observation: (rank, part) pairs in rank order, each
+        part the states of m that look alike. Built once per mask."""
+        cut = self._classes.get(m)
+        if cut is None:
+            cut, rest = [], m
+            while rest:
+                t = (rest & -rest).bit_length() - 1
+                cut.append((self.rank[t], rest & self.alike[t]))
+                rest &= ~self.alike[t]
+            cut = self._classes[m] = tuple(sorted(cut))
+        return cut
 
     def to_set(self, m):
         """The frozenset of the states in mask m, one object per mask."""
@@ -176,7 +188,7 @@ class Arena:
         rows = [[None] * len(joint) for _ in self.states]
         for (q, c), targets in transitions.items():
             try:
-                successors = tuple(sorted({index[t] for t in targets}))
+                successors = tuple(sorted(set(map(index.__getitem__, targets))))
                 if successors:
                     rows[index[q]][position[c]] = successors
                     continue
@@ -395,19 +407,22 @@ def load_arena(document, allow_reserved=False):
     initial = _list(document["initial"], "'initial'")
     _names(initial, "'initial'")
 
-    transitions = {}
+    # Targets are kept as read, and hashed to reject an unhashable one here.
+    transitions, every_agent = {}, set(agents)
     for entry in _list(document["transitions"], "'transitions'"):
         _require(isinstance(entry, dict) and "from" in entry and "actions" in entry
                  and "to" in entry, "each transition needs from, actions, to")
         q = entry["from"]
         action_map = entry["actions"]
         _require(isinstance(action_map, dict), "transition actions must be an object")
-        _require(set(action_map) == set(agents),
+        _require(action_map.keys() == every_agent,
                  "transition from %s must assign an action to every agent" % q)
-        c = tuple(action_map[a] for a in agents)
+        key = (q, tuple([action_map[a] for a in agents]))
         targets = _list(entry["to"], "'to' of a transition from %s", q)
         try:
-            transitions.setdefault((q, c), set()).update(targets)
+            hash(tuple(targets))
+            if transitions.setdefault(key, targets) is not targets:
+                transitions[key] = transitions[key] + targets
         except TypeError:
             # Named only on failure: this runs once per transition.
             _name(q, "'from' of a transition")

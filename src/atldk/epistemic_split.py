@@ -107,31 +107,36 @@ def split(g, coalition, limit=None):
         n, base, kset = len(g.states), g.states, [lift[s] for s in refined.kset]
         states, labels, initial, rows = g.states, g.labels, g.initial, g._rows
     else:
-        # The walk runs on (state index, kset mask) pairs, interned as ints.
-        # Equal successor tuples are one object.
-        index, rank = view.index, view.rank
-        ids, pairs, rows, shared = {}, [], [], {}
+        # The walk runs on (state index, kset mask) pairs, numbered through
+        # one {kset mask: number} dict per state index. Equal successor
+        # tuples are one object.
+        alike = view.alike
+        ids, pairs, rows, shared = [{} for _ in g.states], [], [], {}
 
         def intern(i, m):
-            """The number of the refined state (i, m), materializing it on first sight."""
-            h = ids.get((i, m))
-            if h is None:
-                if limit is not None and len(pairs) >= limit:
-                    raise over()
-                h = ids[(i, m)] = len(pairs)
-                pairs.append((i, m))
+            """Number the refined state (i, m), seen for the first time."""
+            if limit is not None and len(pairs) >= limit:
+                raise over()
+            h = ids[i][m] = len(pairs)
+            pairs.append((i, m))
             return h
 
-        start = [index[q] for q in g.initial]
-        initial = tuple(intern(i, sum(1 << j for j in start if rank[j] == rank[i]))
-                        for i in start)
-        # Breadth first: the walk reaches the states interned as it goes, and
-        # reads the outcome classes of each state's kset once for all moves.
+        # Initial states are distinct, so each initial pair is new.
+        start = [view.index[q] for q in g.initial]
+        mask = sum(1 << i for i in start)
+        initial = tuple(intern(i, mask & alike[i]) for i in start)
+        # Breadth first: the walk reaches the states interned as it goes. The
+        # kset of successor t under coalition action k is the union of the
+        # kset's successors under k cut to the states that look like t.
         for i, m in pairs:
-            outcomes, row = view.outcome_masks(m), []
+            unions, row = view.unions(m), []
             for k, successors in view.row(i):
-                classes = outcomes[k]
-                targets = tuple(sorted([intern(t, classes[rank[t]]) for t in successors]))
+                u, targets = unions[k], []
+                for t in successors:
+                    s = u & alike[t]
+                    h = ids[t].get(s)
+                    targets.append(intern(t, s) if h is None else h)
+                targets = tuple(sorted(targets))
                 row.append(shared.setdefault(targets, targets))
             rows.append(row)
         n = len(pairs)

@@ -124,14 +124,13 @@ class _GoalTable(dict):
                 "state cap exceeded: goal table (%s, %s) for {%s} needs more than %d rows"
                 % (self.p1, self.p2, ",".join(sorted(self.coalition)), self.limit))
         view, off_goal, kept = self.view, self.off_goal, ~self.discharged
-        pending_out, kset_out = map(view.outcome_masks, state)
         classes = {}
-        for c_a, reached, grouped in zip(view.actions, pending_out, kset_out):
-            if any(t & off_goal for t in reached.values()):
+        for c_a, reached, union in zip(view.actions, *map(view.unions, state)):
+            if reached & off_goal:
                 classes[c_a] = ()
                 continue
-            classes[c_a] = tuple((view.observations[r], (reached.get(r, 0) & kept, t))
-                                 for r, t in grouped.items())
+            classes[c_a] = tuple((view.observations[r], (reached & part & kept, part))
+                                 for r, part in view.classes(union))
         successors = dict.fromkeys(t for pairs in classes.values() for t in _targets(pairs))
         row = self[state] = (classes, tuple(successors))
         return row

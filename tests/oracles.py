@@ -292,9 +292,9 @@ def outcome_classes(arena, source, coalition, c_a):
     unknown = source.difference(arena.states)
     if unknown:
         raise ArenaError("unknown states %s" % sorted(unknown, key=str))
-    classes = view.outcome_masks(sum(1 << view.index[q] for q in source))
-    return MappingProxyType({view.observations[r]: view.to_set(t)
-                             for r, t in classes[view.actions.index(c_a)].items()})
+    union = view.unions(sum(1 << view.index[q] for q in source))[view.actions.index(c_a)]
+    return MappingProxyType({view.observations[r]: view.to_set(part)
+                             for r, part in view.classes(union)})
 
 
 def obs_signature(arena, coalition, run):

@@ -670,10 +670,18 @@ ARENA_FIELDS = {"agents", "actions", "states", "labels", "initial", "observes", 
 
 class TestCompiledView:
     def test_memoized_outcome_classes_equal_fresh_ones(self):
+        """Every source of small arenas, the empty one (BOT's kset) among
+        them, and sources of a 70-state arena, whose masks pass one machine
+        word."""
+        cases = []
         for seed in range(40):
             g = random_arena(random.Random(seed))
-            sources = [frozenset(c) for r in range(1, len(g.states) + 1)
-                       for c in itertools.combinations(g.states, r)]
+            cases.append((g, [frozenset(c) for r in range(len(g.states) + 1)
+                              for c in itertools.combinations(g.states, r)]))
+        rng, wide = random.Random(0), random_arena(random.Random(0), min_states=70, max_states=70)
+        cases.append((wide, [frozenset(), frozenset(wide.states)] + [
+            frozenset(rng.sample(wide.states, k)) for k in (1, 1, 2, 3, 10, 35, 69)]))
+        for g, sources in cases:
             for coalition in COALITIONS:
                 for _ in range(2):
                     for source in sources:

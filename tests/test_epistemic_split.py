@@ -329,20 +329,20 @@ class TestResplit:
     def test_same_coalition_resplit_equals_the_full_construction(self, seed):
         coalition, mid = resplit_input(seed)
         fast = split(mid, coalition)
-        assert not fast.view._outcome_masks and fast.arena._rows is mid._rows
+        assert not (fast.view._unions or fast.view._classes) and fast.arena._rows is mid._rows
         assert refinement_fields(fast) == refinement_fields(split(loaded_copy(mid), coalition))
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10 ** 6))
     def test_next_labels_on_a_resplit_equal_the_full_construction(self, seed):
-        """label_next decides from plain successors, so it fills no outcome
-        classes in the view a re-split compiles."""
+        """label_next decides from plain successors, so it fills no memo in
+        the view a re-split compiles."""
         coalition, mid = resplit_input(seed)
         fast = split(mid, coalition)
         full = split(loaded_copy(mid), coalition)
         for prop in sorted(mid.props):
             assert label_next(fast, prop) == label_next(full, prop), prop
-        assert not fast.view._outcome_masks and fast.arena._rows is mid._rows
+        assert not (fast.view._unions or fast.view._classes) and fast.arena._rows is mid._rows
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10 ** 6))
@@ -397,7 +397,8 @@ class TestRefinedIds:
             again = split(first.arena.with_prop("extra", states), coalition)
             twice = split(again.arena, coalition)
             for hat in (again, twice):
-                assert not hat.view._outcome_masks and hat.arena._rows is first.arena._rows, seed
+                assert not (hat.view._unions or hat.view._classes), seed
+                assert hat.arena._rows is first.arena._rows, seed
             for hat in (first, other, again, twice):
                 assert misrendered_ids(hat) == [], seed
 
