@@ -32,27 +32,27 @@ def _members(arena, coalition):
 
 
 class _CoalitionView:
-    """One coalition's compiled view of an arena: members in agent order, each
-    state's observation (its label restricted to the props the members
-    observe), the coalition actions in members' product order with each joint
-    action's coalition part, and the integer core that split and the goal
-    tables share: states are numbered in arena order, so a set of states is a
-    bitmask, observations are ranked by their sorted props, and alike[t] is
-    the mask of the states that look like t. Goal-table states stay masks;
-    masks become frozensets only at the boundary (refined ksets), one object
-    per mask. Compiling the view rejects unknown members; the engine reads it
-    unchecked."""
+    """One coalition's compiled view of an arena: members in agent order, the
+    coalition actions in members' product order with each joint action's
+    coalition part, and the integer core that split and the goal tables
+    share: states are numbered in arena order, so a set of states is a
+    bitmask, observations (labels restricted to the props the members
+    observe) are ranked by their sorted props, state i's is
+    observations[rank[i]], and alike[t] is the mask of the states that look
+    like t. Knowledge sets and goal states stay masks; only text output
+    renders them (_state_names). Compiling the view rejects unknown members;
+    the engine reads it unchecked."""
 
-    __slots__ = ("members", "observation", "actions", "observations", "rank", "alike", "index",
-                 "_states", "_action_of", "_rows", "_unions", "_classes", "_sets")
+    __slots__ = ("members", "actions", "observations", "rank", "alike", "index",
+                 "_action_of", "_rows", "_unions", "_classes")
 
     def __init__(self, arena, coalition):
         self.members = _members(arena, coalition)
         props = frozenset().union(*(arena.observes[a] for a in self.members))
-        self.observation = {q: label & props for q, label in arena.labels.items()}
-        self.observations = sorted(set(self.observation.values()), key=sorted)
+        observation = [arena.labels[q] & props for q in arena.states]
+        self.observations = sorted(set(observation), key=sorted)
         rank = {z: i for i, z in enumerate(self.observations)}
-        self.rank = [rank[self.observation[q]] for q in arena.states]
+        self.rank = [rank[z] for z in observation]
         like = [0] * len(rank)
         for i, r in enumerate(self.rank):
             like[r] |= 1 << i
@@ -64,9 +64,8 @@ class _CoalitionView:
                                 for c in arena.joint_actions())
         self.actions = tuple(actions)
         self.index = arena._state_index
-        self._states = arena.states
         self._rows = arena._rows
-        self._unions, self._classes, self._sets = {}, {}, {}
+        self._unions, self._classes = {}, {}
 
     def row(self, i):
         """State i's (coalition action index, sorted successor numbers) per joint action."""
@@ -102,13 +101,6 @@ class _CoalitionView:
             cut = self._classes[m] = tuple(sorted(cut))
         return cut
 
-    def to_set(self, m):
-        """The frozenset of the states in mask m, one object per mask."""
-        s = self._sets.get(m)
-        if s is None:
-            s = self._sets[m] = frozenset(map(self._states.__getitem__, _bits(m)))
-        return s
-
 
 def _bits(m):
     """The positions of the bits set in m, lowest first."""
@@ -116,6 +108,12 @@ def _bits(m):
         low = m & -m
         m ^= low
         yield low.bit_length() - 1
+
+
+def _state_names(arena, m):
+    """The text ids of the arena's states in mask m, in arena order: the one
+    place a knowledge set or goal-state part becomes text."""
+    return [arena.name(arena.states[i]) for i in _bits(m)]
 
 
 def _require_strings(values, what):
@@ -219,14 +217,6 @@ class Arena:
         """All joint actions, in the canonical per-agent order."""
         return itertools.product(*(self.actions[a] for a in self.agents))
 
-    @property
-    def transitions(self):
-        """The relation as {(state, joint action): frozenset of successor
-        states}, derived from the rows on each read."""
-        states, joint = self.states, list(self.joint_actions())
-        return {(q, c): frozenset([states[t] for t in successors])
-                for q, row in zip(states, self._rows) for c, successors in zip(joint, row)}
-
     def name(self, q):
         """State q's text id: q itself in a loaded arena, base@{kset members}
         in one that split built, rendered from the refinement on each call."""
@@ -235,12 +225,6 @@ class Arena:
     def state_named(self, text):
         """The state whose text id is text, or None."""
         return next((q for q in self.states if self.name(q) == text), None)
-
-    def state_sort_key(self, q):
-        return self._state_index[q]
-
-    def sorted_states(self, states):
-        return sorted(states, key=self.state_sort_key)
 
     def with_prop(self, prop, true_states):
         """A copy of the arena with one more hidden prop, labeling exactly the

@@ -7,6 +7,7 @@ import time
 
 from . import formula as fm
 from .arena import CheckerError, StateCapExceeded  # noqa: F401 (StateCapExceeded re-exported)
+from .arena import _state_names
 from .emptiness import check_until_nonempty, check_weak_nonempty, extract_witness_strategy
 from .epistemic_split import label_knowledge, label_next, split
 from .strategy_automata import (UNTIL, WEAK_UNTIL, build_until_automaton,
@@ -214,8 +215,7 @@ def explain(verdict, state_id):
             "labeled": level.prop in level.arena.labels[current],
         }
         if level.case in MODAL_CASES:
-            source = level.hat.source
-            entry["kset"] = [source.name(q) for q in source.sorted_states(level.hat.kset[current])]
+            entry["kset"] = _state_names(level.hat.source, level.hat.kset[current])
             current = level.hat.base[current]
         chain.append(entry)
     record = {

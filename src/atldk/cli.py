@@ -8,7 +8,7 @@ import sys
 import click
 
 from . import __version__
-from .arena import ArenaError, load_arena
+from .arena import ArenaError, _state_names, load_arena
 from .checker import (
     DEFAULT_STATE_CAP,
     CheckerError,
@@ -205,7 +205,7 @@ def split_command(arena_path, coalition_text, fmt, state_cap, out_path):
     """Refine an arena by a coalition's pooled observations and report its
     knowledge sets."""
     hat = _split(arena_path, coalition_text, state_cap)
-    ksets = sorted(map(hat.source.sorted_states, hat.ksets), key=lambda s: (len(s), s))
+    ksets = sorted((_state_names(hat.source, s) for s in hat.ksets), key=lambda s: (len(s), s))
     doc = hat.arena.to_document()
     if out_path is not None:
         _emit(json.dumps(doc, indent=2), out_path)
@@ -268,7 +268,6 @@ def automaton(arena_path, coalition_text, kind, p1, p2, kset_text, fmt, state_ca
 
 def _automaton_document(built, kset, nonempty):
     hat = built.hat
-    order = hat.source.sorted_states
     transitions = []
     for state in built.states:
         for c_a, classes in built.rows[state][0].items():
@@ -285,7 +284,7 @@ def _automaton_document(built, kset, nonempty):
     return {
         "kind": built.kind,
         "coalition": sorted(hat.coalition),
-        "kset": order(kset),
+        "kset": _state_names(hat.source, kset),
         "p1": built.p1,
         "p2": built.p2,
         "nonempty": nonempty,
@@ -298,11 +297,10 @@ def _automaton_document(built, kset, nonempty):
 
 def _automaton_summary(built, kset, nonempty, solution):
     hat = built.hat
-    order = hat.source.sorted_states
     lines = [
         "kind: %s" % built.kind,
         "coalition: {%s}" % ",".join(sorted(hat.coalition)),
-        "kset: {%s}" % ",".join(order(kset)),
+        "kset: {%s}" % ",".join(_state_names(hat.source, kset)),
         "goal props: (%s, %s)" % (built.p1, built.p2),
         "states: %d" % len(built),
         "initial: %s" % built.pretty(built.init),

@@ -86,13 +86,14 @@ def _action(game, choice):
 class _WitnessMachine:
     """A winning solution as a Mealy machine on the level's goal game: memory is
     a goal state, output its action (_action), update the class its row stores
-    for that action (expanded on demand), and the first observation picks the
-    start, one kset's initial state."""
+    for that action (expanded on demand), and the first observation, that of
+    any kset member, picks the start, one kset's initial state."""
 
     def __init__(self, solution, game, ksets):
         self.output = _action(game, solution.choice)
-        self.rows, observation = game.rows, game.hat.view.observation
-        self.starts = {observation[next(iter(s))]: self.rows.initial(s) for s in ksets}
+        self.rows, view = game.rows, game.hat.view
+        self.starts = {view.observations[view.rank[s.bit_length() - 1]]: self.rows.initial(s)
+                       for s in ksets}
 
     def step(self, state, z):
         if not state:

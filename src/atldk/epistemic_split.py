@@ -5,14 +5,15 @@ from __future__ import annotations
 
 import copy
 
-from .arena import ArenaError, StateCapExceeded, _CoalitionView
+from .arena import ArenaError, StateCapExceeded, _bits, _CoalitionView, _state_names
 
 
 class HatArena:
     """The refined arena for one coalition, an Arena whose states are the ints
     0..n-1, with the source's compiled view for the coalition, and each
-    state's base and kset as the arena's refinement records them. limit is
-    split's cap, which also bounds each goal table's rows."""
+    state's base and kset as the arena's refinement records them. A kset is
+    a mask in the source's numbering, bit i for source.states[i], as in the
+    view. limit is split's cap, which also bounds each goal table's rows."""
 
     def __init__(self, arena, view, limit=None):
         r = arena._refinement
@@ -24,16 +25,18 @@ class HatArena:
         self._goal_tables = {}
 
     def require_kset(self, s):
-        s = frozenset(s)
-        if s not in self.ksets:
+        """The mask of the kset whose members are exactly the source states s."""
+        s, index = frozenset(s), self.view.index
+        m = sum(1 << index[q] for q in s if q in index)
+        if m not in self.ksets or m.bit_count() != len(s):
             raise ArenaError("unknown kset {%s}" % ",".join(sorted(map(str, s))))
-        return s
+        return m
 
 
 class _Refinement:
     """What split records on a refined arena: the coalition, the source arena,
-    per state its base and kset, and whether the ids of the loaded arena it
-    descends from are plain (hold none of , @ { }). A state's text id is
+    per state its base and kset mask, and whether the ids of the loaded arena
+    it descends from are plain (hold none of , @ { }). A state's text id is
     base@{kset members}, each named by the source, members in source order;
     member text is rendered once per kset."""
 
@@ -47,7 +50,7 @@ class _Refinement:
         s, source = self.kset[h], self.source
         text = self._text.get(s)
         if text is None:
-            text = self._text[s] = ",".join(map(source.name, source.sorted_states(s)))
+            text = self._text[s] = ",".join(_state_names(source, s))
         return "%s@{%s}" % (source.name(self.base[h]), text)
 
 
@@ -68,8 +71,7 @@ def _check_ids(refinement):
         first = seen.setdefault(text, h)
         if first != h:
             raise ArenaError("refined state id %r names two knowledge sets, %s and %s"
-                             % (text, *([g.name(q) for q in g.sorted_states(refinement.kset[k])]
-                                        for k in (first, h))))
+                             % (text, *(_state_names(g, refinement.kset[k]) for k in (first, h))))
 
 
 def split(g, coalition, limit=None):
@@ -85,9 +87,9 @@ def split(g, coalition, limit=None):
 
     When g is itself a refinement by the same coalition, maybe with props
     added since by with_prop, refining again adds no knowledge: the walk would
-    number g's states as g does, each paired with the states that share its
-    kset. The result shares g's states, labels and rows and records only
-    that kset map, each state its own base.
+    number g's states as g does, each paired with the mask of the states that
+    share its kset. The result shares g's states, labels and rows and records
+    only that kset map, each state its own base.
     """
     view = _CoalitionView(g, coalition)
     members = frozenset(view.members)
@@ -102,8 +104,7 @@ def split(g, coalition, limit=None):
             raise over()
         lift = {}
         for h, s in enumerate(refined.kset):
-            lift.setdefault(s, []).append(h)
-        lift = {s: frozenset(hs) for s, hs in lift.items()}
+            lift[s] = lift.get(s, 0) | 1 << h
         n, base, kset = len(g.states), g.states, [lift[s] for s in refined.kset]
         states, labels, initial, rows = g.states, g.labels, g.initial, g._rows
     else:
@@ -140,7 +141,7 @@ def split(g, coalition, limit=None):
                 row.append(shared.setdefault(targets, targets))
             rows.append(row)
         n = len(pairs)
-        base, kset = [g.states[i] for i, _ in pairs], [view.to_set(m) for _, m in pairs]
+        base, kset = [g.states[i] for i, _ in pairs], [m for _, m in pairs]
         states, labels = range(n), {h: g.labels[q] for h, q in enumerate(base)}
 
     refinement = _Refinement(members, g, base, kset)
@@ -162,8 +163,9 @@ def _per_kset(hat, holds):
 def label_knowledge(hat, prop):
     """Which refined states satisfy distributed knowledge of a prop: those whose
     entire kset carries it."""
-    labels = hat.source.labels
-    return _per_kset(hat, lambda s: all(prop in labels[q] for q in s))
+    g = hat.source
+    off = sum(1 << i for i, q in enumerate(g.states) if prop not in g.labels[q])
+    return _per_kset(hat, lambda s: not s & off)
 
 
 def label_next(hat, prop):
@@ -173,5 +175,5 @@ def label_next(hat, prop):
     view, labels = hat.view, hat.source.labels
     good = {i for i, q in enumerate(hat.source.states) if prop in labels[q]}
     return _per_kset(hat, lambda s: len(view.actions) > len(
-        {k for q in s for k, successors in view.row(view.index[q])
+        {k for i in _bits(s) for k, successors in view.row(i)
          if not good.issuperset(successors)}))

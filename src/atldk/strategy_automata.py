@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .arena import StateCapExceeded, _bits
+from .arena import StateCapExceeded, _state_names
 
 
 # A state is an obligation pair (pending, kset) of masks in the view's
@@ -58,9 +58,7 @@ class TreeAutomaton:
         """The state as ({pending},{kset}) with members in arena order, or bot."""
         if state == BOT:
             return "bot"
-        source = self.hat.source
-        return "({%s},{%s})" % tuple(",".join(source.name(source.states[i]) for i in _bits(m))
-                                     for m in state)
+        return "({%s},{%s})" % tuple(",".join(_state_names(self.hat.source, m)) for m in state)
 
 
 def build_until_automaton(hat, p1, p2, kset):
@@ -107,9 +105,8 @@ class _GoalTable(dict):
         self.off_goal = sum(1 << i for i, q in enumerate(g.states) if not g.labels[q] & {p1, p2})
         self.discharged = sum(1 << i for i, q in enumerate(g.states) if p2 in g.labels[q])
 
-    def initial(self, s):
-        m = sum(1 << self.view.index[q] for q in s)
-        return BOT if m & self.off_goal else (m & ~self.discharged, m)
+    def initial(self, kset):
+        return BOT if kset & self.off_goal else (kset & ~self.discharged, kset)
 
     def __missing__(self, state):
         """Expand the state's row: per coalition action its (observation,

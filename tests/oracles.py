@@ -10,15 +10,19 @@ harnesses that execute extracted strategies against every opponent resolution
 an isomorphism check for repeated refinement, and frozenset walks of the
 knowledge split and of goal-table rows by their definitions. Keep these
 independent of the engine internals; they only use the public Arena
-interface, except outcome_classes, which reads a coalition view the engine
-compiles, construction_failures, which inspects the refined arena and
-goal tables the engine built, level_failures, which runs the checker with the
+interface, except transitions, which reads an arena's successor rows,
+outcome_classes, which reads a coalition view the engine compiles,
+construction_failures, which inspects the refined arena and goal tables
+the engine built, level_failures, which runs the checker with the
 engine calls it makes recorded, the occurrence solver, which reads a goal
 automaton, the goal-row reference, which reads a refinement's source and
 coalition, and walk_views, which walks the engine's per-kset goal views.
-Goal states are mask pairs in the source arena's state order; as_sets and
-as_masks translate them to and from pairs of state-name sets, and delta and
-classes read an automaton's rows back as per (state, action) dicts.
+The engine keeps a set of an arena's states as a mask, bit i for its i-th
+state: a refined state's kset in its source's numbering, and each part of a
+goal state. mask_of and states_of translate between such masks and states,
+sorted_states puts states in arena order, as_sets and as_masks translate goal
+states to and from pairs of state sets, and delta and classes read an
+automaton's rows back as per (state, action) dicts.
 """
 
 import contextlib
@@ -254,6 +258,33 @@ def restrict_action(arena, coalition, c):
     return tuple(act for a, act in zip(arena.agents, c) if a in members)
 
 
+def mask_of(arena, states):
+    """The mask of a set of the arena's states, bit i for its i-th state."""
+    states = set(states)
+    assert states <= set(arena.states), "not states of the arena: %s" % (
+        states - set(arena.states))
+    return sum(1 << i for i, q in enumerate(arena.states) if q in states)
+
+
+def states_of(arena, m):
+    """The arena's states in mask m, in arena order."""
+    assert not m >> len(arena.states), "bits past the arena's states"
+    return [q for i, q in enumerate(arena.states) if m >> i & 1]
+
+
+def sorted_states(arena, states):
+    """The given states of the arena, in arena order."""
+    return states_of(arena, mask_of(arena, states))
+
+
+def transitions(arena):
+    """The relation as {(state, joint action): frozenset of successor states},
+    read off the arena's rows."""
+    states, joint = arena.states, list(arena.joint_actions())
+    return {(q, c): frozenset([states[t] for t in successors])
+            for q, row in zip(states, arena._rows) for c, successors in zip(joint, row)}
+
+
 # Each arena's transitions, derived on the first succ call: an arena does not
 # change once built.
 _TRANSITIONS = weakref.WeakKeyDictionary()
@@ -261,10 +292,10 @@ _TRANSITIONS = weakref.WeakKeyDictionary()
 
 def succ(arena, q, c):
     """The successors of state q under joint action c."""
-    transitions = _TRANSITIONS.get(arena)
-    if transitions is None:
-        transitions = _TRANSITIONS[arena] = arena.transitions
-    return transitions[(q, tuple(c))]
+    relation = _TRANSITIONS.get(arena)
+    if relation is None:
+        relation = _TRANSITIONS[arena] = transitions(arena)
+    return relation[(q, tuple(c))]
 
 
 def obs(arena, coalition, q):
@@ -292,8 +323,8 @@ def outcome_classes(arena, source, coalition, c_a):
     unknown = source.difference(arena.states)
     if unknown:
         raise ArenaError("unknown states %s" % sorted(unknown, key=str))
-    union = view.unions(sum(1 << view.index[q] for q in source))[view.actions.index(c_a)]
-    return MappingProxyType({view.observations[r]: view.to_set(part)
+    union = view.unions(mask_of(arena, source))[view.actions.index(c_a)]
+    return MappingProxyType({view.observations[r]: frozenset(states_of(arena, part))
                              for r, part in view.classes(union)})
 
 
@@ -483,15 +514,12 @@ def as_sets(hat, state):
     states, bit i standing for its i-th state; BOT as SET_BOT."""
     if state == BOT:
         return SET_BOT
-    names = hat.source.states
-    assert not any(m >> len(names) for m in state), "bits past the arena's states"
-    return tuple(frozenset(q for i, q in enumerate(names) if m >> i & 1) for m in state)
+    return tuple(frozenset(states_of(hat.source, m)) for m in state)
 
 
 def as_masks(hat, pending, kset):
     """The goal state with these pending and kset members, as as_sets reads it."""
-    index = hat.source.state_sort_key
-    return tuple(sum(1 << index(q) for q in members) for members in (pending, kset))
+    return mask_of(hat.source, pending), mask_of(hat.source, kset)
 
 
 def classes(automaton):
@@ -694,7 +722,7 @@ def history_witness_map(choice, automaton, kset):
     queue meets them. Histories through a state without a choice get no
     entry and are not extended."""
     hat = automaton.hat
-    z0 = obs(hat.source, hat.coalition, next(iter(kset)))
+    z0 = obs(hat.source, hat.coalition, states_of(hat.source, kset)[0])
     depth_cap = len(automaton.states)
     mapping = {}
     queue = deque([(automaton.init, (z0,))])
@@ -739,8 +767,8 @@ def resplit_isomorphism_failures(first, second):
             if got != want or len(got) != len(succ(g2, h, c)):
                 problems.append("transition mismatch at (%s, %r)" % (h, c))
     for h in g2.states:
-        want = frozenset(states_with_kset(first, first.kset[base[h]]))
-        if second.kset[h] != want:
+        want = [k for k in g1.states if first.kset[k] == first.kset[base[h]]]
+        if states_of(g1, second.kset[h]) != want:
             problems.append("knowledge set at %s is not the class of %s" % (h, base[h]))
     return problems
 
@@ -796,11 +824,11 @@ def reference_split(g, coalition, limit=None):
                           {ids[(q, s)]: s for q, s in pairs})
 
 
-def reference_goal_initial(hat, p1, p2, s):
-    """The goal state, as a pair of sets, a walk from kset s starts in: SET_BOT
-    when some member holds neither goal prop, else the members without p2
-    pending."""
-    labels = hat.source.labels
+def reference_goal_initial(hat, p1, p2, m):
+    """The goal state, as a pair of sets, a walk from the kset with mask m
+    starts in: SET_BOT when some member holds neither goal prop, else the
+    members without p2 pending."""
+    labels, s = hat.source.labels, states_of(hat.source, m)
     if any(not labels[q] & {p1, p2} for q in s):
         return SET_BOT
     return frozenset(q for q in s if p2 not in labels[q]), frozenset(s)
@@ -879,9 +907,10 @@ def construction_failures(hat):
         return len({obs(g, coalition, q) for q in s}) != 1
 
     for h in hat.arena.states:
-        if hat.base[h] not in hat.kset[h]:
+        kset = states_of(g, hat.kset[h])
+        if hat.base[h] not in kset:
             problems.append("refined state %s lies outside its kset" % h)
-        if incoherent(hat.kset[h]):
+        if incoherent(kset):
             problems.append("refined state %s has an incoherent kset" % h)
     for (p1, p2), table in hat._goal_tables.items():
         seen = set()
@@ -892,7 +921,7 @@ def construction_failures(hat):
                 seen.add(s)
                 pending, kset = as_sets(hat, s)
                 where = "goal table (%s, %s) state (%s, %s)" % (
-                    p1, p2, g.sorted_states(pending), g.sorted_states(kset))
+                    p1, p2, sorted_states(g, pending), sorted_states(g, kset))
                 if not pending <= kset:
                     problems.append("%s: pending escapes the kset" % where)
                 if incoherent(kset):
@@ -947,7 +976,7 @@ def build_failures(builder, hat, p1, p2, s):
     """A builder, named as the checker calls it, given a kset that is not one
     of its hat's ksets or goal props that are not props of its source."""
     problems = [] if s in hat.ksets else ["%s got a kset %s that is not one of its hat's"
-                                          % (builder, sorted(s, key=str))]
+                                          % (builder, states_of(hat.source, s))]
     return problems + ["%s got a goal prop %s that its source does not declare" % (builder, p)
                        for p in (p1, p2) if p not in hat.source.props]
 
@@ -1030,9 +1059,9 @@ def level_failures(arena, text):
 
 
 def states_with_kset(hat, s):
-    """The refined states whose knowledge set is s."""
-    s = frozenset(s)
-    return [h for h in hat.arena.states if hat.kset[h] == s]
+    """The refined states whose knowledge set holds exactly the source states s."""
+    m = mask_of(hat.source, s)
+    return [h for h in hat.arena.states if hat.kset[h] == m]
 
 
 def same_kset(hat, h1, h2):

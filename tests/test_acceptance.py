@@ -26,9 +26,11 @@ from oracles import (
     generic_occurrence_emptiness,
     level_failures,
     level_truth,
+    mask_of,
     random_arena,
     replay_machine,
     replay_until,
+    states_of,
     states_where,
     until_accept,
     walk_views,
@@ -89,11 +91,10 @@ def test_criterion_2_refinement_golden(corpus):
     ok = False
     try:
         hat = split(corpus, ["Alice", "Bob"])
-        non_singleton = {s for s in hat.ksets if len(s) > 1}
+        kset = [frozenset(states_of(corpus, s)) for s in hat.kset]
+        non_singleton = {s for s in kset if len(s) > 1}
         singletons_elsewhere = all(
-            len(hat.kset[hid]) == 1
-            for hid in hat.arena.states
-            if hat.kset[hid] != frozenset({"q1", "q2", "q3"}))
+            len(s) == 1 for s in kset if s != frozenset({"q1", "q2", "q3"}))
         ok = (non_singleton == {frozenset({"q1", "q2", "q3"})}) and singletons_elsewhere
     finally:
         _report(2, ok, "refinement by {Alice,Bob} yields exactly one non-singleton "
@@ -107,7 +108,7 @@ def test_criterion_3_automaton_golden(corpus):
         verdict = model_check(corpus, EXAMPLE)
         level = verdict.table.levels[-1]
         assert level.case == "until"
-        source = frozenset({"q0"})
+        source = mask_of(level.hat.source, {"q0"})
         automaton = build_until_automaton(level.hat, level.chi.left.name, level.chi.right.name,
                                           source)
         solution = level.solution
@@ -149,14 +150,14 @@ def test_criterion_4_oracle_equivalence(batch):
                     (WEAK_UNTIL, build_weak_until_automaton, check_weak_nonempty,
                      weak_accept)):
                 level = decide(level_automaton(kind, hat, p1, p2))[1]
-                for s in sorted(hat.ksets, key=lambda k: sorted(k)):
+                for s in sorted(hat.ksets, key=lambda k: sorted(states_of(g, k))):
                     automaton = build(hat, p1, p2, s)
                     fast = decide(automaton)[0]
                     slow = generic_occurrence_emptiness(
                         automaton, accept(automaton), guard=10 ** 9)
                     comparisons += 1
                     if fast != slow or (automaton.init in level.winning) != slow:
-                        divergences.append((seed, kind, sorted(s)))
+                        divergences.append((seed, kind, states_of(g, s)))
         elapsed = time.monotonic() - started
         ok = (len(batch) >= 200 and comparisons >= 2 * len(batch)
               and not divergences and elapsed < 60.0)

@@ -11,7 +11,7 @@ from atldk import Arena, ArenaError, SINK_ID, Strategy, load_arena, load_alicebo
 from atldk.epistemic_split import split
 from oracles import (Run, coalition_actions, coalition_props, coalition_tuple, extensions, obs,
                      obs_equiv, out, outcome_classes, random_arena, random_arena_document,
-                     restrict_action, succ)
+                     restrict_action, sorted_states, succ, transitions)
 
 AB = ["Alice", "Bob"]
 
@@ -53,7 +53,7 @@ class TestLoading:
         assert corpus.agents == ("Alice", "Bob")
 
     def test_sink_completion_makes_the_relation_total(self, corpus):
-        assert len(corpus.transitions) == 16 * 25
+        assert len(transitions(corpus)) == 16 * 25
         assert succ(corpus, SINK_ID, ("g", "g")) == frozenset({SINK_ID})
         assert succ(corpus, "q1", ("g", "g")) == frozenset({SINK_ID})
         assert corpus.labels[SINK_ID] == frozenset()
@@ -82,7 +82,7 @@ class TestLoading:
         from_path = load_arena(str(path))
         for g in (from_text, from_path):
             assert g.states == from_dict.states
-            assert g.transitions == from_dict.transitions
+            assert transitions(g) == transitions(from_dict)
 
     def test_duplicate_transition_entries_merge(self):
         doc = tiny_document()
@@ -108,7 +108,7 @@ class TestLoading:
         assert again.initial == corpus.initial
         assert again.observes == corpus.observes
         assert again.hidden == corpus.hidden
-        assert again.transitions == corpus.transitions
+        assert transitions(again) == transitions(corpus)
 
 
 class TestLoadErrors:
@@ -216,7 +216,7 @@ class TestLoadErrors:
         g = load_arena(tiny_document())
         with pytest.raises(ArenaError, match="duplicate initial"):
             Arena(g.agents, g.actions, g.states, g.labels, ["s1", "s0", "s1"],
-                  g.observes, g.hidden, g.transitions)
+                  g.observes, g.hidden, transitions(g))
 
 
 def one_letter_document():
@@ -384,7 +384,7 @@ def arena_parts(**overrides):
     g = load_arena(tiny_document())
     parts = dict(agents=g.agents, actions=g.actions, states=g.states, labels=g.labels,
                  initial=g.initial, observes=g.observes, hidden=g.hidden,
-                 transitions=dict(g.transitions))
+                 transitions=transitions(g))
     parts.update(overrides)
     return parts
 
@@ -409,7 +409,7 @@ class TestValidationMessages:
         return table
 
     def test_the_parts_build_an_arena(self):
-        assert Arena(**arena_parts()).transitions == load_arena(tiny_document()).transitions
+        assert transitions(Arena(**arena_parts())) == transitions(load_arena(tiny_document()))
 
     def test_wrong_arity(self):
         self.rejected("joint action ('a',) has wrong arity",
@@ -557,7 +557,7 @@ class TestCoalitions:
                      {q: arena.labels[q] | ({"seen"} if q == "q4" else set())
                       for q in arena.states},
                      arena.initial, {a: arena.observes[a] | {"seen"} for a in arena.agents},
-                     arena.hidden, arena.transitions)
+                     arena.hidden, transitions(arena))
         assert "seen" in coalition_props(seen, ["Alice"])
         assert obs(seen, ["Alice"], "q4") == frozenset({"y_a", "valid", "seen"})
         assert obs(arena, ["Alice"], "q4") == frozenset({"y_a", "valid"})
@@ -644,13 +644,13 @@ class TestOut:
 def grouped_from_scratch(g, source, coalition, c_a):
     """outcome_classes recomputed from the arena's raw fields, sharing no code or
     memo with Arena."""
-    props, transitions = frozenset().union(*(g.observes[a] for a in coalition)), g.transitions
+    props, relation = frozenset().union(*(g.observes[a] for a in coalition)), transitions(g)
     grouped = {}
     for c in g.joint_actions():
         if tuple(act for a, act in zip(g.agents, c) if a in coalition) != tuple(c_a):
             continue
         for s in source:
-            for t in transitions[(s, c)]:
+            for t in relation[(s, c)]:
                 grouped.setdefault(g.labels[t] & props, set()).add(t)
     return {z: frozenset(members) for z, members in grouped.items()}
 
@@ -658,7 +658,7 @@ def grouped_from_scratch(g, source, coalition, c_a):
 def rebuilt(g):
     """A newly constructed Arena with the same fields, so with empty memos."""
     return Arena(g.agents, g.actions, g.states, g.labels, g.initial,
-                 g.observes, g.hidden, g.transitions)
+                 g.observes, g.hidden, transitions(g))
 
 
 COALITIONS = (["a1"], ["a2"], ["a1", "a2"], [])
@@ -731,10 +731,11 @@ class TestCompiledView:
                 view = split(g, coalition).view
                 props = frozenset().union(*(g.observes[a] for a in coalition))
                 for i, q in enumerate(g.states):
-                    assert obs(g, coalition, q) == view.observation[q] == g.labels[q] & props
+                    assert (obs(g, coalition, q) == view.observations[view.rank[i]]
+                            == g.labels[q] & props)
                     assert [(view.actions[k], [g.states[t] for t in successors])
                             for k, successors in view.row(i)] == [
-                        (restrict_action(g, coalition, c), g.sorted_states(succ(g, q, c)))
+                        (restrict_action(g, coalition, c), sorted_states(g, succ(g, q, c)))
                         for c in g.joint_actions()], seed
                 members = coalition_tuple(g, coalition)
                 assert view.members == members
@@ -787,7 +788,7 @@ class TestWithProp:
             labels = {q: set(g.labels[q]) | ({"new"} if q in true_states else set())
                       for q in g.states}
             fresh = Arena(g.agents, g.actions, g.states, labels, g.initial,
-                          g.observes, set(g.hidden) | {"new"}, g.transitions)
+                          g.observes, set(g.hidden) | {"new"}, transitions(g))
             assert derived.to_document() == fresh.to_document(), seed
             assert derived.props == fresh.props == g.props | {"new"}, seed
             for coalition in COALITIONS:

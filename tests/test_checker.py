@@ -30,8 +30,8 @@ from atldk.strategy_automata import (TreeAutomaton, build_until_automaton,
                                      build_weak_until_automaton, level_automaton)
 from oracles import (BUILDERS, build_failures, chi_failures, construction_failures, delta,
                      family_f, hat_state_of, initialized_runs, knowledge_oracle, level_failures,
-                     level_truth, random_arena, random_coalition, unlabeled_atoms, until_oracle,
-                     walk_views)
+                     level_truth, mask_of, random_arena, random_coalition, states_of,
+                     unlabeled_atoms, until_oracle, walk_views)
 
 AB = ["Alice", "Bob"]
 EXAMPLE = "<Alice,Bob>(valid U (c & s))"
@@ -164,7 +164,8 @@ class TestLabelStep:
         for s, found in (({"q1", "q2"}, ["build_until_automaton got a kset ['q1', 'q2'] "
                                          "that is not one of its hat's"]),
                          ({"q1", "q2", "q3"}, [])):
-            assert build_failures("build_until_automaton", hat, "valid", "c", frozenset(s)) == found
+            assert build_failures("build_until_automaton", hat, "valid", "c",
+                                  mask_of(corpus, s)) == found
 
     def test_rejects_a_wrong_goal_prop(self, corpus, monkeypatch):
         """A label_step that hands the until builder a prop its arena does not
@@ -726,9 +727,9 @@ class TestExplain:
                 if level.hat is None:
                     assert state == h and "kset" not in entry
                 else:
-                    kset = level.hat.kset[h]
                     source = level.hat.source
-                    assert entry["kset"] == [source.name(q) for q in source.sorted_states(kset)]
+                    kset = states_of(source, level.hat.kset[h])
+                    assert entry["kset"] == [source.name(q) for q in kset]
                     assert state == level.hat.base[h] and state in kset
             assert record["base_labels"] == sorted(g.labels[record["state"]])
 

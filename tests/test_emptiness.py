@@ -18,11 +18,13 @@ from oracles import (
     delta,
     generic_occurrence_emptiness,
     history_witness_map,
+    mask_of,
     random_arena,
     random_coalition,
     replay_machine,
     replay_until,
     solve_failures,
+    states_of,
     until_accept,
     weak_accept,
     witness_failures,
@@ -141,7 +143,7 @@ class TestWeakSolver:
 def setup():
     arena = load_alicebob().with_prop("goal", ["q12"])
     hat = split(arena, AB)
-    automaton = build_until_automaton(hat, "valid", "goal", {"q0"})
+    automaton = build_until_automaton(hat, "valid", "goal", mask_of(arena, {"q0"}))
     return arena, hat, automaton
 
 
@@ -166,7 +168,7 @@ class TestCorpusGame:
     def test_witness_replays_cleanly_against_all_resolutions(self, setup):
         arena, hat, automaton = setup
         _, solution = check_until_nonempty(automaton)
-        strategy = extract_witness_strategy(solution, automaton, {"q0"})
+        strategy = extract_witness_strategy(solution, automaton, mask_of(arena, {"q0"}))
         failures = replay_until(
             arena, AB, strategy,
             holds1=lambda q: "valid" in arena.labels[q],
@@ -177,7 +179,7 @@ class TestCorpusGame:
     def test_witness_narrates_the_protocol(self, setup):
         arena, hat, automaton = setup
         _, solution = check_until_nonempty(automaton)
-        strategy = extract_witness_strategy(solution, automaton, {"q0"})
+        strategy = extract_witness_strategy(solution, automaton, mask_of(arena, {"q0"}))
         assert strategy.action((frozenset({"valid"}),)) == ("g", "g")
         deal = (frozenset({"valid"}), frozenset({"valid"}))
         assert strategy.action(deal) == ("i", "i")
@@ -356,7 +358,7 @@ class TestExtractedWitnesses:
         if not nonempty:
             return
         strategy = extract_witness_strategy(solution, automaton, kset)
-        restricted = [q for q in g.initial if q in kset]
+        restricted = [q for q in g.initial if q in states_of(g, kset)]
         probe = load_arena({**g.to_document(), "initial": restricted})
         failures = replay_until(
             probe, coalition, strategy,

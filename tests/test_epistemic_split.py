@@ -16,6 +16,7 @@ from oracles import (
     initialized_runs,
     knowledge_oracle,
     lift_run,
+    mask_of,
     next_oracle,
     obs,
     obs_signature,
@@ -25,8 +26,10 @@ from oracles import (
     reference_split,
     resplit_isomorphism_failures,
     same_kset,
+    states_of,
     states_with_kset,
     succ,
+    transitions,
     unlabeled_atoms,
 )
 
@@ -65,7 +68,8 @@ class TestCorpusSplit:
         assert corpus_hat.arena.name(0) == "q0@{q0}"
 
     def test_exactly_one_non_singleton_kset(self, corpus_hat):
-        non_singleton = {s for s in corpus_hat.ksets if len(s) > 1}
+        ksets = [frozenset(states_of(corpus_hat.source, s)) for s in corpus_hat.ksets]
+        non_singleton = {s for s in ksets if len(s) > 1}
         assert non_singleton == {frozenset({"q1", "q2", "q3"})}
 
     def test_deal_step_branches_into_the_shared_kset(self, corpus_hat):
@@ -90,7 +94,7 @@ class TestCorpusSplit:
     def test_split_is_deterministic(self, corpus, corpus_hat):
         again = split(corpus, AB)
         assert again.arena.states == corpus_hat.arena.states
-        assert again.arena.transitions == corpus_hat.arena.transitions
+        assert transitions(again.arena) == transitions(corpus_hat.arena)
         assert again.arena.initial == corpus_hat.arena.initial
 
     def test_limit_aborts(self, corpus):
@@ -151,7 +155,7 @@ class TestSplitInvariants:
         coalition = random_coalition(rng)
         hat = split(g, coalition)
         for hid in hat.arena.states:
-            s = hat.kset[hid]
+            s = states_of(g, hat.kset[hid])
             assert hat.base[hid] in s
             views = {obs(g, coalition, q) for q in s}
             assert len(views) == 1
@@ -179,7 +183,7 @@ class TestSplitInvariants:
         coalition = random_coalition(rng)
         hat = split(g, coalition)
         for hid in hat.arena.states:
-            assert hat.kset[hid] == frozenset({hat.base[hid]})
+            assert states_of(g, hat.kset[hid]) == [hat.base[hid]]
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10 ** 6))
@@ -193,7 +197,7 @@ class TestSplitInvariants:
         for run in runs:
             hid = hat_state_of(g, hat, run)
             mates = classes[obs_signature(g, coalition, run)]
-            assert hat.kset[hid] == frozenset(r.last for r in mates)
+            assert frozenset(states_of(g, hat.kset[hid])) == frozenset(r.last for r in mates)
 
 
 class TestLiftProject:
@@ -294,12 +298,12 @@ def refinement_fields(hat):
     name = g.name
 
     def members(s):
-        return frozenset(map(source.name, s))
+        return frozenset(map(source.name, states_of(source, s)))
 
     return ([name(h) for h in g.states], [name(h) for h in g.initial],
             [(name(h), label) for h, label in g.labels.items()],
             [((name(h), c), frozenset(map(name, targets)))
-             for (h, c), targets in g.transitions.items()],
+             for (h, c), targets in transitions(g).items()],
             [(name(h), source.name(hat.base[h])) for h in g.states],
             [(name(h), members(hat.kset[h])) for h in g.states], list(map(members, hat.ksets)))
 
@@ -380,8 +384,7 @@ def misrendered_ids(hat):
     """The refined states whose id is not base@{kset members in source state order}."""
     source = hat.source
     return [h for h in hat.arena.states if hat.arena.name(h) != "%s@{%s}" % (
-        source.name(hat.base[h]), ",".join(source.name(q) for q in source.states
-                                             if q in hat.kset[h]))]
+        source.name(hat.base[h]), ",".join(map(source.name, states_of(source, hat.kset[h]))))]
 
 
 class TestRefinedIds:
@@ -443,8 +446,8 @@ class TestReferenceSplit:
         g = random_arena(random.Random(0), min_states=70, max_states=70)
         for coalition in (["a1"], ["a2"], ["a1", "a2"], []):
             hat = self.assert_equal(g, coalition, coalition)
-            assert any(max(map(g.state_sort_key, s)) >= 64 > min(map(g.state_sort_key, s))
-                       for s in hat.ksets), coalition
+            # Some kset has members on both sides of bit 64.
+            assert any(s >> 64 and s & (1 << 64) - 1 for s in hat.ksets), coalition
 
 
 class TestHatArenaHelpers:
@@ -460,7 +463,12 @@ class TestHatArenaHelpers:
         assert not same_kset(corpus_hat, q1, q4)
 
     def test_require_kset(self, corpus_hat):
-        from atldk import ArenaError
-        assert corpus_hat.require_kset({"q1", "q2", "q3"}) == frozenset({"q1", "q2", "q3"})
-        with pytest.raises(ArenaError):
-            corpus_hat.require_kset({"q1", "q2"})
+        """The kset with exactly the given source states, as its mask; an
+        unknown id, a proper subset, a kset with an unknown id added and the
+        empty set are no kset."""
+        shared = {"q1", "q2", "q3"}
+        assert corpus_hat.require_kset(shared) == mask_of(corpus_hat.source, shared)
+        for s, text in (({"q1", "zz"}, "q1,zz"), ({"q1", "q2"}, "q1,q2"),
+                        (shared | {"zz"}, "q1,q2,q3,zz"), (set(), "")):
+            with pytest.raises(ArenaError, match=r"^unknown kset \{%s\}$" % text):
+                corpus_hat.require_kset(s)

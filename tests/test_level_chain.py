@@ -12,7 +12,8 @@ import random
 import pytest
 
 from atldk import explain, model_check
-from oracles import acceptance_batches, family_f, level_failures, random_arena, random_coalition
+from oracles import (acceptance_batches, family_f, level_failures, random_arena, random_coalition,
+                     states_of)
 
 # Over family F's props; every level of these nests two or three modalities.
 FAMILY_F_FORMULAS = (
@@ -94,7 +95,7 @@ def chain_record(arena, formula):
             source = level.hat.source
             entry["base"] = [name(source, level.hat.base[q]) for q in g.states]
             entry["kset"] = [",".join(name(source, r) for r in
-                                      source.sorted_states(level.hat.kset[q]))
+                                      states_of(source, level.hat.kset[q]))
                              for q in g.states]
         levels.append(entry)
     explained = [explain(verdict, q) for q, _ in verdict.initial]

@@ -10,9 +10,9 @@ from atldk import load_alicebob, model_check
 from atldk.epistemic_split import split
 from atldk.strategy_automata import (BOT, build_until_automaton, build_weak_until_automaton,
                                      level_automaton, to_dot)
-from oracles import (as_masks, as_sets, classes, coalition_actions, delta, extensions, obs,
-                     random_arena, random_coalition, reference_goal_initial, reference_goal_row,
-                     succ, walk_views)
+from oracles import (as_masks, as_sets, classes, coalition_actions, delta, extensions, mask_of,
+                     obs, random_arena, random_coalition, reference_goal_initial,
+                     reference_goal_row, states_of, succ, walk_views)
 
 AB = ["Alice", "Bob"]
 Q123 = ["q1", "q2", "q3"]
@@ -31,7 +31,7 @@ def goal_hat():
 
 @pytest.fixture(scope="module")
 def corpus_automaton(goal_hat):
-    return build_until_automaton(goal_hat, "valid", "goal", {"q0"})
+    return build_until_automaton(goal_hat, "valid", "goal", mask_of(goal_hat.source, {"q0"}))
 
 
 def random_automaton(rng, weak=False):
@@ -50,11 +50,12 @@ def random_automaton(rng, weak=False):
 
 class TestInitialState:
     def test_goal_free_member_starts_failed(self, goal_hat):
-        automaton = build_until_automaton(goal_hat, "c", "s", {"q0"})
+        automaton = build_until_automaton(goal_hat, "c", "s", mask_of(goal_hat.source, {"q0"}))
         assert automaton.init == BOT
 
     def test_discharged_member_starts_without_obligations(self, goal_hat):
-        automaton = build_until_automaton(goal_hat, "valid", "goal", {"q12"})
+        q12 = mask_of(goal_hat.source, {"q12"})
+        automaton = build_until_automaton(goal_hat, "valid", "goal", q12)
         assert as_sets(goal_hat, automaton.init) == pair([], ["q12"])
         assert automaton.is_target(automaton.init)
 
@@ -63,7 +64,7 @@ class TestInitialState:
         assert not corpus_automaton.is_target(corpus_automaton.init)
 
     def test_pending_excludes_already_discharged_states(self, goal_hat):
-        automaton = build_until_automaton(goal_hat, "valid", "c", set(Q123))
+        automaton = build_until_automaton(goal_hat, "valid", "c", mask_of(goal_hat.source, Q123))
         assert as_sets(goal_hat, automaton.init) == pair(Q123, Q123)
 
 
@@ -106,8 +107,9 @@ class TestTransitionRules:
             c for c in coalition_actions(corpus_automaton.hat.source, AB)}
 
     def test_weak_until_shares_the_transition_structure(self, goal_hat):
-        until = build_until_automaton(goal_hat, "valid", "goal", {"q0"})
-        weak = build_weak_until_automaton(goal_hat, "valid", "goal", {"q0"})
+        q0 = mask_of(goal_hat.source, {"q0"})
+        until = build_until_automaton(goal_hat, "valid", "goal", q0)
+        weak = build_weak_until_automaton(goal_hat, "valid", "goal", q0)
         assert delta(until) == delta(weak)
         assert until.kind == "until" and weak.kind == "weak-until"
 
@@ -195,7 +197,7 @@ class TestSharedTable:
             props = sorted(g.props)
             p1, p2 = rng.choice(props), rng.choice(props)
             shared = split(g, coalition)
-            ksets = sorted(shared.ksets, key=g.sorted_states)
+            ksets = sorted(shared.ksets, key=partial(states_of, g))
             # Goal pairs sharing p1 or p2 on one hat: their tables stay apart.
             pairs = sorted({(p1, q) for q in props} | {(q, p2) for q in props})
             views = [(build, s, goals, build(shared, *goals, s))
@@ -203,7 +205,7 @@ class TestSharedTable:
                      for s in ksets for build in builders]
             for build, s, goals, view in views:
                 fresh = build(split(g, coalition), *goals, s)
-                case = (seed, goals, sorted(s))
+                case = (seed, goals, states_of(g, s))
                 assert view.states == fresh.states, case
                 assert view.init == fresh.init, case
                 assert delta(view) == delta(fresh), case
