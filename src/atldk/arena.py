@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 import itertools
 import json
 from collections import Counter
@@ -28,7 +27,7 @@ def _members(arena, coalition):
     unknown = coalition.difference(arena.agents)
     if unknown:
         raise ArenaError("unknown coalition members %s" % sorted(unknown))
-    return tuple(a for a in arena.agents if a in coalition)
+    return tuple(filter(coalition.__contains__, arena.agents))
 
 
 class _CoalitionView:
@@ -48,21 +47,24 @@ class _CoalitionView:
 
     def __init__(self, arena, coalition):
         self.members = _members(arena, coalition)
-        props = frozenset().union(*(arena.observes[a] for a in self.members))
+        props = frozenset().union(*map(arena.observes.__getitem__, self.members))
         observation = [arena.labels[q] & props for q in arena.states]
         self.observations = sorted(set(observation), key=sorted)
         rank = {z: i for i, z in enumerate(self.observations)}
-        self.rank = [rank[z] for z in observation]
+        self.rank = list(map(rank.__getitem__, observation))
         like = [0] * len(rank)
         for i, r in enumerate(self.rank):
             like[r] |= 1 << i
-        self.alike = [like[r] for r in self.rank]
-        positions = [i for i, a in enumerate(arena.agents) if a in self.members]
-        # First sight in joint-action order is the members' product order.
-        actions = {}
-        self._action_of = tuple(actions.setdefault(tuple([c[i] for i in positions]), len(actions))
-                                for c in arena.joint_actions())
-        self.actions = tuple(actions)
+        self.alike = list(map(like.__getitem__, self.rank))
+        self.actions = tuple(itertools.product(*(arena.actions[a] for a in self.members)))
+        # Per joint action, in joint_actions order, the index of its coalition
+        # part: the members' action indices as one mixed-radix number.
+        action_of = [0]
+        for a in arena.agents:
+            n = len(arena.actions[a])
+            action_of = ([k * n + d for k in action_of for d in range(n)] if a in self.members
+                         else [k for k in action_of for _ in range(n)])
+        self._action_of = tuple(action_of)
         self.index = arena._state_index
         self._rows = arena._rows
         self._unions, self._classes = {}, {}
@@ -213,6 +215,12 @@ class Arena:
                     % (q, joint[row.index(None)]))
         return rows
 
+    def _copy(self):
+        """A shallow copy, without copy.copy's pickle protocol (one per level)."""
+        derived = object.__new__(type(self))
+        derived.__dict__.update(self.__dict__)
+        return derived
+
     def joint_actions(self):
         """All joint actions, in the canonical per-agent order."""
         return itertools.product(*(self.actions[a] for a in self.agents))
@@ -244,7 +252,7 @@ class Arena:
         if unknown:
             raise ArenaError("cannot label unknown states %s with %s"
                              % (sorted(unknown, key=str), prop))
-        derived = copy.copy(self)
+        derived = self._copy()
         derived.labels = labels = dict(self.labels)
         # States that share a label share its extension.
         extended = {}

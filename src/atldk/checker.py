@@ -21,6 +21,7 @@ CASE_KNOWLEDGE = "knowledge"
 CASE_NEXT = "next"
 
 MODAL_CASES = (CASE_KNOWLEDGE, CASE_NEXT, UNTIL, WEAK_UNTIL)
+_MODAL = (fm.Know, fm.Next, fm.Until, fm.WeakUntil)
 
 
 class LabelLevel:
@@ -31,6 +32,8 @@ class LabelLevel:
     provenance to the previous level; until and weak-until levels also keep
     the level's goal game and its one solution, whose region and choices
     serve every kset's label, witness and explanation."""
+
+    __slots__ = ("k", "chi", "prop", "case", "arena", "hat", "game", "solution", "elapsed")
 
     def __init__(self, k, chi, prop, case, arena,
                  hat=None, game=None, solution=None, elapsed=0.0):
@@ -100,10 +103,6 @@ class Verdict:
         return None
 
 
-def _is_atom_case(chi):
-    return isinstance(chi, (fm.Atom, fm.TrueConst, fm.FalseConst))
-
-
 def _eval_boolean(chi, label):
     if isinstance(chi, fm.Atom):
         return chi.name in label
@@ -124,8 +123,8 @@ def label_step(arena, chi, prop, state_cap=DEFAULT_STATE_CAP):
     first. The fresh prop is hidden, so later splits are unaffected by it.
     """
     started = time.monotonic()
-    if not isinstance(chi, (fm.Know, fm.Next, fm.Until, fm.WeakUntil)):
-        case = CASE_ATOM if _is_atom_case(chi) else CASE_BOOLEAN
+    if not isinstance(chi, _MODAL):
+        case = CASE_ATOM if isinstance(chi, (fm.Atom, fm.TrueConst, fm.FalseConst)) else CASE_BOOLEAN
         # Truth depends only on the label, so decide each distinct label once.
         truth = {label: _eval_boolean(chi, label) for label in set(arena.labels.values())}
         new_arena = arena.with_prop(
@@ -159,11 +158,12 @@ def label_step(arena, chi, prop, state_cap=DEFAULT_STATE_CAP):
 
 def bind_formula(arena, f):
     """Check that the formula's coalitions and atoms exist in the arena."""
-    for coalition in fm.coalitions(f):
-        unknown = set(coalition) - set(arena.agents)
+    nodes = list(fm._nodes(f))
+    for coalition in {node.coalition for node in nodes if isinstance(node, fm._Coalitional)}:
+        unknown = coalition.difference(arena.agents)
         if unknown:
             raise CheckerError("unknown coalition members %s in %s" % (sorted(unknown), f))
-    missing = fm.atom_names(f) - arena.props
+    missing = {node.name for node in nodes if isinstance(node, fm.Atom)} - arena.props
     if missing:
         raise CheckerError("unknown props in formula: %s" % sorted(missing))
 

@@ -3,8 +3,6 @@ and label knowledge and one-step coalition ability directly on the result."""
 
 from __future__ import annotations
 
-import copy
-
 from .arena import ArenaError, StateCapExceeded, _bits, _CoalitionView, _state_names
 
 
@@ -148,7 +146,7 @@ def split(g, coalition, limit=None):
     if not refinement.plain:
         _check_ids(refinement)
     # A trusted copy of g with the refined states: no validation, no dict copies.
-    arena = copy.copy(g)
+    arena = g._copy()
     arena.states, arena.labels, arena.initial, arena._rows = states, labels, initial, rows
     arena._state_index, arena._refinement = range(n), refinement
     return HatArena(arena, view, limit)
@@ -171,9 +169,21 @@ def label_knowledge(hat, prop):
 def label_next(hat, prop):
     """Which refined states satisfy one-step coalition ability for a prop: some
     coalition action forces prop at every successor of every kset member, however
-    the other agents act."""
-    view, labels = hat.view, hat.source.labels
-    good = {i for i, q in enumerate(hat.source.states) if prop in labels[q]}
-    return _per_kset(hat, lambda s: len(view.actions) > len(
-        {k for i in _bits(s) for k, successors in view.row(i)
-         if not good.issuperset(successors)}))
+    the other agents act: iff its members' masks of failing coalition actions,
+    those with some successor off the prop, do not cover every action."""
+    view, g = hat.view, hat.source
+    off = {i for i, q in enumerate(g.states) if prop not in g.labels[q]}
+    failing, every = [], (1 << len(view.actions)) - 1
+    for i in range(len(g.states)):
+        m = 0
+        for k, successors in view.row(i):
+            if not off.isdisjoint(successors):
+                m |= 1 << k
+        failing.append(m)
+
+    def holds(s):
+        m = 0
+        for i in _bits(s):
+            m |= failing[i]
+        return m != every
+    return _per_kset(hat, holds)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import operator
+import re
+
 
 class FormulaError(Exception):
     pass
@@ -16,6 +19,8 @@ class ParseError(FormulaError):
 
 
 def _coalition(agents):
+    if isinstance(agents, frozenset):
+        return agents
     names = tuple(agents)
     if len(set(names)) != len(names):
         raise FormulaError("duplicate agent in coalition: %s" % (names,))
@@ -30,10 +35,13 @@ class Formula:
     """Base class for all formula nodes. Nodes are immutable and compare structurally.
 
     Every node is a tag, a head (an atom's name or a coalition; empty for the
-    other nodes) and its children; key() and _rebuild() derive from those.
+    other nodes) and its children; key() holds the three, children as nodes,
+    and _rebuild() derives from them. Nodes never change after __init__: each
+    builds its key and hash once.
     """
 
     tag = None
+    _key = _hash = None
 
     def _head(self):
         return ()
@@ -42,7 +50,12 @@ class Formula:
         return ()
 
     def key(self):
-        return (self.tag,) + self._head() + tuple(c.key() for c in self.children())
+        if self._key is None:
+            self._key = self._build_key()
+        return self._key
+
+    def _build_key(self):
+        return (self.tag, *self._head(), *self.children())
 
     def _rebuild(self, children):
         """The same connective, with the same head, over new children."""
@@ -52,7 +65,9 @@ class Formula:
         return isinstance(other, Formula) and self.key() == other.key()
 
     def __hash__(self):
-        return hash(self.key())
+        if self._hash is None:
+            self._hash = hash(self.key())
+        return self._hash
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__name__, str(self))
@@ -248,8 +263,13 @@ def _nodes(f):
 #   atomish := "true" | "false" | IDENT | "(" formula ")"
 #   agents  := IDENT ("," IDENT)*
 # Unary operators bind tighter than &, then |, then ->.
+# An identifier's tail: \w matches the characters isalnum() or == "_" accepts.
+_WORD = re.compile(r"\w*")
+
 
 class _Token:
+    __slots__ = ("kind", "text", "pos")
+
     def __init__(self, kind, text, pos):
         self.kind = kind
         self.text = text
@@ -257,92 +277,81 @@ class _Token:
 
 
 def _tokenize(text):
-    tokens = []
-    i = 0
-    n = len(text)
+    tokens, i, n = [], 0, len(text)
     while i < n:
         ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if text.startswith("->", i):
-            tokens.append(_Token("->", "->", i))
-            i += 2
-            continue
         if ch in "!&|<>[]{}(),":
             tokens.append(_Token(ch, ch, i))
             i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
+        elif ch.isalpha() or ch == "_":
+            j = _WORD.match(text, i).end()
             tokens.append(_Token("ident", text[i:j], i))
             i = j
-            continue
-        raise ParseError("unexpected character %r" % ch, i)
+        elif ch.isspace():
+            i += 1
+        elif text.startswith("->", i):
+            tokens.append(_Token("->", "->", i))
+            i += 2
+        else:
+            raise ParseError("unexpected character %r" % ch, i)
     tokens.append(_Token("end", "", n))
     return tokens
 
 
 class _Parser:
+    INFIX = {"->": Implies, "|": Or, "&": And}
+    UNARY_MODAL = {
+        ("X", False): Next, ("F", False): Eventually, ("G", False): Globally,
+        ("X", True): DualNext, ("F", True): DualEventually, ("G", True): DualGlobally,
+    }
+
     def __init__(self, text):
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
-
-    def peek(self):
-        return self.tokens[self.index]
+        # The current token; the parser never advances past the end token.
+        self.tok = self.tokens[0]
 
     def advance(self):
-        tok = self.tokens[self.index]
+        tok = self.tok
         self.index += 1
+        self.tok = self.tokens[self.index]
         return tok
 
     def expect(self, kind, what):
-        tok = self.peek()
+        tok = self.tok
         if tok.kind != kind:
             raise ParseError("expected %s, found %r" % (what, tok.text or "end of input"), tok.pos)
         return self.advance()
 
     def parse(self):
         f = self.impl()
-        tok = self.peek()
+        tok = self.tok
         if tok.kind != "end":
             raise ParseError("unexpected trailing input %r" % tok.text, tok.pos)
         return f
 
-    def impl(self):
-        left = self.disj()
-        if self.peek().kind == "->":
-            self.advance()
-            return Implies(left, self.impl())
-        return left
-
-    def disj(self):
-        f = self.conj()
-        while self.peek().kind == "|":
-            self.advance()
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self):
+    def impl(self, level=0):
+        """Unary operands joined by the infix connectives of precedence level
+        or tighter, by precedence climbing: a right operand binds as tight as
+        its connective's right side, so -> associates to the right, & and |
+        to the left."""
         f = self.unary()
-        while self.peek().kind == "&":
+        while (infix := self.INFIX.get(self.tok.kind)) and infix.precedence >= level:
             self.advance()
-            f = And(f, self.unary())
+            f = infix(f, self.impl(infix.sides[1]))
         return f
 
     def agents(self, closing, what):
         names = [self.expect("ident", "agent name").text]
-        while self.peek().kind == ",":
+        while self.tok.kind == ",":
             self.advance()
             names.append(self.expect("ident", "agent name").text)
         self.expect(closing, what)
         return names
 
     def unary(self):
-        tok = self.peek()
+        tok = self.tok
         if tok.kind == "!":
             self.advance()
             return Not(self.unary())
@@ -363,18 +372,14 @@ class _Parser:
         return self.atomish()
 
     def tail(self, names, dual):
-        tok = self.peek()
+        tok = self.tok
         if tok.kind == "ident" and tok.text in ("X", "F", "G"):
             self.advance()
-            table = {
-                ("X", False): Next, ("F", False): Eventually, ("G", False): Globally,
-                ("X", True): DualNext, ("F", True): DualEventually, ("G", True): DualGlobally,
-            }
-            return table[(tok.text, dual)](names, self.unary())
+            return self.UNARY_MODAL[(tok.text, dual)](names, self.unary())
         if tok.kind == "(":
             self.advance()
             left = self.impl()
-            op = self.peek()
+            op = self.tok
             if op.kind != "ident" or op.text not in ("U", "W"):
                 raise ParseError("expected 'U' or 'W', found %r" % (op.text or "end of input"), op.pos)
             self.advance()
@@ -388,7 +393,7 @@ class _Parser:
             tok.pos)
 
     def atomish(self):
-        tok = self.peek()
+        tok = self.tok
         if tok.kind == "ident":
             self.advance()
             if tok.text == "true":
@@ -416,7 +421,10 @@ def parse_formula(text):
 def desugar(f):
     """Rewrite to the core fragment: atoms, true, false, !, &, <A>X, <A>U, <A>W, K."""
     if isinstance(f, CORE_KINDS):
-        return f._rebuild([desugar(c) for c in f.children()])
+        children = f.children()
+        core = [desugar(c) for c in children]
+        # Nodes never change, so one over unchanged children is its own core form.
+        return f if all(map(operator.is_, core, children)) else f._rebuild(core)
     if isinstance(f, Or):
         return Not(And(Not(desugar(f.left)), Not(desugar(f.right))))
     if isinstance(f, Implies):
@@ -480,18 +488,9 @@ def enumerate_subformulas(f):
 
 def _enter(node, entries):
     """node's entry, added to entries after its children's on first sight."""
-    if node not in entries:
+    entry = entries.get(node)
+    if entry is None:
         atoms = [Atom(_enter(c, entries).prop) for c in node.children()]
         k = len(entries) + 1
-        entries[node] = SubformulaEntry(k, node, fresh_prop(k), node._rebuild(atoms))
-    return entries[node]
-
-
-def atom_names(f):
-    """All atom names occurring in the tree."""
-    return {node.name for node in _nodes(f) if isinstance(node, Atom)}
-
-
-def coalitions(f):
-    """All coalitions occurring in the tree."""
-    return {node.coalition for node in _nodes(f) if isinstance(node, _Coalitional)}
+        entry = entries[node] = SubformulaEntry(k, node, fresh_prop(k), node._rebuild(atoms))
+    return entry

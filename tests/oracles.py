@@ -277,6 +277,11 @@ def sorted_states(arena, states):
     return states_of(arena, mask_of(arena, states))
 
 
+# An arena's own fields: no coalition view, memo or outcome class among them.
+ARENA_FIELDS = {"agents", "actions", "states", "labels", "initial", "observes", "hidden",
+                "props", "_state_index", "_refinement", "_rows"}
+
+
 def transitions(arena):
     """The relation as {(state, joint action): frozenset of successor states},
     read off the arena's rows."""

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from atldk import Arena, ArenaError, SINK_ID, Strategy, load_arena, load_alicebob
 from atldk.epistemic_split import split
-from oracles import (Run, coalition_actions, coalition_props, coalition_tuple, extensions, obs,
-                     obs_equiv, out, outcome_classes, random_arena, random_arena_document,
-                     restrict_action, sorted_states, succ, transitions)
+from oracles import (ARENA_FIELDS, Run, coalition_actions, coalition_props, coalition_tuple,
+                     extensions, obs, obs_equiv, out, outcome_classes, random_arena,
+                     random_arena_document, restrict_action, sorted_states, succ, transitions)
 
 AB = ["Alice", "Bob"]
 
@@ -662,10 +662,6 @@ def rebuilt(g):
 
 
 COALITIONS = (["a1"], ["a2"], ["a1", "a2"], [])
-
-# An arena's own fields: no coalition view, memo or outcome class among them.
-ARENA_FIELDS = {"agents", "actions", "states", "labels", "initial", "observes", "hidden",
-                "props", "_state_index", "_refinement", "_rows"}
 
 
 class TestCompiledView:

@@ -22,13 +22,23 @@ def test_untraced_run_is_correct_and_reports_every_end_to_end_metric(monkeypatch
     spec = importlib.util.spec_from_file_location("benchmark_run", RUN)
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
-    for workload in ("nested-until", "knowledge-split", "full-obs-batch", "weak-witness"):
-        done = subprocess.run(
-            [sys.executable, str(RUN), "--workload", workload, "--seed", "1", "--seconds", "0.5"],
-            capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, (workload, done.stderr)
-        result = json.loads(done.stdout.splitlines()[-1])
-        assert result["correct"] is True and result["failed"] == 0, (workload, done.stdout)
+    # The four runs are independent: start them all, then wait on each.
+    runs = {workload: subprocess.Popen(
+        [sys.executable, str(RUN), "--workload", workload, "--seed", "1", "--seconds", "0.5"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for workload in ("nested-until", "knowledge-split", "full-obs-batch", "weak-witness")}
+    stdout = {}
+    try:
+        for workload, process in runs.items():
+            stdout[workload], stderr = process.communicate(timeout=120)
+            assert process.returncode == 0, (workload, stderr)
+    finally:
+        for process in runs.values():
+            process.kill()
+            process.wait()
+    for workload, out in stdout.items():
+        result = json.loads(out.splitlines()[-1])
+        assert result["correct"] is True and result["failed"] == 0, (workload, out)
         assert set(result["metrics"]) == set(run.END_TO_END_UNITS), workload
-    replayed = re.search(r"(\d+) witnesses replayed", done.stdout)
-    assert replayed and int(replayed.group(1)) > 0, done.stdout
+    replayed = re.search(r"(\d+) witnesses replayed", stdout["weak-witness"])
+    assert replayed and int(replayed.group(1)) > 0, stdout["weak-witness"]

@@ -9,6 +9,7 @@ import atldk.formula as fm
 from atldk import ArenaError, StateCapExceeded, load_alicebob, load_arena
 from atldk.epistemic_split import label_knowledge, label_next, split
 from oracles import (
+    ARENA_FIELDS,
     Run,
     comma_id_document,
     equivalence_classes,
@@ -368,6 +369,23 @@ class TestResplit:
             if other != coalition:
                 assert refinement_fields(split(mid, other)) == refinement_fields(
                     split(loaded_copy(mid), other))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_refined_arena_is_a_new_arena_with_only_the_arena_fields(self, seed):
+        """By a full walk and by a same-coalition re-split, split copies its
+        source into a new Arena with exactly an arena's own fields, sharing
+        the source's agents, actions and observations."""
+        coalition, mid = resplit_input(seed)
+        full, fast = loaded_copy(mid), mid
+        for source in (full, fast):
+            g = split(source, coalition).arena
+            assert g is not source and type(g) is type(source)
+            assert set(vars(g)) == ARENA_FIELDS
+            assert g.agents is source.agents
+            assert g.actions is source.actions and g.observes is source.observes
+        assert split(fast, coalition).arena._rows is fast._rows
+        assert split(full, coalition).arena._rows is not full._rows
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10 ** 6))

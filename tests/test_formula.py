@@ -284,6 +284,63 @@ class TestDesugar:
         assert f == fm.Not(fm.Not(fm.And(fm.Not(fm.Atom("p")), fm.Not(fm.Atom("q")))))
 
 
+class TestNodeKeys:
+    def test_a_deep_formula_builds_each_key_and_hash_at_most_once(self, monkeypatch):
+        """Nodes keep their key and hash, so enumerating a formula 200
+        connectives deep builds and hashes each node's key at most once, not
+        once per ancestor or per dict probe."""
+        built, hashed = [], []
+        build = fm.Formula._build_key
+
+        class CountedKey(tuple):
+            def __hash__(self):
+                hashed.append(self)
+                return tuple.__hash__(self)
+
+        def counted(node):
+            built.append(node)
+            return CountedKey(build(node))
+
+        monkeypatch.setattr(fm.Formula, "_build_key", counted)
+        f = fm.Atom("p")
+        for i in range(200):
+            f = (fm.Not(f), fm.And(f, fm.Atom("q%d" % (i % 3))), fm.Next(["a"], f),
+                 fm.Know(["a", "b"], f))[i % 4]
+        core = desugar(f)
+        entries = enumerate_subformulas(core)
+        nodes = list(fm._nodes(core))
+        assert len(nodes) == 251 and len(entries) == 204
+        assert len(built) <= len(nodes) and len(hashed) <= len(nodes)
+        assert len(set(map(id, built))) == len(built)
+        assert entries[-1].formula == core
+
+    def test_separately_built_nodes_compare_and_hash_equal(self):
+        texts = ["<a,b>(p U !q)", "K{b,a} <a>X (p & q)", "!(p & true) & false", "<a>(p W q)"]
+        for text in texts:
+            first, second = parse_formula(text), parse_formula(text)
+            hash(first)  # a kept hash meets one built on first use
+            assert first == second and second == first, text
+            assert hash(first) == hash(second) == hash(first.key()), text
+            assert first.key() == second.key(), text
+        ab, ba = (fm.Until(c, fm.Atom("p"), fm.Atom("q")) for c in (["a", "b"], ["b", "a"]))
+        assert ab == ba and hash(ab) == hash(ba)
+        distinct = [parse_formula(text) for text in texts + [
+            "<a>(p U q)", "<b>(p W q)", "<a>(q W p)", "K{a} <a>X (p & q)", "p", "q"]]
+        assert len(set(distinct)) == len(distinct)
+        assert len({f.key() for f in distinct}) == len(distinct)
+
+    def test_repeated_negation_of_a_dual_until_enumerated_once(self):
+        """[A](l U r) desugars to !<A>(!r W (!r & !l)), whose two !r are
+        built separately."""
+        core = desugar(parse_formula("[a](l U r)"))
+        weak = core.operand
+        assert weak.left == weak.right.left and weak.left is not weak.right.left
+        entries = enumerate_subformulas(core)
+        assert [e.formula for e in entries].count(fm.Not(fm.Atom("r"))) == 1
+        assert [str(e.chi) for e in entries] == [
+            "r", "!p#1", "l", "!p#3", "p#2 & p#4", "<a>(p#2 W p#5)", "!p#6"]
+
+
 def _count_modalities(f):
     own = isinstance(f, (fm.Know, fm.Next, fm.Until, fm.WeakUntil))
     return int(own) + sum(_count_modalities(c) for c in f.children())
