@@ -3,7 +3,11 @@ random arenas with depth-2/3 formulas that mix same- and cross-coalition
 K, X, U and W levels, each level's rendered state ids in order, its labels,
 each refined state's base and kset text, and the explanation of every
 top-level initial state hash to a recorded digest. The digests were recorded
-before refined states became ints, so they pin the text a reader sees."""
+before refined states became ints, so they pin the text a reader sees. A
+second digest per case, over four larger family-F cases besides, pins each
+until and weak-until level's winning region and choices, states rendered by
+the level game's pretty; those were recorded while goal states were still
+(pending, kset) pairs, before the goal tables numbered them."""
 
 import hashlib
 import json
@@ -55,6 +59,11 @@ RANDOM_TEMPLATES = (
 
 COALITIONS = ("a1", "a2", "a1,a2")
 
+# Region-digest cases only, on family F drawn from Random(n) as ROADMAP's
+# baseline is: (n, formula).
+SCALE_CASES = ((16, "<a1>F <a2>X p3"), (16, "<a1>(p0 W p2)"),
+               (24, "<a1>F <a2>X p3"), (24, "<a1>(p0 W p2)"))
+
 
 def cases():
     """(name, arena, formula): 20 family-F and 20 random-arena instances."""
@@ -73,6 +82,13 @@ def cases():
         template = RANDOM_TEMPLATES[drawn % len(RANDOM_TEMPLATES)]
         yield "R%d" % drawn, g, template.format(c=c, d=d, p=p, q=q, r=r)
         drawn += 1
+
+
+def region_cases():
+    """(name, arena, formula): the chain cases, then the scale cases."""
+    yield from cases()
+    for i, (n, formula) in enumerate(SCALE_CASES):
+        yield "S%d" % i, family_f(n, n), formula
 
 
 def name(arena, q):
@@ -101,6 +117,21 @@ def chain_record(arena, formula):
     explained = [explain(verdict, q) for q, _ in verdict.initial]
     return {"holds": verdict.holds, "initial": verdict.initial, "levels": levels,
             "explained": explained}
+
+
+def region_record(arena, formula):
+    """Per until and weak-until level its winning region and choices, each
+    state rendered by the level game's pretty, sorted."""
+    levels = []
+    for level in model_check(arena, formula).table:
+        if level.game is None:
+            continue
+        pretty, solution = level.game.pretty, level.solution
+        levels.append({"k": level.k, "case": level.case,
+                       "winning": sorted(map(pretty, solution.winning)),
+                       "choice": sorted([pretty(q), list(c_a)]
+                                        for q, c_a in solution.choice.items())})
+    return levels
 
 
 def digest(record):
@@ -153,9 +184,64 @@ DIGESTS = {
 }
 
 
+# Recorded while goal states were (pending, kset) pairs.
+REGION_DIGESTS = {
+    'F0': '4f53cda18c2baa0c',  # <a1>X <a1>X p3
+    'F1': '4f53cda18c2baa0c',  # <a1>X <a2>X p3
+    'F2': '4f53cda18c2baa0c',  # K{a1} <a1>X p3
+    'F3': '2693986b22e81120',  # K{a2} <a1>(p0 U p3)
+    'F4': '2c3aef740e1559fb',  # <a1>F <a2>X p3
+    'F5': '5bdca4671d2c72b5',  # <a1>(p1 W K{a1} p2)
+    'F6': '55836f65cf0f3f7a',  # <a1,a2>X K{a1} <a2>F p3
+    'F7': '4f53cda18c2baa0c',  # <a1>X <a2>X <a1>X p3
+    'F8': '4f53cda18c2baa0c',  # K{a1} K{a1} <a1>X p0
+    'F9': '43c54630f87d0de2',  # <a2>G (K{a2} p2 | <a1>X p0)
+    'F10': '1d3553f148a1960c',  # P{a1} <a1>(p0 W <a1>X p3)
+    'F11': 'a24a454388d25101',  # !<a2>(p1 U !K{a2} p3)
+    'F12': '52369c2d0bab301e',  # <a1>(K{a1} p1 U <a2>G p2)
+    'F13': '33933b687826c74b',  # <a2>X <a2>(p2 W K{a1} p3)
+    'F14': 'bf6cb31e129729ef',  # K{a1,a2} <a1>F K{a1} p3
+    'F15': '0c73e28e52ad1457',  # <a1>G <a1>F p0
+    'F16': '31a9c6c1fb88355b',  # <a2>F (<a1>X p1 & K{a2} p2)
+    'F17': '178454b529c8e7f7',  # <a1>(<a2>X p3 W <a1>X p0)
+    'F18': '155b692e5de775f4',  # K{a2} <a2>X <a1>(p1 U p3)
+    'F19': 'fa33997b5fc05202',  # <a1,a2>(K{a1} p0 U <a2>X K{a2} p3)
+    'R0': '4f53cda18c2baa0c',  # <a1,a2>X <a1,a2>X p
+    'R1': '4f53cda18c2baa0c',  # <a1>X <a2>X q
+    'R2': 'e6579b240993256f',  # K{a2} <a1,a2>(p U p)
+    'R3': '13f4f0cf4bce1890',  # <a1>(q W K{a1} q)
+    'R4': '22a6efab488d2e28',  # <a1,a2>F <a1>X q
+    'R5': '82b2371b069f6f8e',  # <a1,a2>G (K{a2} p | <a2>X q)
+    'R6': '4f53cda18c2baa0c',  # K{a1} <a1>X <a1,a2>X p
+    'R7': '2c8d1c553ed1e16c',  # <a2>(q U <a2>(r W q))
+    'R8': '4f53cda18c2baa0c',  # !<a2>X !K{a1,a2} p
+    'R9': '1a05e99cef507c8c',  # <a1,a2>(<a1>X q U K{a1} q)
+    'R10': '4f53cda18c2baa0c',  # <a1>X <a1>X q
+    'R11': '4f53cda18c2baa0c',  # <a2>X <a1>X q
+    'R12': '5e9ecbd69104c33c',  # K{a1,a2} <a2>(q U q)
+    'R13': '17a5299ca7330c42',  # <a1>(p W K{a1} r)
+    'R14': '38f848a410c08b2b',  # <a2>F <a1>X p
+    'R15': '22137b0f742f31a6',  # <a1,a2>G (K{a2} q | <a2>X q)
+    'R16': '4f53cda18c2baa0c',  # K{a2} <a2>X <a1>X p
+    'R17': '976fd7ac2702d482',  # <a1,a2>(q U <a1,a2>(q W r))
+    'R18': '4f53cda18c2baa0c',  # !<a1,a2>X !K{a2} q
+    'R19': '22a6efab488d2e28',  # <a1,a2>(<a1>X q U K{a1} q)
+    'S0': '8f6d7a9a7d537b64',  # <a1>F <a2>X p3
+    'S1': '866b6a96921097fd',  # <a1>(p0 W p2)
+    'S2': '2bf6eb593c912855',  # <a1>F <a2>X p3
+    'S3': '754703ea05563b3a',  # <a1>(p0 W p2)
+}
+
+
 @pytest.mark.parametrize("case,arena,formula", list(cases()), ids=[c for c, _, _ in cases()])
 def test_level_chain_matches_the_recorded_digest(case, arena, formula):
     assert digest(chain_record(arena, formula)) == DIGESTS[case], (case, formula)
+
+
+@pytest.mark.parametrize("case,arena,formula", list(region_cases()),
+                         ids=[c for c, _, _ in region_cases()])
+def test_goal_regions_match_the_recorded_digest(case, arena, formula):
+    assert digest(region_record(arena, formula)) == REGION_DIGESTS[case], (case, formula)
 
 
 def test_levels_keep_what_the_checker_takes_on_trust():
@@ -196,3 +282,5 @@ def test_level_games_expand_no_settled_row():
 if __name__ == "__main__":
     for case, arena, formula in cases():
         print("    %r: %r,  # %s" % (case, digest(chain_record(arena, formula)), formula))
+    for case, arena, formula in region_cases():
+        print("    %r: %r,  # %s" % (case, digest(region_record(arena, formula)), formula))
