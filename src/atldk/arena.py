@@ -37,12 +37,12 @@ class _CoalitionView:
     share: states are numbered in arena order, so a set of states is a
     bitmask, observations (labels restricted to the props the members
     observe) are ranked by their sorted props, state i's is
-    observations[rank[i]], and alike[t] is the mask of the states that look
-    like t. Knowledge sets and goal states stay masks; only text output
-    renders them (_state_names). Compiling the view rejects unknown members;
+    observations[rank[i]], rank_of[z] is observation z's rank, and alike[t]
+    is the mask of the states that look like t. Knowledge sets and the parts
+    of goal states stay masks; only text output renders them (_state_names). Compiling the view rejects unknown members;
     the engine reads it unchecked."""
 
-    __slots__ = ("members", "actions", "observations", "rank", "alike", "index",
+    __slots__ = ("members", "actions", "observations", "rank", "rank_of", "alike", "index",
                  "_action_of", "_rows", "_unions", "_classes")
 
     def __init__(self, arena, coalition):
@@ -50,7 +50,7 @@ class _CoalitionView:
         props = frozenset().union(*map(arena.observes.__getitem__, self.members))
         observation = [arena.labels[q] & props for q in arena.states]
         self.observations = sorted(set(observation), key=sorted)
-        rank = {z: i for i, z in enumerate(self.observations)}
+        rank = self.rank_of = {z: i for i, z in enumerate(self.observations)}
         self.rank = list(map(rank.__getitem__, observation))
         like = [0] * len(rank)
         for i, r in enumerate(self.rank):
@@ -91,16 +91,18 @@ class _CoalitionView:
         return out
 
     def classes(self, m):
-        """Mask m cut by observation: (rank, part) pairs in rank order, each
-        part the states of m that look alike. Built once per mask."""
+        """Mask m cut by observation: the ranks of its states' observations in
+        increasing order and, aligned with them, each rank's part, the states
+        of m that look alike. Built once per mask."""
         cut = self._classes.get(m)
         if cut is None:
-            cut, rest = [], m
+            found, rest = [], m
             while rest:
                 t = (rest & -rest).bit_length() - 1
-                cut.append((self.rank[t], rest & self.alike[t]))
+                found.append((self.rank[t], rest & self.alike[t]))
                 rest &= ~self.alike[t]
-            cut = self._classes[m] = tuple(sorted(cut))
+            found.sort()
+            cut = self._classes[m] = (tuple(r for r, _ in found), tuple(p for _, p in found))
         return cut
 
 

@@ -21,7 +21,6 @@ from .formula import FormulaError, parse_formula
 from .strategy_automata import (
     UNTIL,
     WEAK_UNTIL,
-    _targets,
     build_until_automaton,
     build_weak_until_automaton,
     to_dot,
@@ -268,17 +267,20 @@ def automaton(arena_path, coalition_text, kind, p1, p2, kset_text, fmt, state_ca
 
 def _automaton_document(built, kset, nonempty):
     hat = built.hat
+    observations = hat.view.observations
     transitions = []
     for state in built.states:
-        for c_a, classes in built.rows[state][0].items():
+        ranks, targets, _ = built.rows[state]
+        for c_a, rs, ts in zip(built.alphabet, ranks, targets):
             entry = {
                 "from": built.pretty(state),
                 "action": dict(zip(hat.view.members, c_a)),
-                "to": [built.pretty(t) for t in _targets(classes)],
+                "to": [built.pretty(t) for t in ts],
             }
-            if classes:
+            if rs:
                 entry["classes"] = [
-                    {"observation": sorted(z), "to": built.pretty(t)} for z, t in classes
+                    {"observation": sorted(observations[r]), "to": built.pretty(t)}
+                    for r, t in zip(rs, ts)
                 ]
             transitions.append(entry)
     return {

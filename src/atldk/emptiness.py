@@ -6,7 +6,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .arena import Strategy
-from .strategy_automata import BOT, WEAK_UNTIL, _targets, _walk
+from .strategy_automata import BOT, WEAK_UNTIL, _walk
 
 
 class GameSolution:
@@ -29,38 +29,55 @@ def _attractor(automaton, target, coalition):
 
     On the coalition side a state joins when some action keeps all its
     successors inside the region; on the environment side when no action keeps
-    all of them outside. Returns the region and, per state, the first action
-    that does so: taken when the state joins (coalition) or at the last sweep
-    (environment), so environment choices avoid the final region.
+    all of them outside. Returns the region, a bytearray over the table's
+    numbers, and, per state, the index of the first action that does so:
+    taken when the state joins (coalition) or at the last sweep (environment),
+    so environment choices avoid the final region.
 
     A settled state's row is never read: it is an until target, and on the
     environment side it never joins, as it reaches only settled states.
     """
-    region = set(target)
+    # Listing the states first: the walk numbers the states it meets.
+    states, table = automaton.states, automaton.rows
+    region = bytearray(len(table.pairs))
+    for state in target:
+        region[state] = 1
+    settled, inside = table.settled, 1 if coalition else 0
+    unsettled = [(s, table[s][1]) for s in states if not settled[s]]
     choice = {}
-    unsettled = [s for s in automaton.states if not automaton.is_target(s)]
     changed = True
     while changed:
         changed = False
-        for state in unsettled:
-            if state in region:
+        for state, targets in unsettled:
+            if region[state]:
                 continue
-            keep = next((c_a for c_a, pairs in automaton.rows[state][0].items()
-                         if all((t in region) == coalition for t in _targets(pairs))), None)
-            if keep is not None:
-                choice[state] = keep
+            keep = None
+            for k, successors in enumerate(targets):
+                for t in successors:
+                    if region[t] != inside:
+                        break
+                else:
+                    keep = choice[state] = k
+                    break
             if (keep is not None) == coalition:
-                region.add(state)
+                region[state] = 1
                 changed = True
     return region, choice
+
+
+def _actions(automaton, choice):
+    """The choice with each action index turned into its coalition action."""
+    alphabet = automaton.alphabet
+    return {s: alphabet[k] for s, k in choice.items()}
 
 
 def check_until_nonempty(automaton):
     """Coalition attractor to the discharged states: the automaton accepts some
     tree iff the initial state can force every path into an obligation-free
     state. The failure state only leads to itself, so it never joins."""
-    winning, choice = _attractor(automaton, automaton.targets(), coalition=True)
-    return automaton.init in winning, GameSolution(winning, choice)
+    region, choice = _attractor(automaton, automaton.targets(), coalition=True)
+    solution = GameSolution([s for s in automaton.states if region[s]], _actions(automaton, choice))
+    return automaton.init in solution.winning, solution
 
 
 def check_weak_nonempty(automaton):
@@ -68,8 +85,8 @@ def check_weak_nonempty(automaton):
     automaton accepts some tree iff the initial state can keep every path away
     from it."""
     losing, choice = _attractor(automaton, [BOT], coalition=False)
-    action = _action(automaton, choice)
-    winning = [s for s in automaton.states if s not in losing]
+    winning = [s for s in automaton.states if not losing[s]]
+    action = _action(automaton, _actions(automaton, choice))
     return automaton.init in winning, GameSolution(winning, {s: action(s) for s in winning})
 
 
@@ -79,34 +96,47 @@ def _action(game, choice):
     first coalition action: every action keeps it settled."""
     if game.kind != WEAK_UNTIL:
         return choice.get
-    first, settled, chosen = game.alphabet[0], game.is_target, choice.get
-    return lambda state: first if settled(state) else chosen(state)
+    first, settled, chosen = game.alphabet[0], game.rows.settled, choice.get
+    return lambda state: first if settled[state] else chosen(state)
 
 
 class _WitnessMachine:
     """A winning solution as a Mealy machine on the level's goal game: memory is
-    a goal state, output its action (_action), update the class its row stores
-    for that action (expanded on demand), and the first observation, that of
-    any kset member, picks the start, one kset's initial state."""
+    a goal state, output its action (_action), update the successor its row
+    stores for that action and the observation's rank (expanded on demand),
+    and the first observation, that of any kset member, picks the start, one
+    kset's initial state. The start memory is ()."""
 
     def __init__(self, solution, game, ksets):
         self.output = _action(game, solution.choice)
         self.rows, view = game.rows, game.hat.view
+        self.observations, self.rank_of = view.observations, view.rank_of
+        self.index = {c_a: k for k, c_a in enumerate(game.alphabet)}
         self.starts = {view.observations[view.rank[s.bit_length() - 1]]: self.rows.initial(s)
                        for s in ksets}
 
+    def _classes(self, state, c_a):
+        """The (ranks, successors) the state's row stores for action c_a."""
+        k = self.index[c_a]
+        ranks, targets, _ = self.rows[state]
+        return ranks[k], targets[k]
+
     def step(self, state, z):
-        if not state:
+        if state == ():
             return self.starts.get(z)
-        classes = self.rows[state][0].get(self.output(state), ())
-        return next((t for z_t, t in classes if z_t == z), None)
+        c_a = self.output(state)
+        if c_a is None:
+            return None
+        ranks, targets = self._classes(state, c_a)
+        r = self.rank_of.get(z)
+        return targets[ranks.index(r)] if r in ranks else None
 
     @cached_property
     def table(self):
         """Per start, level by level, one entry per history up to the number of
         states reachable from the start, ending at states without a choice. Two
         lists, not a pair per entry, keep the cyclic collector's work down."""
-        mapping = {}
+        mapping, observations = {}, self.observations
         for z0, init in self.starts.items():
             states, histories = [init], [(z0,)]
             for depth in range(len(_walk(self.rows, (init,))), 0, -1):
@@ -115,9 +145,9 @@ class _WitnessMachine:
                     c_a = self.output(state)
                     if c_a is not None:
                         mapping[history] = c_a
-                        for z, t in self.rows[state][0][c_a] if depth > 1 else ():
+                        for r, t in zip(*self._classes(state, c_a)) if depth > 1 else ():
                             next_states.append(t)
-                            next_histories.append(history + (z,))
+                            next_histories.append(history + (observations[r],))
                 states, histories = next_states, next_histories
         return mapping
 

@@ -266,6 +266,11 @@ def _nodes(f):
 # An identifier's tail: \w matches the characters isalnum() or == "_" accepts.
 _WORD = re.compile(r"\w*")
 
+# The deepest nesting parse_formula accepts. The parser and the passes over a
+# formula tree (desugar, enumeration, hashing, printing) recurse a few frames
+# per level, which this keeps well inside Python's default recursion limit.
+MAX_DEPTH = 100
+
 
 class _Token:
     __slots__ = ("kind", "text", "pos")
@@ -311,6 +316,18 @@ class _Parser:
         self.index = 0
         # The current token; the parser never advances past the end token.
         self.tok = self.tokens[0]
+        # Open impl and unary calls: each nested operand opens at least one.
+        self.depth = 0
+
+    def nest(self, parse, *args):
+        """parse(*args) one nesting level deeper, at most MAX_DEPTH deep."""
+        if self.depth == MAX_DEPTH:
+            raise FormulaError("formula nests deeper than %d levels (at position %d)"
+                               % (MAX_DEPTH, self.tok.pos))
+        self.depth += 1
+        f = parse(*args)
+        self.depth -= 1
+        return f
 
     def advance(self):
         tok = self.tok
@@ -329,6 +346,18 @@ class _Parser:
         tok = self.tok
         if tok.kind != "end":
             raise ParseError("unexpected trailing input %r" % tok.text, tok.pos)
+        # A chain of & or | nests to the left without nesting calls. The
+        # depth of a tree is the most operators on a path from its root, and
+        # never more than its token count.
+        if len(self.tokens) > MAX_DEPTH:
+            deepest, stack = 0, [(f, 0)]
+            while stack:
+                node, depth = stack.pop()
+                deepest = max(deepest, depth)
+                stack.extend((c, depth + 1) for c in node.children())
+            if deepest > MAX_DEPTH:
+                raise FormulaError("formula nests %d levels deep, deeper than %d"
+                                   % (deepest, MAX_DEPTH))
         return f
 
     def impl(self, level=0):
@@ -339,7 +368,7 @@ class _Parser:
         f = self.unary()
         while (infix := self.INFIX.get(self.tok.kind)) and infix.precedence >= level:
             self.advance()
-            f = infix(f, self.impl(infix.sides[1]))
+            f = infix(f, self.nest(self.impl, infix.sides[1]))
         return f
 
     def agents(self, closing, what):
@@ -354,12 +383,12 @@ class _Parser:
         tok = self.tok
         if tok.kind == "!":
             self.advance()
-            return Not(self.unary())
+            return Not(self.nest(self.unary))
         if tok.kind == "ident" and tok.text in ("K", "P") and self.tokens[self.index + 1].kind == "{":
             self.advance()
             self.advance()
             names = self.agents("}", "'}'")
-            operand = self.unary()
+            operand = self.nest(self.unary)
             return Know(names, operand) if tok.text == "K" else Possible(names, operand)
         if tok.kind == "<":
             self.advance()
@@ -375,15 +404,15 @@ class _Parser:
         tok = self.tok
         if tok.kind == "ident" and tok.text in ("X", "F", "G"):
             self.advance()
-            return self.UNARY_MODAL[(tok.text, dual)](names, self.unary())
+            return self.UNARY_MODAL[(tok.text, dual)](names, self.nest(self.unary))
         if tok.kind == "(":
             self.advance()
-            left = self.impl()
+            left = self.nest(self.impl)
             op = self.tok
             if op.kind != "ident" or op.text not in ("U", "W"):
                 raise ParseError("expected 'U' or 'W', found %r" % (op.text or "end of input"), op.pos)
             self.advance()
-            right = self.impl()
+            right = self.nest(self.impl)
             self.expect(")", "')'")
             if op.text == "U":
                 return (DualUntil if dual else Until)(names, left, right)
@@ -403,7 +432,7 @@ class _Parser:
             return Atom(tok.text)
         if tok.kind == "(":
             self.advance()
-            f = self.impl()
+            f = self.nest(self.impl)
             self.expect(")", "')'")
             return f
         raise ParseError("expected a formula, found %r" % (tok.text or "end of input"), tok.pos)

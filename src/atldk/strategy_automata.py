@@ -7,28 +7,34 @@ first read, and the automaton of a whole level is all of it but settled rows."""
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
 
 from .arena import StateCapExceeded, _state_names
 
 
-# A state is an obligation pair (pending, kset) of masks in the view's
-# numbering: pending holds the states whose histories have not yet discharged
-# the goal, kset the knowledge set those histories could be in. Every real
-# state has a nonempty kset, so (0, 0) is free for the absorbing failure state.
-BOT = (0, 0)
+# A state is the number of an obligation pair (pending, kset) of masks in the
+# view's numbering: pending holds the states whose histories have not yet
+# discharged the goal, kset the knowledge set those histories could be in.
+# Each goal table numbers the pairs in the order it meets them. Every real
+# state has a nonempty kset, so the pair (0, 0), number 0, is free for the
+# absorbing failure state.
+BOT = 0
 
 UNTIL = "until"
 WEAK_UNTIL = "weak-until"
+
+# The successors of an action that fails.
+_FAILS = (BOT,)
 
 
 class TreeAutomaton:
     """A goal automaton: states, coalition-action alphabet, total transition
     function, the initial state, and an occurrence acceptance kind.
 
-    rows is the hat's goal table for (p1, p2), keyed by mask pairs. On first
-    read, states lists the table breadth-first from starts (init, or every
-    kset's initial state for the level game, which expands no settled state).
-    Sets of state names appear only in pretty's text."""
+    rows is the hat's goal table for (p1, p2), which numbers the states. On
+    first read, states lists the table breadth-first from starts (init, or
+    every kset's initial state for the level game, which expands no settled
+    state). Sets of state names appear only in pretty's text."""
 
     def __init__(self, kind, hat, rows, init, starts=None):
         self.kind = kind
@@ -40,25 +46,27 @@ class TreeAutomaton:
 
     @cached_property
     def states(self):
-        return tuple(_walk(self.rows, self._starts, self.is_target if self.init is None else None))
+        return tuple(_walk(self.rows, self._starts,
+                           self.rows.settled if self.init is None else None))
 
     def __len__(self):
         return len(self.states)
 
-    @staticmethod
-    def is_target(state):
+    def is_target(self, state):
         """Until acceptance visits a settled state, whose obligations are all
         discharged. It reaches only settled states, so it wins either kind."""
-        return state[1] != 0 and not state[0]
+        return self.rows.settled[state] == 1
 
     def targets(self):
-        return [s for s in self.states if self.is_target(s)]
+        settled = self.rows.settled
+        return [s for s in self.states if settled[s]]
 
     def pretty(self, state):
         """The state as ({pending},{kset}) with members in arena order, or bot."""
         if state == BOT:
             return "bot"
-        return "({%s},{%s})" % tuple(",".join(_state_names(self.hat.source, m)) for m in state)
+        return "({%s},{%s})" % tuple(",".join(_state_names(self.hat.source, m))
+                                     for m in self.rows.pairs[state])
 
 
 def build_until_automaton(hat, p1, p2, kset):
@@ -79,16 +87,14 @@ def _build(kind, hat, p1, p2, kset):
     return TreeAutomaton(kind, hat, table, table.initial(kset))
 
 
-def _targets(pairs):
-    """The successors of one action's classes in a row; () fails to BOT."""
-    return tuple(t for _, t in pairs) or (BOT,)
-
-
 class _GoalTable(dict):
-    """A hat's goal table for (p1, p2): each state's row, expanded on first
-    lookup from the hat's view and goal masks. A row does not depend on the
-    kset a walk started from, so every kset and both acceptance kinds share it.
-    The hat's limit bounds the rows, as it bounds the refined states."""
+    """A hat's goal table for (p1, p2). It numbers the goal states as it meets
+    them: pairs[t] is state t's (pending, kset) pair, number the inverse map,
+    and settled[t] is 1 when state t has a kset but nothing pending. Each
+    state's row is expanded on first lookup from the hat's view and goal
+    masks. A row does not depend on the kset a walk started from, so every
+    kset and both acceptance kinds share it. The hat's limit bounds the rows,
+    as it bounds the refined states."""
 
     @classmethod
     def of(cls, hat, p1, p2):
@@ -104,38 +110,59 @@ class _GoalTable(dict):
         # Masks in the view's numbering: states off both goals, states where p2 holds.
         self.off_goal = sum(1 << i for i, q in enumerate(g.states) if not g.labels[q] & {p1, p2})
         self.discharged = sum(1 << i for i, q in enumerate(g.states) if p2 in g.labels[q])
+        self.pairs, self.number, self.settled = [(0, 0)], {(0, 0): BOT}, bytearray(1)
 
     def initial(self, kset):
-        return BOT if kset & self.off_goal else (kset & ~self.discharged, kset)
+        if kset & self.off_goal:
+            return BOT
+        pair = (kset & ~self.discharged, kset)
+        t = self.number.get(pair)
+        return self._add(pair) if t is None else t
+
+    def _add(self, pair):
+        """Number a pair met for the first time."""
+        t = self.number[pair] = len(self.pairs)
+        self.pairs.append(pair)
+        self.settled.append(not pair[0])
+        return t
 
     def __missing__(self, state):
-        """Expand the state's row: per coalition action its (observation,
-        successor) classes, () when it fails to BOT, and the distinct
-        successors in first-seen order. A successor's kset is one observation
-        class of the outcomes and its pending set the part of that class that
-        pending states reach, less the discharged ones: coherent and typed by
-        construction (checked by tests/oracles.py construction_failures).
-        BOT's empty kset has no outcomes, so its row fails on every action."""
+        """Expand the state's row: per coalition action index the ranks of the
+        observations its outcomes split into, in rank order, and the successor
+        each class leads to, () and (BOT,) when the action fails; then the
+        distinct successors in first-seen order. A successor's kset is one
+        observation class of the outcomes and its pending set the part of that
+        class that pending states reach, less the discharged ones: coherent
+        and typed by construction (checked by tests/oracles.py
+        construction_failures). BOT's empty kset has no outcomes, so its row
+        fails on every action."""
         if self.limit is not None and len(self) >= self.limit:
             raise StateCapExceeded(
                 "state cap exceeded: goal table (%s, %s) for {%s} needs more than %d rows"
                 % (self.p1, self.p2, ",".join(sorted(self.coalition)), self.limit))
-        view, off_goal, kept = self.view, self.off_goal, ~self.discharged
-        classes = {}
-        for c_a, reached, union in zip(view.actions, *map(view.unions, state)):
-            if reached & off_goal:
-                classes[c_a] = ()
+        view, off_goal, kept, number = self.view, self.off_goal, ~self.discharged, self.number
+        ranks, targets = [], []
+        for reached, union in zip(*map(view.unions, self.pairs[state])):
+            if reached & off_goal or not union:
+                ranks.append(())
+                targets.append(_FAILS)
                 continue
-            classes[c_a] = tuple((view.observations[r], (reached & part & kept, part))
-                                 for r, part in view.classes(union))
-        successors = dict.fromkeys(t for pairs in classes.values() for t in _targets(pairs))
-        row = self[state] = (classes, tuple(successors))
+            observed, parts = view.classes(union)
+            successors = []
+            for part in parts:
+                pair = (reached & part & kept, part)
+                t = number.get(pair)
+                successors.append(self._add(pair) if t is None else t)
+            ranks.append(observed)
+            targets.append(tuple(successors))
+        distinct = tuple(dict.fromkeys(chain.from_iterable(targets)))
+        row = self[state] = (tuple(ranks), tuple(targets), distinct)
         return row
 
 
 def _walk(table, inits, settled=None):
     """The states reachable from each init in turn, breadth-first with one seen
-    set, not expanding a state where settled holds. The table is closed under
+    set, not expanding a state settled marks. The table is closed under
     successors, so a new state is reached only through new ones: rows are
     added in the order separate walks would add them, settled ones aside."""
     order = []
@@ -146,9 +173,9 @@ def _walk(table, inits, settled=None):
         seen.add(init)
         frontier = [init]
         for state in frontier:
-            if settled is not None and settled(state):
+            if settled is not None and settled[state]:
                 continue
-            for t in table[state][1]:
+            for t in table[state][2]:
                 if t not in seen:
                     seen.add(t)
                     frontier.append(t)
@@ -186,14 +213,16 @@ def to_dot(automaton, annotation=None):
         if state == automaton.init:
             lines.append("  init [shape=point];")
             lines.append("  init -> %s;" % names[state])
+    observations = automaton.hat.view.observations
     for state in automaton.states:
-        for c_a, class_list in automaton.rows[state][0].items():
+        ranks, targets, _ = automaton.rows[state]
+        for c_a, rs, ts in zip(automaton.alphabet, ranks, targets):
             act = ",".join(map(str, c_a)) if c_a else "-"
-            for z, t in class_list:
-                obs = "{%s}" % ",".join(sorted(z))
+            for r, t in zip(rs, ts):
+                obs = "{%s}" % ",".join(sorted(observations[r]))
                 lines.append('  %s -> %s [label="%s / %s"];'
                              % (names[state], names[t], _escape(act), _escape(obs)))
-            if not class_list:
+            if not rs:
                 lines.append('  %s -> %s [label="%s"];' % (names[state], names[BOT], _escape(act)))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -20,9 +20,11 @@ coalition, and walk_views, which walks the engine's per-kset goal views.
 The engine keeps a set of an arena's states as a mask, bit i for its i-th
 state: a refined state's kset in its source's numbering, and each part of a
 goal state. mask_of and states_of translate between such masks and states,
-sorted_states puts states in arena order, as_sets and as_masks translate goal
-states to and from pairs of state sets, and delta and classes read an
-automaton's rows back as per (state, action) dicts.
+sorted_states puts states in arena order. A goal table numbers its goal
+states: as_sets and goal_state translate a number to and from a pair of
+state sets, pair_as_sets reads a (pending, kset) pair of masks as one, unnumbered_row turns a numbered row back into the reference
+form of (observation, (pending, kset)) classes, and delta and classes read
+an automaton's rows back as per (state, action) dicts.
 """
 
 import contextlib
@@ -330,7 +332,7 @@ def outcome_classes(arena, source, coalition, c_a):
         raise ArenaError("unknown states %s" % sorted(unknown, key=str))
     union = view.unions(mask_of(arena, source))[view.actions.index(c_a)]
     return MappingProxyType({view.observations[r]: frozenset(states_of(arena, part))
-                             for r, part in view.classes(union)})
+                             for r, part in zip(*view.classes(union))})
 
 
 def obs_signature(arena, coalition, run):
@@ -514,24 +516,57 @@ DEFAULT_ORACLE_GUARD = 20
 SET_BOT = (None, None)
 
 
-def as_sets(hat, state):
+def pair_as_sets(hat, pair):
     """A goal state's (pending, kset) masks as frozensets of the hat source's
-    states, bit i standing for its i-th state; BOT as SET_BOT."""
-    if state == BOT:
+    states, bit i standing for its i-th state; BOT's pair (0, 0) as SET_BOT."""
+    if pair == (0, 0):
         return SET_BOT
-    return tuple(frozenset(states_of(hat.source, m)) for m in state)
+    return tuple(frozenset(states_of(hat.source, m)) for m in pair)
 
 
-def as_masks(hat, pending, kset):
-    """The goal state with these pending and kset members, as as_sets reads it."""
-    return mask_of(hat.source, pending), mask_of(hat.source, kset)
+def as_sets(automaton, state):
+    """A goal state of the automaton's table as pair_as_sets reads its pair."""
+    return pair_as_sets(automaton.hat, automaton.rows.pairs[state])
+
+
+def goal_state(automaton, pending, kset):
+    """The number the automaton's table gives the goal state with these
+    pending and kset members, as as_sets reads it."""
+    g = automaton.hat.source
+    return automaton.rows.number[(mask_of(g, pending), mask_of(g, kset))]
+
+
+def state_pairs(table, states):
+    """The (pending, kset) mask pairs of goal states the table numbers, in order."""
+    return [table.pairs[t] for t in states]
+
+
+def row_classes(table, state):
+    """A numbered goal-table row read back per coalition action, in product
+    order: its (observation, successor number) classes, () where the action
+    fails."""
+    ranks, targets, _ = table[state]
+    observations = table.view.observations
+    return {c_a: tuple((observations[r], t) for r, t in zip(rs, ts))
+            for c_a, rs, ts in zip(table.view.actions, ranks, targets)}
+
+
+def unnumbered_row(table, state):
+    """A numbered goal-table row turned back into the reference form: per
+    coalition action, in product order, its (observation frozenset,
+    (pending, kset)) classes, () where the action fails; then its distinct
+    successors as (pending, kset) pairs. BOT is the pair (0, 0)."""
+    pairs = table.pairs
+    return ({c_a: tuple((z, pairs[t]) for z, t in classes)
+             for c_a, classes in row_classes(table, state).items()},
+            tuple(pairs[t] for t in table[state][2]))
 
 
 def classes(automaton):
     """{(state, coalition action): its (observation, successor) classes}, in
     state and action order, read off the automaton's rows; () fails to BOT."""
     return {(state, c_a): pairs for state in automaton.states
-            for c_a, pairs in automaton.rows[state][0].items()}
+            for c_a, pairs in row_classes(automaton.rows, state).items()}
 
 
 def delta(automaton):
@@ -539,6 +574,19 @@ def delta(automaton):
     action without classes leads to BOT alone."""
     return {key: tuple(t for _, t in pairs) or (BOT,)
             for key, pairs in classes(automaton).items()}
+
+
+def unnumbered(automaton):
+    """The automaton with its states read back as (pending, kset) pairs (BOT
+    as (0, 0)): its states in order, its initial state, and its classes
+    keyed as classes() but by pair, successors as pairs, through
+    unnumbered_row. Equal for automata whose tables number alike states
+    apart."""
+    table = automaton.rows
+    pairs = state_pairs(table, automaton.states)
+    rows = {(pair, c_a): row for pair, state in zip(pairs, automaton.states)
+            for c_a, row in unnumbered_row(table, state)[0].items()}
+    return pairs, None if automaton.init is None else table.pairs[automaton.init], rows
 
 
 def until_accept(automaton):
@@ -739,7 +787,7 @@ def history_witness_map(choice, automaton, kset):
         mapping[history] = c_a
         if len(history) >= depth_cap:
             continue
-        for z, target in automaton.rows[state][0][c_a]:
+        for z, target in row_classes(automaton.rows, state)[c_a]:
             queue.append((target, history + (z,)))
     return mapping
 
@@ -878,7 +926,8 @@ def construction_failures(hat):
     is one coalition observation. Every state but BOT of the hat's goal
     tables, expanded or met as a successor, has its pending set inside its
     kset, a kset that is one coalition observation, and pending states
-    labeled p1 and not p2.
+    labeled p1 and not p2; each table's numbering and rows keep their form
+    (numbering_failures).
     Returns one line per violation; empty means all hold."""
     g, coalition, arena = hat.source, hat.coalition, hat.arena
     problems = []
@@ -918,13 +967,14 @@ def construction_failures(hat):
         if incoherent(kset):
             problems.append("refined state %s has an incoherent kset" % h)
     for (p1, p2), table in hat._goal_tables.items():
+        problems += numbering_failures(table, len(hat.view.actions))
         seen = set()
-        for state, (_, successors) in table.items():
+        for state, (_, _, successors) in table.items():
             for s in (state,) + successors:
                 if s in seen or s == BOT:
                     continue
                 seen.add(s)
-                pending, kset = as_sets(hat, s)
+                pending, kset = (frozenset(states_of(g, m)) for m in table.pairs[s])
                 where = "goal table (%s, %s) state (%s, %s)" % (
                     p1, p2, sorted_states(g, pending), sorted_states(g, kset))
                 if not pending <= kset:
@@ -933,6 +983,47 @@ def construction_failures(hat):
                     problems.append("%s: incoherent kset" % where)
                 if any(p1 not in g.labels[r] or p2 in g.labels[r] for r in pending):
                     problems.append("%s: a pending state lacks p1 or holds p2" % where)
+    return problems
+
+
+def numbering_failures(table, actions):
+    """How a goal table's numbering and rows break their form: pairs and
+    number are inverse, number 0 is BOT's pair (0, 0), settled[t] is 1
+    exactly when state t has nothing pending and a nonempty kset, and each
+    row holds only ints and tuples of ints: per coalition action (actions of
+    them) a tuple of strictly increasing observation ranks and a successor
+    tuple as long, but () with (BOT,) exactly where the action fails; then
+    the distinct successors, all numbered."""
+    problems, pairs, n = [], table.pairs, len(table.pairs)
+    if len(table.number) != n or any(table.number.get(pair) != t
+                                     for t, pair in enumerate(pairs)):
+        problems.append("pairs and number are not inverse")
+    if not pairs or pairs[BOT] != (0, 0):
+        problems.append("number %d is not the pair (0, 0)" % BOT)
+    if list(table.settled) != [int(pending == 0 and kset != 0) for pending, kset in pairs]:
+        problems.append("settled flags are not nothing pending with a nonempty kset")
+
+    def ints(x):
+        return type(x) is int or type(x) is tuple and all(map(ints, x))
+
+    for state, row in table.items():
+        where = "goal table (%s, %s) row %s" % (table.p1, table.p2, state)
+        if not (type(state) is int and 0 <= state < n and ints(row) and len(row) == 3):
+            problems.append("%s is not a numbered state's tuple of ints" % where)
+            continue
+        ranks, targets, distinct = row
+        if len(ranks) != actions or len(targets) != actions:
+            problems.append("%s does not hold one entry per coalition action" % where)
+        for rs, ts in zip(ranks, targets):
+            if any(r >= u for r, u in zip(rs, rs[1:])) or rs and len(rs) != len(ts):
+                problems.append("%s: ranks %s are not increasing and as long as %s"
+                                % (where, rs, ts))
+            if (rs == ()) != (ts == (BOT,)):
+                problems.append("%s: ranks %s and successors %s fail apart" % (where, rs, ts))
+        if distinct != tuple(dict.fromkeys(t for ts in targets for t in ts)) or not all(
+                0 <= t < n for t in distinct):
+            problems.append("%s: distinct successors %s are not its numbered successors"
+                            % (where, distinct))
     return problems
 
 

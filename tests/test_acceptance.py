@@ -17,13 +17,13 @@ from atldk.epistemic_split import split
 from atldk.strategy_automata import (BOT, UNTIL, WEAK_UNTIL, build_until_automaton,
                                      build_weak_until_automaton, level_automaton)
 from oracles import (
-    as_masks,
     atl_next,
     atl_until,
     atl_weak_until,
     construction_failures,
     delta,
     generic_occurrence_emptiness,
+    goal_state,
     level_failures,
     level_truth,
     mask_of,
@@ -113,7 +113,7 @@ def test_criterion_3_automaton_golden(corpus):
                                           source)
         solution = level.solution
         nonempty = automaton.init in solution.winning
-        goal = as_masks(level.hat, [], ["q12"])
+        goal = goal_state(automaton, [], ["q12"])
         moves = delta(automaton)
 
         def every_choice_path_hits_goal(state, on_path):

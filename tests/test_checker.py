@@ -30,7 +30,8 @@ from atldk.strategy_automata import (TreeAutomaton, build_until_automaton,
                                      build_weak_until_automaton, level_automaton)
 from oracles import (BUILDERS, build_failures, chi_failures, construction_failures, delta,
                      family_f, hat_state_of, initialized_runs, knowledge_oracle, level_failures,
-                     level_truth, mask_of, random_arena, random_coalition, states_of,
+                     level_truth, mask_of, random_arena, random_coalition, state_pairs,
+                     states_of,
                      unlabeled_atoms, until_oracle, walk_views)
 
 AB = ["Alice", "Bob"]
@@ -568,8 +569,11 @@ class TestLazyViews:
             for level, build, p1, p2 in goal_levels_of(verdict):
                 fresh = split(level.hat.source, level.hat.coalition)
                 for s in level.hat.ksets:
-                    eager = build(fresh, p1, p2, s).states
-                    assert build(level.hat, p1, p2, s).states == eager, case
+                    eager, view = build(fresh, p1, p2, s), build(level.hat, p1, p2, s)
+                    # Each table numbers states in the order it meets them:
+                    # compare the (pending, kset) pairs.
+                    assert state_pairs(view.rows, view.states) == state_pairs(
+                        eager.rows, eager.states), case
 
     def test_level_walk_keeps_the_eager_row_order(self):
         """The level game expands the unsettled states in the order eager walks
@@ -579,19 +583,27 @@ class TestLazyViews:
         table first."""
         for case, verdict in lazy_verdicts():
             for level, build, p1, p2 in goal_levels_of(verdict):
-                game = level.game
+                game, table = level.game, level.game.rows
                 fresh = split(level.hat.source, level.hat.coalition)
                 for s in fresh.ksets:
                     build(fresh, p1, p2, s).states
                 rows = fresh._goal_tables[(p1, p2)]
-                unsettled = [q for q in rows if not game.is_target(q)]
-                assert list(game.rows) == unsettled, case
-                assert [q for q in game.states if not game.is_target(q)] == unsettled, case
-                reached = {rows.initial(s) for s in fresh.ksets} | {
-                    t for q in unsettled for t in rows[q][1]}
-                assert set(game.states) == set(unsettled) | {
-                    q for q in reached if game.is_target(q)}, case
-                assert level_automaton(level.case, fresh, p1, p2).states == game.states, case
+                # The two tables number states apart: compare their pairs.
+                unsettled = [q for q in state_pairs(rows, rows) if not settled(q)]
+                assert state_pairs(table, table) == unsettled, case
+                listed = state_pairs(table, game.states)
+                assert [q for q in listed if not settled(q)] == unsettled, case
+                reached = set(state_pairs(rows, (rows.initial(s) for s in fresh.ksets))) | {
+                    rows.pairs[t] for q in rows if not settled(rows.pairs[q]) for t in rows[q][2]}
+                assert set(listed) == set(unsettled) | {q for q in reached if settled(q)}, case
+                fresh_game = level_automaton(level.case, fresh, p1, p2)
+                assert state_pairs(rows, fresh_game.states) == listed, case
+
+
+def settled(pair):
+    """Whether a goal state's (pending, kset) pair is settled: a kset with
+    nothing pending."""
+    return pair[0] == 0 and pair[1] != 0
 
 
 class TestConstructionInvariants:

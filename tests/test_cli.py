@@ -13,7 +13,10 @@ from click.testing import CliRunner
 import atldk
 from atldk import Strategy, alicebob_path, load_arena
 from atldk.cli import main
-from oracles import comma_id_document, family_f, random_arena_document, replay_until
+from atldk.epistemic_split import split
+from atldk.strategy_automata import build_until_automaton
+from oracles import (comma_id_document, family_f, random_arena_document, replay_until, states_of,
+                     unnumbered_row)
 
 EXAMPLE = "<Alice,Bob>(valid U (c & s))"
 
@@ -78,6 +81,16 @@ class TestCheck:
         result = invoke(runner, ["check", "--arena", arena_path, "--formula", "p &"])
         assert result.exit_code == 2
         assert "error" in result.stderr
+
+    @pytest.mark.parametrize("formula,message", [
+        ("!" * 1000 + "s", "formula nests deeper than 100 levels (at position 101)"),
+        (" & ".join(["s"] * 1000), "formula nests 999 levels deep, deeper than 100"),
+    ])
+    def test_deeply_nested_formula_exits_two(self, runner, arena_path, formula, message):
+        """Exit 1 would read as "does not hold"."""
+        result = invoke(runner, ["check", "--arena", arena_path, "--formula", formula])
+        assert result.exit_code == 2
+        assert result.stderr == "error: %s\n" % message
 
     def test_missing_arena_file(self, runner):
         result = invoke(runner, ["check", "--arena", "no_such.json", "--formula", "true"])
@@ -313,6 +326,37 @@ class TestAutomaton:
         assert doc["initial"] in doc["states"]
         actions = {tuple(sorted(t["action"].items())) for t in doc["transitions"]}
         assert len(actions) == 25
+
+    def test_json_transitions_are_the_rows(self, runner, arena_path):
+        """The document's transitions are the automaton's rows turned back
+        into (observation, (pending, kset)) classes by oracles.unnumbered_row,
+        pairs written as ({pending},{kset}) and BOT as bot."""
+        result = invoke(runner, ["automaton", "--arena", arena_path,
+                                 "--coalition", "Alice,Bob",
+                                 "--p1", "valid", "--p2", "c",
+                                 "--format", "json"])
+        g = load_arena(arena_path)
+        hat = split(g, ["Alice", "Bob"])
+        automaton = build_until_automaton(hat, "valid", "c", hat.kset[hat.arena.initial[0]])
+
+        def text(pair):
+            if pair == (0, 0):
+                return "bot"
+            return "({%s},{%s})" % tuple(",".join(states_of(g, m)) for m in pair)
+
+        transitions = []
+        for state in automaton.states:
+            row, _ = unnumbered_row(automaton.rows, state)
+            for c_a, classes in row.items():
+                entry = {"from": text(automaton.rows.pairs[state]),
+                         "action": dict(zip(["Alice", "Bob"], c_a)),
+                         "to": [text(t) for _, t in classes] or ["bot"]}
+                if classes:
+                    entry["classes"] = [{"observation": sorted(z), "to": text(t)}
+                                        for z, t in classes]
+                transitions.append(entry)
+        assert json.loads(result.output)["transitions"] == transitions
+        assert len(transitions) == 25 * len(automaton.states)
 
     def test_dot_output(self, runner, arena_path, tmp_path):
         path = tmp_path / "automaton.dot"

@@ -14,9 +14,9 @@ from atldk.strategy_automata import (BOT, WEAK_UNTIL, build_until_automaton,
 from oracles import (
     OracleGuardExceeded,
     acceptance_batches,
-    as_masks,
     delta,
     generic_occurrence_emptiness,
+    goal_state,
     history_witness_map,
     mask_of,
     random_arena,
@@ -152,8 +152,8 @@ class TestCorpusGame:
         _, _, automaton = setup
         nonempty, solution = check_until_nonempty(automaton)
         assert nonempty
-        q9 = as_masks(automaton.hat, ["q9"], ["q9"])
-        q10 = as_masks(automaton.hat, ["q10"], ["q10"])
+        q9 = goal_state(automaton, ["q9"], ["q9"])
+        q10 = goal_state(automaton, ["q10"], ["q10"])
         assert solution.choice[q9] == ("tc", "ds")
         assert solution.choice[q10] == ("tc", "ds")
         assert solution.choice[automaton.init] == ("g", "g")
@@ -161,7 +161,7 @@ class TestCorpusGame:
     def test_blocked_branches_stay_out_of_the_winning_region(self, setup):
         _, _, automaton = setup
         _, solution = check_until_nonempty(automaton)
-        q13 = as_masks(automaton.hat, ["q13"], ["q13"])
+        q13 = goal_state(automaton, ["q13"], ["q13"])
         assert q13 in automaton.states
         assert q13 not in solution.winning
 

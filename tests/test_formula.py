@@ -134,6 +134,41 @@ class TestParseErrors:
         assert text[err.value.position] == ")"
 
 
+class TestNestingDepth:
+    """Formulas nest at most fm.MAX_DEPTH operators deep, however they nest:
+    operands of prefix operators, parentheses, right operands, and & or |
+    chains, which nest to the left. One level deeper is a FormulaError, not
+    a RecursionError, and a formula at the limit desugars, enumerates,
+    hashes and prints."""
+
+    D = fm.MAX_DEPTH
+
+    @pytest.mark.parametrize("text,deeper", [
+        ("!" * D + "p", "!" * (D + 1) + "p"),
+        ("(" * D + "p" + ")" * D, "(" * (D + 1) + "p" + ")" * (D + 1)),
+        ("<a>X " * D + "p", "!" + "<a>X " * D + "p"),
+        ("<a>(p U " * D + "q" + ")" * D, "!" + "<a>(p U " * D + "q" + ")" * D),
+        ("p -> " * D + "q", "p -> " * (D + 1) + "q"),
+        (" & ".join(["p"] * (D + 1)), " & ".join(["p"] * (D + 2))),
+    ])
+    def test_the_limit_parses_and_one_more_is_rejected(self, text, deeper):
+        f = parse_formula(text)
+        entries = enumerate_subformulas(desugar(f))
+        assert parse_formula(str(f)) == f and hash(f) == hash(parse_formula(text))
+        assert entries[-1].formula == desugar(f)
+        with pytest.raises(FormulaError, match=r"^formula nests .*\b%d\b" % self.D):
+            parse_formula(deeper)
+
+    def test_message_names_the_depth(self):
+        with pytest.raises(FormulaError) as err:
+            parse_formula("!" * 1000 + "s")
+        assert str(err.value) == "formula nests deeper than %d levels (at position %d)" % (
+            self.D, self.D + 1)
+        with pytest.raises(FormulaError) as err:
+            parse_formula(" | ".join(["s"] * 1000))
+        assert str(err.value) == "formula nests 999 levels deep, deeper than %d" % self.D
+
+
 class TestPrinting:
     def test_redundant_parens_dropped(self):
         assert str(parse_formula("((p & q))")) == "p & q"

@@ -10,9 +10,10 @@ from atldk import load_alicebob, model_check
 from atldk.epistemic_split import split
 from atldk.strategy_automata import (BOT, build_until_automaton, build_weak_until_automaton,
                                      level_automaton, to_dot)
-from oracles import (as_masks, as_sets, classes, coalition_actions, delta, extensions, mask_of,
-                     obs, random_arena, random_coalition, reference_goal_initial,
-                     reference_goal_row, states_of, succ, walk_views)
+from oracles import (as_sets, classes, coalition_actions, delta, extensions, goal_state, mask_of,
+                     numbering_failures, obs, pair_as_sets, random_arena, random_coalition,
+                     reference_goal_initial, reference_goal_row, state_pairs, states_of, succ,
+                     unnumbered, unnumbered_row, walk_views)
 
 AB = ["Alice", "Bob"]
 Q123 = ["q1", "q2", "q3"]
@@ -56,16 +57,16 @@ class TestInitialState:
     def test_discharged_member_starts_without_obligations(self, goal_hat):
         q12 = mask_of(goal_hat.source, {"q12"})
         automaton = build_until_automaton(goal_hat, "valid", "goal", q12)
-        assert as_sets(goal_hat, automaton.init) == pair([], ["q12"])
+        assert as_sets(automaton, automaton.init) == pair([], ["q12"])
         assert automaton.is_target(automaton.init)
 
     def test_undischarged_members_start_pending(self, goal_hat, corpus_automaton):
-        assert as_sets(goal_hat, corpus_automaton.init) == pair(["q0"], ["q0"])
+        assert as_sets(corpus_automaton, corpus_automaton.init) == pair(["q0"], ["q0"])
         assert not corpus_automaton.is_target(corpus_automaton.init)
 
     def test_pending_excludes_already_discharged_states(self, goal_hat):
         automaton = build_until_automaton(goal_hat, "valid", "c", mask_of(goal_hat.source, Q123))
-        assert as_sets(goal_hat, automaton.init) == pair(Q123, Q123)
+        assert as_sets(automaton, automaton.init) == pair(Q123, Q123)
 
 
 class TestTransitionRules:
@@ -76,19 +77,21 @@ class TestTransitionRules:
 
     def test_safe_action_follows_the_outcome(self, goal_hat, corpus_automaton):
         successors = delta(corpus_automaton)[(corpus_automaton.init, ("g", "g"))]
-        assert [as_sets(goal_hat, t) for t in successors] == [pair(Q123, Q123)]
+        assert [as_sets(corpus_automaton, t) for t in successors] == [pair(Q123, Q123)]
 
     def test_observation_classes_split_successor_pairs(self, goal_hat, corpus_automaton):
-        shared = as_masks(goal_hat, Q123, Q123)
+        shared = goal_state(corpus_automaton, Q123, Q123)
         successors = delta(corpus_automaton)[(shared, ("i", "i"))]
-        assert {as_sets(goal_hat, t) for t in successors} == {
+        assert {as_sets(corpus_automaton, t) for t in successors} == {
             pair(["q4"], ["q4"]), pair(["q5"], ["q5"]), pair(["q6"], ["q6"])}
         by_observation = dict(classes(corpus_automaton)[(shared, ("i", "i"))])
-        assert as_sets(goal_hat, by_observation[frozenset({"y_a", "x_b", "valid"})]) == pair(
+        assert as_sets(corpus_automaton,
+                       by_observation[frozenset({"y_a", "x_b", "valid"})]) == pair(
             ["q4"], ["q4"])
 
     def test_discharge_produces_a_target(self, goal_hat, corpus_automaton):
-        state, done = as_masks(goal_hat, ["q9"], ["q9"]), as_masks(goal_hat, [], ["q12"])
+        state = goal_state(corpus_automaton, ["q9"], ["q9"])
+        done = goal_state(corpus_automaton, [], ["q12"])
         assert state in corpus_automaton.states
         assert delta(corpus_automaton)[(state, ("tc", "ds"))] == (done,)
         assert corpus_automaton.is_target(done)
@@ -98,7 +101,7 @@ class TestTransitionRules:
             assert delta(corpus_automaton)[(BOT, c_a)] == (BOT,)
 
     def test_discharged_pairs_track_the_kset_onward(self, goal_hat, corpus_automaton):
-        done = as_masks(goal_hat, [], ["q12"])
+        done = goal_state(corpus_automaton, [], ["q12"])
         assert delta(corpus_automaton)[(done, ("i", "i"))] == (done,)
 
     def test_alphabet_and_first_state(self, corpus_automaton):
@@ -127,7 +130,7 @@ class TestInvariants:
         for state in automaton.states:
             if state == BOT:
                 continue
-            pending, kset = as_sets(automaton.hat, state)
+            pending, kset = as_sets(automaton, state)
             assert pending <= kset
             assert len({obs(g, coalition, q) for q in kset}) == 1
             for q in pending:
@@ -148,9 +151,9 @@ class TestInvariants:
         for state in automaton.states:
             if state == BOT:
                 continue
-            pending, kset = as_sets(automaton.hat, state)
+            pending, kset = as_sets(automaton, state)
             for c_a in automaton.alphabet:
-                class_list = [(z, as_sets(automaton.hat, t)) for z, t in by_action[(state, c_a)]]
+                class_list = [(z, as_sets(automaton, t)) for z, t in by_action[(state, c_a)]]
                 if not class_list:
                     assert moves[(state, c_a)] == (BOT,)
                     continue
@@ -183,6 +186,13 @@ class TestInvariants:
                 assert set(successors) <= universe
 
 
+def pair_delta(automaton):
+    """delta(automaton) with states and successors read back as pairs."""
+    pairs = automaton.rows.pairs
+    return {(pairs[q], c_a): tuple(map(pairs.__getitem__, ts))
+            for (q, c_a), ts in delta(automaton).items()}
+
+
 class TestSharedTable:
     def test_views_equal_fresh_builds(self):
         """Automata built on one hat, whose transition table every kset
@@ -206,10 +216,13 @@ class TestSharedTable:
             for build, s, goals, view in views:
                 fresh = build(split(g, coalition), *goals, s)
                 case = (seed, goals, states_of(g, s))
-                assert view.states == fresh.states, case
-                assert view.init == fresh.init, case
-                assert delta(view) == delta(fresh), case
-                assert classes(view) == classes(fresh), case
+                # The shared table numbers the states of every kset and goal
+                # pair, a fresh one only this view's: compare them as pairs.
+                states, init, rows = unnumbered(view)
+                assert states == unnumbered(fresh)[0], case
+                assert init == unnumbered(fresh)[1], case
+                assert pair_delta(view) == pair_delta(fresh), case
+                assert rows == unnumbered(fresh)[2], case
                 assert set(delta(view)) == {
                     (q, c_a) for q in view.states for c_a in view.alphabet}
 
@@ -217,8 +230,9 @@ class TestSharedTable:
 class TestReferenceRows:
     def test_rows_equal_the_frozenset_reference(self):
         """Every goal-table row that model_check fills for an until or a
-        weak-until goal, its states read as sets (oracles.as_sets), equals
-        the row built from frozensets (oracles.reference_goal_row): classes
+        weak-until goal, turned back into pairs (oracles.unnumbered_row) and
+        its states read as sets (oracles.pair_as_sets), equals the row built
+        from frozensets (oracles.reference_goal_row): classes
         in action and observation order, and the successors in first-seen
         order. model_check fills the rows of the level game's unsettled
         states; the kset views then fill the settled rows, which are checked
@@ -246,40 +260,46 @@ class TestReferenceRows:
                     unsettled = [q for q in level.game.states if not level.game.is_target(q)]
                     assert list(table) == unsettled, case
                     walk_views(level)
-                    sets = partial(as_sets, hat)
+                    sets = partial(pair_as_sets, hat)
                     for s in hat.ksets:
-                        assert sets(table.initial(s)) == reference_goal_initial(hat, p1, p2, s), case
+                        assert sets(table.pairs[table.initial(s)]) == reference_goal_initial(
+                            hat, p1, p2, s), case
                     wants = {}
-                    for state, (row, successors) in table.items():
+                    for state in table:
+                        row, successors = unnumbered_row(table, state)
+                        state = table.pairs[state]
                         want = wants[state] = reference_goal_row(hat, p1, p2, sets(state))
                         assert [(c_a, tuple((z, sets(t)) for z, t in pairs))
                                 for c_a, pairs in row.items()] == list(want[1].items()), case
                         assert tuple(map(sets, successors)) == want[2], case
-                        bot_rows += state == BOT
-                        goal_failures += state != BOT and BOT in successors
+                        bot_rows += state == (0, 0)
+                        goal_failures += state != (0, 0) and (0, 0) in successors
                         for c_a, pairs in row.items():
                             source = hat.source
                             reached = {t for c in extensions(source, coalition, c_a) if pairs
                                        for q in sets(state)[0] for t in succ(source, q, c)}
                             discharges += any(p2 in source.labels[t] for t in reached)
                     game = level_automaton(level.case, hat, p1, p2)
-                    assert set(game.states) <= set(wants), case
-                    assert set(unsettled) == {q for q in wants if not game.is_target(q)}, case
-                    assert [(key, tuple(map(sets, ts))) for key, ts in delta(game).items()] == [
-                        ((state, c_a), value) for state in game.states
+                    states = state_pairs(table, game.states)
+                    assert set(states) <= set(wants), case
+                    assert set(state_pairs(table, unsettled)) == {
+                        q for q in wants if not game.is_target(table.number[q])}, case
+                    assert [(key, tuple(map(sets, ts))) for key, ts in pair_delta(game).items()] == [
+                        ((state, c_a), value) for state in states
                         for c_a, value in wants[state][0].items()], case
                     assert [(key, tuple((z, sets(t)) for z, t in pairs))
-                            for key, pairs in classes(game).items()] == [
-                        ((state, c_a), value) for state in game.states
+                            for key, pairs in unnumbered(game)[2].items()] == [
+                        ((state, c_a), value) for state in states
                         for c_a, value in wants[state][1].items()], case
         counts = (levels, bot_rows, goal_failures, discharges)
         assert min(counts) > 20, counts
 
 
 class TestStateFormat:
-    def test_states_are_int_pairs(self):
+    def test_states_are_numbered_int_pairs(self):
         """Every goal-table key and every successor in a row, classes
-        included, is a pair of ints."""
+        included, is an int that the table numbers a pair of ints, and the
+        rows hold only ints and tuples of ints."""
         def int_pair(state):
             return type(state) is tuple and len(state) == 2 and all(
                 type(m) is int for m in state)
@@ -289,43 +309,52 @@ class TestStateFormat:
             if automaton is None:
                 continue
             assert automaton.init in automaton.states  # the walk fills the rows
-            for state, (row, successors) in automaton.rows.items():
-                assert int_pair(state), (seed, state)
-                assert all(map(int_pair, successors)), (seed, state)
-                assert all(int_pair(t) for pairs in row.values() for _, t in pairs), (seed, state)
+            table = automaton.rows
+            assert all(map(int_pair, table.pairs)), seed
+            assert numbering_failures(table, len(automaton.alphabet)) == [], seed
+            for state, (_, targets, successors) in table.items():
+                numbered = [state, *successors, *(t for ts in targets for t in ts)]
+                assert all(type(t) is int and int_pair(table.pairs[t])
+                           for t in numbered), (seed, state)
 
-    def test_bot_is_not_a_discharged_pair(self, goal_hat, corpus_automaton):
-        """BOT is (0, 0); a discharged pair (0, m) has a nonempty kset m and
-        is a target, BOT is not; BOT's row fails on every action."""
-        assert BOT == (0, 0)
+    def test_bot_is_not_a_discharged_pair(self, corpus_automaton):
+        """BOT is number 0, the pair (0, 0); a discharged pair (0, m) has a
+        nonempty kset m and is a target, BOT is not; BOT's row fails on every
+        action."""
+        table, alphabet = corpus_automaton.rows, corpus_automaton.alphabet
+        assert BOT == 0 and table.pairs[BOT] == (0, 0)
         assert not corpus_automaton.is_target(BOT)
-        assert all(state[1] for state in corpus_automaton.states if state != BOT)
-        for m in (1, 1 << 12, 6):
-            assert corpus_automaton.is_target((0, m))
-            assert not corpus_automaton.is_target((m, m))
+        assert all(table.pairs[state][1] for state in corpus_automaton.states if state != BOT)
+        for state in corpus_automaton.states:
+            pending, kset = table.pairs[state]
+            assert corpus_automaton.is_target(state) == (pending == 0 and kset != 0)
         targets = corpus_automaton.targets()
-        assert as_masks(goal_hat, [], ["q12"]) in targets
-        assert all(t[0] == 0 and t[1] for t in targets)
-        assert corpus_automaton.rows[BOT] == (
-            {c_a: () for c_a in corpus_automaton.alphabet}, (BOT,))
+        assert goal_state(corpus_automaton, [], ["q12"]) in targets
+        assert all(table.pairs[t][0] == 0 and table.pairs[t][1] for t in targets)
+        assert {table.pairs[t][0] for t in corpus_automaton.states} - {0}
+        assert table[BOT] == (((),) * len(alphabet), ((BOT,),) * len(alphabet), (BOT,))
+        assert unnumbered_row(table, BOT) == ({c_a: () for c_a in alphabet}, ((0, 0),))
 
     def test_pretty_pinned(self, goal_hat, corpus_automaton):
         state = corpus_automaton.states[1]
-        assert as_sets(goal_hat, state) == pair(Q123, Q123)
+        assert as_sets(corpus_automaton, state) == pair(Q123, Q123)
         assert corpus_automaton.pretty(state) == "({q1,q2,q3},{q1,q2,q3})"
         assert corpus_automaton.pretty(corpus_automaton.states[10]) == "({},{q12})"
         assert corpus_automaton.pretty(BOT) == "bot"
-        split_order = as_masks(goal_hat, {"q10", "q9"}, {"q9", "q10", "q12"})
+        # No walk meets this pair; numbering it as a kset's initial state
+        # checks pretty's member order, arena order, on two pending members.
+        split_order = corpus_automaton.rows.initial(mask_of(goal_hat.source, {"q9", "q10", "q12"}))
+        assert as_sets(corpus_automaton, split_order) == pair({"q10", "q9"}, {"q9", "q10", "q12"})
         assert corpus_automaton.pretty(split_order) == "({q9,q10},{q9,q10,q12})"
 
 
 class TestObservationClasses:
-    def test_deterministic_order(self, goal_hat, corpus_automaton):
-        state = as_masks(goal_hat, Q123, Q123)
+    def test_deterministic_order(self, corpus_automaton):
+        state = goal_state(corpus_automaton, Q123, Q123)
         class_list = classes(corpus_automaton)[(state, ("i", "i"))]
         keys = [sorted(z) for z, _ in class_list]
         assert keys == sorted(keys)
-        merged = frozenset().union(*(as_sets(goal_hat, t)[1] for _, t in class_list))
+        merged = frozenset().union(*(as_sets(corpus_automaton, t)[1] for _, t in class_list))
         assert merged == frozenset({"q4", "q5", "q6"})
 
 
