@@ -39,8 +39,9 @@ class _CoalitionView:
     observe) are ranked by their sorted props, state i's is
     observations[rank[i]], rank_of[z] is observation z's rank, and alike[t]
     is the mask of the states that look like t. Knowledge sets and the parts
-    of goal states stay masks; only text output renders them (_state_names). Compiling the view rejects unknown members;
-    the engine reads it unchecked."""
+    of goal states stay masks; only text output renders them (_state_names).
+    Compiling the view rejects unknown members; the engine reads it
+    unchecked."""
 
     __slots__ = ("members", "actions", "observations", "rank", "rank_of", "alike", "index",
                  "_action_of", "_rows", "_unions", "_classes")

@@ -51,14 +51,10 @@ def _attractor(automaton, target, coalition):
         for state, targets in unsettled:
             if region[state]:
                 continue
-            keep = None
-            for k, successors in enumerate(targets):
-                for t in successors:
-                    if region[t] != inside:
-                        break
-                else:
-                    keep = choice[state] = k
-                    break
+            keep = next((k for k, successors in enumerate(targets)
+                         if all(region[t] == inside for t in successors)), None)
+            if keep is not None:
+                choice[state] = keep
             if (keep is not None) == coalition:
                 region[state] = 1
                 changed = True
@@ -115,21 +111,21 @@ class _WitnessMachine:
         self.starts = {view.observations[view.rank[s.bit_length() - 1]]: self.rows.initial(s)
                        for s in ksets}
 
-    def _classes(self, state, c_a):
-        """The (ranks, successors) the state's row stores for action c_a."""
+    def _moves(self, state):
+        """The (observation rank, successor) classes the state's row stores
+        for its action, none where it has no action."""
+        c_a = self.output(state)
+        if c_a is None:
+            return ()
         k = self.index[c_a]
         ranks, targets, _ = self.rows[state]
-        return ranks[k], targets[k]
+        return zip(ranks[k], targets[k])
 
     def step(self, state, z):
         if state == ():
             return self.starts.get(z)
-        c_a = self.output(state)
-        if c_a is None:
-            return None
-        ranks, targets = self._classes(state, c_a)
         r = self.rank_of.get(z)
-        return targets[ranks.index(r)] if r in ranks else None
+        return next((t for r_t, t in self._moves(state) if r_t == r), None)
 
     @cached_property
     def table(self):
@@ -145,7 +141,7 @@ class _WitnessMachine:
                     c_a = self.output(state)
                     if c_a is not None:
                         mapping[history] = c_a
-                        for r, t in zip(*self._classes(state, c_a)) if depth > 1 else ():
+                        for r, t in self._moves(state) if depth > 1 else ():
                             next_states.append(t)
                             next_histories.append(history + (observations[r],))
                 states, histories = next_states, next_histories

@@ -346,18 +346,16 @@ class _Parser:
         tok = self.tok
         if tok.kind != "end":
             raise ParseError("unexpected trailing input %r" % tok.text, tok.pos)
-        # A chain of & or | nests to the left without nesting calls. The
-        # depth of a tree is the most operators on a path from its root, and
-        # never more than its token count.
+        # A chain of & or | nests to the left without nesting calls. A tree's
+        # depth, the most operators on a path from its root, is never more
+        # than its token count.
         if len(self.tokens) > MAX_DEPTH:
-            deepest, stack = 0, [(f, 0)]
-            while stack:
-                node, depth = stack.pop()
-                deepest = max(deepest, depth)
-                stack.extend((c, depth + 1) for c in node.children())
-            if deepest > MAX_DEPTH:
+            depth, nodes = -1, [f]
+            while nodes:
+                depth, nodes = depth + 1, [c for node in nodes for c in node.children()]
+            if depth > MAX_DEPTH:
                 raise FormulaError("formula nests %d levels deep, deeper than %d"
-                                   % (deepest, MAX_DEPTH))
+                                   % (depth, MAX_DEPTH))
         return f
 
     def impl(self, level=0):

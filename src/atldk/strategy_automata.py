@@ -113,17 +113,15 @@ class _GoalTable(dict):
         self.pairs, self.number, self.settled = [(0, 0)], {(0, 0): BOT}, bytearray(1)
 
     def initial(self, kset):
-        if kset & self.off_goal:
-            return BOT
-        pair = (kset & ~self.discharged, kset)
-        t = self.number.get(pair)
-        return self._add(pair) if t is None else t
+        return BOT if kset & self.off_goal else self._number((kset & ~self.discharged, kset))
 
-    def _add(self, pair):
-        """Number a pair met for the first time."""
-        t = self.number[pair] = len(self.pairs)
-        self.pairs.append(pair)
-        self.settled.append(not pair[0])
+    def _number(self, pair):
+        """The pair's number, the next one when it is new."""
+        t = self.number.get(pair)
+        if t is None:
+            t = self.number[pair] = len(self.pairs)
+            self.pairs.append(pair)
+            self.settled.append(not pair[0])
         return t
 
     def __missing__(self, state):
@@ -150,9 +148,9 @@ class _GoalTable(dict):
             observed, parts = view.classes(union)
             successors = []
             for part in parts:
+                # A part is never empty, so a numbered successor is never BOT's 0.
                 pair = (reached & part & kept, part)
-                t = number.get(pair)
-                successors.append(self._add(pair) if t is None else t)
+                successors.append(number.get(pair) or self._number(pair))
             ranks.append(observed)
             targets.append(tuple(successors))
         distinct = tuple(dict.fromkeys(chain.from_iterable(targets)))
