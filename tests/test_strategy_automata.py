@@ -296,7 +296,7 @@ class TestReferenceRows:
 
 
 class TestStateFormat:
-    def test_states_are_numbered_int_pairs(self):
+    def test_states_are_int_pairs(self):
         """Every goal-table key and every successor in a row, classes
         included, is an int that the table numbers a pair of ints, and the
         rows hold only ints and tuples of ints."""
