@@ -22,9 +22,10 @@ state: a refined state's kset in its source's numbering, and each part of a
 goal state. mask_of and states_of translate between such masks and states,
 sorted_states puts states in arena order. A goal table numbers its goal
 states: as_sets and goal_state translate a number to and from a pair of
-state sets, pair_as_sets reads a (pending, kset) pair of masks as one, unnumbered_row turns a numbered row back into the reference
-form of (observation, (pending, kset)) classes, and delta and classes read
-an automaton's rows back as per (state, action) dicts.
+state sets, pair_as_sets reads a (pending, kset) pair of masks as one,
+unnumbered_row turns a numbered row back into the reference form of
+(observation, (pending, kset)) classes, and delta and classes read an
+automaton's rows back as per (state, action) dicts.
 """
 
 import contextlib
@@ -580,8 +581,8 @@ def unnumbered(automaton):
     """The automaton with its states read back as (pending, kset) pairs (BOT
     as (0, 0)): its states in order, its initial state, and its classes
     keyed as classes() but by pair, successors as pairs, through
-    unnumbered_row. Equal for automata whose tables number alike states
-    apart."""
+    unnumbered_row. Automata whose tables number the same states
+    differently read back equal."""
     table = automaton.rows
     pairs = state_pairs(table, automaton.states)
     rows = {(pair, c_a): row for pair, state in zip(pairs, automaton.states)
