@@ -499,6 +499,8 @@ class Strategy:
                  "strategy document needs coalition, default and map")
         coalition = [_string(a, "an entry of 'coalition'")
                      for a in _list(doc["coalition"], "'coalition'")]
+        repeated = sorted({a for a in coalition if coalition.count(a) > 1})
+        _require(not repeated, "'coalition' repeats %s" % ", ".join(repeated))
 
         def action(action_map, field):
             _require(isinstance(action_map, dict), "%s must be an object" % field)

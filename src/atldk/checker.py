@@ -118,40 +118,38 @@ def label_step(arena, chi, prop, state_cap=DEFAULT_STATE_CAP):
 
     chi is an entry of enumerate_subformulas, so it is one core connective
     over atoms the arena labels, taken on trust (tests/oracles.py
-    level_failures checks it). Boolean combinations keep the state space and
-    evaluate pointwise; modal formulas split the arena by their coalition
-    first. The fresh prop is hidden, so later splits are unaffected by it.
+    level_failures checks it). Truth is decided once per key: a state's label,
+    or after the coalition's split a refined state's kset. The fresh prop is
+    hidden, so later splits are unaffected by it.
     """
     started = time.monotonic()
+    hat = game = solution = None
     if not isinstance(chi, _MODAL):
         case = CASE_ATOM if isinstance(chi, (fm.Atom, fm.TrueConst, fm.FalseConst)) else CASE_BOOLEAN
-        # Truth depends only on the label, so decide each distinct label once.
+        keys = arena.labels.items()
         truth = {label: _eval_boolean(chi, label) for label in set(arena.labels.values())}
-        new_arena = arena.with_prop(
-            prop, [q for q, label in arena.labels.items() if truth[label]])
-        return LabelLevel(0, chi, prop, case, new_arena, elapsed=time.monotonic() - started)
-
-    # The cap bounds the refined states and each goal table's rows.
-    hat = split(arena, chi.coalition, limit=state_cap)
-    game = solution = None
-    if isinstance(chi, fm.Know):
-        case = CASE_KNOWLEDGE
-        labels = label_knowledge(hat, chi.operand.name)
-    elif isinstance(chi, fm.Next):
-        case = CASE_NEXT
-        labels = label_next(hat, chi.operand.name)
     else:
-        p1, p2 = chi.left.name, chi.right.name
-        if isinstance(chi, fm.Until):
-            case, build, decide = UNTIL, build_until_automaton, check_until_nonempty
+        # The cap bounds the refined states and each goal table's rows.
+        hat = split(arena, chi.coalition, limit=state_cap)
+        arena, keys = hat.arena, enumerate(hat.kset)
+        if isinstance(chi, fm.Know):
+            case = CASE_KNOWLEDGE
+            truth = label_knowledge(hat, chi.operand.name)
+        elif isinstance(chi, fm.Next):
+            case = CASE_NEXT
+            truth = label_next(hat, chi.operand.name)
         else:
-            case, build, decide = WEAK_UNTIL, build_weak_until_automaton, check_weak_nonempty
-        inits = {s: build(hat, p1, p2, s).init for s in hat.ksets}
-        game = level_automaton(case, hat, p1, p2)
-        solution = decide(game)[1]
-        labels = {h: inits[s] in solution.winning for h, s in enumerate(hat.kset)}
+            p1, p2 = chi.left.name, chi.right.name
+            if isinstance(chi, fm.Until):
+                case, build, decide = UNTIL, build_until_automaton, check_until_nonempty
+            else:
+                case, build, decide = WEAK_UNTIL, build_weak_until_automaton, check_weak_nonempty
+            inits = {s: build(hat, p1, p2, s).init for s in hat.ksets}
+            game = level_automaton(case, hat, p1, p2)
+            solution = decide(game)[1]
+            truth = {s: init in solution.winning for s, init in inits.items()}
 
-    new_arena = hat.arena.with_prop(prop, [hid for hid in hat.arena.states if labels[hid]])
+    new_arena = arena.with_prop(prop, [q for q, key in keys if truth[key]])
     return LabelLevel(0, chi, prop, case, new_arena, hat=hat, game=game,
                       solution=solution, elapsed=time.monotonic() - started)
 
@@ -177,6 +175,10 @@ def model_check(arena, f, state_cap=DEFAULT_STATE_CAP):
     bind_formula(arena, f)
     core = fm.desugar(f)
     enumeration = fm.enumerate_subformulas(core)
+    reserved = [entry.prop for entry in enumeration if entry.prop in arena.props]
+    if reserved:
+        raise CheckerError("arena declares %s, which the checker reserves for its labeling "
+                           "levels" % ", ".join(reserved))
     started = time.monotonic()
     table = LabelingTable(arena)
     current = arena

@@ -11,7 +11,7 @@ from .strategy_automata import BOT, WEAK_UNTIL, _walk
 
 class GameSolution:
     """Solution of the choice game on an automaton: the winning region and a
-    chosen coalition action per winning state.
+    chosen coalition action per winning state, a dict kept as given.
 
     For until the choice is defined on winning states that still carry
     obligations; for weak until on every winning state. Both cover only the
@@ -21,7 +21,7 @@ class GameSolution:
 
     def __init__(self, winning, choice):
         self.winning = frozenset(winning)
-        self.choice = dict(choice)
+        self.choice = choice
 
 
 def _attractor(automaton, target, coalition):
@@ -30,15 +30,15 @@ def _attractor(automaton, target, coalition):
     On the coalition side a state joins when some action keeps all its
     successors inside the region; on the environment side when no action keeps
     all of them outside. Returns the region, a bytearray over the table's
-    numbers, and, per state, the index of the first action that does so:
-    taken when the state joins (coalition) or at the last sweep (environment),
-    so environment choices avoid the final region.
+    numbers, and, per state, the coalition action of the first action that
+    does so: taken when the state joins (coalition) or at the last sweep
+    (environment), so environment choices avoid the final region.
 
     A settled state's row is never read: it is an until target, and on the
     environment side it never joins, as it reaches only settled states.
     """
     # Listing the states first: the walk numbers the states it meets.
-    states, table = automaton.states, automaton.rows
+    states, table, alphabet = automaton.states, automaton.rows, automaton.alphabet
     region = bytearray(len(table.pairs))
     for state in target:
         region[state] = 1
@@ -54,17 +54,11 @@ def _attractor(automaton, target, coalition):
             keep = next((k for k, successors in enumerate(targets)
                          if all(region[t] == inside for t in successors)), None)
             if keep is not None:
-                choice[state] = keep
+                choice[state] = alphabet[keep]
             if (keep is not None) == coalition:
                 region[state] = 1
                 changed = True
     return region, choice
-
-
-def _actions(automaton, choice):
-    """The choice with each action index turned into its coalition action."""
-    alphabet = automaton.alphabet
-    return {s: alphabet[k] for s, k in choice.items()}
 
 
 def check_until_nonempty(automaton):
@@ -72,7 +66,7 @@ def check_until_nonempty(automaton):
     tree iff the initial state can force every path into an obligation-free
     state. The failure state only leads to itself, so it never joins."""
     region, choice = _attractor(automaton, automaton.targets(), coalition=True)
-    solution = GameSolution([s for s in automaton.states if region[s]], _actions(automaton, choice))
+    solution = GameSolution([s for s in automaton.states if region[s]], choice)
     return automaton.init in solution.winning, solution
 
 
@@ -82,7 +76,7 @@ def check_weak_nonempty(automaton):
     from it."""
     losing, choice = _attractor(automaton, [BOT], coalition=False)
     winning = [s for s in automaton.states if not losing[s]]
-    action = _action(automaton, _actions(automaton, choice))
+    action = _action(automaton, choice)
     return automaton.init in winning, GameSolution(winning, {s: action(s) for s in winning})
 
 

@@ -152,25 +152,19 @@ def split(g, coalition, limit=None):
     return HatArena(arena, view, limit)
 
 
-def _per_kset(hat, holds):
-    """{refined state: holds(its kset)}, deciding each kset once."""
-    per_kset = {s: holds(s) for s in hat.ksets}
-    return {h: per_kset[s] for h, s in enumerate(hat.kset)}
-
-
 def label_knowledge(hat, prop):
-    """Which refined states satisfy distributed knowledge of a prop: those whose
-    entire kset carries it."""
+    """{kset: truth} over hat.ksets of distributed knowledge of a prop: true
+    where every member carries it."""
     g = hat.source
     off = sum(1 << i for i, q in enumerate(g.states) if prop not in g.labels[q])
-    return _per_kset(hat, lambda s: not s & off)
+    return {s: not s & off for s in hat.ksets}
 
 
 def label_next(hat, prop):
-    """Which refined states satisfy one-step coalition ability for a prop: some
-    coalition action forces prop at every successor of every kset member, however
-    the other agents act: iff its members' masks of failing coalition actions,
-    those with some successor off the prop, do not cover every action."""
+    """{kset: truth} over hat.ksets of one-step coalition ability for a prop:
+    some coalition action forces prop at every successor of every kset member,
+    however the other agents act: iff its members' masks of failing coalition
+    actions, those with some successor off the prop, do not cover every action."""
     view, g = hat.view, hat.source
     off = {i for i, q in enumerate(g.states) if prop not in g.labels[q]}
     failing, every = [], (1 << len(view.actions)) - 1
@@ -180,10 +174,10 @@ def label_next(hat, prop):
             if not off.isdisjoint(successors):
                 m |= 1 << k
         failing.append(m)
-
-    def holds(s):
+    truth = {}
+    for s in hat.ksets:
         m = 0
         for i in _bits(s):
             m |= failing[i]
-        return m != every
-    return _per_kset(hat, holds)
+        truth[s] = m != every
+    return truth

@@ -925,6 +925,12 @@ class TestStrategy:
         with pytest.raises(ArenaError, match="'coalition' must be a list"):
             Strategy.from_document(doc)
 
+    def test_document_coalition_must_not_repeat_a_member(self):
+        """A repeated member is not read as two agents that play alike."""
+        doc = {"coalition": ["Alice", "Alice"], "default": {"Alice": "g"}, "map": []}
+        with pytest.raises(ArenaError, match="'coalition' repeats Alice"):
+            Strategy.from_document(doc)
+
     def test_document_default_must_cover_the_coalition(self):
         doc = {"coalition": ["Alice", "Bob"], "default": {"Alice": "i"}, "map": []}
         with pytest.raises(ArenaError, match="'default' has no action for Bob"):

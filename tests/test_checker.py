@@ -265,7 +265,7 @@ class TestModelCheck:
         runs = initialized_runs(g, 3)
         expected = knowledge_oracle(g, [], prop, runs)
         for run in runs:
-            assert labels[hat_state_of(g, hat, run)] == expected[run]
+            assert labels[hat.kset[hat_state_of(g, hat, run)]] == expected[run]
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10 ** 6))
@@ -648,6 +648,16 @@ class TestDumpsReload:
             again = load_arena(doc, allow_reserved=True)
             assert again.to_document() == doc, doc
             assert again._rows == g._rows, doc
+
+    def test_a_reloaded_level_names_the_props_the_checker_reserves(self, corpus):
+        """A level's dump carries the fresh props of its subformulas; checking
+        it again would label a level with one of them, so model_check names
+        them before the first level."""
+        level = model_check(corpus, "<Alice>X c").table.levels[-1]
+        g = load_arena(level.arena.to_document(), allow_reserved=True)
+        message = r"^arena declares p#1, which the checker reserves for its labeling levels$"
+        with pytest.raises(CheckerError, match=message):
+            model_check(g, "valid")
 
     def test_the_caught_arenas_name_their_fault(self):
         for args, message in zip(self.CAUGHT, ("arena has no agents",

@@ -233,13 +233,15 @@ class TestLiftProject:
 class TestKnowledgeLabels:
     def test_corpus_knowledge_golden(self, corpus, corpus_hat):
         labels = label_knowledge(corpus_hat, "valid")
-        assert labels[named(corpus_hat, "q1@{q1,q2,q3}")]
-        assert labels[named(corpus_hat, "q0@{q0}")]
-        assert not labels[named(corpus_hat, "sink@{sink}")]
+        kset = corpus_hat.kset
+        assert labels[kset[named(corpus_hat, "q1@{q1,q2,q3}")]]
+        assert labels[kset[named(corpus_hat, "q0@{q0}")]]
+        assert not labels[kset[named(corpus_hat, "sink@{sink}")]]
 
     def test_kset_members_share_the_verdict(self, corpus_hat):
         labels = label_knowledge(corpus_hat, "yx")
-        shared = [labels[named(corpus_hat, "q%d@{q1,q2,q3}" % i)] for i in (1, 2, 3)]
+        shared = [labels[corpus_hat.kset[named(corpus_hat, "q%d@{q1,q2,q3}" % i)]]
+                  for i in (1, 2, 3)]
         assert shared == [False, False, False]
 
     def test_unknown_prop(self, corpus_hat):
@@ -262,14 +264,15 @@ class TestKnowledgeLabels:
         runs = initialized_runs(g, 3)
         expected = knowledge_oracle(g, coalition, prop, runs)
         for run in runs:
-            assert labels[hat_state_of(g, hat, run)] == expected[run], (run, prop)
+            assert labels[hat.kset[hat_state_of(g, hat, run)]] == expected[run], (run, prop)
 
 
 class TestNextLabels:
     def test_corpus_next_golden(self, corpus):
         goal = corpus.with_prop("paid", ["q12", "q13"])
         hat = split(goal, AB)
-        labels = {hat.arena.name(h): value for h, value in label_next(hat, "paid").items()}
+        truth = label_next(hat, "paid")
+        labels = {hat.arena.name(h): truth[s] for h, s in enumerate(hat.kset)}
         assert labels["q9@{q9}"]
         assert labels["q12@{q12}"]
         assert not labels["q14@{q14}"]
@@ -289,7 +292,18 @@ class TestNextLabels:
         runs = initialized_runs(g, 2)
         expected = next_oracle(g, coalition, prop, runs)
         for run in runs:
-            assert labels[hat_state_of(g, hat, run)] == expected[run], (run, prop)
+            assert labels[hat.kset[hat_state_of(g, hat, run)]] == expected[run], (run, prop)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_labelers_decide_each_kset_in_discovery_order(seed):
+    rng = random.Random(seed)
+    g = random_arena(rng)
+    hat = split(g, random_coalition(rng))
+    for prop in sorted(g.props):
+        assert list(label_knowledge(hat, prop)) == list(hat.ksets)
+        assert list(label_next(hat, prop)) == list(hat.ksets)
 
 
 def refinement_fields(hat):

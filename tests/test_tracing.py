@@ -8,6 +8,7 @@ Arena by name; a rename there would break `benchmarks/run.py --trace 1`.
 import importlib
 import importlib.util
 import signal
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -94,6 +95,17 @@ def test_witnesses_and_explanations_read_the_level_solution(tracer, text):
     assert totals["emptiness.witness_map_entries"] > 0
     assert totals["emptiness.calls"] == sum(
         1 for level in verdict.table if level.case in GOAL_CASES)
+
+
+def test_one_labeler_span_per_knowledge_and_next_level(tracer):
+    """label_step calls label_knowledge once per knowledge level and
+    label_next once per next level, each under the name the tracer wraps."""
+    verdict = model_check(load_alicebob(), "K{Alice} valid & K{Bob} !c & <Alice,Bob>X s")
+    spans = Counter(span.name for span in tracer.spans)
+    cases = Counter(level.case for level in verdict.table)
+    assert cases["knowledge"] == 2 and cases["next"] == 1
+    assert spans["label_knowledge"] == cases["knowledge"]
+    assert spans["label_next"] == cases["next"]
 
 
 def test_derived_arenas_keep_the_traced_counts(tracer):
