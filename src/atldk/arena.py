@@ -6,8 +6,6 @@ import itertools
 import json
 from collections import Counter
 
-from .formula import FRESH_MARK
-
 
 class ArenaError(Exception):
     pass
@@ -354,14 +352,12 @@ def _strings(value, field, *where):
     return entries
 
 
-def load_arena(document, allow_reserved=False):
+def load_arena(document):
     """Build a validated Arena from a document (dict, JSON text, or file path).
 
     With "complete_with_sink" set, a fresh sink state with an empty label and
     self-loops on every joint action absorbs all otherwise missing (state,
-    joint action) pairs. Prop names using the reserved fresh-prop character are
-    rejected unless allow_reserved is set (dumps of labeled arena levels carry
-    such props legitimately).
+    joint action) pairs.
     """
     if isinstance(document, str):
         if document.lstrip().startswith("{"):
@@ -386,10 +382,6 @@ def load_arena(document, allow_reserved=False):
         observes[name] = _strings(entry.get("observes", []), "'observes' of agent %s", name)
 
     hidden = _strings(document.get("hidden_props", []), "'hidden_props'")
-    if not allow_reserved:
-        for prop in hidden.union(*observes.values()):
-            _require(FRESH_MARK not in prop,
-                     "prop name %r uses the reserved %r character" % (prop, FRESH_MARK))
 
     states = []
     labels = {}
@@ -458,12 +450,19 @@ class Strategy:
     the next memory and machine.output(memory) the coalition action, a tuple in
     coalition order; default is played where either is None. A dict of histories
     (tuples of frozensets) to actions, kept as given, is the machine whose memory
-    is the history so far. mapping is the table a machine renders on first read."""
+    is the history so far. mapping is the table a machine renders on first read.
+    A repeated member, or a default that is not one action per member, raises
+    ArenaError."""
 
     def __init__(self, coalition_members, machine, default):
         self.coalition = tuple(coalition_members)
         self.machine = _HistoryTable(machine) if isinstance(machine, dict) else machine
         self.default = tuple(default)
+        repeated = sorted({a for a in self.coalition if self.coalition.count(a) > 1})
+        _require(not repeated, "'coalition' repeats %s" % ", ".join(repeated))
+        _require(len(self.default) == len(self.coalition),
+                 "'default' %r is not one action per member of %r"
+                 % (self.default, self.coalition))
 
     @property
     def mapping(self):
@@ -499,8 +498,6 @@ class Strategy:
                  "strategy document needs coalition, default and map")
         coalition = [_string(a, "an entry of 'coalition'")
                      for a in _list(doc["coalition"], "'coalition'")]
-        repeated = sorted({a for a in coalition if coalition.count(a) > 1})
-        _require(not repeated, "'coalition' repeats %s" % ", ".join(repeated))
 
         def action(action_map, field):
             _require(isinstance(action_map, dict), "%s must be an object" % field)

@@ -171,6 +171,9 @@ def model_check(arena, f, state_cap=DEFAULT_STATE_CAP):
     state), building one labeling level per subformula."""
     if isinstance(f, str):
         f = fm.parse_formula(f)
+    elif not isinstance(f, fm.Formula):
+        raise fm.FormulaError("formula must be text or a Formula, not %s %r"
+                              % (type(f).__name__, f))
     formula_text = str(f)
     bind_formula(arena, f)
     core = fm.desugar(f)
@@ -203,9 +206,7 @@ def explain(verdict, state_id):
         if current is not None:
             break
     else:
-        top, current = -1, base.state_named(state_id)
-        if current is None:
-            raise CheckerError("unknown state id %s" % state_id)
+        raise CheckerError("unknown state id %s" % state_id)
     first = current
     chain = []
     for level in reversed(levels[:top + 1]):
@@ -225,7 +226,7 @@ def explain(verdict, state_id):
         "base_labels": sorted(base.labels[current]),
         "chain": chain,
     }
-    if chain and levels[top].case in (UNTIL, WEAK_UNTIL) and chain[0]["labeled"]:
+    if levels[top].case in (UNTIL, WEAK_UNTIL) and chain[0]["labeled"]:
         level = levels[top]
         record["witness"] = extract_witness_strategy(
             level.solution, level.game, level.hat.kset[first]).to_document()

@@ -338,8 +338,6 @@ def explain(arena_path, formula_text, formula_file, state_id, fmt, state_cap):
 def _print_explanation(record):
     click.echo("base state: %s" % record["state"])
     click.echo("base labels: {%s}" % ",".join(record["base_labels"]))
-    if not record["chain"]:
-        click.echo("no labeling levels contain this state")
     for entry in record["chain"]:
         line = ("level %2d  %-11s %-6s %-5s state=%s"
                 % (entry["level"], entry["case"], entry["prop"],

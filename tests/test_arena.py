@@ -7,7 +7,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from atldk import Arena, ArenaError, SINK_ID, Strategy, load_arena, load_alicebob
+from atldk import (Arena, ArenaError, CheckerError, SINK_ID, Strategy, load_arena, load_alicebob,
+                   model_check)
 from atldk.epistemic_split import split
 from oracles import (ARENA_FIELDS, Run, coalition_actions, coalition_props, coalition_tuple,
                      extensions, obs, obs_equiv, out, outcome_classes, random_arena,
@@ -197,12 +198,18 @@ class TestLoadErrors:
             load_arena(doc)
 
     def test_reserved_prop_character(self):
+        """A prop that the checker reserves loads; model_check rejects it,
+        naming it, before the first level. Other props with # are the user's."""
         doc = tiny_document()
-        doc["agents"][0]["observes"] = ["p", "p#1"]
-        doc["states"][0]["labels"] = ["p", "p#1"]
-        with pytest.raises(ArenaError):
-            load_arena(doc)
-        assert load_arena(doc, allow_reserved=True).labels["s0"] == frozenset({"p", "p#1"})
+        doc["agents"][0]["observes"] = ["p", "p#1", "x#y"]
+        doc["states"][0]["labels"] = ["p", "p#1", "x#y"]
+        g = load_arena(doc)
+        assert g.labels["s0"] == frozenset({"p", "p#1", "x#y"})
+        message = r"^arena declares p#1, which the checker reserves for its labeling levels$"
+        with pytest.raises(CheckerError, match=message):
+            model_check(g, "p")
+        del doc["agents"][0]["observes"][1], doc["states"][0]["labels"][1]
+        assert model_check(load_arena(doc), "p").holds
 
     def test_unknown_action_in_transition(self):
         doc = tiny_document()
@@ -488,6 +495,17 @@ class TestValidationMessages:
         self.rejected("prop 2.5 must be a string, not float", hidden={"h", 2.5})
         labels = dict(arena_parts()["labels"], s1=frozenset({"h", 3}))
         self.rejected("prop 3 must be a string, not int", labels=labels)
+
+    def test_no_states(self):
+        self.rejected("arena has no states", states=(), labels={}, initial=(), transitions={})
+
+    def test_duplicate_action_names(self):
+        self.rejected("duplicate action names for agent a1",
+                      actions=dict(arena_parts()["actions"], a1=("a", "b", "a")))
+        doc = tiny_document()
+        doc["agents"][0]["actions"] = ["a", "b", "a"]
+        with pytest.raises(ArenaError, match=r"^duplicate action names for agent a1$"):
+            load_arena(doc)
 
     def test_prop_both_hidden_and_observed(self):
         """As load_arena rejects it, so every arena's dump reloads."""
@@ -930,6 +948,16 @@ class TestStrategy:
         doc = {"coalition": ["Alice", "Alice"], "default": {"Alice": "g"}, "map": []}
         with pytest.raises(ArenaError, match="'coalition' repeats Alice"):
             Strategy.from_document(doc)
+
+    def test_constructor_rejects_a_repeated_member_and_a_default_of_the_wrong_length(self):
+        """A repeated member would collapse the action maps in to_document,
+        and a default of the wrong length would be cut or padded silently."""
+        with pytest.raises(ArenaError, match=r"^'coalition' repeats Alice$"):
+            Strategy(("Alice", "Alice"), {}, ("g", "i"))
+        for coalition, default in ((("Alice",), ("g", "i")), (("Alice", "Bob"), ("g",))):
+            with pytest.raises(ArenaError, match=r"^'default' .* is not one action per member"):
+                Strategy(coalition, {}, default)
+        assert Strategy(("Alice", "Bob"), {}, ("g", "i")).default == ("g", "i")
 
     def test_document_default_must_cover_the_coalition(self):
         doc = {"coalition": ["Alice", "Bob"], "default": {"Alice": "i"}, "map": []}

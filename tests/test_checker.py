@@ -217,6 +217,11 @@ class TestModelCheck:
     def test_accepts_parsed_formulas(self, corpus):
         assert model_check(corpus, fm.parse_formula("valid")).holds
 
+    def test_rejects_a_formula_that_is_neither_text_nor_a_formula(self, corpus):
+        for f in (42, None, ["valid"]):
+            with pytest.raises(fm.FormulaError, match="^formula must be text or a Formula, not "):
+                model_check(corpus, f)
+
     def test_unknown_coalition_member(self, corpus):
         with pytest.raises(CheckerError, match="coalition"):
             model_check(corpus, "<Eve>X valid")
@@ -645,7 +650,7 @@ class TestDumpsReload:
         # Loaded, split-built and with_prop arenas reload with equal rows.
         for g in arenas:
             doc = g.to_document()
-            again = load_arena(doc, allow_reserved=True)
+            again = load_arena(doc)
             assert again.to_document() == doc, doc
             assert again._rows == g._rows, doc
 
@@ -654,7 +659,7 @@ class TestDumpsReload:
         it again would label a level with one of them, so model_check names
         them before the first level."""
         level = model_check(corpus, "<Alice>X c").table.levels[-1]
-        g = load_arena(level.arena.to_document(), allow_reserved=True)
+        g = load_arena(level.arena.to_document())
         message = r"^arena declares p#1, which the checker reserves for its labeling levels$"
         with pytest.raises(CheckerError, match=message):
             model_check(g, "valid")

@@ -218,11 +218,17 @@ class TestCheck:
         files = sorted(p.name for p in dump.iterdir())
         assert files == ["level_%d.json" % k for k in range(6)]
         top = str(dump / "level_5.json")
-        from atldk import ArenaError
-        with pytest.raises(ArenaError):
-            load_arena(top)
-        reloaded = load_arena(top, allow_reserved=True)
+        reloaded = load_arena(top)
         assert "p#5" in reloaded.props
+        # A dumped level is an arena like any other; only checking it again
+        # would reuse the props its levels labeled.
+        for command in (["split", "--coalition", "Alice"],
+                        ["automaton", "--coalition", "Alice", "--p1", "p#1", "--p2", "p#5"]):
+            assert invoke(runner, [command[0], "--arena", top, *command[1:]]).exit_code == 0
+        result = invoke(runner, ["check", "--arena", top, "--formula", "valid"])
+        assert result.exit_code == 2
+        assert result.stderr == ("error: arena declares p#1, which the checker reserves for "
+                                 "its labeling levels\n")
         base = load_arena(str(dump / "level_0.json"))
         assert base.states == load_arena(arena_path).states
 
@@ -235,6 +241,20 @@ class TestSplit:
         assert "coalition: {Alice,Bob}" in result.output
         assert "refined states: 16" in result.output
         assert "{q1,q2,q3}" in result.output
+
+    def test_human_summary_of_a_fully_observable_arena(self, runner, tmp_path):
+        """Every state observed apart: each kset is one state."""
+        path = tmp_path / "observed.json"
+        path.write_text(json.dumps({
+            "agents": [{"name": "a", "actions": ["x"], "observes": ["p"]}],
+            "states": [{"id": "s0", "labels": ["p"]}, {"id": "s1"}],
+            "initial": ["s0"],
+            "transitions": [{"from": q, "actions": {"a": "x"}, "to": ["s0", "s1"]}
+                            for q in ("s0", "s1")],
+        }))
+        result = invoke(runner, ["split", "--arena", str(path), "--coalition", "a"])
+        assert result.exit_code == 0
+        assert result.output.endswith("knowledge sets: 2\nnon-singleton knowledge sets: none\n")
 
     def test_json_lists_ksets(self, runner, arena_path):
         result = invoke(runner, ["split", "--arena", arena_path,
@@ -436,7 +456,7 @@ class TestMixedActionTypes:
                                                           "level_2.json"]
         for path in dump.iterdir():
             document = json.loads(path.read_text())
-            assert load_arena(document, allow_reserved=True).to_document() == document
+            assert load_arena(document).to_document() == document
         base = load_arena(str(dump / "level_0.json"))
         assert base.to_document() == load_arena(mixed_arena).to_document()
 

@@ -52,7 +52,7 @@ PUBLIC_SIGNATURES = {
     "Arena": "(self, agents, actions, states, labels, initial, observes, hidden, transitions)",
     "ArenaError": "(self, /, *args, **kwargs)",
     "Strategy": "(self, coalition_members, machine, default)",
-    "load_arena": "(document, allow_reserved=False)",
+    "load_arena": "(document)",
     "Formula": "(self, /, *args, **kwargs)",
     "FormulaError": "(self, /, *args, **kwargs)",
     "ParseError": "(self, message, position)",

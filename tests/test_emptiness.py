@@ -495,6 +495,21 @@ class TestWitnessMachine:
         assert list(verdict.witness().mapping.items()) == list(expected.items())
         assert {h[0] for h in expected} == {frozenset({"p"}), frozenset({"p", "r"})}
 
+    def test_until_witness_plays_default_past_a_discharged_goal(self):
+        """From s0 the witness plays b into s1, where p fails and the goal is
+        discharged. The machine has no move there, so every longer history
+        plays default, a, and leaves the memory empty."""
+        strategy = model_check(one_agent_arena(), "<a1>F !p").witness()
+        assert strategy.default == ("a",)
+        assert strategy.action([{"p"}]) == ("b",)
+        machine = strategy.machine
+        discharged = machine.step(machine.step((), frozenset({"p"})), frozenset())
+        assert machine.output(discharged) is None
+        assert machine.step(discharged, frozenset()) is None
+        for n in (1, 2, 5):
+            assert strategy.action([{"p"}] + [set()] * n) == ("a",)
+        assert strategy.to_document()["map"] == [{"history": [["p"]], "action": {"a1": "b"}}]
+
     def test_weak_witness_through_settled_states_the_level_game_does_not_list(self):
         """From s0, a reaches s1 where q holds, and b fails. The level game
         lists the settled states of s1 and s2 without expanding them, so it
