@@ -222,9 +222,9 @@ class TestCheck:
         assert "p#5" in reloaded.props
         # A dumped level is an arena like any other; only checking it again
         # would reuse the props its levels labeled.
-        for command in (["split", "--coalition", "Alice"],
-                        ["automaton", "--coalition", "Alice", "--p1", "p#1", "--p2", "p#5"]):
-            assert invoke(runner, [command[0], "--arena", top, *command[1:]]).exit_code == 0
+        for args in (["split", "--coalition", "Alice"],
+                     ["automaton", "--coalition", "Alice", "--p1", "p#1", "--p2", "p#5"]):
+            assert invoke(runner, [*args, "--arena", top]).exit_code == 0
         result = invoke(runner, ["check", "--arena", top, "--formula", "valid"])
         assert result.exit_code == 2
         assert result.stderr == ("error: arena declares p#1, which the checker reserves for "
