@@ -28,6 +28,19 @@ def _members(arena, coalition):
     return tuple(filter(coalition.__contains__, arena.agents))
 
 
+class _Core:
+    """A name of a coalition view's observation core. Its first read builds
+    the whole core into the view's own attributes, which later reads find
+    first; a __getattr__ hook instead would slow every attribute read."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, view, owner=None):
+        view._build_core()
+        return vars(view)[self.name]
+
+
 class _CoalitionView:
     """One coalition's compiled view of an arena: members in agent order, the
     coalition actions in members' product order with each joint action's
@@ -36,25 +49,18 @@ class _CoalitionView:
     bitmask, observations (labels restricted to the props the members
     observe) are ranked by their sorted props, state i's is
     observations[rank[i]], rank_of[z] is observation z's rank, and alike[t]
-    is the mask of the states that look like t. Knowledge sets and the parts
-    of goal states stay masks; only text output renders them (_state_names).
-    Compiling the view rejects unknown members; the engine reads it
-    unchecked."""
+    is the mask of the states that look like t. That observation core is
+    built on the first read of one of its four names, and the view then
+    drops its handle on the arena's states and labels: a same-coalition
+    re-split that only the labelers read never builds it. Knowledge sets and
+    the parts of goal states stay masks; only text output renders them
+    (_state_names). Compiling the view rejects unknown members; the engine
+    reads it unchecked."""
 
-    __slots__ = ("members", "actions", "observations", "rank", "rank_of", "alike", "index",
-                 "_action_of", "_rows", "_unions", "_classes")
+    observations, rank, rank_of, alike = _Core(), _Core(), _Core(), _Core()
 
     def __init__(self, arena, coalition):
         self.members = _members(arena, coalition)
-        props = frozenset().union(*map(arena.observes.__getitem__, self.members))
-        observation = [arena.labels[q] & props for q in arena.states]
-        self.observations = sorted(set(observation), key=sorted)
-        rank = self.rank_of = {z: i for i, z in enumerate(self.observations)}
-        self.rank = list(map(rank.__getitem__, observation))
-        like = [0] * len(rank)
-        for i, r in enumerate(self.rank):
-            like[r] |= 1 << i
-        self.alike = list(map(like.__getitem__, self.rank))
         self.actions = tuple(itertools.product(*(arena.actions[a] for a in self.members)))
         # Per joint action, in joint_actions order, the index of its coalition
         # part: the members' action indices as one mixed-radix number.
@@ -67,6 +73,19 @@ class _CoalitionView:
         self.index = arena._state_index
         self._rows = arena._rows
         self._unions, self._classes = {}, {}
+        self._arena = arena
+
+    def _build_core(self):
+        arena, self._arena = self._arena, None
+        props = frozenset().union(*map(arena.observes.__getitem__, self.members))
+        observation = [arena.labels[q] & props for q in arena.states]
+        self.observations = sorted(set(observation), key=sorted)
+        rank = self.rank_of = {z: i for i, z in enumerate(self.observations)}
+        self.rank = list(map(rank.__getitem__, observation))
+        like = [0] * len(rank)
+        for i, r in enumerate(self.rank):
+            like[r] |= 1 << i
+        self.alike = list(map(like.__getitem__, self.rank))
 
     def row(self, i):
         """State i's (coalition action index, sorted successor numbers) per joint action."""
@@ -74,14 +93,15 @@ class _CoalitionView:
 
     def unions(self, m):
         """Per coalition action, all successors of the states in mask m as one
-        mask. Built once per mask; several states merge their single-state
-        entries."""
+        mask. Built once per mask; several states OR their single-state entries
+        into one list."""
         out = self._unions.get(m)
         if out is None:
             out = [0] * len(self.actions)
             if m & (m - 1):
                 for i in _bits(m):
-                    out = list(map(int.__or__, out, self.unions(1 << i)))
+                    for k, u in enumerate(self.unions(1 << i)):
+                        out[k] |= u
             elif m:
                 for k, successors in self.row(m.bit_length() - 1):
                     for t in successors:

@@ -87,7 +87,8 @@ def split(g, coalition, limit=None):
     added since by with_prop, refining again adds no knowledge: the walk would
     number g's states as g does, each paired with the mask of the states that
     share its kset. The result shares g's states, labels and rows and records
-    only that kset map, each state its own base.
+    only that kset map, each state its own base. It reads no observation core
+    of the view, which is built only if a goal table or witness reads it.
     """
     view = _CoalitionView(g, coalition)
     members = frozenset(view.members)
@@ -110,21 +111,17 @@ def split(g, coalition, limit=None):
         # one {kset mask: number} dict per state index. Equal successor
         # tuples are one object.
         alike = view.alike
-        ids, pairs, rows, shared = [{} for _ in g.states], [], [], {}
-
-        def intern(i, m):
-            """Number the refined state (i, m), seen for the first time."""
-            if limit is not None and len(pairs) >= limit:
-                raise over()
-            h = ids[i][m] = len(pairs)
-            pairs.append((i, m))
-            return h
-
+        ids, rows, shared = [{} for _ in g.states], [], {}
         # Initial states are distinct, so each initial pair is new.
         start = [view.index[q] for q in g.initial]
+        if limit is not None and len(start) > limit:
+            raise over()
         mask = sum(1 << i for i in start)
-        initial = tuple(intern(i, mask & alike[i]) for i in start)
-        # Breadth first: the walk reaches the states interned as it goes. The
+        pairs = [(i, mask & alike[i]) for i in start]
+        for h, (i, m) in enumerate(pairs):
+            ids[i][m] = h
+        initial = tuple(range(len(pairs)))
+        # Breadth first: the walk reaches the states numbered as it goes. The
         # kset of successor t under coalition action k is the union of the
         # kset's successors under k cut to the states that look like t.
         for i, m in pairs:
@@ -133,9 +130,16 @@ def split(g, coalition, limit=None):
                 u, targets = unions[k], []
                 for t in successors:
                     s = u & alike[t]
-                    h = ids[t].get(s)
-                    targets.append(intern(t, s) if h is None else h)
-                targets = tuple(sorted(targets))
+                    known = ids[t]
+                    h = known.get(s)
+                    if h is None:
+                        h = known[s] = len(pairs)
+                        if limit is not None and h >= limit:
+                            raise over()
+                        pairs.append((t, s))
+                    targets.append(h)
+                targets.sort()
+                targets = tuple(targets)
                 row.append(shared.setdefault(targets, targets))
             rows.append(row)
         n = len(pairs)

@@ -12,6 +12,7 @@ knowledge split and of goal-table rows by their definitions. Keep these
 independent of the engine internals; they only use the public Arena
 interface, except transitions, which reads an arena's successor rows,
 outcome_classes, which reads a coalition view the engine compiles,
+core_fields, which reads the observation core a view has built,
 construction_failures, which inspects the refined arena and goal tables
 the engine built, level_failures, which runs the checker with the
 engine calls it makes recorded, the occurrence solver, which reads a goal
@@ -334,6 +335,30 @@ def outcome_classes(arena, source, coalition, c_a):
     union = view.unions(mask_of(arena, source))[view.actions.index(c_a)]
     return MappingProxyType({view.observations[r]: frozenset(states_of(arena, part))
                              for r, part in zip(*view.classes(union))})
+
+
+CORE = ("observations", "rank", "rank_of", "alike")
+
+
+def core_fields(view):
+    """{name: value} of the coalition view's observation core, as far as the
+    view has built it: read from the view's own attributes, so reading
+    builds nothing."""
+    return {name: vars(view)[name] for name in CORE if name in vars(view)}
+
+
+def reference_core(arena, coalition):
+    """A coalition view's observation core from frozensets, as core_fields
+    reads it: the distinct observations (obs) ordered by their sorted props,
+    each state's rank among them in arena order, the rank of each
+    observation, and per state the mask of the states with its observation."""
+    observation = [obs(arena, coalition, q) for q in arena.states]
+    observations = sorted(set(observation), key=sorted)
+    return {"observations": observations,
+            "rank": [observations.index(z) for z in observation],
+            "rank_of": {z: observations.index(z) for z in observations},
+            "alike": [mask_of(arena, (r for r, y in zip(arena.states, observation) if y == z))
+                      for z in observation]}
 
 
 def obs_signature(arena, coalition, run):

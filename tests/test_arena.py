@@ -10,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 from atldk import (Arena, ArenaError, CheckerError, SINK_ID, Strategy, load_arena, load_alicebob,
                    model_check)
 from atldk.epistemic_split import split
-from oracles import (ARENA_FIELDS, Run, coalition_actions, coalition_props, coalition_tuple,
-                     extensions, obs, obs_equiv, out, outcome_classes, random_arena,
-                     random_arena_document, restrict_action, sorted_states, succ, transitions)
+from oracles import (ARENA_FIELDS, CORE, Run, acceptance_batches, coalition_actions,
+                     coalition_props, coalition_tuple, core_fields, extensions, family_f, obs,
+                     obs_equiv, out, outcome_classes, random_arena, random_arena_document,
+                     reference_core, restrict_action, sorted_states, succ, transitions)
 
 AB = ["Alice", "Bob"]
 
@@ -757,6 +758,28 @@ class TestCompiledView:
                 assert list(view.actions) == coalition_actions(g, coalition)
                 for c_a in view.actions:
                     assert view_extensions(g, view)[c_a] == list(extensions(g, coalition, c_a))
+
+    def test_lazily_built_core_equals_the_frozenset_reference(self):
+        """The observation core a view builds on its first read equals
+        oracles.reference_core: on views of the loaded arenas of the
+        acceptance batches, of walked refinements of them (by another
+        coalition) and of same-coalition re-splits; and on the views of the
+        re-splits whose goal tables read the core, for <a1>F <a1>X p3 on
+        family F."""
+        for seed, g in acceptance_batches():
+            for coalition in COALITIONS:
+                hat = split(g, coalition)
+                cases = [(hat.view, g, coalition)] + [
+                    (split(hat.arena, other).view, hat.arena, other) for other in COALITIONS]
+                for view, arena, members in cases:
+                    read = {name: getattr(view, name) for name in CORE}
+                    assert read == core_fields(view) == reference_core(arena, members), seed
+        for i, n in enumerate((6, 8, 10, 12)):
+            verdict = model_check(family_f(100 + i, n), "<a1>F <a1>X p3")
+            hats = [level.hat for level in verdict.table if level.game is not None]
+            assert [hat.source._refinement.coalition for hat in hats] == [{"a1"}]
+            for hat in hats:
+                assert core_fields(hat.view) == reference_core(hat.source, ["a1"]), n
 
     def test_classes_reject_what_is_not_an_action_or_a_state(self, corpus):
         for c_a in (("g", "g"), ("x",), ()):

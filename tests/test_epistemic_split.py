@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import atldk.formula as fm
-from atldk import ArenaError, StateCapExceeded, load_alicebob, load_arena
+from atldk import ArenaError, StateCapExceeded, load_alicebob, load_arena, model_check
 from atldk.epistemic_split import label_knowledge, label_next, split
 from oracles import (
     ARENA_FIELDS,
+    CORE,
     Run,
     comma_id_document,
+    core_fields,
     equivalence_classes,
+    family_f,
     hat_state_of,
     initialized_runs,
     knowledge_oracle,
@@ -362,6 +365,32 @@ class TestResplit:
         for prop in sorted(mid.props):
             assert label_next(fast, prop) == label_next(full, prop), prop
         assert not (fast.view._unions or fast.view._classes) and fast.arena._rows is mid._rows
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_a_resplit_that_only_the_labelers_read_builds_no_core(self, seed):
+        """label_knowledge and label_next read a same-coalition re-split's
+        ksets and rows, not its observation core, so the view never builds
+        it; the first read of a core name builds all of it and drops the
+        view's handle on the source arena."""
+        coalition, mid = resplit_input(seed)
+        fast = split(mid, coalition)
+        for prop in sorted(mid.props):
+            label_knowledge(fast, prop)
+            label_next(fast, prop)
+        assert core_fields(fast.view) == {} and fast.view._arena is mid
+        assert not (fast.view._unions or fast.view._classes) and fast.arena._rows is mid._rows
+        assert fast.view.rank_of and set(core_fields(fast.view)) == set(CORE)
+        assert fast.view._arena is None
+
+    def test_knowledge_and_next_levels_over_a_resplit_build_no_core(self):
+        """In model_check too: the K and X levels that re-split the level
+        below by the same coalition leave their views' cores unbuilt."""
+        for i, n in enumerate((6, 8, 10, 12)):
+            verdict = model_check(family_f(100 + i, n), "<a1>X K{a1} <a1>X p3")
+            hats = [level.hat for level in verdict.table if level.hat is not None]
+            assert [hat.source._refinement is not None for hat in hats] == [False, True, True]
+            assert [bool(core_fields(hat.view)) for hat in hats] == [True, False, False], n
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10 ** 6))
