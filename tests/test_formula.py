@@ -133,6 +133,35 @@ class TestParseErrors:
             parse_formula(text)
         assert text[err.value.position] == ")"
 
+    @pytest.mark.parametrize("text,position,message", [
+        ("p#1", 1, "unexpected character '#'"),
+        ("²p", 0, "unexpected character '²'"),
+        ("p - q", 2, "unexpected character '-'"),
+        ("p q", 2, "unexpected trailing input 'q'"),
+        ("K{} p", 2, "expected agent name, found '}'"),
+        ("<>X p", 1, "expected agent name, found '>'"),
+        ("K{a,}p", 4, "expected agent name, found '}'"),
+        ("K{a p", 4, "expected '}', found 'p'"),
+        ("<a X p", 3, "expected '>', found 'X'"),
+        ("[a X p", 3, "expected ']', found 'X'"),
+        ("<a>p U q", 3, "expected 'X', 'F', 'G' or '(' after coalition, found 'p'"),
+        ("[a]", 3, "expected 'X', 'F', 'G' or '(' after coalition, found 'end of input'"),
+        ("<a>(p q)", 6, "expected 'U' or 'W', found 'q'"),
+        ("<a>(p", 5, "expected 'U' or 'W', found 'end of input'"),
+        ("<a>(p U q", 9, "expected ')', found 'end of input'"),
+        ("(p & q", 6, "expected ')', found 'end of input'"),
+        ("p & (q | )", 9, "expected a formula, found ')'"),
+        ("p -> ->", 5, "expected a formula, found '->'"),
+        ("p &", 3, "expected a formula, found 'end of input'"),
+        ("K{a}", 4, "expected a formula, found 'end of input'"),
+        ("", 0, "expected a formula, found 'end of input'"),
+    ])
+    def test_message_and_position(self, text, position, message):
+        with pytest.raises(ParseError) as err:
+            parse_formula(text)
+        assert err.value.position == position
+        assert str(err.value) == "syntax error at position %d: %s" % (position, message)
+
 
 class TestNestingDepth:
     """Formulas nest at most fm.MAX_DEPTH operators deep, however they nest:
