@@ -93,14 +93,14 @@ class _CoalitionView:
 
     def unions(self, m):
         """Per coalition action, all successors of the states in mask m as one
-        mask. Built once per mask; several states OR their single-state entries
-        into one list."""
+        mask. Built once per mask; several states OR their single-state entries,
+        read from the memo where built, into one list."""
         out = self._unions.get(m)
         if out is None:
             out = [0] * len(self.actions)
             if m & (m - 1):
                 for i in _bits(m):
-                    for k, u in enumerate(self.unions(1 << i)):
+                    for k, u in enumerate(self._unions.get(1 << i) or self.unions(1 << i)):
                         out[k] |= u
             elif m:
                 for k, successors in self.row(m.bit_length() - 1):

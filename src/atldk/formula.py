@@ -262,7 +262,8 @@ def _nodes(f):
 #            | "(" formula ("U" | "W") formula ")"
 #   atomish := "true" | "false" | IDENT | "(" formula ")"
 #   agents  := IDENT ("," IDENT)*
-# Unary operators bind tighter than &, then |, then ->.
+# Unary operators bind tighter than &, then |, then ->. The parser reads each
+# connective's spelling from its node class: op, the bracket and the tag.
 # An identifier's tail: \w matches the characters isalnum() or == "_" accepts.
 _WORD = re.compile(r"\w*")
 
@@ -272,46 +273,39 @@ _WORD = re.compile(r"\w*")
 MAX_DEPTH = 100
 
 
-class _Token:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind, text, pos):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
-
-
 def _tokenize(text):
+    """A (kind, text, position) tuple per token, the end token last."""
     tokens, i, n = [], 0, len(text)
     while i < n:
         ch = text[i]
         if ch in "!&|<>[]{}(),":
-            tokens.append(_Token(ch, ch, i))
+            tokens.append((ch, ch, i))
             i += 1
         elif ch.isalpha() or ch == "_":
             j = _WORD.match(text, i).end()
-            tokens.append(_Token("ident", text[i:j], i))
+            tokens.append(("ident", text[i:j], i))
             i = j
         elif ch.isspace():
             i += 1
         elif text.startswith("->", i):
-            tokens.append(_Token("->", "->", i))
+            tokens.append(("->", "->", i))
             i += 2
         else:
             raise ParseError("unexpected character %r" % ch, i)
-    tokens.append(_Token("end", "", n))
+    tokens.append(("end", "", n))
     return tokens
 
 
 class _Parser:
-    INFIX = {"->": Implies, "|": Or, "&": And}
-    UNARY_MODAL = {
-        ("X", False): Next, ("F", False): Eventually, ("G", False): Globally,
-        ("X", True): DualNext, ("F", True): DualEventually, ("G", True): DualGlobally,
-    }
+    INFIX = {cls.op: cls for cls in (Implies, Or, And)}
+    # (prefix token, operator letter): the bracket's first character; K and P take no letter.
+    MODAL = {(cls.bracket[0], cls.op): cls for cls in (
+        Know, Possible, Next, Eventually, Globally, Until, WeakUntil,
+        DualNext, DualEventually, DualGlobally, DualUntil, DualWeakUntil)}
+    CLOSING = {cls.bracket[0]: cls.bracket[-1] for cls in MODAL.values()}
+    CONSTANTS = {cls.tag: cls for cls in (TrueConst, FalseConst)}
 
     def __init__(self, text):
-        self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
         # The current token; the parser never advances past the end token.
@@ -323,29 +317,32 @@ class _Parser:
         """parse(*args) one nesting level deeper, at most MAX_DEPTH deep."""
         if self.depth == MAX_DEPTH:
             raise FormulaError("formula nests deeper than %d levels (at position %d)"
-                               % (MAX_DEPTH, self.tok.pos))
+                               % (MAX_DEPTH, self.tok[2]))
         self.depth += 1
         f = parse(*args)
         self.depth -= 1
         return f
 
     def advance(self):
-        tok = self.tok
+        """Step past the current token and return its text."""
+        text = self.tok[1]
         self.index += 1
         self.tok = self.tokens[self.index]
-        return tok
+        return text
 
-    def expect(self, kind, what):
-        tok = self.tok
-        if tok.kind != kind:
-            raise ParseError("expected %s, found %r" % (what, tok.text or "end of input"), tok.pos)
+    def fail(self, expected):
+        _, text, position = self.tok
+        raise ParseError("expected %s, found %r" % (expected, text or "end of input"), position)
+
+    def expect(self, kind, what=None):
+        if self.tok[0] != kind:
+            self.fail(what or repr(kind))
         return self.advance()
 
     def parse(self):
         f = self.impl()
-        tok = self.tok
-        if tok.kind != "end":
-            raise ParseError("unexpected trailing input %r" % tok.text, tok.pos)
+        if self.tok[0] != "end":
+            raise ParseError("unexpected trailing input %r" % self.tok[1], self.tok[2])
         # A chain of & or | nests to the left without nesting calls. A tree's
         # depth, the most operators on a path from its root, is never more
         # than its token count.
@@ -364,80 +361,60 @@ class _Parser:
         its connective's right side, so -> associates to the right, & and |
         to the left."""
         f = self.unary()
-        while (infix := self.INFIX.get(self.tok.kind)) and infix.precedence >= level:
+        while (infix := self.INFIX.get(self.tok[0])) and infix.precedence >= level:
             self.advance()
             f = infix(f, self.nest(self.impl, infix.sides[1]))
         return f
 
-    def agents(self, closing, what):
-        names = [self.expect("ident", "agent name").text]
-        while self.tok.kind == ",":
-            self.advance()
-            names.append(self.expect("ident", "agent name").text)
-        self.expect(closing, what)
-        return names
-
     def unary(self):
-        tok = self.tok
-        if tok.kind == "!":
+        kind, prefix, _ = self.tok
+        if kind == "!":
             self.advance()
             return Not(self.nest(self.unary))
-        if tok.kind == "ident" and tok.text in ("K", "P") and self.tokens[self.index + 1].kind == "{":
+        if (prefix, "") in self.MODAL and self.tokens[self.index + 1][0] == "{":
             self.advance()
+        elif kind != "<" and kind != "[":
+            return self.atomish()
+        self.advance()
+        names = [self.expect("ident", "agent name")]
+        while self.tok[0] == ",":
             self.advance()
-            names = self.agents("}", "'}'")
-            operand = self.nest(self.unary)
-            return Know(names, operand) if tok.text == "K" else Possible(names, operand)
-        if tok.kind == "<":
-            self.advance()
-            names = self.agents(">", "'>'")
-            return self.tail(names, dual=False)
-        if tok.kind == "[":
-            self.advance()
-            names = self.agents("]", "']'")
-            return self.tail(names, dual=True)
-        return self.atomish()
-
-    def tail(self, names, dual):
-        tok = self.tok
-        if tok.kind == "ident" and tok.text in ("X", "F", "G"):
-            self.advance()
-            return self.UNARY_MODAL[(tok.text, dual)](names, self.nest(self.unary))
-        if tok.kind == "(":
+            names.append(self.expect("ident", "agent name"))
+        self.expect(self.CLOSING[prefix])
+        modal = self.MODAL.get((prefix, ""))
+        if modal:
+            return modal(names, self.nest(self.unary))
+        binary = self.tok[0] == "("
+        if binary:
             self.advance()
             left = self.nest(self.impl)
-            op = self.tok
-            if op.kind != "ident" or op.text not in ("U", "W"):
-                raise ParseError("expected 'U' or 'W', found %r" % (op.text or "end of input"), op.pos)
-            self.advance()
-            right = self.nest(self.impl)
-            self.expect(")", "')'")
-            if op.text == "U":
-                return (DualUntil if dual else Until)(names, left, right)
-            return (DualWeakUntil if dual else WeakUntil)(names, left, right)
-        raise ParseError(
-            "expected 'X', 'F', 'G' or '(' after coalition, found %r" % (tok.text or "end of input"),
-            tok.pos)
+        modal = self.MODAL.get((prefix, self.tok[1]))
+        if modal is None or issubclass(modal, _Binary) != binary:
+            self.fail("'U' or 'W'" if binary else "'X', 'F', 'G' or '(' after coalition")
+        self.advance()
+        if not binary:
+            return modal(names, self.nest(self.unary))
+        right = self.nest(self.impl)
+        self.expect(")")
+        return modal(names, left, right)
 
     def atomish(self):
-        tok = self.tok
-        if tok.kind == "ident":
+        kind, text, _ = self.tok
+        if kind == "ident":
             self.advance()
-            if tok.text == "true":
-                return TrueConst()
-            if tok.text == "false":
-                return FalseConst()
-            return Atom(tok.text)
-        if tok.kind == "(":
+            return self.CONSTANTS[text]() if text in self.CONSTANTS else Atom(text)
+        if kind == "(":
             self.advance()
             f = self.nest(self.impl)
-            self.expect(")", "')'")
+            self.expect(")")
             return f
-        raise ParseError("expected a formula, found %r" % (tok.text or "end of input"), tok.pos)
+        self.fail("a formula")
 
 
 def parse_formula(text):
     """Parse the ASCII surface syntax into a Formula tree."""
+    if not isinstance(text, str):
+        raise FormulaError("formula text must be a string, not %s" % type(text).__name__)
     return _Parser(text).parse()
 
 

@@ -162,6 +162,13 @@ class TestParseErrors:
         assert err.value.position == position
         assert str(err.value) == "syntax error at position %d: %s" % (position, message)
 
+    @pytest.mark.parametrize("text", [b"p", 5, None, ["p"]])
+    def test_text_that_is_not_a_string(self, text):
+        with pytest.raises(FormulaError) as err:
+            parse_formula(text)
+        assert type(err.value) is FormulaError
+        assert str(err.value) == "formula text must be a string, not %s" % type(text).__name__
+
 
 class TestNestingDepth:
     """Formulas nest at most fm.MAX_DEPTH operators deep, however they nest:
