@@ -10,8 +10,8 @@ from .arena import CheckerError, StateCapExceeded  # noqa: F401 (StateCapExceede
 from .arena import _state_names
 from .emptiness import check_until_nonempty, check_weak_nonempty, extract_witness_strategy
 from .epistemic_split import label_knowledge, label_next, split
-from .strategy_automata import (UNTIL, WEAK_UNTIL, build_until_automaton,
-                                build_weak_until_automaton, level_automaton)
+from .strategy_automata import (UNTIL, WEAK_UNTIL, TreeAutomaton, build_until_automaton,
+                                build_weak_until_automaton)
 
 DEFAULT_STATE_CAP = 10 ** 6
 
@@ -145,7 +145,7 @@ def label_step(arena, chi, prop, state_cap=DEFAULT_STATE_CAP):
             else:
                 case, build, decide = WEAK_UNTIL, build_weak_until_automaton, check_weak_nonempty
             inits = {s: build(hat, p1, p2, s).init for s in hat.ksets}
-            game = level_automaton(case, hat, p1, p2)
+            game = TreeAutomaton(case, hat, p1, p2)
             solution = decide(game)[1]
             truth = {s: init in solution.winning for s, init in inits.items()}
 

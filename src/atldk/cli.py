@@ -18,13 +18,7 @@ from .checker import (
 from .emptiness import check_until_nonempty, check_weak_nonempty
 from .epistemic_split import split as split_arena
 from .formula import FormulaError, parse_formula
-from .strategy_automata import (
-    UNTIL,
-    WEAK_UNTIL,
-    build_until_automaton,
-    build_weak_until_automaton,
-    to_dot,
-)
+from .strategy_automata import UNTIL, WEAK_UNTIL, TreeAutomaton, to_dot
 
 FORMAT_HUMAN = "human"
 FORMAT_JSON = "json"
@@ -36,11 +30,8 @@ EXIT_ERROR = 2
 
 _ERRORS = (ArenaError, FormulaError, CheckerError, OSError, ValueError)
 
-# Per goal kind: the automaton builder and its emptiness solver.
-_GOALS = {
-    UNTIL: (build_until_automaton, check_until_nonempty),
-    WEAK_UNTIL: (build_weak_until_automaton, check_weak_nonempty),
-}
+# Per goal kind, its emptiness solver.
+_GOALS = {UNTIL: check_until_nonempty, WEAK_UNTIL: check_weak_nonempty}
 
 
 def _note(message):
@@ -253,9 +244,8 @@ def automaton(arena_path, coalition_text, kind, p1, p2, kset_text, fmt, state_ca
     for p in (p1, p2):
         if p not in hat.source.props:
             raise ArenaError("unknown goal prop %s" % p)
-    build, decide = _GOALS[kind]
-    built = build(hat, p1, p2, source)
-    nonempty, solution = decide(built)
+    built = TreeAutomaton(kind, hat, p1, p2, source)
+    nonempty, solution = _GOALS[kind](built)
     language = "nonempty" if nonempty else "EMPTY"
     if fmt == FORMAT_DOT:
         _emit(to_dot(built, annotation="language %s" % language), out_path)

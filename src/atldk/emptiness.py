@@ -24,8 +24,10 @@ class GameSolution:
         self.choice = choice
 
 
-def _attractor(automaton, target, coalition):
-    """The attractor to target for one side, swept in state order until stable.
+def _attractor(automaton, coalition):
+    """The attractor for one side, swept in state order until stable: the
+    coalition's to the settled states (until), the environment's to BOT
+    (weak until).
 
     On the coalition side a state joins when some action keeps all its
     successors inside the region; on the environment side when no action keeps
@@ -39,10 +41,10 @@ def _attractor(automaton, target, coalition):
     """
     # Listing the states first: the walk numbers the states it meets.
     states, table, alphabet = automaton.states, automaton.rows, automaton.alphabet
-    region = bytearray(len(table.pairs))
-    for state in target:
-        region[state] = 1
     settled, inside = table.settled, 1 if coalition else 0
+    # BOT is never settled, so until's seed leaves it out.
+    region = bytearray(settled) if coalition else bytearray(len(settled))
+    region[BOT] = not coalition
     unsettled = [(s, table[s][1]) for s in states if not settled[s]]
     choice = {}
     changed = True
@@ -65,7 +67,7 @@ def check_until_nonempty(automaton):
     """Coalition attractor to the discharged states: the automaton accepts some
     tree iff the initial state can force every path into an obligation-free
     state. The failure state only leads to itself, so it never joins."""
-    region, choice = _attractor(automaton, automaton.targets(), coalition=True)
+    region, choice = _attractor(automaton, coalition=True)
     solution = GameSolution([s for s in automaton.states if region[s]], choice)
     return automaton.init in solution.winning, solution
 
@@ -74,7 +76,7 @@ def check_weak_nonempty(automaton):
     """Complement of the environment attractor to the failure state: the
     automaton accepts some tree iff the initial state can keep every path away
     from it."""
-    losing, choice = _attractor(automaton, [BOT], coalition=False)
+    losing, choice = _attractor(automaton, coalition=False)
     winning = [s for s in automaton.states if not losing[s]]
     action = _action(automaton, choice)
     return automaton.init in winning, GameSolution(winning, {s: action(s) for s in winning})

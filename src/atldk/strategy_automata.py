@@ -31,18 +31,25 @@ class TreeAutomaton:
     """A goal automaton: states, coalition-action alphabet, total transition
     function, the initial state, and an occurrence acceptance kind.
 
-    rows is the hat's goal table for (p1, p2), which numbers the states. On
-    first read, states lists the table breadth-first from starts (init, or
-    every kset's initial state for the level game, which expands no settled
-    state). Sets of state names appear only in pretty's text."""
+    rows is the hat's goal table for (p1, p2), which numbers the states and is
+    made on first use. Given a kset, the automaton is that kset's view: init is
+    the kset's initial state, and states lists the table breadth-first from it
+    on first read. Given none, it is the level's goal game: it has no init and
+    starts at every kset's initial state in hat.ksets order, listing settled
+    states without expanding them, since the solve never reads their rows.
+    Each kset's part is closed, so one solve decides every kset. The coalition
+    is the hat's; the goal props and the kset are the hat's, taken on trust
+    (tests/oracles.py level_failures checks it). Sets of state names appear
+    only in pretty's text."""
 
-    def __init__(self, kind, hat, rows, init, starts=None):
-        self.kind = kind
-        self.hat, self.p1, self.p2 = hat, rows.p1, rows.p2
-        self.init = init
+    def __init__(self, kind, hat, p1, p2, kset=None):
+        self.kind, self.hat, self.p1, self.p2 = kind, hat, p1, p2
         self.alphabet = hat.view.actions
-        self.rows = rows
-        self._starts = (init,) if starts is None else starts
+        if (p1, p2) not in hat._goal_tables:
+            hat._goal_tables[(p1, p2)] = _GoalTable(hat, p1, p2)
+        self.rows = rows = hat._goal_tables[(p1, p2)]
+        self.init = None if kset is None else rows.initial(kset)
+        self._starts = [rows.initial(s) for s in hat.ksets] if kset is None else (self.init,)
 
     @cached_property
     def states(self):
@@ -58,6 +65,7 @@ class TreeAutomaton:
         return self.rows.settled[state] == 1
 
     def targets(self):
+        """The listed settled states (the until solve seeds all of rows.settled)."""
         settled = self.rows.settled
         return [s for s in self.states if settled[s]]
 
@@ -70,21 +78,11 @@ class TreeAutomaton:
 
 
 def build_until_automaton(hat, p1, p2, kset):
-    return _build(UNTIL, hat, p1, p2, kset)
+    return TreeAutomaton(UNTIL, hat, p1, p2, kset)
 
 
 def build_weak_until_automaton(hat, p1, p2, kset):
-    return _build(WEAK_UNTIL, hat, p1, p2, kset)
-
-
-def _build(kind, hat, p1, p2, kset):
-    """Shared construction; until and weak-until differ only in acceptance.
-    The coalition is the hat's. Only the initial state is computed here: the
-    automaton is the part of the hat's goal table for (p1, p2) reachable from
-    it, listed on first read. The goal props and the kset are the hat's, taken
-    on trust (tests/oracles.py level_failures checks it)."""
-    table = _GoalTable.of(hat, p1, p2)
-    return TreeAutomaton(kind, hat, table, table.initial(kset))
+    return TreeAutomaton(WEAK_UNTIL, hat, p1, p2, kset)
 
 
 class _GoalTable(dict):
@@ -95,12 +93,6 @@ class _GoalTable(dict):
     masks. A row does not depend on the kset a walk started from, so every
     kset and both acceptance kinds share it. The hat's limit bounds the rows,
     as it bounds the refined states."""
-
-    @classmethod
-    def of(cls, hat, p1, p2):
-        if (p1, p2) not in hat._goal_tables:
-            hat._goal_tables[(p1, p2)] = cls(hat, p1, p2)
-        return hat._goal_tables[(p1, p2)]
 
     def __init__(self, hat, p1, p2):
         super().__init__()
@@ -179,16 +171,6 @@ def _walk(table, inits, settled=None):
                     frontier.append(t)
         order += frontier
     return order
-
-
-def level_automaton(kind, hat, p1, p2):
-    """The level's goal game: the automaton over the states reachable from each
-    kset's initial state rows.initial(kset), kset by kset in hat.ksets order,
-    with no init, listing settled states without expanding them: the solve
-    never reads their rows. Each kset's part is closed, so one solve decides
-    every kset."""
-    table = _GoalTable.of(hat, p1, p2)
-    return TreeAutomaton(kind, hat, table, None, [table.initial(s) for s in hat.ksets])
 
 
 def to_dot(automaton, annotation=None):

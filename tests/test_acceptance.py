@@ -14,8 +14,8 @@ import atldk.formula as fm
 from atldk import load_alicebob, model_check
 from atldk.emptiness import check_until_nonempty, check_weak_nonempty
 from atldk.epistemic_split import split
-from atldk.strategy_automata import (BOT, UNTIL, WEAK_UNTIL, build_until_automaton,
-                                     build_weak_until_automaton, level_automaton)
+from atldk.strategy_automata import (BOT, UNTIL, WEAK_UNTIL, TreeAutomaton,
+                                     build_until_automaton, build_weak_until_automaton)
 from oracles import (
     atl_next,
     atl_until,
@@ -149,7 +149,7 @@ def test_criterion_4_oracle_equivalence(batch):
                     (UNTIL, build_until_automaton, check_until_nonempty, until_accept),
                     (WEAK_UNTIL, build_weak_until_automaton, check_weak_nonempty,
                      weak_accept)):
-                level = decide(level_automaton(kind, hat, p1, p2))[1]
+                level = decide(TreeAutomaton(kind, hat, p1, p2))[1]
                 for s in sorted(hat.ksets, key=lambda k: sorted(states_of(g, k))):
                     automaton = build(hat, p1, p2, s)
                     fast = decide(automaton)[0]

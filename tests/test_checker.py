@@ -27,7 +27,7 @@ from atldk.checker import MODAL_CASES, _eval_boolean, bind_formula, label_step
 from atldk.epistemic_split import label_knowledge, split
 from atldk.emptiness import check_until_nonempty, check_weak_nonempty
 from atldk.strategy_automata import (TreeAutomaton, build_until_automaton,
-                                     build_weak_until_automaton, level_automaton)
+                                     build_weak_until_automaton)
 from oracles import (BUILDERS, build_failures, chi_failures, construction_failures, delta,
                      family_f, hat_state_of, initialized_runs, knowledge_oracle, level_failures,
                      level_truth, mask_of, random_arena, random_coalition, state_pairs,
@@ -304,7 +304,7 @@ class TestStateCapContract:
     def test_goal_table(self, goal_cap_arena):
         source = model_check(goal_cap_arena, GOAL_CAP_TEXT).table.levels[-2].arena
         hat = split(source, ["a1"], limit=714)
-        self.raised(lambda: level_automaton("until", hat, "p#1", "p#3").states,
+        self.raised(lambda: TreeAutomaton("until", hat, "p#1", "p#3").states,
                     r"^state cap exceeded: goal table \(p#1, p#3\) for \{a1\} "
                     r"needs more than 714 rows$")
 
@@ -336,7 +336,7 @@ class TestHistorySemantics:
         weak = operator == "W"
         text = "<%s>(%s %s %s)" % (",".join(coalition), p1, operator, p2)
         level = model_check(g, text).table.levels[-1]
-        game = level_automaton(level.case, level.hat, p1, p2)
+        game = TreeAutomaton(level.case, level.hat, p1, p2)
         depth = min(len(game.states), cls.MAX_DEPTH)
         runs = initialized_runs(g, 1)
         expected = until_oracle(g, coalition, p1, p2, runs, depth, weak=weak)
@@ -601,7 +601,7 @@ class TestLazyViews:
                 reached = set(state_pairs(rows, (rows.initial(s) for s in fresh.ksets))) | {
                     rows.pairs[t] for q in rows if not settled(rows.pairs[q]) for t in rows[q][2]}
                 assert set(listed) == set(unsettled) | {q for q in reached if settled(q)}, case
-                fresh_game = level_automaton(level.case, fresh, p1, p2)
+                fresh_game = TreeAutomaton(level.case, fresh, p1, p2)
                 assert state_pairs(rows, fresh_game.states) == listed, case
 
 

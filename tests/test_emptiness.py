@@ -9,8 +9,8 @@ from atldk import load_alicebob, load_arena, model_check
 from atldk.emptiness import (_WitnessMachine, check_until_nonempty, check_weak_nonempty,
                              extract_witness_strategy)
 from atldk.epistemic_split import split
-from atldk.strategy_automata import (BOT, WEAK_UNTIL, build_until_automaton,
-                                     build_weak_until_automaton, level_automaton)
+from atldk.strategy_automata import (BOT, WEAK_UNTIL, TreeAutomaton, build_until_automaton,
+                                     build_weak_until_automaton)
 from oracles import (
     OracleGuardExceeded,
     acceptance_batches,
@@ -264,7 +264,7 @@ class TestChoiceGames:
             coalition = random_coalition(rng)
             props = sorted(g.props)
             hat = split(g, coalition)
-            automaton = level_automaton(WEAK_UNTIL, hat, rng.choice(props), rng.choice(props))
+            automaton = TreeAutomaton(WEAK_UNTIL, hat, rng.choice(props), rng.choice(props))
             choice = check_weak_nonempty(automaton)[1].choice
             assert list(choice) == [s for s in automaton.states if s in choice], seed
 

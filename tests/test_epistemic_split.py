@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import atldk.formula as fm
 from atldk import ArenaError, StateCapExceeded, load_alicebob, load_arena, model_check
@@ -283,6 +283,8 @@ class TestNextLabels:
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10 ** 6))
+    # Seed 5 draws a kset whose lowest member alone decides it wrongly.
+    @example(5)
     def test_matches_run_enumeration_oracle(self, seed):
         rng = random.Random(seed)
         g = random_arena(rng, max_states=3)

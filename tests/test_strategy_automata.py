@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from atldk import load_alicebob, model_check
 from atldk.epistemic_split import split
-from atldk.strategy_automata import (BOT, build_until_automaton, build_weak_until_automaton,
-                                     level_automaton, to_dot)
+from atldk.strategy_automata import (BOT, TreeAutomaton, build_until_automaton,
+                                     build_weak_until_automaton, to_dot)
 from oracles import (as_sets, classes, coalition_actions, delta, extensions, goal_state, mask_of,
                      numbering_failures, obs, pair_as_sets, random_arena, random_coalition,
                      reference_goal_initial, reference_goal_row, state_pairs, states_of, succ,
@@ -279,7 +279,7 @@ class TestReferenceRows:
                             reached = {t for c in extensions(source, coalition, c_a) if pairs
                                        for q in sets(state)[0] for t in succ(source, q, c)}
                             discharges += any(p2 in source.labels[t] for t in reached)
-                    game = level_automaton(level.case, hat, p1, p2)
+                    game = TreeAutomaton(level.case, hat, p1, p2)
                     states = state_pairs(table, game.states)
                     assert set(states) <= set(wants), case
                     assert set(state_pairs(table, unsettled)) == {
