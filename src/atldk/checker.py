@@ -154,14 +154,22 @@ def label_step(arena, chi, prop, state_cap=DEFAULT_STATE_CAP):
                       solution=solution, elapsed=time.monotonic() - started)
 
 
+@fm._memo
+def _vocabulary(f):
+    """The formula's coalitions and atom names, kept per formula."""
+    nodes = list(fm._nodes(f))
+    return (frozenset([n.coalition for n in nodes if isinstance(n, fm._Coalitional)]),
+            frozenset([n.name for n in nodes if isinstance(n, fm.Atom)]))
+
+
 def bind_formula(arena, f):
     """Check that the formula's coalitions and atoms exist in the arena."""
-    nodes = list(fm._nodes(f))
-    for coalition in {node.coalition for node in nodes if isinstance(node, fm._Coalitional)}:
+    coalitions, atoms = _vocabulary(f)
+    for coalition in coalitions:
         unknown = coalition.difference(arena.agents)
         if unknown:
             raise CheckerError("unknown coalition members %s in %s" % (sorted(unknown), f))
-    missing = {node.name for node in nodes if isinstance(node, fm.Atom)} - arena.props
+    missing = atoms - arena.props
     if missing:
         raise CheckerError("unknown props in formula: %s" % sorted(missing))
 

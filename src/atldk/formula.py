@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
+from collections import namedtuple
 
 
 class FormulaError(Exception):
@@ -37,7 +39,8 @@ class Formula:
     Every node is a tag, a head (an atom's name or a coalition; empty for the
     other nodes) and its children; key() holds the three, children as nodes,
     and _rebuild() derives from them. Nodes never change after __init__: each
-    builds its key and hash once.
+    builds its key and hash once, and equal nodes are interchangeable, so the
+    front end hands out one shared node or result for all equal inputs.
     """
 
     tag = None
@@ -272,6 +275,9 @@ _WORD = re.compile(r"\w*")
 # per level, which this keeps well inside Python's default recursion limit.
 MAX_DEPTH = 100
 
+# Each front-end memo keeps the results of its last 256 distinct inputs, never an error.
+_memo = functools.lru_cache(maxsize=256)
+
 
 def _tokenize(text):
     """A (kind, text, position) tuple per token, the end token last."""
@@ -412,9 +418,14 @@ class _Parser:
 
 
 def parse_formula(text):
-    """Parse the ASCII surface syntax into a Formula tree."""
+    """Parse the ASCII surface syntax into a Formula tree, shared by equal texts."""
     if not isinstance(text, str):
         raise FormulaError("formula text must be a string, not %s" % type(text).__name__)
+    return _parse(text)
+
+
+@_memo
+def _parse(text):
     return _Parser(text).parse()
 
 
@@ -424,34 +435,41 @@ def parse_formula(text):
 
 def desugar(f):
     """Rewrite to the core fragment: atoms, true, false, !, &, <A>X, <A>U, <A>W, K."""
+    return _desugar_memo(f) if isinstance(f, Formula) else _desugar(f)
+
+
+def _desugar(f):
     if isinstance(f, CORE_KINDS):
         children = f.children()
-        core = [desugar(c) for c in children]
+        core = [_desugar(c) for c in children]
         # Nodes never change, so one over unchanged children is its own core form.
         return f if all(map(operator.is_, core, children)) else f._rebuild(core)
     if isinstance(f, Or):
-        return Not(And(Not(desugar(f.left)), Not(desugar(f.right))))
+        return Not(And(Not(_desugar(f.left)), Not(_desugar(f.right))))
     if isinstance(f, Implies):
-        return Not(And(desugar(f.left), Not(desugar(f.right))))
+        return Not(And(_desugar(f.left), Not(_desugar(f.right))))
     if isinstance(f, Possible):
-        return Not(Know(f.coalition, Not(desugar(f.operand))))
+        return Not(Know(f.coalition, Not(_desugar(f.operand))))
     if isinstance(f, Eventually):
-        return Until(f.coalition, TrueConst(), desugar(f.operand))
+        return Until(f.coalition, TrueConst(), _desugar(f.operand))
     if isinstance(f, Globally):
-        return WeakUntil(f.coalition, desugar(f.operand), FalseConst())
+        return WeakUntil(f.coalition, _desugar(f.operand), FalseConst())
     if isinstance(f, DualNext):
-        return Not(Next(f.coalition, Not(desugar(f.operand))))
+        return Not(Next(f.coalition, Not(_desugar(f.operand))))
     if isinstance(f, (DualUntil, DualWeakUntil)):
         # [A](l U r) = !<A>(!r W (!r & !l)), and [A](l W r) = !<A>(!r U (!r & !l)).
         goal = WeakUntil if isinstance(f, DualUntil) else Until
-        left = desugar(f.left)
-        right = desugar(f.right)
+        left = _desugar(f.left)
+        right = _desugar(f.right)
         return Not(goal(f.coalition, Not(right), And(Not(right), Not(left))))
     if isinstance(f, DualEventually):
-        return desugar(DualUntil(f.coalition, TrueConst(), f.operand))
+        return _desugar(DualUntil(f.coalition, TrueConst(), f.operand))
     if isinstance(f, DualGlobally):
-        return desugar(DualWeakUntil(f.coalition, f.operand, FalseConst()))
+        return _desugar(DualWeakUntil(f.coalition, f.operand, FalseConst()))
     raise FormulaError("cannot desugar node of type %s" % type(f).__name__)
+
+
+_desugar_memo = _memo(_desugar)
 
 
 # ---------------------------------------------------------------------------
@@ -460,34 +478,27 @@ def desugar(f):
 FRESH_MARK = "#"
 
 
-def fresh_prop(k):
-    """Name of the fresh labeling prop for the k-th subformula (1-based)."""
-    return "p%s%d" % (FRESH_MARK, k)
-
-
-class SubformulaEntry:
-    """One enumerated subformula: its tree, its fresh prop, and its reduced form chi."""
-
-    def __init__(self, index, subformula, prop, chi):
-        self.index = index
-        self.formula = subformula
-        self.prop = prop
-        self.chi = chi
-
-    def __repr__(self):
-        return "SubformulaEntry(%d, %s, chi=%s)" % (self.index, self.formula, self.chi)
+# An enumerated subformula, with its 1-based index, fresh prop and reduced form chi.
+SubformulaEntry = namedtuple("SubformulaEntry", "index formula prop chi")
 
 
 def enumerate_subformulas(f):
     """Enumerate subformulas of a core formula (desugar's output) in postorder,
-    each occurring once, as a list of SubformulaEntry.
+    each occurring once, as a new list per call of shared entries that never change.
 
     chi_k is phi_k with every proper subformula replaced by its fresh atom, so each
     chi_k is a single connective over atoms and contains at most one modality.
     """
+    if not isinstance(f, Formula):
+        raise FormulaError("cannot enumerate %s, which is not a Formula" % type(f).__name__)
+    return list(_enumeration(f))
+
+
+@_memo
+def _enumeration(f):
     entries = {}
     _enter(f, entries)
-    return list(entries.values())
+    return tuple(entries.values())
 
 
 def _enter(node, entries):
@@ -496,5 +507,6 @@ def _enter(node, entries):
     if entry is None:
         atoms = [Atom(_enter(c, entries).prop) for c in node.children()]
         k = len(entries) + 1
-        entry = entries[node] = SubformulaEntry(k, node, fresh_prop(k), node._rebuild(atoms))
+        prop = "p%s%d" % (FRESH_MARK, k)
+        entry = entries[node] = SubformulaEntry(k, node, prop, node._rebuild(atoms))
     return entry

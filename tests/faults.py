@@ -124,4 +124,37 @@ FAULTS = [
           ("tests/test_emptiness.py::TestWeakSolver::test_failed_start_is_empty",
            "tests/test_checker.py::TestHistorySemantics::test_goal_labels_match_the_run_search[W]",
            "tests/test_cli_golden.py::test_invocation_matches_golden[automaton-weak-human]")),
+    # desugar reads its memo before checking that its argument is a Formula,
+    # so an unhashable argument raises TypeError.
+    Fault("src/atldk/formula.py",
+          "return _desugar_memo(f) if isinstance(f, Formula) else _desugar(f)",
+          "return _desugar_memo(f)",
+          ("tests/test_formula.py::TestFrontEndMemo"
+           "::test_what_is_not_a_formula_is_a_formula_error",)),
+    # enumerate_subformulas hands out its memo's entries themselves, not a
+    # new list per call.
+    Fault("src/atldk/formula.py", "return list(_enumeration(f))", "return _enumeration(f)",
+          ("tests/test_formula.py::TestFrontEndMemo"
+           "::test_a_changed_enumeration_leaves_the_next_call_alone",)),
+    # A refined id lists its kset's members sorted by name, not in source
+    # state order.
+    Fault("src/atldk/epistemic_split.py", "\",\".join(_state_names(source, s))",
+          "\",\".join(sorted(_state_names(source, s)))",
+          ("tests/test_epistemic_split.py::TestRefinedIds"
+           "::test_every_id_is_its_base_and_kset_members_in_source_order",)),
+    # with_prop writes the new prop into its source's labels dict.
+    Fault("src/atldk/arena.py", "derived.labels = labels = dict(self.labels)",
+          "derived.labels = labels = self.labels",
+          ("tests/test_arena.py::TestWithProp"
+           "::test_labels_only_the_true_states_and_leaves_the_source_alone",)),
+    # A boolean level decides truth once per label size, not once per label.
+    Fault("src/atldk/checker.py",
+          "keys = arena.labels.items()\n"
+          "        truth = {label: _eval_boolean(chi, label)"
+          " for label in set(arena.labels.values())}",
+          "keys = [(q, len(label)) for q, label in arena.labels.items()]\n"
+          "        truth = {len(label): _eval_boolean(chi, label)"
+          " for label in set(arena.labels.values())}",
+          ("tests/test_checker.py::TestLabelStep"
+           "::test_boolean_levels_label_where_the_pointwise_evaluation_holds",)),
 ]

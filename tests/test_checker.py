@@ -682,6 +682,23 @@ class TestVerdict:
         assert all(set(lvl) == {"k", "case", "states", "labeled"} for lvl in doc["levels"])
         assert doc["initial"] == [{"state": "q0@{q0}", "label": True}]
         json.dumps(doc)
+        assert len(example_verdict.table) == len(doc["levels"])
+
+    def test_a_parsed_formula_and_an_equal_built_one_give_one_verdict(self, corpus):
+        """The front end hands equal formulas one shared result, whichever
+        came first: text, a hand-built tree, or the text again."""
+        built = fm.Or(fm.WeakUntil(AB, fm.Atom("valid"), fm.And(fm.Atom("c"), fm.Atom("s"))),
+                      fm.Know(["Bob"], fm.Not(fm.Atom("s"))))
+        text = "<Bob,Alice>(valid W (c & s)) | K{Bob} !s"
+        verdicts = [model_check(corpus, f) for f in (built, text, built, "(%s)" % text)]
+        first = verdicts[0]
+        strategy = first.witness().to_document()
+        for verdict in verdicts:
+            assert verdict.formula == "<Alice,Bob>(valid W c & s) | K{Bob} !s"
+            assert verdict.to_document() == first.to_document()
+            assert [(level.chi, level.arena.labels) for level in verdict.table] == [
+                (level.chi, level.arena.labels) for level in first.table]
+            assert verdict.witness().to_document() == strategy
 
     def test_witness_for_positive_until(self, example_verdict):
         strategy = example_verdict.witness()

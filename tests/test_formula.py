@@ -388,7 +388,8 @@ class TestNodeKeys:
     def test_separately_built_nodes_compare_and_hash_equal(self):
         texts = ["<a,b>(p U !q)", "K{b,a} <a>X (p & q)", "!(p & true) & false", "<a>(p W q)"]
         for text in texts:
-            first, second = parse_formula(text), parse_formula(text)
+            # parse_formula shares one tree per text; the parser builds anew.
+            first, second = fm._Parser(text).parse(), fm._Parser(text).parse()
             hash(first)  # a kept hash meets one built on first use
             assert first == second and second == first, text
             assert hash(first) == hash(second) == hash(first.key()), text
@@ -410,6 +411,75 @@ class TestNodeKeys:
         assert [e.formula for e in entries].count(fm.Not(fm.Atom("r"))) == 1
         assert [str(e.chi) for e in entries] == [
             "r", "!p#1", "l", "!p#3", "p#2 & p#4", "<a>(p#2 W p#5)", "!p#6"]
+
+
+class TestFrontEndMemo:
+    """parse_formula, desugar and enumerate_subformulas keep their results per
+    distinct input; what they hand out serves every equal input, and a
+    rejected input is rejected every time."""
+
+    @pytest.mark.parametrize("f", ["p", 5, None, ["p"], {"p": 1}], ids=repr)
+    def test_what_is_not_a_formula_is_a_formula_error(self, f):
+        for _ in range(2):
+            with pytest.raises(FormulaError) as err:
+                desugar(f)
+            assert str(err.value) == "cannot desugar node of type %s" % type(f).__name__
+            with pytest.raises(FormulaError) as err:
+                enumerate_subformulas(f)
+            assert str(err.value) == "cannot enumerate %s, which is not a Formula" % (
+                type(f).__name__)
+
+    def test_a_node_of_no_connective_cannot_be_desugared(self):
+        with pytest.raises(FormulaError, match="^cannot desugar node of type Formula$"):
+            desugar(fm.Formula())
+
+    def test_an_atom_needs_a_name(self):
+        with pytest.raises(FormulaError, match="^empty atom name$"):
+            fm.Atom("")
+
+    def test_nodes_and_entries_print(self):
+        assert repr(parse_formula("<b,a>(p U !q)")) == "Until(<a,b>(p U !q))"
+        assert [repr(entry) for entry in enumerate_subformulas(parse_formula("!p"))] == [
+            "SubformulaEntry(index=1, formula=Atom(p), prop='p#1', chi=Atom(p))",
+            "SubformulaEntry(index=2, formula=Not(!p), prop='p#2', chi=Not(!p#1))"]
+
+    def test_equal_inputs_share_one_result(self):
+        text = "<a>G (p | K{b} q5)"
+        f = parse_formula(text)
+        assert parse_formula(text) is f and parse_formula(" " + text) == f
+        built = fm.Globally(["a"], fm.Or(fm.Atom("p"), fm.Know(["b"], fm.Atom("q5"))))
+        assert built == f and built is not f
+        core = desugar(built)
+        assert desugar(f) is core and desugar(core) is core
+        assert enumerate_subformulas(core) == enumerate_subformulas(desugar(built))
+
+    def test_only_the_outermost_desugar_call_is_kept(self):
+        """desugar's rewrite recurses without its memo, so a formula leaves
+        one memo entry, not one per subformula."""
+        before = fm._desugar_memo.cache_info()
+        desugar(parse_formula("[a](p1 U (p2 | p3)) -> <a>G P{a} p4"))
+        after = fm._desugar_memo.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses + 1)
+
+    def test_a_changed_enumeration_leaves_the_next_call_alone(self):
+        core = desugar(parse_formula("K{a} <a>X (p & q)"))
+        first = enumerate_subformulas(core)
+        kept = list(first)
+        first.reverse()
+        del first[1:]
+        again = enumerate_subformulas(core)
+        assert type(again) is list and again is not first
+        assert again == kept and [entry.prop for entry in again] == ["p#1", "p#2", "p#3", "p#4",
+                                                                      "p#5"]
+
+    def test_a_bad_text_raises_the_same_error_each_time(self):
+        raised = []
+        for _ in range(2):
+            with pytest.raises(ParseError) as err:
+                parse_formula("<a>(p U")
+            raised.append((str(err.value), err.value.position))
+        assert raised == [("syntax error at position 7: expected a formula, "
+                           "found 'end of input'", 7)] * 2
 
 
 def _count_modalities(f):
