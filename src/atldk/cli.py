@@ -18,7 +18,7 @@ from .checker import (
 from .emptiness import check_until_nonempty, check_weak_nonempty
 from .epistemic_split import split as split_arena
 from .formula import FormulaError, parse_formula
-from .strategy_automata import UNTIL, WEAK_UNTIL, TreeAutomaton, to_dot
+from .strategy_automata import BOT, UNTIL, WEAK_UNTIL, TreeAutomaton
 
 FORMAT_HUMAN = "human"
 FORMAT_JSON = "json"
@@ -246,13 +246,16 @@ def automaton(arena_path, coalition_text, kind, p1, p2, kset_text, fmt, state_ca
             raise ArenaError("unknown goal prop %s" % p)
     built = TreeAutomaton(kind, hat, p1, p2, source)
     nonempty, solution = _GOALS[kind](built)
-    language = "nonempty" if nonempty else "EMPTY"
     if fmt == FORMAT_DOT:
-        _emit(to_dot(built, annotation="language %s" % language), out_path)
-    elif fmt == FORMAT_JSON:
-        _emit(json.dumps(_automaton_document(built, source, nonempty), indent=2), out_path)
+        _emit(to_dot(built, "language %s" % ("nonempty" if nonempty else "EMPTY")), out_path)
+        return
+    doc = _automaton_document(built, source, nonempty)
+    if fmt == FORMAT_JSON:
+        _emit(json.dumps(doc, indent=2), out_path)
     else:
-        _emit("\n".join(_automaton_summary(built, source, nonempty, solution)), out_path)
+        choices = [(built.pretty(s), dict(zip(hat.view.members, solution.choice[s])))
+                   for s in built.states if s in solution.choice]
+        _emit("\n".join(_automaton_summary(doc, choices)), out_path)
 
 
 def _automaton_document(built, kset, nonempty):
@@ -260,7 +263,7 @@ def _automaton_document(built, kset, nonempty):
     observations = hat.view.observations
     transitions = []
     for state in built.states:
-        ranks, targets, _ = built.rows[state]
+        ranks, targets = built.rows[state]
         for c_a, rs, ts in zip(built.alphabet, ranks, targets):
             entry = {
                 "from": built.pretty(state),
@@ -282,29 +285,65 @@ def _automaton_document(built, kset, nonempty):
         "nonempty": nonempty,
         "initial": built.pretty(built.init),
         "states": [built.pretty(s) for s in built.states],
-        "targets": [built.pretty(s) for s in built.targets()],
+        "targets": [built.pretty(s) for s in built.states if built.is_target(s)],
         "transitions": transitions,
     }
 
 
-def _automaton_summary(built, kset, nonempty, solution):
-    hat = built.hat
+def _automaton_summary(doc, choices):
+    """The automaton document's summary lines, with the winning choices, as
+    (state text, action map) pairs, when the language is nonempty."""
     lines = [
-        "kind: %s" % built.kind,
-        "coalition: {%s}" % ",".join(sorted(hat.coalition)),
-        "kset: {%s}" % ",".join(_state_names(hat.source, kset)),
-        "goal props: (%s, %s)" % (built.p1, built.p2),
-        "states: %d" % len(built),
-        "initial: %s" % built.pretty(built.init),
-        "language: %s" % ("nonempty" if nonempty else "EMPTY"),
+        "kind: %s" % doc["kind"],
+        "coalition: {%s}" % ",".join(doc["coalition"]),
+        "kset: {%s}" % ",".join(doc["kset"]),
+        "goal props: (%s, %s)" % (doc["p1"], doc["p2"]),
+        "states: %d" % len(doc["states"]),
+        "initial: %s" % doc["initial"],
+        "language: %s" % ("nonempty" if doc["nonempty"] else "EMPTY"),
     ]
-    if nonempty:
+    if doc["nonempty"]:
         lines.append("winning choices:")
-        for state in built.states:
-            if state in solution.choice:
-                action = dict(zip(hat.view.members, solution.choice[state]))
-                lines.append("  %s: %s" % (built.pretty(state), _format_action(action)))
+        lines += ["  %s: %s" % (state, _format_action(action)) for state, action in choices]
     return lines
+
+
+def to_dot(automaton, annotation=None):
+    """Render the automaton as a dot graph: one node per state, edges grouped by
+    coalition action and labeled with the observed class. Nodes are named by
+    state number, not by text: two goal states can print alike."""
+    lines = ["digraph goal_automaton {", "  rankdir=LR;"]
+    title = "%s automaton, goals (%s, %s)" % (automaton.kind, automaton.p1, automaton.p2)
+    if annotation:
+        title += " [%s]" % annotation
+    lines.append('  label="%s";' % _escape(title))
+    names = {}
+    for i, state in enumerate(automaton.states):
+        names[state] = "n%d" % i
+        shape = "box" if state == BOT else "ellipse"
+        extra = ', peripheries=2' if automaton.is_target(state) else ""
+        style = ', style=filled, fillcolor=gray' if state == BOT else ""
+        lines.append('  %s [label="%s", shape=%s%s%s];'
+                     % (names[state], _escape(automaton.pretty(state)), shape, extra, style))
+        if state == automaton.init:
+            lines += ["  init [shape=point];", "  init -> %s;" % names[state]]
+    observations = automaton.hat.view.observations
+    for state in automaton.states:
+        ranks, targets = automaton.rows[state]
+        for c_a, rs, ts in zip(automaton.alphabet, ranks, targets):
+            act = ",".join(map(str, c_a)) if c_a else "-"
+            for r, t in zip(rs, ts):
+                obs = "{%s}" % ",".join(sorted(observations[r]))
+                lines.append('  %s -> %s [label="%s / %s"];'
+                             % (names[state], names[t], _escape(act), _escape(obs)))
+            if not rs:
+                lines.append('  %s -> %s [label="%s"];' % (names[state], names[BOT], _escape(act)))
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _escape(text):
+    return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
 @main.command()

@@ -114,7 +114,7 @@ class _WitnessMachine:
         if c_a is None:
             return ()
         k = self.index[c_a]
-        ranks, targets, _ = self.rows[state]
+        ranks, targets = self.rows[state]
         return zip(ranks[k], targets[k])
 
     def step(self, state, z):

@@ -56,18 +56,10 @@ class TreeAutomaton:
         return tuple(_walk(self.rows, self._starts,
                            self.rows.settled if self.init is None else None))
 
-    def __len__(self):
-        return len(self.states)
-
     def is_target(self, state):
         """Until acceptance visits a settled state, whose obligations are all
         discharged. It reaches only settled states, so it wins either kind."""
         return self.rows.settled[state] == 1
-
-    def targets(self):
-        """The listed settled states (the until solve seeds all of rows.settled)."""
-        settled = self.rows.settled
-        return [s for s in self.states if settled[s]]
 
     def pretty(self, state):
         """The state as ({pending},{kset}) with members in arena order, or bot."""
@@ -119,13 +111,12 @@ class _GoalTable(dict):
     def __missing__(self, state):
         """Expand the state's row: per coalition action index the ranks of the
         observations its outcomes split into, in rank order, and the successor
-        each class leads to, () and (BOT,) when the action fails; then the
-        distinct successors in first-seen order. A successor's kset is one
-        observation class of the outcomes and its pending set the part of that
-        class that pending states reach, less the discharged ones: coherent
-        and typed by construction (checked by tests/oracles.py
-        construction_failures). BOT's empty kset has no outcomes, so its row
-        fails on every action."""
+        each class leads to, () and (BOT,) when the action fails. A
+        successor's kset is one observation class of the outcomes and its
+        pending set the part of that class that pending states reach, less
+        the discharged ones: coherent and typed by construction (checked by
+        tests/oracles.py construction_failures). BOT's empty kset has no
+        outcomes, so its row fails on every action."""
         if self.limit is not None and len(self) >= self.limit:
             raise StateCapExceeded(
                 "state cap exceeded: goal table (%s, %s) for {%s} needs more than %d rows"
@@ -145,8 +136,7 @@ class _GoalTable(dict):
                 successors.append(number.get(pair) or self._number(pair))
             ranks.append(observed)
             targets.append(tuple(successors))
-        distinct = tuple(dict.fromkeys(chain.from_iterable(targets)))
-        row = self[state] = (tuple(ranks), tuple(targets), distinct)
+        row = self[state] = (tuple(ranks), tuple(targets))
         return row
 
 
@@ -165,48 +155,9 @@ def _walk(table, inits, settled=None):
         for state in frontier:
             if settled is not None and settled[state]:
                 continue
-            for t in table[state][2]:
+            for t in chain.from_iterable(table[state][1]):
                 if t not in seen:
                     seen.add(t)
                     frontier.append(t)
         order += frontier
     return order
-
-
-def to_dot(automaton, annotation=None):
-    """Render the automaton as a dot graph: one node per state, edges grouped by
-    coalition action and labeled with the observed class."""
-    lines = ["digraph goal_automaton {"]
-    lines.append("  rankdir=LR;")
-    title = "%s automaton, goals (%s, %s)" % (automaton.kind, automaton.p1, automaton.p2)
-    if annotation:
-        title += " [%s]" % annotation
-    lines.append('  label="%s";' % _escape(title))
-    names = {}
-    for i, state in enumerate(automaton.states):
-        names[state] = "n%d" % i
-        shape = "box" if state == BOT else "ellipse"
-        extra = ', peripheries=2' if automaton.is_target(state) else ""
-        style = ', style=filled, fillcolor=gray' if state == BOT else ""
-        lines.append('  %s [label="%s", shape=%s%s%s];'
-                     % (names[state], _escape(automaton.pretty(state)), shape, extra, style))
-        if state == automaton.init:
-            lines.append("  init [shape=point];")
-            lines.append("  init -> %s;" % names[state])
-    observations = automaton.hat.view.observations
-    for state in automaton.states:
-        ranks, targets, _ = automaton.rows[state]
-        for c_a, rs, ts in zip(automaton.alphabet, ranks, targets):
-            act = ",".join(map(str, c_a)) if c_a else "-"
-            for r, t in zip(rs, ts):
-                obs = "{%s}" % ",".join(sorted(observations[r]))
-                lines.append('  %s -> %s [label="%s / %s"];'
-                             % (names[state], names[t], _escape(act), _escape(obs)))
-            if not rs:
-                lines.append('  %s -> %s [label="%s"];' % (names[state], names[BOT], _escape(act)))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _escape(text):
-    return text.replace("\\", "\\\\").replace('"', '\\"')

@@ -571,7 +571,7 @@ def row_classes(table, state):
     """A numbered goal-table row read back per coalition action, in product
     order: its (observation, successor number) classes, () where the action
     fails."""
-    ranks, targets, _ = table[state]
+    ranks, targets = table[state]
     observations = table.view.observations
     return {c_a: tuple((observations[r], t) for r, t in zip(rs, ts))
             for c_a, rs, ts in zip(table.view.actions, ranks, targets)}
@@ -581,11 +581,13 @@ def unnumbered_row(table, state):
     """A numbered goal-table row turned back into the reference form: per
     coalition action, in product order, its (observation frozenset,
     (pending, kset)) classes, () where the action fails; then its distinct
-    successors as (pending, kset) pairs. BOT is the pair (0, 0)."""
+    successors, in first-seen order, as (pending, kset) pairs. BOT is the
+    pair (0, 0)."""
     pairs = table.pairs
+    successors = dict.fromkeys(itertools.chain.from_iterable(table[state][1]))
     return ({c_a: tuple((z, pairs[t]) for z, t in classes)
              for c_a, classes in row_classes(table, state).items()},
-            tuple(pairs[t] for t in table[state][2]))
+            tuple(pairs[t] for t in successors))
 
 
 def classes(automaton):
@@ -995,8 +997,8 @@ def construction_failures(hat):
     for (p1, p2), table in hat._goal_tables.items():
         problems += numbering_failures(table, len(hat.view.actions))
         seen = set()
-        for state, (_, _, successors) in table.items():
-            for s in (state,) + successors:
+        for state, (_, targets) in table.items():
+            for s in (state, *itertools.chain.from_iterable(targets)):
                 if s in seen or s == BOT:
                     continue
                 seen.add(s)
@@ -1018,8 +1020,8 @@ def numbering_failures(table, actions):
     exactly when state t has nothing pending and a nonempty kset, and each
     row holds only ints and tuples of ints: per coalition action (actions of
     them) a tuple of strictly increasing observation ranks and a successor
-    tuple as long, but () with (BOT,) exactly where the action fails; then
-    the distinct successors, all numbered."""
+    tuple as long, all numbered, but () with (BOT,) exactly where the action
+    fails."""
     problems, pairs, n = [], table.pairs, len(table.pairs)
     if len(table.number) != n or any(table.number.get(pair) != t
                                      for t, pair in enumerate(pairs)):
@@ -1034,10 +1036,10 @@ def numbering_failures(table, actions):
 
     for state, row in table.items():
         where = "goal table (%s, %s) row %s" % (table.p1, table.p2, state)
-        if not (type(state) is int and 0 <= state < n and ints(row) and len(row) == 3):
+        if not (type(state) is int and 0 <= state < n and ints(row) and len(row) == 2):
             problems.append("%s is not a numbered state's tuple of ints" % where)
             continue
-        ranks, targets, distinct = row
+        ranks, targets = row
         if len(ranks) != actions or len(targets) != actions:
             problems.append("%s does not hold one entry per coalition action" % where)
         for rs, ts in zip(ranks, targets):
@@ -1046,10 +1048,8 @@ def numbering_failures(table, actions):
                                 % (where, rs, ts))
             if (rs == ()) != (ts == (BOT,)):
                 problems.append("%s: ranks %s and successors %s fail apart" % (where, rs, ts))
-        if distinct != tuple(dict.fromkeys(t for ts in targets for t in ts)) or not all(
-                0 <= t < n for t in distinct):
-            problems.append("%s: distinct successors %s are not its numbered successors"
-                            % (where, distinct))
+        if not all(0 <= t < n for t in itertools.chain.from_iterable(targets)):
+            problems.append("%s: successors %s are not all numbered" % (where, targets))
     return problems
 
 

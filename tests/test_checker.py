@@ -599,7 +599,8 @@ class TestLazyViews:
                 listed = state_pairs(table, game.states)
                 assert [q for q in listed if not settled(q)] == unsettled, case
                 reached = set(state_pairs(rows, (rows.initial(s) for s in fresh.ksets))) | {
-                    rows.pairs[t] for q in rows if not settled(rows.pairs[q]) for t in rows[q][2]}
+                    rows.pairs[t] for q in rows if not settled(rows.pairs[q])
+                    for ts in rows[q][1] for t in ts}
                 assert set(listed) == set(unsettled) | {q for q in reached if settled(q)}, case
                 fresh_game = TreeAutomaton(level.case, fresh, p1, p2)
                 assert state_pairs(rows, fresh_game.states) == listed, case

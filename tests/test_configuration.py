@@ -156,3 +156,36 @@ def test_doc_references_resolve():
             if name not in defined_names(body):
                 stale.append((doc, path, name))
     assert found and not stale, stale
+
+
+def imported_modules(path):
+    """The dotted names a module under src/ imports, relative imports
+    resolved: X for `import X`, and X and X.name for `from X import name`,
+    since the name may be a submodule."""
+    package = path.relative_to(PYPROJECT.parent / "src").parent.parts
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[:len(package) + 1 - node.level] if node.level else ()
+            module = ".".join((*base, *([node.module] if node.module else [])))
+            names.add(module)
+            names.update("%s.%s" % (module, alias.name) for alias in node.names)
+    return names
+
+
+def test_only_the_cli_imports_click_or_the_cli():
+    """The engine modules stay a library: no module under src/atldk/ but
+    cli.py imports click or atldk.cli, directly or through a relative
+    import. cli.py itself is read as a check that the reading finds both
+    forms."""
+    def frontend(name):
+        return any(name == top or name.startswith(top + ".") for top in ("click", "atldk.cli"))
+
+    package = PYPROJECT.parent / "src" / "atldk"
+    assert {"click", "atldk.strategy_automata.TreeAutomaton"} <= imported_modules(
+        package / "cli.py")
+    layered = {p.relative_to(package).as_posix(): sorted(filter(frontend, imported_modules(p)))
+               for p in package.rglob("*.py") if p.name != "cli.py"}
+    assert len(layered) > 5 and not any(layered.values()), layered

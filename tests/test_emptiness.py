@@ -173,7 +173,7 @@ class TestCorpusGame:
             arena, AB, strategy,
             holds1=lambda q: "valid" in arena.labels[q],
             holds2=lambda q: "goal" in arena.labels[q],
-            depth=2 * len(automaton))
+            depth=2 * len(automaton.states))
         assert failures == []
 
     def test_witness_narrates_the_protocol(self, setup):
@@ -364,7 +364,7 @@ class TestExtractedWitnesses:
             probe, coalition, strategy,
             holds1=lambda q: p1 in g.labels[q],
             holds2=lambda q: p2 in g.labels[q],
-            depth=2 * len(automaton))
+            depth=2 * len(automaton.states))
         assert failures == []
 
 
@@ -475,7 +475,7 @@ class TestWitnessMachine:
         verdict = model_check(self.stay_or_leave(), "<a1>G p")
         strategy = verdict.witness()
         assert strategy.default == ("leave",)
-        depth_cap = len(verdict.table.levels[-1].game)
+        depth_cap = len(verdict.table.levels[-1].game.states)
         for z in ({"p"}, {"p", "r"}):
             assert strategy.action([z] * (100 * depth_cap)) == ("stay",)
         assert strategy.action([{"r"}]) == strategy.action([{"p"}, {"r"}]) == ("leave",)

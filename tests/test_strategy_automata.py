@@ -1,6 +1,8 @@
 """Goal automata: initial states, transition rules, invariants, rendering."""
 
 import random
+import re
+from collections import Counter
 from functools import partial
 
 import pytest
@@ -8,15 +10,22 @@ from hypothesis import given, settings, strategies as st
 
 from atldk import load_alicebob, model_check
 from atldk.epistemic_split import split
-from atldk.strategy_automata import (BOT, TreeAutomaton, build_until_automaton,
-                                     build_weak_until_automaton, to_dot)
+from atldk.cli import to_dot
+from atldk.strategy_automata import (BOT, UNTIL, WEAK_UNTIL, TreeAutomaton,
+                                     build_until_automaton, build_weak_until_automaton)
 from oracles import (as_sets, classes, coalition_actions, delta, extensions, goal_state, mask_of,
                      numbering_failures, obs, pair_as_sets, random_arena, random_coalition,
-                     reference_goal_initial, reference_goal_row, state_pairs, states_of, succ,
-                     unnumbered, unnumbered_row, walk_views)
+                     reference_goal_initial, reference_goal_row, row_classes, state_pairs,
+                     states_of, succ, unnumbered, unnumbered_row, walk_views)
 
 AB = ["Alice", "Bob"]
 Q123 = ["q1", "q2", "q3"]
+# to_dot's lines: a quoted text may hold an escaped quote or backslash.
+QUOTED = r'"((?:[^"\\]|\\.)*)"'
+DOT_NODE = re.compile(r"  (n\d+) \[label=%s, shape=(box|ellipse)(, peripheries=2)?"
+                      r"(, style=filled, fillcolor=gray)?\];" % QUOTED)
+DOT_EDGE = re.compile(r"  (n\d+|init) -> (n\d+)(?: \[label=%s\])?;" % QUOTED)
+DOT_TITLE = re.compile(r"  label=%s;" % QUOTED)
 
 
 def pair(pending, kset):
@@ -312,8 +321,8 @@ class TestStateFormat:
             table = automaton.rows
             assert all(map(int_pair, table.pairs)), seed
             assert numbering_failures(table, len(automaton.alphabet)) == [], seed
-            for state, (_, targets, successors) in table.items():
-                numbered = [state, *successors, *(t for ts in targets for t in ts)]
+            for state, (_, targets) in table.items():
+                numbered = [state, *(t for ts in targets for t in ts)]
                 assert all(type(t) is int and int_pair(table.pairs[t])
                            for t in numbered), (seed, state)
 
@@ -328,11 +337,11 @@ class TestStateFormat:
         for state in corpus_automaton.states:
             pending, kset = table.pairs[state]
             assert corpus_automaton.is_target(state) == (pending == 0 and kset != 0)
-        targets = corpus_automaton.targets()
+        targets = [s for s in corpus_automaton.states if corpus_automaton.is_target(s)]
         assert goal_state(corpus_automaton, [], ["q12"]) in targets
         assert all(table.pairs[t][0] == 0 and table.pairs[t][1] for t in targets)
         assert {table.pairs[t][0] for t in corpus_automaton.states} - {0}
-        assert table[BOT] == (((),) * len(alphabet), ((BOT,),) * len(alphabet), (BOT,))
+        assert table[BOT] == (((),) * len(alphabet), ((BOT,),) * len(alphabet))
         assert unnumbered_row(table, BOT) == ({c_a: () for c_a in alphabet}, ((0, 0),))
 
     def test_pretty_pinned(self, goal_hat, corpus_automaton):
@@ -358,6 +367,37 @@ class TestObservationClasses:
         assert merged == frozenset({"q4", "q5", "q6"})
 
 
+def unescaped(text):
+    return re.sub(r"\\(.)", r"\1", text)
+
+
+def parse_dot(text):
+    """to_dot's graph read back: its title, its nodes as (name, label, shape,
+    double border, filled), the nodes the init point leads to, and its edges
+    as (source, target, label), each in line order. Fails on a line of any
+    other form."""
+    lines = text.splitlines()
+    assert lines[:2] == ["digraph goal_automaton {", "  rankdir=LR;"] and lines[-1] == "}"
+    graph = {"nodes": [], "init": [], "edges": [], "points": 0}
+    for line in lines[2:-1]:
+        node, edge = DOT_NODE.fullmatch(line), DOT_EDGE.fullmatch(line)
+        title = DOT_TITLE.fullmatch(line)
+        if node:
+            name, label, shape, double, filled = node.groups()
+            graph["nodes"].append((name, unescaped(label), shape, bool(double), bool(filled)))
+        elif edge and edge[1] == "init":
+            assert edge[3] is None, line
+            graph["init"].append(edge[2])
+        elif edge:
+            graph["edges"].append((edge[1], edge[2], unescaped(edge[3])))
+        elif title:
+            graph["title"] = unescaped(title[1])
+        else:
+            assert line == "  init [shape=point];", line
+            graph["points"] += 1
+    return graph
+
+
 class TestDot:
     def test_renders_structure(self, corpus_automaton):
         text = to_dot(corpus_automaton, annotation="language nonempty")
@@ -371,3 +411,46 @@ class TestDot:
     def test_quotes_escaped(self, corpus_automaton):
         text = to_dot(corpus_automaton, annotation='quote " here')
         assert 'quote \\" here' in text
+
+    @pytest.mark.parametrize("kind", [UNTIL, WEAK_UNTIL])
+    def test_random_automata_render_their_rows(self, kind):
+        """On seeded random arenas, with a drawn coalition and the empty one,
+        to_dot names node i after the automaton's state i. Its label is
+        pretty's text, a double border marks exactly is_target, and a gray box
+        marks exactly BOT. One init point leads to the initial state. The
+        edges are the rows that oracles.row_classes reads back, in state,
+        action and observation order: "action / {observation}" per class, and
+        the action alone to BOT where it fails. The empty coalition's one
+        action is labeled "-"."""
+        seen = Counter()
+        for seed in range(80):
+            rng = random.Random(seed)
+            g = random_arena(rng)
+            if not g.props:
+                continue
+            props = sorted(g.props)
+            p1, p2 = rng.choice(props), rng.choice(props)
+            for coalition in (random_coalition(rng), []):
+                hat = split(g, coalition)
+                automaton = TreeAutomaton(kind, hat, p1, p2, hat.kset[rng.choice(hat.arena.states)])
+                graph = parse_dot(to_dot(automaton, 'seed "%d"' % seed))
+                case = (seed, coalition)
+                assert graph["title"] == '%s automaton, goals (%s, %s) [seed "%d"]' % (
+                    kind, p1, p2, seed), case
+                names = {s: "n%d" % i for i, s in enumerate(automaton.states)}
+                assert graph["nodes"] == [
+                    (names[s], automaton.pretty(s), "box" if s == BOT else "ellipse",
+                     automaton.is_target(s), s == BOT) for s in automaton.states], case
+                assert graph["points"] == 1 and graph["init"] == [names[automaton.init]], case
+                edges = []
+                for s in automaton.states:
+                    for c_a, pairs in row_classes(automaton.rows, s).items():
+                        act = ",".join(c_a) if coalition else "-"
+                        edges += [(names[s], names[t], "%s / {%s}" % (act, ",".join(sorted(z))))
+                                  for z, t in pairs] or [(names[s], names[BOT], act)]
+                assert graph["edges"] == edges, case
+                seen["double"] += sum(node[3] for node in graph["nodes"])
+                seen["bot"] += BOT in automaton.states
+                seen["classes"] += sum(" / " in label for _, _, label in graph["edges"])
+                seen["-"] += sum(label.partition(" / ")[0] == "-" for *_, label in graph["edges"])
+        assert min(seen.values()) > 10, seen
